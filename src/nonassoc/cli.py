@@ -96,18 +96,21 @@ def _parse_kv(spec: str, cast=str) -> dict:
             continue
         if "=" not in piece:
             raise NonassocError(f"expected key=value, got {piece!r}")
-        k, v = piece.split("=", 1)
-        out[k.strip()] = cast(v.strip())
+        k, v = (part.strip() for part in piece.split("=", 1))
+        try:
+            out[k] = cast(v)
+        except (ValueError, TypeError) as exc:
+            raise NonassocError(f"bad value {v!r} for {k!r}") from exc
     return out
 
 
 def _parse_property(spec: str) -> OperatorProperty:
-    if ":" in spec:
-        kind, raw = spec.split(":", 1)
-        params = {k: as_scalar(v) for k, v in _parse_kv(raw).items()}
-    else:
-        kind, params = spec, {}
-    return OperatorProperty(kind.strip(), **params)
+    kind, _, raw = spec.partition(":")
+    params = _parse_kv(raw, as_scalar)
+    try:
+        return OperatorProperty(kind.strip(), **params)
+    except TypeError as exc:
+        raise NonassocError(f"bad parameters for property {spec!r}: {exc}") from exc
 
 
 def cmd_list_fixtures(args) -> int:
@@ -300,7 +303,7 @@ def cmd_search_element(args) -> int:
     lin = [LinearConstraint(k.strip(), emb) for k in args.lin.split(",") if k.strip()]
     qparams = {}
     for spec in args.quad_param or []:
-        qparams.update({k: as_scalar(v) for k, v in _parse_kv(spec).items()})
+        qparams.update(_parse_kv(spec, as_scalar))
     unit = load_element(args.unit) if args.unit else None
     quad = QuadraticConstraint(args.quad, unit=unit, **qparams)
     if args.strategy == "grid":

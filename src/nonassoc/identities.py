@@ -10,16 +10,21 @@ component is checked on basis tuples.  Over a field of characteristic 0
 multilinear form vanishes on all basis tuples, so basis-tuple checking is a
 proof, not a sample.
 
-Words are nested pairs over slot numbers; evaluation works on sparse
-coordinate dictionaries with memoization of shared subtrees, which keeps
-the n^4 enumeration for the degree-(3,1) identity cheap even at dim 16.
+Each polarized plan is compiled once into a staged loop nest: subwords are
+shared nodes, each computed at the loop depth of its highest slot from its
+children's current values.  The arithmetic is integer: the structure
+constants are scaled by the lcm D of their denominators, and every identity
+is homogeneous, so both sides (words of m leaves, m - 1 products) scale by
+the same D^(m-1) and equality is unchanged; a witness is scaled back.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from fractions import Fraction
+from math import lcm
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, Element
 from .errors import GridError, NonassocError
@@ -184,6 +189,7 @@ def _polarize_words(words, multidegree, offsets) -> list[SignedWord]:
 
 
 _PLAN_CACHE: dict[str, PolarizedPlan] = {}
+_SCHEDULE_CACHE: dict[str, _Schedule] = {}
 
 
 def polarized_plan(name: str) -> PolarizedPlan:
@@ -212,101 +218,67 @@ def polarized_plan(name: str) -> PolarizedPlan:
         var_of_slot,
     )
     _PLAN_CACHE[name] = plan
+    _SCHEDULE_CACHE[name] = _schedule(plan)
     return plan
 
 
-# ---------------------------------------------------------------------------
-# Sparse evaluation of multilinear words at basis tuples
-# ---------------------------------------------------------------------------
+class _Schedule(NamedTuple):
+    """A plan's words as hash-consed nodes; node ``s < slots`` is slot ``s``'s leaf.
 
-_LEAVES_CACHE: dict = {}
-
-
-def _leaves(word: Word) -> tuple[int, ...]:
-    try:
-        return _LEAVES_CACHE[word]
-    except KeyError:
-        pass
-    if isinstance(word, int):
-        result = (word,)
-    else:
-        result = _leaves(word[0]) + _leaves(word[1])
-    _LEAVES_CACHE[word] = result
-    return result
-
-
-def _eval_word_sparse(word, tup, rows, memo, total_slots) -> dict:
-    if isinstance(word, int):
-        return {tup[word]: 1}
-    leaves = _leaves(word)
-    key = None
-    if len(leaves) < total_slots:
-        key = (word, tuple(tup[s] for s in leaves))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-    left = _eval_word_sparse(word[0], tup, rows, memo, total_slots)
-    right = _eval_word_sparse(word[1], tup, rows, memo, total_slots)
-    out: dict = {}
-    for a, ua in left.items():
-        row = rows[a]
-        for b, ub in right.items():
-            entries = row[b]
-            if not entries:
-                continue
-            c = ua * ub
-            for k, v in entries:
-                nv = out.get(k, 0) + c * v
-                if nv:
-                    out[k] = nv
-                elif k in out:
-                    del out[k]
-    if key is not None:
-        memo[key] = out
-    return out
-
-
-def _eval_signed_sum(words, tup, rows, memo, total_slots) -> dict:
-    acc: dict = {}
-    for sign, word in words:
-        val = _eval_word_sparse(word, tup, rows, memo, total_slots)
-        for k, v in val.items():
-            nv = acc.get(k, 0) + (v if sign == 1 else sign * v)
-            if nv:
-                acc[k] = nv
-            elif k in acc:
-                del acc[k]
-    return acc
-
-
-def _grouped_tuples(dim: int, slots: int, groups):
-    """All slot assignments, non-decreasing within each symmetric group.
-
-    Lexicographic order; by symmetry of the polarized form, the first
-    failing tuple found here is also the lexicographically first failing
-    tuple over the full enumeration.
+    ``steps[d]`` lists the ``(node, left, right)`` products whose highest slot
+    is ``d``, children first.  ``lhs``/``rhs`` pair each root with its sign.
+    ``tied[d]``: slot ``d`` follows slot ``d - 1`` in one symmetry group.
     """
-    group_of_slot = {}
-    for g in groups:
-        for pos, s in enumerate(g):
-            if pos > 0:
-                group_of_slot[s] = g[pos - 1]
-    tup = [0] * slots
 
-    def rec(slot: int):
-        if slot == slots:
-            yield tuple(tup)
-            return
-        start = tup[group_of_slot[slot]] if slot in group_of_slot else 0
-        for i in range(start, dim):
-            tup[slot] = i
-            yield from rec(slot + 1)
-
-    yield from rec(0)
+    steps: tuple[tuple[tuple[int, int, int], ...], ...]
+    lhs: tuple[tuple[int, int], ...]
+    rhs: tuple[tuple[int, int], ...]
+    tied: tuple[bool, ...]
+    size: int
 
 
-def _dense(d: dict, dim: int) -> Element:
-    return Element(tuple(canonical(d.get(k, 0)) for k in range(dim)))
+def _schedule(plan: PolarizedPlan) -> _Schedule:
+    ids: dict = {s: s for s in range(plan.slots)}
+    depth = list(range(plan.slots))
+    steps: list[list] = [[] for _ in range(plan.slots)]
+
+    def node(word) -> int:
+        if word not in ids:
+            left, right = node(word[0]), node(word[1])
+            ids[word] = len(depth)
+            depth.append(max(depth[left], depth[right]))
+            steps[depth[-1]].append((ids[word], left, right))
+        return ids[word]
+
+    lhs = tuple((sign, node(w)) for sign, w in plan.lhs)
+    rhs = tuple((sign, node(w)) for sign, w in plan.rhs)
+    tied = tuple(any(s in g[1:] for g in plan.groups) for s in range(plan.slots))
+    return _Schedule(tuple(map(tuple, steps)), lhs, rhs, tied, len(depth))
+
+
+# ---------------------------------------------------------------------------
+# Staged evaluation of multilinear words at basis tuples
+# ---------------------------------------------------------------------------
+
+def _integer_rows(a: Algebra) -> tuple[tuple, int]:
+    """``a.sparse_rows`` times the lcm ``D`` of their denominators, and ``D``."""
+    rows = a.sparse_rows
+    denom = lcm(*(v.denominator for row in rows for e in row for _, v in e))
+    if denom == 1:
+        return rows, 1
+    scaled = tuple(
+        tuple(tuple((k, v.numerator * (denom // v.denominator)) for k, v in e) for e in row)
+        for row in rows
+    )
+    return scaled, denom
+
+
+def _signed_sum(roots, vals) -> dict:
+    acc: dict = {}
+    for sign, n in roots:
+        for k, v in vals[n].items():
+            acc[k] = acc.get(k, 0) + sign * v
+    return acc
 
 
 def check_identity(a: Algebra, name: str) -> Verdict:
@@ -314,20 +286,49 @@ def check_identity(a: Algebra, name: str) -> Verdict:
 
     Multilinear identities are checked directly on basis tuples; the others
     through their polarized multilinear form.  A failing verdict carries
-    the lexicographically first failing basis tuple.
+    the lexicographically first failing basis tuple: tuples run non-decreasing
+    within each symmetry group, where the polarized form is symmetric.
     """
     plan = polarized_plan(name)
-    rows = a.sparse_rows
-    memo: dict = {}
-    for tup in _grouped_tuples(a.dim, plan.slots, plan.groups):
-        lhs = _eval_signed_sum(plan.lhs, tup, rows, memo, plan.slots)
-        rhs = _eval_signed_sum(plan.rhs, tup, rows, memo, plan.slots)
-        if lhs != rhs:
-            inputs = tuple(a.basis_vector(i) for i in tup)
-            return Verdict.fail(
-                Witness(tup, inputs, _dense(lhs, a.dim), _dense(rhs, a.dim))
-            )
-    return Verdict.ok()
+    sched = _SCHEDULE_CACHE[name]
+    signed = sched.lhs + tuple((-sign, n) for sign, n in sched.rhs)
+    rows, denom = _integer_rows(a)
+    dim, last = a.dim, plan.slots - 1
+    vals: list = [None] * sched.size
+    tup = [0] * plan.slots
+
+    def loop(d: int) -> bool:
+        """Run slot ``d`` and the slots after it; True at the first failure."""
+        for i in range(tup[d - 1] if sched.tied[d] else 0, dim):
+            tup[d] = i
+            vals[d] = {i: 1}
+            for n, left, right in sched.steps[d]:
+                out: dict = {}
+                lv, rv = vals[left], vals[right]
+                if lv and rv:
+                    rv = rv.items()
+                    for x, ux in lv.items():
+                        row = rows[x]
+                        for y, uy in rv:
+                            c = ux * uy
+                            for k, v in row[y]:
+                                out[k] = out.get(k, 0) + c * v
+                vals[n] = out
+            if loop(d + 1) if d < last else any(_signed_sum(signed, vals).values()):
+                return True
+        return False
+
+    if not loop(0):
+        return Verdict.ok()
+    # Words have m = sum(multidegree) leaves: both sides carry D^(m-1).
+    scale = denom ** (sum(plan.identity.multidegree) - 1)
+
+    def side(roots) -> Element:
+        acc = _signed_sum(roots, vals)
+        return Element(tuple(canonical(Fraction(acc.get(k, 0), scale)) for k in range(dim)))
+
+    inputs = tuple(a.basis_vector(i) for i in tup)
+    return Verdict.fail(Witness(tuple(tup), inputs, side(sched.lhs), side(sched.rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +386,6 @@ def check_identity_direct(a: Algebra, name: str) -> Verdict:
 
 def random_element(a: Algebra, rng: random.Random) -> Element:
     """Element with small rational coordinates (mostly integers, some halves)."""
-    from fractions import Fraction
-
     coords = []
     for _ in range(a.dim):
         num = rng.randint(-6, 6)

@@ -11,7 +11,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import Algebra, Element, Embedding
-from .errors import DimensionMismatchError, ImageNotInSpanError, MalformedPropertyError
+from .errors import (
+    DimensionMismatchError,
+    ImageNotInSpanError,
+    MalformedPropertyError,
+    NonassocError,
+)
 from .scalars import Scalar, as_scalar, canonical, format_scalar
 from .verdicts import Verdict, Witness
 
@@ -287,6 +292,8 @@ def check_operator_property_random(
     seed: int,
 ) -> Verdict:
     """Corroborate an operator identity at pseudo-random rational elements."""
+    if trials < 1:
+        raise NonassocError("trials must be >= 1")
     import random
 
     from .scalars import exact_div
@@ -301,7 +308,7 @@ def check_operator_property_random(
             )
         )
 
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         x = rand_element()
         if prop.kind in _UNARY_KINDS:
             lhs, rhs = _unary_sides(prop.kind, a, r, prop, x)

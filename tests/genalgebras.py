@@ -28,6 +28,18 @@ def rand_scalar(rng: random.Random, lo: int = -4, hi: int = 4, denom: int = 3):
     return canonical(exact_div(rng.randint(lo, hi), rng.choice([1] * 2 + list(range(1, denom + 1)))))
 
 
+def mixed_denominator_algebra(rng: random.Random, n: int, denominators) -> Algebra:
+    """Random structure constants p/q with q drawn from ``denominators``, half zero."""
+    entries = [
+        (i, j, k, Fraction(rng.randint(-5, 5), rng.choice(denominators)))
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        if rng.random() < 0.5
+    ]
+    return make_algebra(n, entries)
+
+
 def invertible_int_matrix(rng: random.Random, n: int):
     """(P, Pinv): a random unimodular integer matrix and its exact inverse.
 

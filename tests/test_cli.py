@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from nonassoc.cli import main
 
 DATA = Path(__file__).parent.parent / "src" / "nonassoc" / "data"
@@ -205,3 +207,20 @@ def test_unknown_identity_exits_2(capsys):
         "--identity", "nonexistent",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--algebra", str(DATA / "examples" / "null2.json"),
+     "--identity", "jacobi", "--random", "trials=abc"),
+    ("props", "--algebra", str(DATA / "fixtures" / "F10.algebra.json"),
+     "--operator", str(DATA / "fixtures" / "F10.operator.json"),
+     "--property", "rota_baxter:lam=x"),
+    ("props", "--algebra", str(DATA / "fixtures" / "F10.algebra.json"),
+     "--operator", str(DATA / "fixtures" / "F10.operator.json"),
+     "--property", "rota_baxter:bogus=1"),
+])
+def test_bad_spec_value_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err

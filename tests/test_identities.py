@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -137,18 +139,41 @@ def test_witness_reevaluation_on_derived(all_materialized):
     assert lhs == verdict.witness.lhs and rhs == verdict.witness.rhs and lhs != rhs
 
 
+def polarized_sides(a, name, tup):
+    """Independent oracle: the polarized words of ``name`` at the basis tuple
+    ``tup``, evaluated with ``Algebra.product`` on basis vectors."""
+    plan = polarized_plan(name)
+
+    def value(word):
+        if isinstance(word, int):
+            return a.basis_vector(tup[word])
+        return a.product(value(word[0]), value(word[1]))
+
+    def side(words):
+        acc = a.zero()
+        for sign, word in words:
+            acc = acc + sign * value(word)
+        return acc
+
+    return side(plan.lhs), side(plan.rhs)
+
+
+def first_failing_tuple(a, name):
+    """Lexicographically first failing tuple of the FULL enumeration, or None."""
+    for tup in itertools.product(range(a.dim), repeat=polarized_plan(name).slots):
+        lhs, rhs = polarized_sides(a, name, tup)
+        if lhs != rhs:
+            return tup
+    return None
+
+
 def test_symmetric_reduction_preserves_minimal_witness():
     """The engine enumerates non-decreasing tuples within each polarized
     symmetry group; the resulting witness must equal the lexicographically
     first failing tuple of the FULL enumeration (valid because the
     polarized form is symmetric in each group, so sorting a failing tuple
     yields an earlier failing tuple)."""
-    import itertools
-    import random
-
     from genalgebras import row_algebra_with_projection
-    from nonassoc.constructions import construction, derive
-    from nonassoc.identities import _dense, _eval_signed_sum, polarized_plan
 
     # a twisted algebra known to fail the degree-(3,1) identity
     rng = random.Random(800)
@@ -160,14 +185,7 @@ def test_symmetric_reduction_preserves_minimal_witness():
         verdict = check_identity(twisted, name)
         if verdict.passed:
             continue
-        plan = polarized_plan(name)
-        first_full = None
-        for tup in itertools.product(range(twisted.dim), repeat=plan.slots):
-            lhs = _eval_signed_sum(plan.lhs, tup, twisted.sparse_rows, {}, plan.slots)
-            rhs = _eval_signed_sum(plan.rhs, tup, twisted.sparse_rows, {}, plan.slots)
-            if lhs != rhs:
-                first_full = tup
-                break
+        first_full = first_failing_tuple(twisted, name)
         assert first_full is not None
         assert verdict.witness.indices == first_full
     # at least jordan_main must have failed for the comparison to be meaningful
@@ -182,8 +200,6 @@ def test_every_failing_witness_reproduces_inequality(all_materialized):
     field) to the identity holding for all elements; a failing tuple must
     therefore re-evaluate to genuinely unequal sides of that form.
     """
-    from nonassoc.identities import polarized_plan, _eval_signed_sum, _dense
-
     swept = 0
     for m in all_materialized.values():
         for a in m.algebras.values():
@@ -191,18 +207,43 @@ def test_every_failing_witness_reproduces_inequality(all_materialized):
                 verdict = check_identity(a, name)
                 if verdict.passed:
                     continue
-                plan = polarized_plan(name)
-                tup = verdict.witness.indices
-                lhs = _dense(
-                    _eval_signed_sum(plan.lhs, tup, a.sparse_rows, {}, plan.slots), a.dim
-                )
-                rhs = _dense(
-                    _eval_signed_sum(plan.rhs, tup, a.sparse_rows, {}, plan.slots), a.dim
-                )
+                lhs, rhs = polarized_sides(a, name, verdict.witness.indices)
                 assert lhs == verdict.witness.lhs and rhs == verdict.witness.rhs
                 assert lhs != rhs
                 swept += 1
     assert swept > 10  # plenty of failing pairs exist in the catalog
+
+
+@pytest.mark.parametrize(
+    "seed, denominators",
+    [(seed, (1, 2, 3, 7, 12)) for seed in range(6)]
+    # a dim-4 algebra whose lcm D exceeds 2^64, so D^(m-1) does for every identity
+    + [(103, (2, 3, 7, 12, 2**31 - 1, 2**61 - 1))],
+)
+def test_integer_scaling_matches_rational_oracle(seed, denominators):
+    """The engine runs on structure constants scaled to integers; its verdicts
+    and unscaled witness sides must match exact rational evaluation."""
+    from genalgebras import mixed_denominator_algebra
+
+    rng = random.Random(seed)
+    a = mixed_denominator_algebra(rng, rng.randint(2, 4), denominators)
+    denom = lcm(*(v.denominator for row in a.sparse_rows for e in row for _, v in e))
+    assert denom > 1
+    if 2**61 - 1 in denominators:
+        assert a.dim == 4 and denom > 2**64
+    for name in IDENTITY_NAMES:
+        verdict = check_identity(a, name)
+        first = first_failing_tuple(a, name)
+        assert verdict.passed == (first is None)
+        if first is None:
+            continue
+        w = verdict.witness
+        assert w.indices == first
+        lhs, rhs = polarized_sides(a, name, first)
+        assert (w.lhs, w.rhs) == (lhs, rhs)
+        assert list(map(type, w.lhs.coords + w.rhs.coords)) == list(
+            map(type, lhs.coords + rhs.coords)
+        )
 
 
 def test_random_checker_seed_determinism(m3):

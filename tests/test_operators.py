@@ -15,6 +15,7 @@ from nonassoc.errors import (
     DimensionMismatchError,
     ImageNotInSpanError,
     MalformedPropertyError,
+    NonassocError,
 )
 from nonassoc.operators import (
     LinearOperator,
@@ -203,3 +204,11 @@ def test_basis_verdict_agrees_with_random_pairs(prop):
     exact = check_operator_property(sub, r, prop).passed
     sampled = check_operator_property_random(sub, r, prop, trials=100, seed=17).passed
     assert exact == sampled
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_random_property_check_rejects_nonpositive_trials(trials):
+    sub, emb = row_span_embedding()
+    r = left_multiplication_operator(emb, element_from_matrix([[1, 2, 2], [0, -1, -2], [0, 1, 2]]))
+    with pytest.raises(NonassocError):
+        check_operator_property_random(sub, r, endomorphism(), trials=trials, seed=17)
