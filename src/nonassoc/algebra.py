@@ -214,7 +214,7 @@ class Embedding:
         coeffs = self._solver.coordinates(list(v.coords))
         if coeffs is None:
             return None
-        return Element(tuple(canonical(c) for c in coeffs))
+        return Element(tuple(coeffs))
 
     def residual(self, v: Element) -> Element:
         return Element(tuple(self._solver.residual(list(v.coords))))

@@ -305,7 +305,10 @@ def cmd_search_element(args) -> int:
     for spec in args.quad_param or []:
         qparams.update(_parse_kv(spec, as_scalar))
     unit = load_element(args.unit) if args.unit else None
-    quad = QuadraticConstraint(args.quad, unit=unit, **qparams)
+    try:
+        quad = QuadraticConstraint(args.quad, unit=unit, **qparams)
+    except TypeError as exc:
+        raise NonassocError(f"bad --quad-param for {args.quad!r}: {exc}") from exc
     if args.strategy == "grid":
         if not args.grid:
             raise NonassocError("grid strategy requires --grid FILE")
@@ -313,8 +316,11 @@ def cmd_search_element(args) -> int:
     else:
         pins = {}
         for spec in args.pin or []:
-            for k, v in _parse_kv(spec).items():
-                pins[int(k)] = as_scalar(v)
+            for k, v in _parse_kv(spec, as_scalar).items():
+                try:
+                    pins[int(k)] = v
+                except ValueError as exc:
+                    raise NonassocError(f"bad --pin index {k!r}") from exc
         strategy = UnivariateStrategy.of(pins)
     result = find_special(ambient, lin, quad, strategy)
     lines = [

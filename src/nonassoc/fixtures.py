@@ -3,9 +3,10 @@
 Each fixture bundles an ambient matrix algebra, a subalgebra basis, a
 (possibly parametrized) distinguished element u, the derived algebras built
 from the induced operator R(x) = u x, and the expected verdict of every
-check.  Running a fixture re-derives everything from scratch and compares
-against the expectations, so the catalog doubles as the regression suite
-and the documentation spine.
+check.  Running a fixture builds u and its operator at the given point and
+each derived algebra on its first lookup, then compares against the
+expectations, so the catalog doubles as the regression suite and the
+documentation spine.
 
 Check labels:
 
@@ -24,8 +25,9 @@ parametric certification can vary them together with u.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .algebra import (
     Algebra,
@@ -98,7 +100,7 @@ class Materialized:
     embedding: Embedding
     u: Element
     operator: LinearOperator
-    algebras: dict
+    algebras: Mapping[str, Algebra]
 
 
 @dataclass(frozen=True)
@@ -806,36 +808,63 @@ def materialize(bundle: FixtureBundle, point: Optional[Mapping] = None) -> Mater
                 f"parameter {p.name} = {pt[p.name]} is excluded for fixture {bundle.name}"
             )
     ambient = _ambient(bundle.ambient_n)
-    basis_matrices = bundle.basis_fn(pt)
-    basis = tuple(element_from_matrix(m) for m in basis_matrices)
-    cache_key = (bundle.name, basis)
+    basis_matrices = bundle.basis_fn(pt)  # tuples of tuples: hashable
+    cache_key = (bundle.name, basis_matrices)
     if cache_key in _EMB_CACHE:
         induced, emb = _EMB_CACHE[cache_key]
     else:
+        basis = tuple(element_from_matrix(m) for m in basis_matrices)
         induced, emb = induce_subalgebra(ambient, basis)
         _EMB_CACHE[cache_key] = (induced, emb)
     u = element_from_matrix(bundle.u_fn(pt))
     operator = left_multiplication_operator(emb, u)
-    algebras = _apply_plan(bundle.plan, induced, operator)
+    algebras = _PlanAlgebras(bundle.plan, induced, operator)
     return Materialized(bundle, pt, ambient, emb, u, operator, algebras)
 
 
-def _apply_plan(plan, induced: Algebra, operator: LinearOperator) -> dict:
-    algebras: dict[str, Algebra] = {}
-    for step in plan:
-        if step[0] == "A":
-            if step[1] == "induced":
-                algebras["A"] = induced
-            elif step[1] == "hadamard":
-                algebras["A"] = hadamard_algebra(step[2], step[3])
-            else:
-                raise NonassocError(f"unknown base algebra step {step!r}")
-        else:
-            name, verb, source, cons_name, a = step
-            if verb != "derive":
+class _PlanAlgebras(Mapping):
+    """The algebras of a fixture's plan, each built the first time it is looked up.
+
+    A lookup derives the step together with its source chain and keeps the
+    result, so a row pays only for the algebras it reads.  Iteration follows
+    the plan order.  Step shapes are checked up front, so a malformed plan
+    still fails at ``materialize`` time.
+    """
+
+    def __init__(self, plan, induced: Algebra, operator: LinearOperator):
+        for step in plan:
+            if step[0] == "A":
+                if step[1] not in ("induced", "hadamard"):
+                    raise NonassocError(f"unknown base algebra step {step!r}")
+            elif step[1] != "derive":
                 raise NonassocError(f"unknown plan step {step!r}")
-            algebras[name] = derive(algebras[source], operator, construction(cons_name, a))
-    return algebras
+        self._steps = {step[0]: step for step in plan}
+        self._induced = induced
+        self._operator = operator
+        self._built: dict[str, Algebra] = {}
+
+    def __getitem__(self, name: str) -> Algebra:
+        algebra = self._built.get(name)
+        if algebra is None:
+            step = self._steps[name]
+            if step[0] != "A":
+                _, _, source, cons_name, a = step
+                algebra = derive(self[source], self._operator, construction(cons_name, a))
+            elif step[1] == "induced":
+                algebra = self._induced
+            else:
+                algebra = hadamard_algebra(step[2], step[3])
+            self._built[name] = algebra
+        return algebra
+
+    def __contains__(self, name) -> bool:
+        return name in self._steps
+
+    def __iter__(self):
+        return iter(self._steps)
+
+    def __len__(self) -> int:
+        return len(self._steps)
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,12 @@ def solve_affine(mat: Matrix, rhs: Vector) -> tuple[Vector | None, list[Vector]]
 class SpanSolver:
     """Express vectors in the span of fixed columns, exactly.
 
-    Factors the column matrix once; ``coordinates`` then costs one matrix
-    application plus a reconstruction check.
+    Factors the column matrix M once, as ``T @ M == R`` with T invertible
+    and R in RREF.  Then ``M @ c == v`` iff ``R @ c == T @ v``, and the rows
+    of R past its rank are zero: v lies in the span iff its null rows
+    ``(T @ v)[rank:]`` vanish, and the pivot rows ``(T @ v)[:rank]`` are the
+    coordinates of the pivot columns (free ones are zero).  ``coordinates``
+    costs one pass over T, summed over the nonzero entries of v.
     """
 
     def __init__(self, columns: list[Vector]):
@@ -138,13 +142,15 @@ class SpanSolver:
         return self.rank == len(self.columns)
 
     def coordinates(self, v: Vector) -> Vector | None:
-        """Coefficients c with span-columns @ c == v, or None if v is outside."""
-        w = mat_vec(self._t, v)
+        """Canonical coefficients c with span-columns @ c == v, or None if v is outside."""
+        nonzero = [(j, x) for j, x in enumerate(v) if x]
+        for row in self._t[self.rank:]:
+            if sum(row[j] * x for j, x in nonzero):
+                return None
         c = [0] * len(self.columns)
-        for row_idx, pc in enumerate(self._pivots):
-            c[pc] = w[row_idx]
-        if self.reconstruct(c) != [canonical(x) for x in v]:
-            return None
+        for pc, row in zip(self._pivots, self._t):
+            s = sum(row[j] * x for j, x in nonzero)
+            c[pc] = s if type(s) is int else canonical(s)
         return c
 
     def reconstruct(self, coeffs: Vector) -> Vector:

@@ -59,7 +59,7 @@ class LinearOperator:
             for k in range(self.dim):
                 if col[k] != 0:
                     acc[k] = acc[k] + c * col[k]
-        return Element(tuple(canonical(a) for a in acc))
+        return Element(tuple(a if type(a) is int else canonical(a) for a in acc))
 
     def __call__(self, x: Element) -> Element:
         return self.apply(x)

@@ -58,11 +58,16 @@ def algebra_from_dict(d: dict) -> Algebra:
         raise FileFormatError(f"malformed algebra object: {exc}") from exc
     labels = d.get("labels") or ()
     entries = []
-    for item in raw:
-        if len(item) != 4:
-            raise FileFormatError(f"structure constant entry {item!r} must be [i,j,k,scalar]")
-        i, j, k, v = item
-        entries.append((int(i), int(j), int(k), _scalar_in(v)))
+    try:
+        for item in raw:
+            if len(item) != 4:
+                raise FileFormatError(
+                    f"structure constant entry {item!r} must be [i,j,k,scalar]"
+                )
+            i, j, k, v = item
+            entries.append((int(i), int(j), int(k), _scalar_in(v)))
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"malformed structure constants: {exc}") from exc
     try:
         return make_algebra(dim, entries, tuple(labels))
     except Exception as exc:
@@ -155,9 +160,12 @@ def _load_json(path) -> dict:
 
 
 def _dump_json(obj: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2)
-        f.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(obj, f, indent=2)
+            f.write("\n")
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def load_algebra(path) -> Algebra:

@@ -209,6 +209,14 @@ def test_unknown_identity_exits_2(capsys):
     assert code == 2
 
 
+_SEARCH_F9 = (
+    "search-element",
+    "--ambient", str(DATA / "fixtures" / "F9.ambient.json"),
+    "--embedding", str(DATA / "fixtures" / "F9.embedding.json"),
+    "--lin", "stabilize",
+)
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "--algebra", str(DATA / "examples" / "null2.json"),
      "--identity", "jacobi", "--random", "trials=abc"),
@@ -218,9 +226,39 @@ def test_unknown_identity_exits_2(capsys):
     ("props", "--algebra", str(DATA / "fixtures" / "F10.algebra.json"),
      "--operator", str(DATA / "fixtures" / "F10.operator.json"),
      "--property", "rota_baxter:bogus=1"),
+    _SEARCH_F9 + ("--quad", "idempotent", "--strategy", "univariate", "--pin", "a=0"),
+    _SEARCH_F9 + ("--quad", "idempotent", "--strategy", "univariate", "--pin", "1=x"),
+    _SEARCH_F9 + ("--quad", "idempotent", "--quad-param", "bogus=2",
+                  "--grid", str(DATA / "examples" / "grid_f9.json")),
 ])
 def test_bad_spec_value_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [
+    '{"dim": 2, "sc": 5}',
+    '{"dim": 2, "sc": [["x", 0, 0, "1"]]}',
+], ids=["sc_not_a_list", "sc_bad_index"])
+def test_malformed_structure_constants_exit_2(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content, encoding="utf-8")
+    code, _, err = run(capsys, "check", "--algebra", str(bad), "--identity", "jacobi")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_derive_unwritable_out_exits_2(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "derive",
+        "--algebra", str(DATA / "fixtures" / "F1b.algebra.json"),
+        "--operator", str(DATA / "fixtures" / "F1b.operator.json"),
+        "--construction", "lie_endo",
+        "--out", str(tmp_path / "missing" / "dir" / "x.json"),
+    )
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err

@@ -1,5 +1,8 @@
 import pytest
 
+from nonassoc import fixtures
+from nonassoc.algebra import Element, induce_subalgebra
+from nonassoc.constructions import construction, derive, hadamard_algebra
 from nonassoc.errors import GridError, NonassocError, UnknownFixtureError
 from nonassoc.fixtures import (
     ExpectedRow,
@@ -11,6 +14,7 @@ from nonassoc.fixtures import (
     run_row,
     verify_fixture,
 )
+from nonassoc.verdicts import Verdict, Witness
 
 ALL_NAMES = ["F1", "F1b", "F2", "F3", "F3b", "F4", "F5",
              "F6", "F7", "F8", "F9", "F10", "F11"]
@@ -118,3 +122,82 @@ def test_f9_mirrored_reading_passes_at_more_points():
             m = materialize(load_fixture("F9"), {"x": x, "y": y})
             assert run_row(m, "operator[A]:rota_baxter(0)").passed
             assert run_row(m, "custom:rota_baxter0_mirrored(A)").passed
+
+
+def test_plan_algebras_are_derived_on_first_lookup(monkeypatch):
+    calls = []
+
+    def counting_derive(*args):
+        calls.append(args[2].name)
+        return derive(*args)
+
+    monkeypatch.setattr(fixtures, "derive", counting_derive)
+    m = materialize(load_fixture("F1"))
+    assert "lie" in m.algebras and "jordan" not in m.algebras
+    assert run_row(m, "element:right_identity").passed
+    assert run_row(m, "operator[A]:endomorphism").passed
+    assert calls == []
+    assert run_row(m, "identity[lie]:jacobi").passed
+    assert calls == ["lie_endo"]
+    assert run_row(m, "identity[lie]:jacobi").passed
+    assert run_row(m, "identity[lie]:antisymmetry").passed
+    assert calls == ["lie_endo"]
+
+
+def _eager_plan(m) -> dict:
+    """Every algebra of the plan, built in plan order as a reference."""
+    built = {}
+    for step in m.bundle.plan:
+        if step == ("A", "induced"):
+            built["A"] = induce_subalgebra(m.ambient, m.embedding.basis)[0]
+        elif step[:2] == ("A", "hadamard"):
+            built["A"] = hadamard_algebra(step[2], step[3])
+        else:
+            name, _, source, cons_name, a = step
+            built[name] = derive(built[source], m.operator, construction(cons_name, a))
+    return built
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_plan_algebras_match_eager_derivation(name):
+    m = materialize(load_fixture(name))
+    assert list(m.algebras) == [step[0] for step in m.bundle.plan]
+    eager = _eager_plan(m)
+    for alg_name in reversed(list(eager)):  # a derived algebra before its source
+        assert m.algebras[alg_name] == eager[alg_name]
+        assert m.algebras[alg_name].meta == eager[alg_name].meta
+    assert m.algebras == eager
+    assert list(m.algebras.items()) == list(eager.items())
+
+
+# Grid points of every certified row, per fixture, as certified before derived
+# algebras were built lazily; a grid pass must visit exactly these.
+_CERTIFIED_POINTS = {"F1": 729, "F1b": 8, "F3b": 4, "F6": 729, "F7": 36,
+                     "F9": 25, "F10": 25, "F11": 400}
+_CERTIFIED = [(name, label) for name in ALL_NAMES
+              for label in load_fixture(name).certified_rows]
+
+
+def test_certified_rows_catalog():
+    assert len(_CERTIFIED) == 35
+    assert {name for name, _ in _CERTIFIED} == set(_CERTIFIED_POINTS)
+
+
+@pytest.mark.parametrize("name,label", _CERTIFIED)
+def test_certified_row_passes_on_its_whole_grid(name, label):
+    v = certify_row(name, label)
+    assert v.passed and v.failing_point is None and v.inner is None
+    assert v.points_checked == _CERTIFIED_POINTS[name]
+
+
+def test_certify_row_reports_first_failing_point():
+    v = certify_row("F1", "operator[A]:idempotent_op")
+    inner = Verdict.fail(Witness(
+        (2,), (Element((0, 0, 1)),), Element((0, 0, 4)), Element((0, 0, 2))
+    ))
+    assert not v.passed
+    assert v.failing_point == {"a": 0, "b": 0, "c": 0, "e": 0, "f": 0, "g": 2}
+    assert v.points_checked == 3
+    assert v.inner == inner
+    m = materialize(load_fixture("F1"), v.failing_point)
+    assert run_row(m, "operator[A]:idempotent_op") == inner

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonassoc.linalg import SpanSolver, identity, mat_vec, nullspace, rref, solve_affine
+from nonassoc.scalars import canonical
 
 small_matrix = st.integers(1, 5).flatmap(
     lambda n: st.tuples(
@@ -86,3 +87,51 @@ def test_mat_vec_fractions_stay_exact():
     m = [[Fraction(1, 3), Fraction(2, 3)]]
     assert mat_vec(m, [1, 1]) == [1]
     assert identity(2) == [[1, 0], [0, 1]]
+
+
+def _coordinates_oracle(columns, v):
+    """Span coordinates by a full transform application and a reconstruction check."""
+    mat = [[col[i] for col in columns] for i in range(len(columns[0]))]
+    _, t, pivots = rref(mat)
+    w = mat_vec(t, v)
+    c = [0] * len(columns)
+    for row_idx, pc in enumerate(pivots):
+        c[pc] = w[row_idx]
+    rebuilt = [canonical(sum(c[j] * col[i] for j, col in enumerate(columns)))
+               for i in range(len(v))]
+    return c if rebuilt == [canonical(x) for x in v] else None
+
+
+_mixed_scalar = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+)
+
+
+def _typed(vec):
+    return None if vec is None else [(type(x), x) for x in vec]
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_span_solver_coordinates_match_oracle(data):
+    dim = data.draw(st.integers(1, 5))
+    vector = st.lists(_mixed_scalar, min_size=dim, max_size=dim)
+    columns = data.draw(st.lists(vector, min_size=1, max_size=dim))
+    if data.draw(st.booleans()):  # force a rank-deficient column set
+        weights = data.draw(st.lists(_mixed_scalar, min_size=len(columns),
+                                     max_size=len(columns)))
+        columns.append([sum(w * col[i] for w, col in zip(weights, columns))
+                        for i in range(dim)])
+    solver = SpanSolver(columns)
+    weights = data.draw(st.lists(_mixed_scalar, min_size=len(columns),
+                                 max_size=len(columns)))
+    inside = [sum(w * col[i] for w, col in zip(weights, columns)) for i in range(dim)]
+    for v in (inside, data.draw(vector)):
+        c = solver.coordinates(v)
+        assert (c is not None) == all(x == 0 for x in solver.residual(v))
+        assert _typed(c) == _typed(_coordinates_oracle(columns, v))
+        if c is not None:
+            assert solver.reconstruct(c) == [canonical(x) for x in v]
+    assert solver.coordinates(inside) is not None
