@@ -16,6 +16,8 @@ children's current values.  The arithmetic is integer: the structure
 constants are scaled by the lcm D of their denominators, and every identity
 is homogeneous, so both sides (words of m leaves, m - 1 products) scale by
 the same D^(m-1) and equality is unchanged; a witness is scaled back.
+Random corroboration runs the raw words through the same int kernel at
+elements kept doubled, so both sides carry 2^m D^(m-1), compared exactly.
 """
 from __future__ import annotations
 
@@ -190,6 +192,7 @@ def _polarize_words(words, multidegree, offsets) -> list[SignedWord]:
 
 _PLAN_CACHE: dict[str, PolarizedPlan] = {}
 _SCHEDULE_CACHE: dict[str, _Schedule] = {}
+_RAW_SCHEDULE_CACHE: dict[str, _Schedule] = {}
 
 
 def polarized_plan(name: str) -> PolarizedPlan:
@@ -218,12 +221,12 @@ def polarized_plan(name: str) -> PolarizedPlan:
         var_of_slot,
     )
     _PLAN_CACHE[name] = plan
-    _SCHEDULE_CACHE[name] = _schedule(plan)
+    _SCHEDULE_CACHE[name] = _schedule(total, plan.lhs, plan.rhs, groups)
     return plan
 
 
 class _Schedule(NamedTuple):
-    """A plan's words as hash-consed nodes; node ``s < slots`` is slot ``s``'s leaf.
+    """Signed words as hash-consed nodes; node ``s < slots`` is slot ``s``'s leaf.
 
     ``steps[d]`` lists the ``(node, left, right)`` products whose highest slot
     is ``d``, children first.  ``lhs``/``rhs`` pair each root with its sign.
@@ -237,10 +240,10 @@ class _Schedule(NamedTuple):
     size: int
 
 
-def _schedule(plan: PolarizedPlan) -> _Schedule:
-    ids: dict = {s: s for s in range(plan.slots)}
-    depth = list(range(plan.slots))
-    steps: list[list] = [[] for _ in range(plan.slots)]
+def _schedule(slots: int, lhs_words, rhs_words, groups) -> _Schedule:
+    ids: dict = {s: s for s in range(slots)}
+    depth = list(range(slots))
+    steps: list[list] = [[] for _ in range(slots)]
 
     def node(word) -> int:
         if word not in ids:
@@ -250,9 +253,9 @@ def _schedule(plan: PolarizedPlan) -> _Schedule:
             steps[depth[-1]].append((ids[word], left, right))
         return ids[word]
 
-    lhs = tuple((sign, node(w)) for sign, w in plan.lhs)
-    rhs = tuple((sign, node(w)) for sign, w in plan.rhs)
-    tied = tuple(any(s in g[1:] for g in plan.groups) for s in range(plan.slots))
+    lhs = tuple((sign, node(w)) for sign, w in lhs_words)
+    rhs = tuple((sign, node(w)) for sign, w in rhs_words)
+    tied = tuple(any(s in g[1:] for g in groups) for s in range(slots))
     return _Schedule(tuple(map(tuple, steps)), lhs, rhs, tied, len(depth))
 
 
@@ -281,6 +284,33 @@ def _signed_sum(roots, vals) -> dict:
     return acc
 
 
+def _products(rows, steps, vals) -> None:
+    """Set ``vals[n]`` to the sparse int product of its children, for each step."""
+    for n, left, right in steps:
+        out: dict = {}
+        lv, rv = vals[left], vals[right]
+        if lv and rv:
+            rv = rv.items()
+            for x, ux in lv.items():
+                row = rows[x]
+                for y, uy in rv:
+                    c = ux * uy
+                    for k, v in row[y]:
+                        out[k] = out.get(k, 0) + c * v
+        vals[n] = out
+
+
+def _unscaled(acc: dict, dim: int, scale: int) -> Element:
+    """The element with coordinates ``acc[k] / scale`` (a missing key is 0)."""
+    return Element(tuple(canonical(Fraction(acc.get(k, 0), scale)) for k in range(dim)))
+
+
+def _failure(indices, inputs, sched: _Schedule, vals, dim: int, scale: int) -> Verdict:
+    """Failing verdict whose sides are ``sched``'s signed roots divided by ``scale``."""
+    lhs, rhs = (_unscaled(_signed_sum(r, vals), dim, scale) for r in (sched.lhs, sched.rhs))
+    return Verdict.fail(Witness(indices, inputs, lhs, rhs))
+
+
 def check_identity(a: Algebra, name: str) -> Verdict:
     """Exact verdict: does the named identity hold for all elements of ``a``?
 
@@ -302,18 +332,7 @@ def check_identity(a: Algebra, name: str) -> Verdict:
         for i in range(tup[d - 1] if sched.tied[d] else 0, dim):
             tup[d] = i
             vals[d] = {i: 1}
-            for n, left, right in sched.steps[d]:
-                out: dict = {}
-                lv, rv = vals[left], vals[right]
-                if lv and rv:
-                    rv = rv.items()
-                    for x, ux in lv.items():
-                        row = rows[x]
-                        for y, uy in rv:
-                            c = ux * uy
-                            for k, v in row[y]:
-                                out[k] = out.get(k, 0) + c * v
-                vals[n] = out
+            _products(rows, sched.steps[d], vals)
             if loop(d + 1) if d < last else any(_signed_sum(signed, vals).values()):
                 return True
         return False
@@ -322,13 +341,8 @@ def check_identity(a: Algebra, name: str) -> Verdict:
         return Verdict.ok()
     # Words have m = sum(multidegree) leaves: both sides carry D^(m-1).
     scale = denom ** (sum(plan.identity.multidegree) - 1)
-
-    def side(roots) -> Element:
-        acc = _signed_sum(roots, vals)
-        return Element(tuple(canonical(Fraction(acc.get(k, 0), scale)) for k in range(dim)))
-
     inputs = tuple(a.basis_vector(i) for i in tup)
-    return Verdict.fail(Witness(tuple(tup), inputs, side(sched.lhs), side(sched.rhs)))
+    return _failure(tuple(tup), inputs, sched, vals, dim, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -384,29 +398,52 @@ def check_identity_direct(a: Algebra, name: str) -> Verdict:
     return Verdict.ok()
 
 
+def _doubled_coords(dim: int, rng: random.Random) -> dict:
+    """Twice a random element's coordinates, as a sparse ``{k: int}``: each is in
+    [-6, 6], halved when odd and ``randrange(4)`` (drawn every time) gives 0."""
+    out = {}
+    for k in range(dim):
+        num = rng.randint(-6, 6)
+        h = num if rng.randrange(4) == 0 and num % 2 else 2 * num
+        if h:
+            out[k] = h
+    return out
+
+
 def random_element(a: Algebra, rng: random.Random) -> Element:
     """Element with small rational coordinates (mostly integers, some halves)."""
-    coords = []
-    for _ in range(a.dim):
-        num = rng.randint(-6, 6)
-        if rng.randrange(4) == 0 and num % 2:
-            coords.append(Fraction(num, 2))
-        else:
-            coords.append(num)
-    return Element(tuple(coords))
+    return _unscaled(_doubled_coords(a.dim, rng), a.dim, 2)
 
 
 def check_identity_random(a: Algebra, name: str, trials: int, seed: int) -> Verdict:
-    """Evaluate the raw identity at pseudo-random elements; deterministic per seed."""
+    """Evaluate the raw identity at pseudo-random elements; deterministic per seed.
+
+    The elements of ``random_element`` are kept doubled and the structure
+    constants scaled by their lcm D, so both sides (m leaves, m - 1 products)
+    carry 2^m D^(m-1) and compare exactly in int; a witness is scaled back.
+    """
     if trials < 1:
         raise NonassocError("trials must be >= 1")
     ident = get_identity(name)
+    arity = len(ident.variables)
+    if name not in _RAW_SCHEDULE_CACHE:
+        _RAW_SCHEDULE_CACHE[name] = _schedule(arity, ident.lhs, ident.rhs, ())
+    sched = _RAW_SCHEDULE_CACHE[name]
+    steps = sum(sched.steps, ())
+    signed = sched.lhs + tuple((-sign, n) for sign, n in sched.rhs)
+    rows, denom = _integer_rows(a)
+    dim = a.dim
+    vals: list = [None] * sched.size
     rng = random.Random(seed)
     for _ in range(trials):
-        elems = tuple(random_element(a, rng) for _ in ident.variables)
-        lhs, rhs = evaluate_identity_sides(a, name, elems)
-        if lhs != rhs:
-            return Verdict.fail(Witness((), elems, lhs, rhs))
+        for s in range(arity):
+            vals[s] = _doubled_coords(dim, rng)
+        _products(rows, steps, vals)
+        if any(_signed_sum(signed, vals).values()):
+            m = sum(ident.multidegree)
+            scale = 2**m * denom ** (m - 1)
+            inputs = tuple(_unscaled(vals[s], dim, 2) for s in range(arity))
+            return _failure((), inputs, sched, vals, dim, scale)
     return Verdict.ok()
 
 

@@ -7,6 +7,7 @@ checking it on basis vectors/pairs is a proof, not a sample.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,7 +18,7 @@ from .errors import (
     MalformedPropertyError,
     NonassocError,
 )
-from .scalars import Scalar, as_scalar, canonical, format_scalar
+from .scalars import Scalar, as_scalar, canonical, exact_div, format_scalar
 from .verdicts import Verdict, Witness
 
 
@@ -294,10 +295,6 @@ def check_operator_property_random(
     """Corroborate an operator identity at pseudo-random rational elements."""
     if trials < 1:
         raise NonassocError("trials must be >= 1")
-    import random
-
-    from .scalars import exact_div
-
     rng = random.Random(seed)
 
     def rand_element() -> Element:

@@ -40,6 +40,12 @@ def _scalar_in(v):
         raise FileFormatError(str(exc)) from exc
 
 
+def _int_in(v) -> int:
+    if type(v) is not int:
+        raise FileFormatError(f"dimensions and indices must be JSON integers, got {v!r}")
+    return v
+
+
 def algebra_to_dict(a: Algebra) -> dict:
     sc = []
     for i in range(a.dim):
@@ -52,7 +58,7 @@ def algebra_to_dict(a: Algebra) -> dict:
 
 def algebra_from_dict(d: dict) -> Algebra:
     try:
-        dim = int(d["dim"])
+        dim = _int_in(d["dim"])
         raw = d["sc"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed algebra object: {exc}") from exc
@@ -65,7 +71,7 @@ def algebra_from_dict(d: dict) -> Algebra:
                     f"structure constant entry {item!r} must be [i,j,k,scalar]"
                 )
             i, j, k, v = item
-            entries.append((int(i), int(j), int(k), _scalar_in(v)))
+            entries.append((_int_in(i), _int_in(j), _int_in(k), _scalar_in(v)))
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed structure constants: {exc}") from exc
     try:
@@ -83,15 +89,14 @@ def operator_to_dict(r: LinearOperator) -> dict:
 
 def operator_from_dict(d: dict, algebra: Algebra) -> LinearOperator:
     try:
-        dim = int(d["dim"])
-        matrix = d["matrix"]
+        dim = _int_in(d["dim"])
+        cols = [[_scalar_in(v) for v in col] for col in d["matrix"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed operator object: {exc}") from exc
     if dim != algebra.dim:
         raise FileFormatError(
             f"operator dimension {dim} differs from algebra dimension {algebra.dim}"
         )
-    cols = [[_scalar_in(v) for v in col] for col in matrix]
     try:
         return make_operator(algebra, cols)
     except Exception as exc:
@@ -104,11 +109,11 @@ def element_to_dict(e: Element) -> dict:
 
 def element_from_dict(d: dict) -> Element:
     try:
-        coords = d["coords"]
-    except (KeyError, TypeError) as exc:
+        e = Element(tuple(_scalar_in(v) for v in d["coords"]))
+        dim = _int_in(d["dim"]) if "dim" in d else len(e.coords)
+    except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed element object: {exc}") from exc
-    e = Element(tuple(_scalar_in(v) for v in coords))
-    if "dim" in d and int(d["dim"]) != len(e.coords):
+    if dim != len(e.coords):
         raise FileFormatError("element dim field disagrees with coordinate count")
     return e
 
@@ -124,8 +129,8 @@ def embedding_to_dict(emb: Embedding, ambient_path: str | None = None) -> dict:
 def embedding_from_dict(d: dict, base_dir: Path | None = None) -> Embedding:
     try:
         ambient_spec = d["ambient"]
-        basis_raw = d["basis"]
-    except (KeyError, TypeError) as exc:
+        basis = [Element(tuple(_scalar_in(v) for v in row)) for row in d["basis"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed embedding object: {exc}") from exc
     if isinstance(ambient_spec, str):
         path = Path(ambient_spec)
@@ -134,7 +139,6 @@ def embedding_from_dict(d: dict, base_dir: Path | None = None) -> Embedding:
         ambient = load_algebra(path)
     else:
         ambient = algebra_from_dict(ambient_spec)
-    basis = [Element(tuple(_scalar_in(v) for v in row)) for row in basis_raw]
     try:
         return Embedding.build(ambient, basis)
     except Exception as exc:
@@ -143,10 +147,9 @@ def embedding_from_dict(d: dict, base_dir: Path | None = None) -> Embedding:
 
 def grid_from_dict(d: dict) -> list[tuple]:
     try:
-        points = d["points"]
-    except (KeyError, TypeError) as exc:
+        return [tuple(_scalar_in(v) for v in p) for p in d["points"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed grid object: {exc}") from exc
-    return [tuple(_scalar_in(v) for v in p) for p in points]
 
 
 def _load_json(path) -> dict:

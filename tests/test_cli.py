@@ -251,6 +251,42 @@ def test_malformed_structure_constants_exit_2(tmp_path, capsys, content):
     assert "Traceback" not in err
 
 
+_NULL2 = str(DATA / "examples" / "null2.json")
+_PROPS_F9_FROM_U = (
+    "props", "--algebra", str(DATA / "fixtures" / "F9.algebra.json"),
+    "--property", "rota_baxter:lam=1",
+    "--embedding", str(DATA / "fixtures" / "F9.embedding.json"), "--from-u",
+)
+
+
+@pytest.mark.parametrize("argv, name, content", [
+    (("check", "--identity", "associativity", "--algebra"), "a.json",
+     '{"dim": 2, "sc": [[1.5, 0, 0, "1"]]}'),
+    (("check", "--identity", "jacobi", "--algebra"), "a.json",
+     '{"dim": 2.0, "sc": []}'),
+    (("check", "--identity", "jacobi", "--algebra"), "a.json",
+     '{"dim": 2, "sc": [[0, true, 0, "1"]]}'),
+    (("props", "--algebra", _NULL2, "--property", "rota_baxter:lam=1", "--operator"),
+     "r.json", '{"dim": 2.9, "matrix": [["1", "0"], ["0", "1"]]}'),
+    (("props", "--algebra", _NULL2, "--property", "rota_baxter:lam=1", "--operator"),
+     "r.json", '{"dim": 2, "matrix": 5}'),
+    (_SEARCH_F9[:3] + ("--lin", "stabilize", "--quad", "idempotent", "--embedding"),
+     "emb.json", '{"ambient": "%s", "basis": 5}' % (DATA / "fixtures" / "F9.ambient.json")),
+    (_PROPS_F9_FROM_U, "u.json", '{"dim": 4, "coords": 5}'),
+    (_PROPS_F9_FROM_U, "u.json", '{"dim": 4.5, "coords": ["1", "-1", "1", "-1"]}'),
+    (_SEARCH_F9 + ("--quad", "idempotent", "--grid"), "grid.json", '{"points": 5}'),
+], ids=["float_index", "float_dim", "bool_index", "operator_float_dim",
+        "operator_matrix_not_a_list", "embedding_basis_not_a_list",
+        "element_coords_not_a_list", "element_float_dim", "grid_points_not_a_list"])
+def test_malformed_file_field_exits_2(tmp_path, capsys, argv, name, content):
+    bad = tmp_path / name
+    bad.write_text(content, encoding="utf-8")
+    code, _, err = run(capsys, *argv, str(bad))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_derive_unwritable_out_exits_2(tmp_path, capsys):
     code, _, err = run(
         capsys, "derive",

@@ -20,7 +20,7 @@ from nonassoc.identities import (
     polarized_plan,
     random_element,
 )
-from nonassoc.verdicts import Verdict
+from nonassoc.verdicts import Verdict, Witness
 
 
 def test_catalog_names_and_multidegrees():
@@ -246,6 +246,73 @@ def test_integer_scaling_matches_rational_oracle(seed, denominators):
         )
 
 
+def oracle_random_verdict(a, name, trials, seed):
+    """Independent oracle: rational evaluation of the raw identity, trial by
+    trial, at elements drawn as ``random_element`` has always drawn them."""
+    rng = random.Random(seed)
+
+    def element():
+        coords = []
+        for _ in range(a.dim):
+            num = rng.randint(-6, 6)
+            if rng.randrange(4) == 0 and num % 2:
+                coords.append(Fraction(num, 2))
+            else:
+                coords.append(num)
+        return Element(tuple(coords))
+
+    for _ in range(trials):
+        elems = tuple(element() for _ in IDENTITIES[name].variables)
+        lhs, rhs = evaluate_identity_sides(a, name, elems)
+        if lhs != rhs:
+            return Verdict.fail(Witness((), elems, lhs, rhs))
+    return Verdict.ok()
+
+
+_BIG = (2, 3, 7, 12, 2**31 - 1, 2**61 - 1)
+
+
+@pytest.mark.parametrize(
+    "dim, alg_seed, denominators",
+    [(1, 1, (1, 2, 3, 7, 12))] + [(dim, 0, (1, 2, 3, 7, 12)) for dim in (2, 3, 4)]
+    # lcm D > 2^64 in dims 2-4, and D = 2^61 - 1 in dim 1
+    + [(1, 4, _BIG)] + [(dim, 0, _BIG) for dim in (2, 3, 4)],
+)
+def test_integer_random_path_matches_rational_oracle(dim, alg_seed, denominators):
+    """The random corroborator evaluates in int on doubled inputs and scaled
+    structure constants; its verdicts, witness inputs and sides (coordinate
+    types included) must be those of rational evaluation on the same draws."""
+    from genalgebras import mixed_denominator_algebra
+
+    a = mixed_denominator_algebra(random.Random(alg_seed), dim, denominators)
+    denom = lcm(*(v.denominator for row in a.sparse_rows for e in row for _, v in e))
+    assert denom > 1
+    if denominators is _BIG:
+        assert denom > 2**64 or (dim == 1 and denom == 2**61 - 1)
+    # the symmetrized product passes the commutative identities, so those
+    # verdicts run every trial
+    plus = derive(a, None, construction("jordan_plus"))
+    passed = 0
+    for alg in (a, plus):
+        for name in IDENTITY_NAMES:
+            for seed in (0, 1, 17):
+                for trials in (1, 7, 100):
+                    verdict = check_identity_random(alg, name, trials, seed)
+                    assert repr(verdict) == repr(oracle_random_verdict(alg, name, trials, seed))
+                    passed += verdict.passed
+    assert passed >= 3 * 3 * 3
+
+
+def test_random_element_stream_is_pinned(m3):
+    """The first two draws of seed 1 on M3, as recorded, coordinate types included."""
+    rng = random.Random(1)
+    first, second = random_element(m3, rng), random_element(m3, rng)
+    assert repr(first) == "Element(coords=(-4, -2, 1, 1, 6, -5, -6, 0, 5))"
+    assert repr(second) == (
+        "Element(coords=(-2, Fraction(3, 2), Fraction(-1, 2), -6, 4, 0, 0, 2, 6))"
+    )
+
+
 def test_random_checker_seed_determinism(m3):
     a = derive(m3, None, construction("jordan_plus"))
     v1 = check_identity_random(a, "associativity", 100, 5)
@@ -254,6 +321,18 @@ def test_random_checker_seed_determinism(m3):
     assert not v1.passed
     lhs, rhs = evaluate_identity_sides(a, "associativity", v1.witness.inputs)
     assert lhs != rhs
+    # the recorded witness of this seed
+    w = v1.witness
+    assert w.indices == ()
+    assert w.inputs == (
+        Element((3, 5, 6, 1, 4, -4, -1, -3, 2)),
+        Element((3, -6, 0, -4, -4, -4, -4, -6, -3)),
+        Element((-4, -2, -3, -4, 0, -6, 0, -4, -5)),
+    )
+    assert w.lhs == Element((648, 511, 598, 336, 604, 243, 278, 261, 296))
+    assert w.rhs == Element((796, 1092, 1098, 34, 450, 40, 200, 198, 302))
+    assert all(type(c) is int for e in w.inputs + (w.lhs, w.rhs) for c in e.coords)
+    assert (lhs, rhs) == (w.lhs, w.rhs)
 
 
 def test_random_checker_trial_validation(m3):
