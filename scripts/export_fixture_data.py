@@ -15,6 +15,7 @@ import json
 from pathlib import Path
 
 from nonassoc import fixtures as fx
+from nonassoc.algebra import make_algebra
 from nonassoc.constructions import construction, derive
 from nonassoc.serial import (
     algebra_to_dict,
@@ -26,44 +27,44 @@ from nonassoc.serial import (
 DATA = Path(__file__).resolve().parent.parent / "src" / "nonassoc" / "data"
 
 
-def dump(obj: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2)
-        f.write("\n")
-    print(f"wrote {path.relative_to(DATA.parent.parent.parent)}")
-
-
-def main() -> None:
+def build() -> dict[str, dict]:
+    """Every shipped data file, as {path relative to DATA: JSON object}."""
+    out: dict[str, dict] = {}
     for name in fx.list_fixtures():
         bundle = fx.load_fixture(name)
         m = fx.materialize(bundle)
-        expectations = {
+        out[f"fixtures/{name}.expectations.json"] = {
             "fixture": name,
             "rows": [
                 {"check": r.check, "expect": "pass" if r.expect else "fail"}
                 for r in bundle.rows
             ],
         }
-        dump(expectations, DATA / "fixtures" / f"{name}.expectations.json")
-        dump(algebra_to_dict(m.algebras["A"]), DATA / "fixtures" / f"{name}.algebra.json")
-        dump(algebra_to_dict(m.ambient), DATA / "fixtures" / f"{name}.ambient.json")
-        dump(operator_to_dict(m.operator), DATA / "fixtures" / f"{name}.operator.json")
-        dump(embedding_to_dict(m.embedding), DATA / "fixtures" / f"{name}.embedding.json")
-        dump(element_to_dict(m.u), DATA / "fixtures" / f"{name}.u.json")
+        out[f"fixtures/{name}.algebra.json"] = algebra_to_dict(m.algebras["A"])
+        out[f"fixtures/{name}.ambient.json"] = algebra_to_dict(m.ambient)
+        out[f"fixtures/{name}.operator.json"] = operator_to_dict(m.operator)
+        out[f"fixtures/{name}.embedding.json"] = embedding_to_dict(m.embedding)
+        out[f"fixtures/{name}.u.json"] = element_to_dict(m.u)
 
     # Small ready-to-run inputs for the command-line examples.
-    from nonassoc.algebra import make_algebra
-
-    null2 = make_algebra(2, [])
-    dump(algebra_to_dict(null2), DATA / "examples" / "null2.json")
-
+    out["examples/null2.json"] = algebra_to_dict(make_algebra(2, []))
     m3 = fx.materialize(fx.load_fixture("F3"))
     f3plus = derive(m3.algebras["A"], None, construction("jordan_plus"))
-    dump(algebra_to_dict(f3plus), DATA / "examples" / "f3plus.json")
+    out["examples/f3plus.json"] = algebra_to_dict(f3plus)
+    out["examples/grid_f9.json"] = {
+        "points": [["1", "-1", "1", "-1"], ["2", "-4", "1", "-2"], ["0", "0", "0", "0"]]
+    }
+    return out
 
-    grid = {"points": [["1", "-1", "1", "-1"], ["2", "-4", "1", "-2"], ["0", "0", "0", "0"]]}
-    dump(grid, DATA / "examples" / "grid_f9.json")
+
+def main() -> None:
+    for rel, obj in build().items():
+        path = DATA / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(obj, f, indent=2)
+            f.write("\n")
+        print(f"wrote {path.relative_to(DATA.parent.parent.parent)}")
 
 
 if __name__ == "__main__":

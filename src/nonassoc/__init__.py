@@ -18,7 +18,6 @@ from .algebra import (
     matrix_algebra,
     matrix_identity_element,
     matrix_unit,
-    multiply,
 )
 from .constructions import CATALOG as CONSTRUCTION_CATALOG
 from .constructions import ConstructionSpec, construction, derive, hadamard_algebra
@@ -104,7 +103,6 @@ __all__ = [
     "matrix_algebra",
     "matrix_identity_element",
     "matrix_unit",
-    "multiply",
     "solve_linear",
     "verify_element",
     "verify_fixture",

@@ -3,14 +3,14 @@
 An algebra of dimension n is the tensor c[i][j][k] with
 e_i * e_j = sum_k c[i][j][k] e_k; products of arbitrary elements extend
 bilinearly.  No axiom (associativity, commutativity, ...) is assumed at
-construction; predicates verify axioms exactly and cache the result.
+construction; ``is_associative``/``is_commutative`` verify the two axioms
+exactly, through the identity engine.
 
 All types are immutable after construction: caches are write-once and safe
 to share across workers.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .linalg import SpanSolver
 from .scalars import Scalar, as_scalar, canonical
-from .verdicts import Verdict, Witness
+from .verdicts import Verdict
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,12 @@ class Element:
 
 @dataclass(frozen=True, eq=False)
 class Algebra:
-    """dim, structure constants, basis labels, and write-once axiom caches."""
+    """dim, structure constants, basis labels, and a write-once sparse view."""
 
     dim: int
     sc: tuple  # sc[i][j] = tuple of dim scalars
     basis_labels: tuple[str, ...] = ()
     meta: dict = field(default_factory=dict, repr=False)
-    _verdict_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -160,16 +159,6 @@ class Algebra:
 
     def basis(self) -> list[Element]:
         return [self.basis_vector(i) for i in range(self.dim)]
-
-    @property
-    def associative(self) -> Optional[bool]:
-        v = self._verdict_cache.get("associative")
-        return None if v is None else v.passed
-
-    @property
-    def commutative(self) -> Optional[bool]:
-        v = self._verdict_cache.get("commutative")
-        return None if v is None else v.passed
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,11 +286,6 @@ def matrix_identity_element(n: int) -> Element:
     return element_from_matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
-def multiply(algebra: Algebra, x: Element, y: Element) -> Element:
-    """Bilinear product of two elements: (x y)_k = sum_ij x_i y_j c[i][j][k]."""
-    return algebra.product(x, y)
-
-
 def induce_subalgebra(
     ambient: Algebra, basis: Sequence[Element], basis_labels: Sequence[str] = ()
 ) -> tuple[Algebra, Embedding]:
@@ -327,50 +311,15 @@ def induce_subalgebra(
     return sub, emb
 
 
-def _pair_witness(a: Algebra, i: int, j: int, lhs: Element, rhs: Element) -> Witness:
-    return Witness((i, j), (a.basis_vector(i), a.basis_vector(j)), lhs, rhs)
-
-
 def is_associative(a: Algebra) -> Verdict:
-    """(e_i e_j) e_k == e_i (e_j e_k) on all basis triples; exact by trilinearity."""
-    cached = a._verdict_cache.get("associative")
-    if cached is not None:
-        return cached
-    verdict = Verdict.ok()
-    done = False
-    for i, j, k in itertools.product(range(a.dim), repeat=3):
-        left = a.product(a.basis_product(i, j), a.basis_vector(k))
-        right = a.product(a.basis_vector(i), a.basis_product(j, k))
-        if left != right:
-            w = Witness(
-                (i, j, k),
-                (a.basis_vector(i), a.basis_vector(j), a.basis_vector(k)),
-                left,
-                right,
-            )
-            verdict = Verdict.fail(w)
-            done = True
-            break
-    if not done:
-        verdict = Verdict.ok()
-    a._verdict_cache["associative"] = verdict
-    return verdict
+    """(x y) z == x (y z) for all elements; exact, with the first failing basis triple."""
+    from .identities import check_identity  # identities imports this module
+
+    return check_identity(a, "associativity")
 
 
 def is_commutative(a: Algebra) -> Verdict:
-    """e_i e_j == e_j e_i on all basis pairs; exact by bilinearity."""
-    cached = a._verdict_cache.get("commutative")
-    if cached is not None:
-        return cached
-    verdict = Verdict.ok()
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            left = a.basis_product(i, j)
-            right = a.basis_product(j, i)
-            if left != right:
-                verdict = Verdict.fail(_pair_witness(a, i, j, left, right))
-                break
-        if not verdict:
-            break
-    a._verdict_cache["commutative"] = verdict
-    return verdict
+    """x y == y x for all elements; exact, with the first failing basis pair."""
+    from .identities import check_identity
+
+    return check_identity(a, "commutativity")

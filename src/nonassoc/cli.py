@@ -272,11 +272,11 @@ def cmd_derive(args) -> int:
     operator = None
     if args.operator:
         operator = load_operator(args.operator, algebra)
-    params = _parse_kv(args.param) if args.param else {}
+    params = _parse_kv(args.param, as_scalar) if args.param else {}
     a = params.pop("a", None)
     if params:
         raise NonassocError(f"unknown construction parameters: {sorted(params)}")
-    spec = construction(args.construction, as_scalar(a) if a is not None else None)
+    spec = construction(args.construction, a)
     derived = derive(algebra, operator, spec)
     save_algebra(derived, args.out)
     lines = [

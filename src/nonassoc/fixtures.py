@@ -17,7 +17,8 @@ Check labels:
   algebra (e.g. ``operator[plus]:endomorphism``).
 - ``identity[ALG]:NAME`` - a polynomial identity of the named algebra.
 - ``custom:NAME(args)`` - structural checks (solution-space dimension,
-  null-product detection, the mirrored weight-0 Rota-Baxter reading).
+  null-product detection), and ``custom:rota_baxter0_mirrored(ALG)``, the
+  mirrored weight-0 Rota-Baxter reading, checked as an operator identity.
 
 Argument values may reference fixture parameters as ``@name`` so that a
 parametric certification can vary them together with u.
@@ -42,6 +43,7 @@ from .constructions import construction, derive, hadamard_algebra
 from .errors import GridError, NonassocError, UnknownFixtureError
 from .identities import ParamSpec, ParametricVerdict, certify_parametric, check_identity
 from .operators import (
+    PROPERTY_KINDS,
     LinearOperator,
     OperatorProperty,
     check_operator_property,
@@ -49,15 +51,15 @@ from .operators import (
 )
 from .scalars import Scalar, as_scalar, canonical, exact_div
 from .search import (
+    LINEAR_KINDS,
+    QUAD_KINDS,
+    QUAD_PARAMS,
     LinearConstraint,
     QuadraticConstraint,
     solve_linear,
     verify_element,
 )
 from .verdicts import Verdict, Witness
-
-_LINEAR_KINDS = {"right_identity", "right_annihilator", "centralize", "stabilize"}
-_QUAD_KINDS = {"idempotent", "skew_idempotent", "nilpotent2", "scaled", "rb_weighted"}
 
 
 @dataclass(frozen=True)
@@ -141,17 +143,13 @@ class NegativeControlResult:
 # Bundle construction helpers
 # ---------------------------------------------------------------------------
 
-def _static(matrices) -> Callable:
-    fixed = tuple(tuple(tuple(as_scalar(v) for v in row) for row in m) for m in matrices)
+def _static(value) -> Callable:
+    """A parameter-free ``basis_fn``/``u_fn``: nested lists of scalars, as tuples."""
 
-    def fn(point):
-        return fixed
+    def freeze(v):
+        return tuple(map(freeze, v)) if isinstance(v, (list, tuple)) else as_scalar(v)
 
-    return fn
-
-
-def _static_u(matrix) -> Callable:
-    fixed = tuple(tuple(as_scalar(v) for v in row) for row in matrix)
+    fixed = freeze(value)
 
     def fn(point):
         return fixed
@@ -350,7 +348,7 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             [[0, 0, 0], [0, 0, 0], [1, 0, 0]],   # m
             [[0, 0, 0], [0, 0, 0], [0, 1, 1]],   # n
         ]),
-        u_fn=_static_u([[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+        u_fn=_static([[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
         params=(),
         sample_point={},
         plan=(("A", "induced"), ("lie", "derive", "A", "lie_endo", None)),
@@ -379,7 +377,7 @@ def _build_catalog() -> dict[str, FixtureBundle]:
                     "operator-twisted products are Jordan",
         ambient_n=3,
         basis_fn=_static(_ROW1M11),
-        u_fn=_static_u([[1, -1, 1], [1, -1, 1], [1, -1, 1]]),
+        u_fn=_static([[1, -1, 1], [1, -1, 1], [1, -1, 1]]),
         params=(),
         sample_point={},
         plan=(
@@ -457,7 +455,7 @@ def _build_catalog() -> dict[str, FixtureBundle]:
                     "the left Leibniz identity",
         ambient_n=3,
         basis_fn=_static(_ROWM111),
-        u_fn=_static_u([[-1, 1, 1], [-1, 1, 1], [-1, 1, 1]]),
+        u_fn=_static([[-1, 1, 1], [-1, 1, 1], [-1, 1, 1]]),
         params=(),
         sample_point={},
         plan=(
@@ -503,7 +501,7 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             [[1, 0], [0, 0]],
             [[0, 0], [1, 0]],
         ]),
-        u_fn=_static_u([[1, 0], [0, 0]]),
+        u_fn=_static([[1, 0], [0, 0]]),
         params=(),
         sample_point={},
         plan=(
@@ -623,7 +621,7 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
             [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
         ]),
-        u_fn=_static_u([[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+        u_fn=_static([[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
         params=(),
         sample_point={},
         plan=(
@@ -892,40 +890,28 @@ def _resolve_args(raw: Optional[str], point: Mapping) -> list:
     return out
 
 
+def _bind(kind: str, names: Sequence[str], args: list) -> dict:
+    """Positional label arguments as scalars keyed by ``names``."""
+    if len(args) != len(names):
+        raise NonassocError(f"{kind} takes {len(names)} argument(s), got {len(args)}")
+    try:
+        return {name: as_scalar(arg) for name, arg in zip(names, args)}
+    except (TypeError, ValueError) as exc:
+        raise NonassocError(f"bad argument for {kind}: {exc}") from exc
+
+
 def _operator_property_from_label(kind: str, args: list) -> OperatorProperty:
-    scalars = [as_scalar(a) for a in args]
-    if kind in ("endomorphism", "idempotent_op", "involution_op",
-                "derivation", "left_averaging"):
-        if scalars:
-            raise NonassocError(f"{kind} takes no arguments")
-        return OperatorProperty(kind)
-    if kind in ("scaled_idempotent_op", "scaled_involution_op"):
-        (alpha,) = scalars
-        return OperatorProperty(kind, alpha=alpha)
-    if kind == "rota_baxter":
-        (lam,) = scalars
-        return OperatorProperty(kind, lam=lam)
-    if kind == "rota_baxter_weighted":
-        lam, beta = scalars
-        return OperatorProperty(kind, lam=lam, beta=beta)
-    raise NonassocError(f"unknown operator property {kind!r}")
+    if kind not in PROPERTY_KINDS:
+        raise NonassocError(f"unknown operator property {kind!r}")
+    return OperatorProperty(kind, **_bind(kind, PROPERTY_KINDS[kind].params, args))
 
 
 def _quad_from_label(kind: str, args: list, ambient_n: int) -> QuadraticConstraint:
-    scalars = [as_scalar(a) for a in args]
-    if kind in ("idempotent", "skew_idempotent", "nilpotent2"):
-        if scalars:
-            raise NonassocError(f"{kind} takes no arguments")
-        return QuadraticConstraint(kind)
-    if kind == "scaled":
-        (gamma,) = scalars
-        return QuadraticConstraint(kind, gamma=gamma)
-    if kind == "rb_weighted":
-        lam, beta = scalars
-        return QuadraticConstraint(
-            kind, lam=lam, beta=beta, unit=matrix_identity_element(ambient_n)
-        )
-    raise NonassocError(f"unknown quadratic constraint {kind!r}")
+    needs = QUAD_PARAMS.get(kind, ())
+    params = _bind(kind, [n for n in needs if n != "unit"], args)
+    if "unit" in needs:
+        params["unit"] = matrix_identity_element(ambient_n)
+    return QuadraticConstraint(kind, **params)
 
 
 def _custom_lin_dim(m: Materialized, args: list) -> Verdict:
@@ -954,27 +940,9 @@ def _custom_null_product(m: Materialized, args: list) -> Verdict:
     return Verdict.ok()
 
 
-def _custom_rb0_mirrored(m: Materialized, args: list) -> Verdict:
-    """R(R(x) y + y R(x)) == R(x) R(y) on basis pairs (mirrored second term)."""
-    (alg_name,) = args
-    a = m.algebras[str(alg_name)]
-    r = m.operator
-    for i in range(a.dim):
-        x = a.basis_vector(i)
-        rx = r.apply(x)
-        for j in range(a.dim):
-            y = a.basis_vector(j)
-            lhs = r.apply(a.product(rx, y) + a.product(y, rx))
-            rhs = a.product(rx, r.apply(y))
-            if lhs != rhs:
-                return Verdict.fail(Witness((i, j), (x, y), lhs, rhs))
-    return Verdict.ok()
-
-
 _CUSTOM_CHECKS = {
     "lin_dim": _custom_lin_dim,
     "null_product": _custom_null_product,
-    "rota_baxter0_mirrored": _custom_rb0_mirrored,
 }
 
 
@@ -992,16 +960,21 @@ def run_row(m: Materialized, label: str, operator: Optional[LinearOperator] = No
     op = operator if operator is not None else m.operator
     uu = u if u is not None else m.u
     if family == "element":
-        if kind in _LINEAR_KINDS:
+        if kind in LINEAR_KINDS:
             results = verify_element(
                 m.embedding, uu, [LinearConstraint(kind, m.embedding)], None
             )
-        elif kind in _QUAD_KINDS:
+        elif kind in QUAD_KINDS:
             quad = _quad_from_label(kind, args, m.bundle.ambient_n)
             results = verify_element(m.embedding, uu, [], quad)
         else:
             raise NonassocError(f"unknown element constraint {kind!r}")
         return results[0][1]
+    if family == "custom" and kind == "rota_baxter0_mirrored":
+        # the catalogued label of operator[ALG]:rota_baxter0_mirrored
+        if len(args) != 1:
+            raise NonassocError(f"{kind} takes 1 argument(s), got {len(args)}")
+        family, alg_name, args = "operator", str(args[0]), []
     if family == "operator":
         prop = _operator_property_from_label(kind, args)
         return check_operator_property(m.algebras[alg_name], op, prop)

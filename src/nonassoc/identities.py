@@ -18,6 +18,19 @@ is homogeneous, so both sides (words of m leaves, m - 1 products) scale by
 the same D^(m-1) and equality is unchanged; a witness is scaled back.
 Random corroboration runs the raw words through the same int kernel at
 elements kept doubled, so both sides carry 2^m D^(m-1), compared exactly.
+
+Words may also apply a linear operator: the node ``("R", w)`` is R(w).  The
+operator identities of ``operators`` (derivation, Rota-Baxter, ...) are
+signed sums of such words, linear in each variable, and run through the same
+basis-tuple loop.  R's columns are scaled by the lcm E of their
+denominators, and an R step is the product of its child with a phantom basis
+vector e_dim whose row entries hold those columns, so the product kernel
+applies R unchanged.  A word with p products and q R nodes then carries
+D^p E^q.  Each root word gets the integer weight coef·L·D^(P-p)·E^(Q-q),
+where P and Q are the largest p and q over the identity and L is the lcm of
+the coefficient denominators, so every word is compared at the one scale
+L·D^P·E^Q.  For the identities above every weight is ±1 and the scale is
+D^(m-1).
 """
 from __future__ import annotations
 
@@ -33,7 +46,7 @@ from .errors import GridError, NonassocError
 from .scalars import Scalar, canonical, format_scalar
 from .verdicts import Verdict, Witness
 
-# A word is a slot index (leaf) or a pair (left, right).
+# A word is a slot index (leaf), a pair (left, right), or ("R", word).
 Word = object
 SignedWord = tuple[int, Word]
 
@@ -57,8 +70,19 @@ def _word_var_counts(word: Word, arity: int) -> list[int]:
         if isinstance(w, int):
             counts[w] += 1
         else:
-            stack.extend(w)
+            stack.extend(w[1:] if w[0] == "R" else w)
     return counts
+
+
+def _shape(word: Word) -> tuple[int, int]:
+    """The number of products and of R nodes in a word."""
+    if isinstance(word, int):
+        return 0, 0
+    if word[0] == "R":
+        p, q = _shape(word[1])
+        return p, q + 1
+    (lp, lq), (rp, rq) = _shape(word[0]), _shape(word[1])
+    return lp + rp + 1, lq + rq
 
 
 # Variable slots in each identity's words are numbered by position in
@@ -229,34 +253,55 @@ class _Schedule(NamedTuple):
     """Signed words as hash-consed nodes; node ``s < slots`` is slot ``s``'s leaf.
 
     ``steps[d]`` lists the ``(node, left, right)`` products whose highest slot
-    is ``d``, children first.  ``lhs``/``rhs`` pair each root with its sign.
-    ``tied[d]``: slot ``d`` follows slot ``d - 1`` in one symmetry group.
+    is ``d``, children first; an R node is the product of its child with the
+    node ``phantom`` (None when no word applies R).  ``lhs``/``rhs`` list each
+    root as ``(coef, node, p, q)``: its coefficient (an int or a parameter
+    name) and its numbers of products and of R nodes.  ``tied[d]``: slot
+    ``d`` follows slot ``d - 1`` in one symmetry group.
     """
 
     steps: tuple[tuple[tuple[int, int, int], ...], ...]
-    lhs: tuple[tuple[int, int], ...]
-    rhs: tuple[tuple[int, int], ...]
+    lhs: tuple[tuple, ...]
+    rhs: tuple[tuple, ...]
     tied: tuple[bool, ...]
     size: int
+    phantom: Optional[int]
 
 
-def _schedule(slots: int, lhs_words, rhs_words, groups) -> _Schedule:
+def _schedule(slots: int, lhs_words, rhs_words, groups=()) -> _Schedule:
     ids: dict = {s: s for s in range(slots)}
     depth = list(range(slots))
     steps: list[list] = [[] for _ in range(slots)]
 
     def node(word) -> int:
         if word not in ids:
-            left, right = node(word[0]), node(word[1])
+            if word[0] == "R":
+                if "R" not in ids:  # the phantom e_dim, set once per check
+                    ids["R"] = len(depth)
+                    depth.append(0)
+                left, right = node(word[1]), ids["R"]
+            else:
+                left, right = node(word[0]), node(word[1])
             ids[word] = len(depth)
             depth.append(max(depth[left], depth[right]))
             steps[depth[-1]].append((ids[word], left, right))
         return ids[word]
 
-    lhs = tuple((sign, node(w)) for sign, w in lhs_words)
-    rhs = tuple((sign, node(w)) for sign, w in rhs_words)
+    lhs = tuple((coef, node(w), *_shape(w)) for coef, w in lhs_words)
+    rhs = tuple((coef, node(w), *_shape(w)) for coef, w in rhs_words)
     tied = tuple(any(s in g[1:] for g in groups) for s in range(slots))
-    return _Schedule(tuple(map(tuple, steps)), lhs, rhs, tied, len(depth))
+    return _Schedule(tuple(map(tuple, steps)), lhs, rhs, tied, len(depth), ids.get("R"))
+
+
+def compile_words(arity: int, lhs_words, rhs_words) -> _Schedule:
+    """Schedule of signed words over {product, R}, each linear in every variable.
+
+    Linearity in every variable makes a basis-tuple check a proof.
+    """
+    for _, word in tuple(lhs_words) + tuple(rhs_words):
+        if _word_var_counts(word, arity) != [1] * arity:
+            raise AssertionError(f"word {word!r} is not linear in each of {arity} variables")
+    return _schedule(arity, lhs_words, rhs_words)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +319,36 @@ def _integer_rows(a: Algebra) -> tuple[tuple, int]:
         for row in rows
     )
     return scaled, denom
+
+
+def _integer_columns(columns: Sequence[Element]) -> tuple[tuple, int]:
+    """Sparse ``(k, c)`` columns times the lcm ``E`` of their denominators, and ``E``."""
+    denom = lcm(*(v.denominator for col in columns for v in col.coords))
+    scaled = tuple(
+        tuple((k, v.numerator * (denom // v.denominator)) for k, v in enumerate(col.coords) if v)
+        for col in columns
+    )
+    return scaled, denom
+
+
+def _weighted(sched: _Schedule, denom: int, rdenom: int = 1, params: Mapping = {}):
+    """The roots as ``(weight, node)`` and their common scale ``L·D^P·E^Q``.
+
+    A root of p products and q R nodes evaluates to D^p E^q times its value;
+    its weight coef·L·D^(P-p)·E^(Q-q) is an int that brings it to the scale.
+    A coefficient named by a string is looked up in ``params``.
+    """
+    roots = sched.lhs + sched.rhs
+    coefs = [params[c] if type(c) is str else c for c, _, _, _ in roots]
+    big_l = lcm(*(c.denominator for c in coefs))
+    big_p = max(p for _, _, p, _ in roots)
+    big_q = max(q for _, _, _, q in roots)
+    weights = tuple(
+        (c.numerator * (big_l // c.denominator) * denom ** (big_p - p) * rdenom ** (big_q - q), n)
+        for c, (_, n, p, q) in zip(coefs, roots)
+    )
+    k = len(sched.lhs)
+    return weights[:k], weights[k:], big_l * denom**big_p * rdenom**big_q
 
 
 def _signed_sum(roots, vals) -> dict:
@@ -305,27 +380,25 @@ def _unscaled(acc: dict, dim: int, scale: int) -> Element:
     return Element(tuple(canonical(Fraction(acc.get(k, 0), scale)) for k in range(dim)))
 
 
-def _failure(indices, inputs, sched: _Schedule, vals, dim: int, scale: int) -> Verdict:
-    """Failing verdict whose sides are ``sched``'s signed roots divided by ``scale``."""
-    lhs, rhs = (_unscaled(_signed_sum(r, vals), dim, scale) for r in (sched.lhs, sched.rhs))
-    return Verdict.fail(Witness(indices, inputs, lhs, rhs))
+def _failure(indices, inputs, lhs, rhs, vals, dim: int, scale: int) -> Verdict:
+    """Failing verdict whose sides are the weighted roots divided by ``scale``."""
+    sides = (_unscaled(_signed_sum(r, vals), dim, scale) for r in (lhs, rhs))
+    return Verdict.fail(Witness(indices, inputs, *sides))
 
 
-def check_identity(a: Algebra, name: str) -> Verdict:
-    """Exact verdict: does the named identity hold for all elements of ``a``?
+def _basis_verdict(a: Algebra, sched: _Schedule, rows, lhs, rhs, scale: int) -> Verdict:
+    """Check the weighted roots on basis tuples, stopping at the first failure.
 
-    Multilinear identities are checked directly on basis tuples; the others
-    through their polarized multilinear form.  A failing verdict carries
-    the lexicographically first failing basis tuple: tuples run non-decreasing
-    within each symmetry group, where the polarized form is symmetric.
+    Tuples run in lexicographic order, non-decreasing within each symmetry
+    group.  ``rows`` are the int structure constants, each row extended by
+    R's column when the words apply R.
     """
-    plan = polarized_plan(name)
-    sched = _SCHEDULE_CACHE[name]
-    signed = sched.lhs + tuple((-sign, n) for sign, n in sched.rhs)
-    rows, denom = _integer_rows(a)
-    dim, last = a.dim, plan.slots - 1
+    signed = lhs + tuple((-w, n) for w, n in rhs)
+    dim, last = a.dim, len(sched.tied) - 1
     vals: list = [None] * sched.size
-    tup = [0] * plan.slots
+    if sched.phantom is not None:
+        vals[sched.phantom] = {dim: 1}
+    tup = [0] * len(sched.tied)
 
     def loop(d: int) -> bool:
         """Run slot ``d`` and the slots after it; True at the first failure."""
@@ -339,10 +412,36 @@ def check_identity(a: Algebra, name: str) -> Verdict:
 
     if not loop(0):
         return Verdict.ok()
-    # Words have m = sum(multidegree) leaves: both sides carry D^(m-1).
-    scale = denom ** (sum(plan.identity.multidegree) - 1)
     inputs = tuple(a.basis_vector(i) for i in tup)
-    return _failure(tuple(tup), inputs, sched, vals, dim, scale)
+    return _failure(tuple(tup), inputs, lhs, rhs, vals, dim, scale)
+
+
+def check_identity(a: Algebra, name: str) -> Verdict:
+    """Exact verdict: does the named identity hold for all elements of ``a``?
+
+    Multilinear identities are checked directly on basis tuples; the others
+    through their polarized multilinear form.  A failing verdict carries
+    the lexicographically first failing basis tuple: tuples run non-decreasing
+    within each symmetry group, where the polarized form is symmetric.
+    """
+    polarized_plan(name)
+    sched = _SCHEDULE_CACHE[name]
+    rows, denom = _integer_rows(a)
+    return _basis_verdict(a, sched, rows, *_weighted(sched, denom))
+
+
+def check_words(
+    a: Algebra, columns: Sequence[Element], sched: _Schedule, params: Mapping
+) -> Verdict:
+    """Exact verdict for the compiled words, R being the matrix with ``columns``.
+
+    ``params`` gives the coefficients named in the words.  A failing verdict
+    carries the lexicographically first failing basis tuple.
+    """
+    rows, denom = _integer_rows(a)
+    cols, rdenom = _integer_columns(columns)
+    rows = tuple(row + (col,) for row, col in zip(rows, cols))
+    return _basis_verdict(a, sched, rows, *_weighted(sched, denom, rdenom, params))
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +526,12 @@ def check_identity_random(a: Algebra, name: str, trials: int, seed: int) -> Verd
     ident = get_identity(name)
     arity = len(ident.variables)
     if name not in _RAW_SCHEDULE_CACHE:
-        _RAW_SCHEDULE_CACHE[name] = _schedule(arity, ident.lhs, ident.rhs, ())
+        _RAW_SCHEDULE_CACHE[name] = _schedule(arity, ident.lhs, ident.rhs)
     sched = _RAW_SCHEDULE_CACHE[name]
     steps = sum(sched.steps, ())
-    signed = sched.lhs + tuple((-sign, n) for sign, n in sched.rhs)
     rows, denom = _integer_rows(a)
+    lhs, rhs, scale = _weighted(sched, denom)
+    signed = lhs + tuple((-w, n) for w, n in rhs)
     dim = a.dim
     vals: list = [None] * sched.size
     rng = random.Random(seed)
@@ -440,10 +540,10 @@ def check_identity_random(a: Algebra, name: str, trials: int, seed: int) -> Verd
             vals[s] = _doubled_coords(dim, rng)
         _products(rows, steps, vals)
         if any(_signed_sum(signed, vals).values()):
-            m = sum(ident.multidegree)
-            scale = 2**m * denom ** (m - 1)
+            # each of the m doubled leaves carries a factor 2
+            scale <<= sum(ident.multidegree)
             inputs = tuple(_unscaled(vals[s], dim, 2) for s in range(arity))
-            return _failure((), inputs, sched, vals, dim, scale)
+            return _failure((), inputs, lhs, rhs, vals, dim, scale)
     return Verdict.ok()
 
 

@@ -20,8 +20,10 @@ from .linalg import solve_affine
 from .scalars import Scalar, as_scalar, canonical, exact_div, format_scalar, rational_sqrt
 from .verdicts import Verdict, Witness
 
-_LINEAR_KINDS = ("right_identity", "right_annihilator", "centralize", "stabilize")
-_QUAD_KINDS = ("idempotent", "skew_idempotent", "nilpotent2", "rb_weighted", "scaled")
+LINEAR_KINDS = ("right_identity", "right_annihilator", "centralize", "stabilize")
+QUAD_KINDS = ("idempotent", "skew_idempotent", "nilpotent2", "rb_weighted", "scaled")
+# The fields each quadratic kind requires, in label argument order.
+QUAD_PARAMS = {"rb_weighted": ("lam", "beta", "unit"), "scaled": ("gamma",)}
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ class LinearConstraint:
     embedding: Embedding
 
     def __post_init__(self):
-        if self.kind not in _LINEAR_KINDS:
+        if self.kind not in LINEAR_KINDS:
             raise MalformedPropertyError(f"unknown linear constraint {self.kind!r}")
 
 
@@ -60,12 +62,9 @@ class QuadraticConstraint:
     unit: Optional[Element] = None
 
     def __post_init__(self):
-        if self.kind not in _QUAD_KINDS:
+        if self.kind not in QUAD_KINDS:
             raise MalformedPropertyError(f"unknown quadratic constraint {self.kind!r}")
-        needs = {
-            "rb_weighted": ("lam", "beta", "unit"),
-            "scaled": ("gamma",),
-        }.get(self.kind, ())
+        needs = QUAD_PARAMS.get(self.kind, ())
         for name in ("lam", "beta", "gamma", "unit"):
             value = getattr(self, name)
             if name in needs and value is None:

@@ -6,7 +6,8 @@ All scalars are serialized as canonical strings: ``"p"`` for integers and
 Formats (all UTF-8 JSON):
 
 - algebra:   {"dim": n, "labels": ["e1", ...], "sc": [[i, j, k, "p/q"], ...]}
-             indices 0-based; omitted (i, j, k) triples are zero.
+             indices 0-based; omitted (i, j, k) triples are zero; labels,
+             when given, are exactly n strings.
 - operator:  {"dim": n, "matrix": [["p/q", ...], ...]}
              column-major: matrix[j] is the image of basis vector e_j.
 - element:   {"dim": n, "coords": ["p/q", ...]}
@@ -62,7 +63,13 @@ def algebra_from_dict(d: dict) -> Algebra:
         raw = d["sc"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed algebra object: {exc}") from exc
-    labels = d.get("labels") or ()
+    labels = d.get("labels", ())
+    if "labels" in d and (
+        type(labels) is not list
+        or len(labels) != dim
+        or any(type(label) is not str for label in labels)
+    ):
+        raise FileFormatError(f"labels must be a list of {dim} strings, got {labels!r}")
     entries = []
     try:
         for item in raw:

@@ -15,7 +15,6 @@ from nonassoc.algebra import (
     make_algebra,
     matrix_algebra,
     matrix_unit,
-    multiply,
 )
 from nonassoc.constructions import construction, derive, hadamard_algebra
 from nonassoc.errors import (
@@ -24,6 +23,7 @@ from nonassoc.errors import (
     DuplicateEntryError,
     SpanNotClosedError,
 )
+from nonassoc.verdicts import Verdict, Witness
 
 
 def mat_mul(a, b):
@@ -118,7 +118,7 @@ def test_matrix_algebra_m3_associative():
 
 def test_multiply_examples():
     null = make_algebra(2, [])
-    assert multiply(null, Element((5, 7)), Element((Fraction(1, 3), 2))).is_zero()
+    assert null.product(Element((5, 7)), Element((Fraction(1, 3), 2))).is_zero()
 
     ambient = matrix_algebra(3)
     sub, emb = induce_subalgebra(
@@ -218,12 +218,47 @@ def test_is_commutative_examples():
     assert verdict.witness.rhs == sub.basis_vector(1)  # e2 e1 = e2
 
 
-def test_verdict_caching():
-    a = matrix_algebra(2)
-    assert a.associative is None
-    v1 = is_associative(a)
-    assert a.associative is True
-    assert is_associative(a) is v1
+def oracle_associativity(a):
+    """(e_i e_j) e_k against e_i (e_j e_k), triples in lexicographic order."""
+    for i, j, k in product(range(a.dim), repeat=3):
+        left = a.product(a.basis_product(i, j), a.basis_vector(k))
+        right = a.product(a.basis_vector(i), a.basis_product(j, k))
+        if left != right:
+            inputs = (a.basis_vector(i), a.basis_vector(j), a.basis_vector(k))
+            return Verdict.fail(Witness((i, j, k), inputs, left, right))
+    return Verdict.ok()
+
+
+def oracle_commutativity(a):
+    """e_i e_j against e_j e_i over pairs i < j in lexicographic order."""
+    for i in range(a.dim):
+        for j in range(i + 1, a.dim):
+            left, right = a.basis_product(i, j), a.basis_product(j, i)
+            if left != right:
+                inputs = (a.basis_vector(i), a.basis_vector(j))
+                return Verdict.fail(Witness((i, j), inputs, left, right))
+    return Verdict.ok()
+
+
+def test_axiom_predicates_match_basis_loops(all_materialized):
+    """is_associative/is_commutative give the verdicts and witnesses (through
+    repr, coordinate types included) of plain basis loops."""
+    from genalgebras import mixed_denominator_algebra
+
+    algebras = [m.algebras[name] for m in all_materialized.values() for name in m.algebras]
+    rng = random.Random(5)
+    for dim in (1, 2, 3, 4):
+        for denominators in ((1, 2, 3), (2, 7, 2**31 - 1, 2**61 - 1)):
+            a = mixed_denominator_algebra(rng, dim, denominators)
+            algebras += [a, derive(a, None, construction("jordan_plus"))]
+    outcomes = set()
+    for a in algebras:
+        for predicate, oracle in ((is_associative, oracle_associativity),
+                                  (is_commutative, oracle_commutativity)):
+            verdict = predicate(a)
+            assert repr(verdict) == repr(oracle(a))
+            outcomes.add((predicate, verdict.passed))
+    assert len(outcomes) == 4
 
 
 small_scalars = st.one_of(

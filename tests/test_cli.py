@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -230,6 +231,9 @@ _SEARCH_F9 = (
     _SEARCH_F9 + ("--quad", "idempotent", "--strategy", "univariate", "--pin", "1=x"),
     _SEARCH_F9 + ("--quad", "idempotent", "--quad-param", "bogus=2",
                   "--grid", str(DATA / "examples" / "grid_f9.json")),
+    ("derive", "--algebra", str(DATA / "fixtures" / "F7.algebra.json"),
+     "--operator", str(DATA / "fixtures" / "F7.operator.json"),
+     "--construction", "novikov_affine", "--param", "a=abc", "--out", "unwritten.json"),
 ])
 def test_bad_spec_value_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -275,9 +279,14 @@ _PROPS_F9_FROM_U = (
     (_PROPS_F9_FROM_U, "u.json", '{"dim": 4, "coords": 5}'),
     (_PROPS_F9_FROM_U, "u.json", '{"dim": 4.5, "coords": ["1", "-1", "1", "-1"]}'),
     (_SEARCH_F9 + ("--quad", "idempotent", "--grid"), "grid.json", '{"points": 5}'),
+    (("check", "--identity", "jacobi", "--algebra"), "a.json",
+     '{"dim": 2, "labels": "ab", "sc": []}'),
+    (("check", "--identity", "jacobi", "--algebra"), "a.json",
+     '{"dim": 2, "labels": [1, 2], "sc": []}'),
 ], ids=["float_index", "float_dim", "bool_index", "operator_float_dim",
         "operator_matrix_not_a_list", "embedding_basis_not_a_list",
-        "element_coords_not_a_list", "element_float_dim", "grid_points_not_a_list"])
+        "element_coords_not_a_list", "element_float_dim", "grid_points_not_a_list",
+        "labels_a_string", "labels_not_strings"])
 def test_malformed_file_field_exits_2(tmp_path, capsys, argv, name, content):
     bad = tmp_path / name
     bad.write_text(content, encoding="utf-8")
@@ -298,3 +307,33 @@ def test_derive_unwritable_out_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# sha256 of the reports as the 0.1.0 code printed them: a change in any
+# verdict, witness value, coordinate type or order changes the digest.
+_EVERY_PROPERTY = (
+    "endomorphism", "idempotent_op", "involution_op", "scaled_idempotent_op:alpha=3/2",
+    "scaled_involution_op:alpha=-1", "derivation", "left_averaging", "rota_baxter:lam=1/2",
+    "rota_baxter_weighted:lam=1,beta=-2/3",
+)
+
+
+def test_props_json_golden(capsys, monkeypatch):
+    monkeypatch.chdir(DATA)  # the report echoes the algebra path
+    argv = ["props", "--algebra", "fixtures/F2.algebra.json",
+            "--operator", "fixtures/F2.operator.json", "--json"]
+    for spec in _EVERY_PROPERTY:
+        argv += ["--property", spec]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "28b6172a7b06fc48433d8b24e5ef726892d9d8f3dab5feea9acec04599208cbc"
+    )
+
+
+def test_verify_fixture_all_json_golden(capsys):
+    code, out, _ = run(capsys, "verify-fixture", "--all", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "35c388e77c6ed69ee2c7a3c8f28f18f1ee7b952e23e3952bcdd306e7ea16ccb4"
+    )

@@ -82,6 +82,27 @@ def test_run_row_label_validation():
         run_row(m, "custom:missing_check")
 
 
+@pytest.mark.parametrize("label", [
+    "operator[A]:rota_baxter",
+    "operator[A]:rota_baxter(1,2)",
+    "operator[A]:endomorphism(1)",
+    "operator[A]:rota_baxter_weighted(1)",
+    "operator[A]:no_such_property",
+    "element:scaled",
+    "element:rb_weighted(1)",
+    "element:nilpotent2(0)",
+    "custom:rota_baxter0_mirrored",
+    "custom:rota_baxter0_mirrored(A,A)",
+    "operator[A]:rota_baxter(x)",
+    "element:scaled(1/0)",
+])
+def test_run_row_wrong_argument_count(label):
+    """Positional label arguments bind to the kind's parameter names; a wrong
+    count or a non-scalar is a library error, not an unpacking error."""
+    with pytest.raises(NonassocError):
+        run_row(materialize(load_fixture("F11")), label)
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_negative_controls_flip(name):
     res = check_negative_control(name)

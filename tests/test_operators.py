@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,13 +16,12 @@ from nonassoc.errors import (
     DimensionMismatchError,
     ImageNotInSpanError,
     MalformedPropertyError,
-    NonassocError,
 )
 from nonassoc.operators import (
     LinearOperator,
     OperatorProperty,
+    PROPERTY_KINDS,
     check_operator_property,
-    check_operator_property_random,
     derivation,
     endomorphism,
     idempotent_op,
@@ -33,6 +33,8 @@ from nonassoc.operators import (
     scaled_idempotent_op,
     scaled_involution_op,
 )
+from nonassoc.scalars import canonical
+from nonassoc.verdicts import Verdict, Witness
 from test_algebra import E1, E2, E3, mat_mul
 
 
@@ -190,6 +192,61 @@ def test_scaled_variants_distinguish():
     assert not check_operator_property(a, r, scaled_involution_op(2)).passed
 
 
+# ---------------------------------------------------------------------------
+# Oracle: operator identities evaluated on elements, kind by kind
+# ---------------------------------------------------------------------------
+
+_ORACLE_UNARY = {"idempotent_op", "involution_op", "scaled_idempotent_op", "scaled_involution_op"}
+
+
+def oracle_sides(a, r, p, x, y=None):
+    """lhs and rhs of ``p`` at elements x (and y), by rational evaluation."""
+    kind = p.kind
+    rx = r.apply(x)
+    if kind == "idempotent_op":
+        return r.apply(rx), rx
+    if kind == "involution_op":
+        return r.apply(rx), x
+    if kind == "scaled_idempotent_op":
+        return r.apply(rx), p.alpha * rx
+    if kind == "scaled_involution_op":
+        return r.apply(rx), p.alpha * x
+    ry = r.apply(y)
+    if kind == "endomorphism":
+        return a.product(rx, ry), r.apply(a.product(x, y))
+    if kind == "derivation":
+        return a.product(rx, y) + a.product(x, ry), r.apply(a.product(x, y))
+    if kind == "left_averaging":
+        return a.product(rx, ry), r.apply(a.product(rx, y))
+    if kind == "rota_baxter":
+        inner = a.product(rx, y) + a.product(x, ry) + p.lam * a.product(x, y)
+        return a.product(rx, ry), r.apply(inner)
+    if kind == "rota_baxter_weighted":
+        inner = a.product(rx, y) + a.product(x, ry) + p.lam * a.product(x, y)
+        return a.product(rx, ry), r.apply(inner) + p.beta * a.product(x, y)
+    if kind == "rota_baxter0_mirrored":
+        return r.apply(a.product(rx, y) + a.product(y, rx)), a.product(rx, ry)
+    raise AssertionError(kind)
+
+
+def oracle_verdict(a, r, p):
+    """The first failing basis vector or pair, in lexicographic order."""
+    arity = 1 if p.kind in _ORACLE_UNARY else 2
+    for tup in itertools.product(range(a.dim), repeat=arity):
+        elems = tuple(a.basis_vector(i) for i in tup)
+        lhs, rhs = oracle_sides(a, r, p, *elems)
+        if lhs != rhs:
+            return Verdict.fail(Witness(tup, elems, lhs, rhs))
+    return Verdict.ok()
+
+
+def every_property(values):
+    """Every kind, with each parameter running over ``values``."""
+    for kind, spec in PROPERTY_KINDS.items():
+        for combo in itertools.product(values, repeat=len(spec.params)):
+            yield OperatorProperty(kind, **dict(zip(spec.params, combo)))
+
+
 @pytest.mark.parametrize("prop", [
     endomorphism(), idempotent_op(), involution_op(), derivation(),
     scaled_idempotent_op(1), scaled_involution_op(1),
@@ -197,18 +254,73 @@ def test_scaled_variants_distinguish():
     OperatorProperty("left_averaging"),
 ])
 def test_basis_verdict_agrees_with_random_pairs(prop):
-    """Bilinearity: the exact basis verdict matches 100 random exact samples."""
+    """Linearity: the exact basis verdict matches 100 random exact samples."""
     sub, emb = row_span_embedding()
     u = element_from_matrix([[1, 2, 2], [0, -1, -2], [0, 1, 2]])
     r = left_multiplication_operator(emb, u)
     exact = check_operator_property(sub, r, prop).passed
-    sampled = check_operator_property_random(sub, r, prop, trials=100, seed=17).passed
+    rng = random.Random(17)
+
+    def element():
+        return Element(tuple(
+            canonical(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 1, 2)))) for _ in range(3)
+        ))
+
+    sampled = all(
+        lhs == rhs
+        for lhs, rhs in (oracle_sides(sub, r, prop, element(), element()) for _ in range(100))
+    )
     assert exact == sampled
 
 
-@pytest.mark.parametrize("trials", [0, -3])
-def test_random_property_check_rejects_nonpositive_trials(trials):
-    sub, emb = row_span_embedding()
-    r = left_multiplication_operator(emb, element_from_matrix([[1, 2, 2], [0, -1, -2], [0, 1, 2]]))
-    with pytest.raises(NonassocError):
-        check_operator_property_random(sub, r, endomorphism(), trials=trials, seed=17)
+_VALUES = (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+
+def test_table_covers_the_oracle_kinds():
+    kinds = set(PROPERTY_KINDS)
+    assert _ORACLE_UNARY <= kinds and len(kinds) == 10
+    assert {k for k, spec in PROPERTY_KINDS.items() if spec.arity == 1} == _ORACLE_UNARY
+
+
+def test_fixture_operators_match_oracle(all_materialized):
+    """Every kind on every fixture algebra, with the fixture's operator and with
+    R + I: the verdict, witness tuple, inputs and sides (coordinate types
+    included, through repr) are those of kind-by-kind rational evaluation."""
+    passed = failed = 0
+    for m in all_materialized.values():
+        ops = (m.operator, m.operator + LinearOperator.identity(m.operator.dim))
+        for a in (m.algebras[name] for name in m.algebras):
+            for r in ops:
+                for prop in every_property(_VALUES):
+                    verdict = check_operator_property(a, r, prop)
+                    assert repr(verdict) == repr(oracle_verdict(a, r, prop)), (m.bundle.name, prop)
+                    passed += verdict.passed
+                    failed += not verdict.passed
+    assert passed >= 100 and failed >= 1000
+
+
+_BIG = (2, 3, 7, 12, 2**31 - 1, 2**61 - 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("denominators", [(1, 2, 3, 7, 12), _BIG], ids=["small", "big"])
+def test_mixed_denominator_operators_match_oracle(dim, denominators):
+    """Rational algebras, operators and coefficients, 0 included, with lcms of
+    structure-constant, operator and coefficient denominators past 2^64."""
+    from genalgebras import mixed_denominator_algebra
+
+    rng = random.Random(1000 * dim + len(denominators))
+
+    def scalar():
+        return canonical(Fraction(rng.randint(-5, 5), rng.choice(denominators)))
+
+    for _ in range(3):
+        a = mixed_denominator_algebra(rng, dim, denominators)
+        r = make_operator(a, [[scalar() for _ in range(dim)] for _ in range(dim)])
+        diagonal = make_operator(a, [[scalar() if i == j else 0 for i in range(dim)]
+                                     for j in range(dim)])
+        values = (0, 1, scalar(), scalar(), Fraction(1, 2**61 - 1))
+        for op in (r, r + LinearOperator.identity(dim), diagonal, LinearOperator.zero(dim)):
+            for prop in every_property(values):
+                verdict = check_operator_property(a, op, prop)
+                assert repr(verdict) == repr(oracle_verdict(a, op, prop)), prop

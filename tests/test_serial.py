@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -135,3 +136,20 @@ def test_shipped_fixture_data_matches_catalog():
         assert shipped_algebra == m.algebras["A"]
         with open(data_dir / f"{name}.operator.json", encoding="utf-8") as f:
             assert operator_from_dict(json.load(f), m.algebras["A"]) == m.operator
+
+
+def test_shipped_data_matches_export():
+    """Every JSON file under the package data is what the export script
+    builds from the catalog: no file differs, none is missing, none is extra."""
+    script = Path(__file__).parent.parent / "scripts" / "export_fixture_data.py"
+    spec = importlib.util.spec_from_file_location("export_fixture_data", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    expected = module.build()
+    shipped = {
+        path.relative_to(module.DATA).as_posix(): json.loads(path.read_text(encoding="utf-8"))
+        for path in module.DATA.rglob("*.json")
+    }
+    assert sorted(shipped) == sorted(expected)
+    for rel, obj in expected.items():
+        assert shipped[rel] == obj, rel
