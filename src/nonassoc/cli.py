@@ -104,13 +104,13 @@ def _parse_kv(spec: str, cast=str) -> dict:
     return out
 
 
+def _spec_args(raw: str) -> list[str]:
+    return [piece.strip() for piece in raw.split(",") if piece.strip()]
+
+
 def _parse_property(spec: str) -> OperatorProperty:
     kind, _, raw = spec.partition(":")
-    params = _parse_kv(raw, as_scalar)
-    try:
-        return OperatorProperty(kind.strip(), **params)
-    except TypeError as exc:
-        raise NonassocError(f"bad parameters for property {spec!r}: {exc}") from exc
+    return fx.operator_property(kind.strip(), _spec_args(raw))
 
 
 def cmd_list_fixtures(args) -> int:
@@ -272,11 +272,9 @@ def cmd_derive(args) -> int:
     operator = None
     if args.operator:
         operator = load_operator(args.operator, algebra)
-    params = _parse_kv(args.param, as_scalar) if args.param else {}
-    a = params.pop("a", None)
-    if params:
-        raise NonassocError(f"unknown construction parameters: {sorted(params)}")
-    spec = construction(args.construction, a)
+    names = CONSTRUCTION_CATALOG[args.construction].params
+    params = fx.bind_args(args.construction, names, _spec_args(args.param or ""))
+    spec = construction(args.construction, **params)
     derived = derive(algebra, operator, spec)
     save_algebra(derived, args.out)
     lines = [

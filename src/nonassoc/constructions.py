@@ -2,105 +2,65 @@
 
 Each catalogued construction replaces the product of a source algebra by a
 bilinear expression in the old product and a linear operator R (or a
-derivation D).  The result is materialized as a fresh structure-constant
-tensor so that the identity engine and the serializer treat derived and
-primary algebras uniformly; provenance is recorded in ``meta``.
+derivation D): a signed sum of words over {product, R} in x and y, written in
+the word language of the identity engine.  ``derive`` evaluates the words at
+each pair of basis vectors with the same element evaluator that gives the
+raw sides of an identity, and materializes the result as a fresh
+structure-constant tensor so that the identity engine and the serializer
+treat derived and primary algebras uniformly; provenance is recorded in
+``meta``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 from .algebra import Algebra, algebra_from_products, make_algebra
 from .errors import DimensionMismatchError, MalformedPropertyError
+from .identities import R, X, Y, _eval_word_elements, _shape, compile_words
 from .operators import LinearOperator
 from .scalars import Scalar, as_scalar
 
 
-# name -> (needs_operator, needs_param_a, product function)
-# The product function receives (mul, R, a, x, y) and returns an Element,
-# where mul is the source algebra's product and R the operator (None when
-# the construction does not use one).
-_CatalogEntry = tuple[bool, bool, Callable]
+class Construction(NamedTuple):
+    """The product x∘y as the signed sum of ``words`` in x = 0 and y = 1, with
+    coefficients that are ints or names in ``params``."""
+
+    params: tuple[str, ...]
+    words: tuple
+
+    @property
+    def needs_operator(self) -> bool:
+        return any(_shape(word)[1] for _, word in self.words)
 
 
-def _commutator(mul, r, a, x, y):
-    return mul(x, y) - mul(y, x)
+# Two pairs of names share one product; the fixtures use all four names.
+_RX_Y = ((1, (R(X), Y)),)
+_RX_Y_MINUS_RY_RX = ((1, (R(X), Y)), (-1, (R(Y), R(X))))
 
-
-def _lie_endo(mul, r, a, x, y):
-    return mul(x, r(y)) - mul(y, r(x))
-
-
-def _lie_endo_alt(mul, r, a, x, y):
-    return mul(r(x), y) - mul(r(y), x)
-
-
-def _jordan_plus(mul, r, a, x, y):
-    return mul(x, y) + mul(y, x)
-
-
-def _jordan_endo_left(mul, r, a, x, y):
-    return mul(r(x), y)
-
-
-def _jordan_endo_right(mul, r, a, x, y):
-    return mul(x, r(y))
-
-
-def _jordan_endo_both(mul, r, a, x, y):
-    return mul(r(x), r(y))
-
-
-def _leibniz_comm(mul, r, a, x, y):
-    return mul(r(x), y) - mul(y, r(x))
-
-
-def _leibniz_endo(mul, r, a, x, y):
-    return mul(r(x), y) - mul(r(y), r(x))
-
-
-def _prelie_endo(mul, r, a, x, y):
-    return mul(r(x), r(y)) - mul(y, r(x))
-
-
-def _prelie_endo_alt(mul, r, a, x, y):
-    return mul(r(x), y) - mul(r(y), r(x))
-
-
-def _prelie_diff(mul, r, a, x, y):
-    return mul(r(x), y)
-
-
-def _novikov_affine(mul, r, a, x, y):
-    return mul(x, r(y)) + a * mul(x, y)
-
-
-def _prelie_rb1(mul, r, a, x, y):
-    return mul(r(x), y) - mul(y, r(x)) - mul(x, y)
-
-
-def _flexible_avg(mul, r, a, x, y):
-    return r(mul(x, y))
-
-
-CATALOG: dict[str, _CatalogEntry] = {
-    "commutator": (False, False, _commutator),
-    "lie_endo": (True, False, _lie_endo),
-    "lie_endo_alt": (True, False, _lie_endo_alt),
-    "jordan_plus": (False, False, _jordan_plus),
-    "jordan_endo_left": (True, False, _jordan_endo_left),
-    "jordan_endo_right": (True, False, _jordan_endo_right),
-    "jordan_endo_both": (True, False, _jordan_endo_both),
-    "leibniz_comm": (True, False, _leibniz_comm),
-    "leibniz_endo": (True, False, _leibniz_endo),
-    "prelie_endo": (True, False, _prelie_endo),
-    "prelie_endo_alt": (True, False, _prelie_endo_alt),
-    "prelie_diff": (True, False, _prelie_diff),
-    "novikov_affine": (True, True, _novikov_affine),
-    "prelie_rb1": (True, False, _prelie_rb1),
-    "flexible_avg": (True, False, _flexible_avg),
+CATALOG: dict[str, Construction] = {
+    name: Construction(params, words)
+    for name, params, words in (
+        ("commutator", (), ((1, (X, Y)), (-1, (Y, X)))),
+        ("lie_endo", (), ((1, (X, R(Y))), (-1, (Y, R(X))))),
+        ("lie_endo_alt", (), ((1, (R(X), Y)), (-1, (R(Y), X)))),
+        ("jordan_plus", (), ((1, (X, Y)), (1, (Y, X)))),
+        ("jordan_endo_left", (), _RX_Y),
+        ("jordan_endo_right", (), ((1, (X, R(Y))),)),
+        ("jordan_endo_both", (), ((1, (R(X), R(Y))),)),
+        ("leibniz_comm", (), ((1, (R(X), Y)), (-1, (Y, R(X))))),
+        ("leibniz_endo", (), _RX_Y_MINUS_RY_RX),
+        ("prelie_endo", (), ((1, (R(X), R(Y))), (-1, (Y, R(X))))),
+        ("prelie_endo_alt", (), _RX_Y_MINUS_RY_RX),
+        ("prelie_diff", (), _RX_Y),
+        ("novikov_affine", ("a",), ((1, (X, R(Y))), ("a", (X, Y)))),
+        ("prelie_rb1", (), ((1, (R(X), Y)), (-1, (Y, R(X))), (-1, (X, Y)))),
+        ("flexible_avg", (), ((1, R((X, Y))),)),
+    )
 }
+
+# compile_words checks that each construction is linear in x and y.
+_SCHEDULES = {name: compile_words(2, cons.words, ()) for name, cons in CATALOG.items()}
 
 
 @dataclass(frozen=True)
@@ -113,7 +73,7 @@ class ConstructionSpec:
     def __post_init__(self):
         if self.name not in CATALOG:
             raise MalformedPropertyError(f"unknown construction {self.name!r}")
-        _, needs_a, _ = CATALOG[self.name]
+        needs_a = "a" in CATALOG[self.name].params
         if needs_a and self.a is None:
             raise MalformedPropertyError(f"{self.name} requires parameter a")
         if not needs_a and self.a is not None:
@@ -128,18 +88,17 @@ def derive(
     source: Algebra, operator: Optional[LinearOperator], spec: ConstructionSpec
 ) -> Algebra:
     """Materialize the derived product as a new structure-constant tensor."""
-    needs_r, _, fn = CATALOG[spec.name]
-    if needs_r and operator is None:
+    cons = CATALOG[spec.name]
+    if cons.needs_operator and operator is None:
         raise MalformedPropertyError(f"construction {spec.name} requires an operator")
     if operator is not None and operator.dim != source.dim:
         raise DimensionMismatchError("operator dimension differs from algebra")
-    mul = source.product
-    r = operator.apply if operator is not None else None
-    a = spec.a
-    n = source.dim
+    sched = _SCHEDULES[spec.name]
+    params = {name: getattr(spec, name) for name in cons.params}
+    basis = source.basis()
     products = [
-        [fn(mul, r, a, source.basis_vector(i), source.basis_vector(j)).coords for j in range(n)]
-        for i in range(n)
+        [_eval_word_elements(source, sched, (x, y), operator, params)[0].coords for y in basis]
+        for x in basis
     ]
     from .serial import algebra_content_hash, operator_content_hash
 
@@ -151,7 +110,7 @@ def derive(
         meta["operator"] = operator_content_hash(operator)
     if spec.a is not None:
         meta["a"] = spec.a
-    return algebra_from_products(n, products, source.basis_labels, meta)
+    return algebra_from_products(source.dim, products, source.basis_labels, meta)
 
 
 def hadamard_algebra(rows: int, cols: int) -> Algebra:

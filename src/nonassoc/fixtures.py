@@ -890,8 +890,15 @@ def _resolve_args(raw: Optional[str], point: Mapping) -> list:
     return out
 
 
-def _bind(kind: str, names: Sequence[str], args: list) -> dict:
-    """Positional label arguments as scalars keyed by ``names``."""
+def bind_args(kind: str, names: Sequence[str], args: list) -> dict:
+    """Arguments as scalars keyed by ``names``: positional, or ``k=v`` pairs
+    that give each name once."""
+    pairs = [str(arg).partition("=") for arg in args]
+    if any(sep for _, sep, _ in pairs):
+        keyed = {k.strip(): v.strip() for k, _, v in pairs}
+        if len(keyed) != len(args) or set(keyed) != set(names):
+            raise NonassocError(f"{kind} has parameters {list(names)}, got {list(args)}")
+        args = [keyed[name] for name in names]
     if len(args) != len(names):
         raise NonassocError(f"{kind} takes {len(names)} argument(s), got {len(args)}")
     try:
@@ -900,22 +907,28 @@ def _bind(kind: str, names: Sequence[str], args: list) -> dict:
         raise NonassocError(f"bad argument for {kind}: {exc}") from exc
 
 
-def _operator_property_from_label(kind: str, args: list) -> OperatorProperty:
+def operator_property(kind: str, args: list) -> OperatorProperty:
     if kind not in PROPERTY_KINDS:
         raise NonassocError(f"unknown operator property {kind!r}")
-    return OperatorProperty(kind, **_bind(kind, PROPERTY_KINDS[kind].params, args))
+    return OperatorProperty(kind, **bind_args(kind, PROPERTY_KINDS[kind].params, args))
 
 
 def _quad_from_label(kind: str, args: list, ambient_n: int) -> QuadraticConstraint:
     needs = QUAD_PARAMS.get(kind, ())
-    params = _bind(kind, [n for n in needs if n != "unit"], args)
+    params = bind_args(kind, [n for n in needs if n != "unit"], args)
     if "unit" in needs:
         params["unit"] = matrix_identity_element(ambient_n)
     return QuadraticConstraint(kind, **params)
 
 
-def _custom_lin_dim(m: Materialized, args: list) -> Verdict:
-    kinds_raw, expected_raw = args
+def _plan_algebra(m: Materialized, name: Optional[str], label: str) -> Algebra:
+    """The plan algebra that a row's label names."""
+    if name not in m.algebras:
+        raise NonassocError(f"check {label!r} names no algebra in the plan of {m.bundle.name}")
+    return m.algebras[name]
+
+
+def _custom_lin_dim(m: Materialized, kinds_raw, expected_raw) -> Verdict:
     kinds = str(kinds_raw).split("+")
     constraints = [LinearConstraint(k, m.embedding) for k in kinds]
     space = solve_linear(m.ambient, constraints)
@@ -926,9 +939,7 @@ def _custom_lin_dim(m: Materialized, args: list) -> Verdict:
     return Verdict.fail(Witness((), (), actual, expected))
 
 
-def _custom_null_product(m: Materialized, args: list) -> Verdict:
-    (alg_name,) = args
-    a = m.algebras[str(alg_name)]
+def _custom_null_product(a: Algebra) -> Verdict:
     for i in range(a.dim):
         for j in range(a.dim):
             prod = a.basis_product(i, j)
@@ -940,10 +951,8 @@ def _custom_null_product(m: Materialized, args: list) -> Verdict:
     return Verdict.ok()
 
 
-_CUSTOM_CHECKS = {
-    "lin_dim": _custom_lin_dim,
-    "null_product": _custom_null_product,
-}
+# custom check -> its number of arguments
+_CUSTOM_ARITY = {"lin_dim": 2, "null_product": 1, "rota_baxter0_mirrored": 1}
 
 
 def run_row(m: Materialized, label: str, operator: Optional[LinearOperator] = None,
@@ -970,22 +979,24 @@ def run_row(m: Materialized, label: str, operator: Optional[LinearOperator] = No
         else:
             raise NonassocError(f"unknown element constraint {kind!r}")
         return results[0][1]
-    if family == "custom" and kind == "rota_baxter0_mirrored":
+    if family == "custom":
+        if kind not in _CUSTOM_ARITY:
+            raise NonassocError(f"unknown custom check {kind!r}")
+        if len(args) != _CUSTOM_ARITY[kind]:
+            raise NonassocError(f"{kind} takes {_CUSTOM_ARITY[kind]} argument(s), got {len(args)}")
+        if kind == "lin_dim":
+            return _custom_lin_dim(m, *args)
+        if kind == "null_product":
+            return _custom_null_product(_plan_algebra(m, str(args[0]), label))
         # the catalogued label of operator[ALG]:rota_baxter0_mirrored
-        if len(args) != 1:
-            raise NonassocError(f"{kind} takes 1 argument(s), got {len(args)}")
         family, alg_name, args = "operator", str(args[0]), []
     if family == "operator":
-        prop = _operator_property_from_label(kind, args)
-        return check_operator_property(m.algebras[alg_name], op, prop)
+        prop = operator_property(kind, args)
+        return check_operator_property(_plan_algebra(m, alg_name, label), op, prop)
     if family == "identity":
         if args:
             raise NonassocError("identity rows take no arguments")
-        return check_identity(m.algebras[alg_name], kind)
-    if family == "custom":
-        if kind not in _CUSTOM_CHECKS:
-            raise NonassocError(f"unknown custom check {kind!r}")
-        return _CUSTOM_CHECKS[kind](m, args)
+        return check_identity(_plan_algebra(m, alg_name, label), kind)
     raise NonassocError(f"unknown check family {family!r}")
 
 

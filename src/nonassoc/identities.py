@@ -31,6 +31,12 @@ where P and Q are the largest p and q over the identity and L is the lcm of
 the coefficient denominators, so every word is compared at the one scale
 L·D^P·E^Q.  For the identities above every weight is ±1 and the scale is
 D^(m-1).
+
+The derived products of ``constructions`` are words in the same language,
+signed sums in x and y.  One element-level evaluator, ``_eval_word_elements``,
+walks the same compiled schedules in exact rationals, applying R through the
+operator's ``apply``.  It gives both the raw sides of an identity at explicit
+elements and a derived product at each pair of basis vectors.
 """
 from __future__ import annotations
 
@@ -49,6 +55,13 @@ from .verdicts import Verdict, Witness
 # A word is a slot index (leaf), a pair (left, right), or ("R", word).
 Word = object
 SignedWord = tuple[int, Word]
+
+X, Y = 0, 1
+
+
+def R(word: Word) -> Word:
+    """The word R(word)."""
+    return ("R", word)
 
 
 @dataclass(frozen=True)
@@ -445,16 +458,45 @@ def check_words(
 
 
 # ---------------------------------------------------------------------------
-# Raw (unpolarized) evaluation, used by the random corroboration harness
+# Element-level evaluation: raw identity sides and derived products
 # ---------------------------------------------------------------------------
 
-def _eval_word_elements(word: Word, elems: Sequence[Element], a: Algebra) -> Element:
-    if isinstance(word, int):
-        return elems[word]
-    return a.product(
-        _eval_word_elements(word[0], elems, a),
-        _eval_word_elements(word[1], elems, a),
-    )
+def _raw_schedule(name: str) -> _Schedule:
+    """The identity's own words (not polarized), compiled once."""
+    if name not in _RAW_SCHEDULE_CACHE:
+        ident = get_identity(name)
+        _RAW_SCHEDULE_CACHE[name] = _schedule(len(ident.variables), ident.lhs, ident.rhs)
+    return _RAW_SCHEDULE_CACHE[name]
+
+
+def _eval_word_elements(a: Algebra, sched: _Schedule, elems: Sequence[Element], r=None,
+                        params: Mapping = {}) -> tuple[Element, Element]:
+    """The lhs and rhs of the compiled words at ``elems``, R being the operator ``r``.
+
+    Each subword is one node of the schedule, evaluated once however many
+    words share it.  A coefficient is an int, a Fraction or a name looked up
+    in ``params``.
+    """
+    vals = [*elems, *[None] * (sched.size - len(elems))]
+    for n, left, right in itertools.chain.from_iterable(sched.steps):
+        if right == sched.phantom:
+            vals[n] = r.apply(vals[left])
+        else:
+            vals[n] = a.product(vals[left], vals[right])
+
+    def side(roots) -> Element:
+        acc = None
+        for coef, n, _, _ in roots:
+            c = params[coef] if type(coef) is str else coef
+            if acc is None:
+                acc = vals[n] if c == 1 else c * vals[n]
+            elif c == -1:
+                acc = acc - vals[n]
+            else:
+                acc = acc + (vals[n] if c == 1 else c * vals[n])
+        return a.zero() if acc is None else acc
+
+    return side(sched.lhs), side(sched.rhs)
 
 
 def evaluate_identity_sides(
@@ -466,15 +508,7 @@ def evaluate_identity_sides(
         raise NonassocError(
             f"identity {name} takes {len(ident.variables)} elements"
         )
-
-    def side(words):
-        acc = a.zero()
-        for sign, word in words:
-            val = _eval_word_elements(word, elems, a)
-            acc = acc + val if sign == 1 else acc + (sign * val)
-        return acc
-
-    return side(ident.lhs), side(ident.rhs)
+    return _eval_word_elements(a, _raw_schedule(name), elems)
 
 
 def check_identity_direct(a: Algebra, name: str) -> Verdict:
@@ -525,9 +559,7 @@ def check_identity_random(a: Algebra, name: str, trials: int, seed: int) -> Verd
         raise NonassocError("trials must be >= 1")
     ident = get_identity(name)
     arity = len(ident.variables)
-    if name not in _RAW_SCHEDULE_CACHE:
-        _RAW_SCHEDULE_CACHE[name] = _schedule(arity, ident.lhs, ident.rhs)
-    sched = _RAW_SCHEDULE_CACHE[name]
+    sched = _raw_schedule(name)
     steps = sum(sched.steps, ())
     rows, denom = _integer_rows(a)
     lhs, rhs, scale = _weighted(sched, denom)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, Element, Embedding
 from .errors import DimensionMismatchError, ImageNotInSpanError, MalformedPropertyError
-from .identities import check_words, compile_words
+from .identities import R, X, Y, check_words, compile_words
 from .scalars import Scalar, as_scalar, canonical, format_scalar
 from .verdicts import Verdict
 
@@ -129,32 +129,28 @@ class PropertyKind(NamedTuple):
     rhs: tuple
 
 
-def _r(word):
-    return ("R", word)
-
-
-_X, _Y, _XY = 0, 1, (0, 1)
-_RX_RY = (1, (_r(_X), _r(_Y)))
-_RR_X = (1, _r(_r(_X)))
-_RB_INNER = ((1, _r((_r(_X), _Y))), (1, _r((_X, _r(_Y)))), ("lam", _r(_XY)))
+_XY = (X, Y)
+_RX_RY = (1, (R(X), R(Y)))
+_RR_X = (1, R(R(X)))
+_RB_INNER = ((1, R((R(X), Y))), (1, R((X, R(Y)))), ("lam", R(_XY)))
 
 PROPERTY_KINDS: dict[str, PropertyKind] = {
-    "endomorphism": PropertyKind(2, (), (_RX_RY,), ((1, _r(_XY)),)),
-    "idempotent_op": PropertyKind(1, (), (_RR_X,), ((1, _r(_X)),)),
-    "involution_op": PropertyKind(1, (), (_RR_X,), ((1, _X),)),
-    "scaled_idempotent_op": PropertyKind(1, ("alpha",), (_RR_X,), (("alpha", _r(_X)),)),
-    "scaled_involution_op": PropertyKind(1, ("alpha",), (_RR_X,), (("alpha", _X),)),
+    "endomorphism": PropertyKind(2, (), (_RX_RY,), ((1, R(_XY)),)),
+    "idempotent_op": PropertyKind(1, (), (_RR_X,), ((1, R(X)),)),
+    "involution_op": PropertyKind(1, (), (_RR_X,), ((1, X),)),
+    "scaled_idempotent_op": PropertyKind(1, ("alpha",), (_RR_X,), (("alpha", R(X)),)),
+    "scaled_involution_op": PropertyKind(1, ("alpha",), (_RR_X,), (("alpha", X),)),
     "derivation": PropertyKind(
-        2, (), ((1, (_r(_X), _Y)), (1, (_X, _r(_Y)))), ((1, _r(_XY)),)
+        2, (), ((1, (R(X), Y)), (1, (X, R(Y)))), ((1, R(_XY)),)
     ),
-    "left_averaging": PropertyKind(2, (), (_RX_RY,), ((1, _r((_r(_X), _Y))),)),
+    "left_averaging": PropertyKind(2, (), (_RX_RY,), ((1, R((R(X), Y))),)),
     "rota_baxter": PropertyKind(2, ("lam",), (_RX_RY,), _RB_INNER),
     "rota_baxter_weighted": PropertyKind(
         2, ("lam", "beta"), (_RX_RY,), _RB_INNER + (("beta", _XY),)
     ),
     # weight 0 with the second term mirrored: y R(x) in place of x R(y)
     "rota_baxter0_mirrored": PropertyKind(
-        2, (), ((1, _r((_r(_X), _Y))), (1, _r((_Y, _r(_X))))), (_RX_RY,)
+        2, (), ((1, R((R(X), Y))), (1, R((Y, R(X))))), (_RX_RY,)
     ),
 }
 

@@ -234,6 +234,12 @@ _SEARCH_F9 = (
     ("derive", "--algebra", str(DATA / "fixtures" / "F7.algebra.json"),
      "--operator", str(DATA / "fixtures" / "F7.operator.json"),
      "--construction", "novikov_affine", "--param", "a=abc", "--out", "unwritten.json"),
+    ("derive", "--algebra", str(DATA / "fixtures" / "F7.algebra.json"),
+     "--operator", str(DATA / "fixtures" / "F7.operator.json"),
+     "--construction", "novikov_affine", "--param", "b=1", "--out", "unwritten.json"),
+    ("derive", "--algebra", str(DATA / "fixtures" / "F7.algebra.json"),
+     "--operator", str(DATA / "fixtures" / "F7.operator.json"),
+     "--construction", "novikov_affine", "--out", "unwritten.json"),
 ])
 def test_bad_spec_value_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -336,4 +342,30 @@ def test_verify_fixture_all_json_golden(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "35c388e77c6ed69ee2c7a3c8f28f18f1ee7b952e23e3952bcdd306e7ea16ccb4"
+    )
+
+
+_EVERY_CONSTRUCTION = (
+    "commutator", "lie_endo", "lie_endo_alt", "jordan_plus", "jordan_endo_left",
+    "jordan_endo_right", "jordan_endo_both", "leibniz_comm", "leibniz_endo", "prelie_endo",
+    "prelie_endo_alt", "prelie_diff", "novikov_affine", "prelie_rb1", "flexible_avg",
+)
+
+
+def test_derive_json_golden(capsys, tmp_path):
+    """sha256 of the derived algebras and their provenance, as the per-construction
+    product functions computed them; ``out`` is a tmp path, so it stays out."""
+    digest = hashlib.sha256()
+    for name in _EVERY_CONSTRUCTION:
+        argv = ["derive", "--algebra", str(DATA / "fixtures" / "F2.algebra.json"),
+                "--operator", str(DATA / "fixtures" / "F2.operator.json"),
+                "--construction", name, "--out", str(tmp_path / f"{name}.json"), "--json"]
+        if name == "novikov_affine":
+            argv += ["--param", "a=1/2"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        obj = json.loads(out)
+        digest.update(json.dumps([obj["result"], obj["provenance"]]).encode())
+    assert digest.hexdigest() == (
+        "c9e52ef354962fa76ab5462b3edaf6b9971d98bed237215513ec2879639233bf"
     )

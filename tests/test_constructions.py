@@ -1,9 +1,13 @@
+import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from nonassoc.algebra import (
     Element,
+    algebra_from_products,
     element_from_matrix,
     induce_subalgebra,
     is_associative,
@@ -20,8 +24,10 @@ from nonassoc.constructions import (
     hadamard_algebra,
 )
 from nonassoc.errors import MalformedPropertyError
-from nonassoc.identities import check_identity
-from nonassoc.operators import LinearOperator
+from nonassoc.identities import IDENTITY_NAMES, check_identity
+from nonassoc.operators import LinearOperator, make_operator
+from nonassoc.scalars import canonical
+from nonassoc.serial import algebra_content_hash, operator_content_hash
 
 
 def test_catalog_complete():
@@ -210,7 +216,137 @@ def test_jordan_hypothesis_alone_is_not_enough():
 def test_all_operator_constructions_run(f1b_materialized):
     m = f1b_materialized
     a, r = m.algebras["A"], m.operator
-    for name, (needs_r, needs_a, _) in CATALOG.items():
-        spec = construction(name, a=Fraction(1, 2) if needs_a else None)
-        out = derive(a, r if needs_r else None, spec)
+    for name, cons in CATALOG.items():
+        spec = construction(name, a=Fraction(1, 2) if "a" in cons.params else None)
+        out = derive(a, r if cons.needs_operator else None, spec)
         assert out.dim == a.dim
+
+
+# The catalog as it was written before it became words: one product function
+# per construction, called as fn(mul, R, a, x, y), with its needs_operator and
+# needs_a flags.  ``derive`` must reproduce it exactly.
+_ORACLE = {
+    "commutator": (False, False, lambda mul, r, a, x, y: mul(x, y) - mul(y, x)),
+    "lie_endo": (True, False, lambda mul, r, a, x, y: mul(x, r(y)) - mul(y, r(x))),
+    "lie_endo_alt": (True, False, lambda mul, r, a, x, y: mul(r(x), y) - mul(r(y), x)),
+    "jordan_plus": (False, False, lambda mul, r, a, x, y: mul(x, y) + mul(y, x)),
+    "jordan_endo_left": (True, False, lambda mul, r, a, x, y: mul(r(x), y)),
+    "jordan_endo_right": (True, False, lambda mul, r, a, x, y: mul(x, r(y))),
+    "jordan_endo_both": (True, False, lambda mul, r, a, x, y: mul(r(x), r(y))),
+    "leibniz_comm": (True, False, lambda mul, r, a, x, y: mul(r(x), y) - mul(y, r(x))),
+    "leibniz_endo": (True, False, lambda mul, r, a, x, y: mul(r(x), y) - mul(r(y), r(x))),
+    "prelie_endo": (True, False, lambda mul, r, a, x, y: mul(r(x), r(y)) - mul(y, r(x))),
+    "prelie_endo_alt": (True, False, lambda mul, r, a, x, y: mul(r(x), y) - mul(r(y), r(x))),
+    "prelie_diff": (True, False, lambda mul, r, a, x, y: mul(r(x), y)),
+    "novikov_affine": (True, True, lambda mul, r, a, x, y: mul(x, r(y)) + a * mul(x, y)),
+    "prelie_rb1": (
+        True, False, lambda mul, r, a, x, y: mul(r(x), y) - mul(y, r(x)) - mul(x, y)
+    ),
+    "flexible_avg": (True, False, lambda mul, r, a, x, y: r(mul(x, y))),
+}
+
+_A_VALUES = (0, 1, -1, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _oracle_derive(source, operator, spec):
+    fn = _ORACLE[spec.name][2]
+    r = operator.apply if operator is not None else None
+    basis = source.basis()
+    products = [[fn(source.product, r, spec.a, x, y).coords for y in basis] for x in basis]
+    meta = {"construction": spec.name, "source": algebra_content_hash(source)}
+    if operator is not None:
+        meta["operator"] = operator_content_hash(operator)
+    if spec.a is not None:
+        meta["a"] = spec.a
+    return algebra_from_products(source.dim, products, source.basis_labels, meta)
+
+
+def _assert_derive_matches_oracle(source, operator) -> int:
+    """Every construction (every ``a`` value) on ``source``; returns the count."""
+    count = 0
+    for name, (needs_r, needs_a, _) in _ORACLE.items():
+        for a in _A_VALUES if needs_a else (None,):
+            for op in (operator, None) if not needs_r else (operator,):
+                spec = construction(name, a)
+                got, want = derive(source, op, spec), _oracle_derive(source, op, spec)
+                assert repr(got.sc) == repr(want.sc), (name, a)
+                assert got.basis_labels == want.basis_labels
+                assert got.meta == want.meta
+                count += 1
+    return count
+
+
+def test_catalog_flags_match_oracle():
+    assert list(CATALOG) == list(_ORACLE)
+    for name, (needs_r, needs_a, _) in _ORACLE.items():
+        assert CATALOG[name].needs_operator == needs_r, name
+        assert ("a" in CATALOG[name].params) == needs_a, name
+
+
+def test_shared_words_are_written_once():
+    assert CATALOG["leibniz_endo"].words is CATALOG["prelie_endo_alt"].words
+    assert CATALOG["jordan_endo_left"].words is CATALOG["prelie_diff"].words
+
+
+def test_derive_matches_oracle_on_fixture_algebras(all_materialized):
+    count = 0
+    for m in all_materialized.values():
+        shifted = m.operator + LinearOperator.identity(m.operator.dim)
+        for name in m.algebras:
+            for op in (m.operator, shifted):
+                count += _assert_derive_matches_oracle(m.algebras[name], op)
+    assert count == 29 * 2 * (12 + 2 * 2 + len(_A_VALUES))
+
+
+_BIG = (2, 3, 7, 12, 2**31 - 1, 2**61 - 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("denominators", [(1, 2, 3, 7, 12), _BIG], ids=["small", "big"])
+def test_derive_matches_oracle_on_mixed_denominators(dim, denominators):
+    from genalgebras import mixed_denominator_algebra
+
+    rng = random.Random(2000 * dim + len(denominators))
+
+    def scalar():
+        return canonical(Fraction(rng.randint(-5, 5), rng.choice(denominators)))
+
+    for _ in range(2):
+        a = mixed_denominator_algebra(rng, dim, denominators)
+        r = make_operator(a, [[scalar() for _ in range(dim)] for _ in range(dim)])
+        _assert_derive_matches_oracle(a, r)
+        _assert_derive_matches_oracle(a, r + LinearOperator.identity(dim))
+
+
+def _formula(words) -> str:
+    """The signed words as README writes them, e.g. x·R(y) − y·R(x)."""
+
+    def term(word, nested=False):
+        if isinstance(word, int):
+            return "xy"[word]
+        if word[0] == "R":
+            return f"R({term(word[1])})"
+        text = f"{term(word[0], True)}·{term(word[1], True)}"
+        return f"({text})" if nested else text
+
+    out = ""
+    for coef, word in words:
+        sign = "−" if coef == -1 else "+"
+        scalar = "" if coef in (1, -1) else f"{coef}·"
+        out += (f" {sign} " if out else ("" if sign == "+" else "−")) + scalar + term(word)
+    return out
+
+
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_lists_every_construction_with_its_formula():
+    section = README[README.index("Constructions for `derive`"):README.index("Identities for `check`")]
+    documented = dict(re.findall(r"^- `(\w+)`: (.+?)(?: \(takes .*\))?$", section, re.M))
+    assert documented == {name: _formula(c.words) for name, c in CATALOG.items()}
+
+
+def test_readme_lists_every_identity():
+    start = README.index("Identities for `check`:")
+    section = README[start:README.index("\n\n", start)]
+    assert re.findall(r"`(\w+)`", section)[1:] == list(IDENTITY_NAMES)

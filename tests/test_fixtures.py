@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from nonassoc import fixtures
@@ -101,6 +103,36 @@ def test_run_row_wrong_argument_count(label):
     count or a non-scalar is a library error, not an unpacking error."""
     with pytest.raises(NonassocError):
         run_row(materialize(load_fixture("F11")), label)
+
+
+@pytest.mark.parametrize("label", [
+    "operator[B]:rota_baxter(0)",
+    "identity[B]:jacobi",
+    "custom:null_product(B)",
+    "identity:jacobi",
+])
+def test_run_row_algebra_outside_plan(label):
+    """A label naming an algebra outside the plan (or none) is a library error
+    that names the label, directly and through caller-given expectations."""
+    with pytest.raises(NonassocError, match=re.escape(repr(label))):
+        run_row(materialize(load_fixture("F9")), label)
+    with pytest.raises(NonassocError, match=re.escape(repr(label))):
+        verify_fixture("F9", expectations=[ExpectedRow(label, True)])
+
+
+@pytest.mark.parametrize("label", ["custom:null_product", "custom:lin_dim(stabilize)"])
+def test_run_row_custom_argument_count(label):
+    with pytest.raises(NonassocError):
+        run_row(materialize(load_fixture("F9")), label)
+
+
+def test_run_row_binds_keyword_arguments():
+    m = materialize(load_fixture("F11"))
+    label = "operator[A]:rota_baxter_weighted"
+    assert repr(run_row(m, label + "(beta=2,lam=1)")) == repr(run_row(m, label + "(1,2)"))
+    for args in ("(lam=1)", "(lam=1,gamma=2)", "(lam=1,lam=2)", "(1,beta=2)"):
+        with pytest.raises(NonassocError):
+            run_row(m, label + args)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
