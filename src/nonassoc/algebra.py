@@ -1,18 +1,20 @@
 """Finite-dimensional algebras over Q given by structure constants.
 
-An algebra of dimension n is the tensor c[i][j][k] with
-e_i * e_j = sum_k c[i][j][k] e_k; products of arbitrary elements extend
-bilinearly.  No axiom (associativity, commutativity, ...) is assumed at
-construction; ``is_associative``/``is_commutative`` verify the two axioms
-exactly, through the identity engine.
+An algebra of dimension n is given by its structure constants c[i][j][k]
+with e_i * e_j = sum_k c[i][j][k] e_k; products of arbitrary elements extend
+bilinearly.  The constants are stored sparse, and only in that form:
+``sparse_rows[i][j]`` holds the (k, c[i][j][k]) pairs with c nonzero, k
+ascending.  The dense tensor ``sc`` is a view built on each access.  No axiom
+(associativity, commutativity, ...) is assumed at construction;
+``is_associative``/``is_commutative`` verify the two axioms exactly, through
+the identity engine.
 
-All types are immutable after construction: caches are write-once and safe
-to share across workers.
+All types are immutable after construction and safe to share across
+workers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -86,10 +88,14 @@ class Element:
 
 @dataclass(frozen=True, eq=False)
 class Algebra:
-    """dim, structure constants, basis labels, and a write-once sparse view."""
+    """dim, the sparse structure constants and basis labels.
+
+    ``sparse_rows[i][j]`` is the tuple of (k, c) pairs with c = c[i][j][k]
+    nonzero, k ascending; it is the one stored form of the constants.
+    """
 
     dim: int
-    sc: tuple  # sc[i][j] = tuple of dim scalars
+    sparse_rows: tuple
     basis_labels: tuple[str, ...] = ()
     meta: dict = field(default_factory=dict, repr=False)
 
@@ -107,25 +113,25 @@ class Algebra:
         return (
             isinstance(other, Algebra)
             and self.dim == other.dim
-            and self.sc == other.sc
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.sc))
+        return hash((self.dim, self.sparse_rows))
 
-    @cached_property
-    def sparse_rows(self) -> tuple:
-        """sparse_rows[i][j] = tuple of (k, c[i][j][k]) over nonzero entries."""
+    @property
+    def sc(self) -> tuple:
+        """Dense view, built on each access: sc[i][j] = coordinates of e_i e_j."""
         return tuple(
-            tuple(
-                tuple((k, v) for k, v in enumerate(self.sc[i][j]) if v != 0)
-                for j in range(self.dim)
-            )
+            tuple(self.basis_product(i, j).coords for j in range(self.dim))
             for i in range(self.dim)
         )
 
     def basis_product(self, i: int, j: int) -> Element:
-        return Element(self.sc[i][j])
+        coords = [0] * self.dim
+        for k, c in self.sparse_rows[i][j]:
+            coords[k] = c
+        return Element(tuple(coords))
 
     def product(self, x: Element, y: Element) -> Element:
         xc, yc = x.coords, y.coords
@@ -224,7 +230,7 @@ def make_algebra(
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    dense = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    cells = [[[] for _ in range(dim)] for _ in range(dim)]
     seen = set()
     for i, j, k, value in sc_entries:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
@@ -232,9 +238,11 @@ def make_algebra(
         if (i, j, k) in seen:
             raise DuplicateEntryError(f"duplicate structure constant ({i},{j},{k})")
         seen.add((i, j, k))
-        dense[i][j][k] = as_scalar(value)
-    sc = tuple(tuple(tuple(dense[i][j]) for j in range(dim)) for i in range(dim))
-    return Algebra(dim, sc, tuple(basis_labels), meta or {})
+        v = as_scalar(value)
+        if v != 0:
+            cells[i][j].append((k, v))
+    rows = tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells)
+    return Algebra(dim, rows, tuple(basis_labels), meta or {})
 
 
 def algebra_from_products(
@@ -244,11 +252,14 @@ def algebra_from_products(
     meta: dict | None = None,
 ) -> Algebra:
     """Build an algebra from the dense table products[i][j] = coords of e_i e_j."""
-    sc = tuple(
-        tuple(tuple(canonical(as_scalar(v)) for v in products[i][j]) for j in range(dim))
+    rows = tuple(
+        tuple(
+            tuple((k, c) for k, c in enumerate(map(as_scalar, products[i][j])) if c != 0)
+            for j in range(dim)
+        )
         for i in range(dim)
     )
-    return Algebra(dim, sc, tuple(basis_labels), meta or {})
+    return Algebra(dim, rows, tuple(basis_labels), meta or {})
 
 
 def matrix_algebra(n: int) -> Algebra:

@@ -25,6 +25,7 @@ from .operators import (
 )
 from .scalars import as_scalar, format_scalar
 from .search import (
+    QUAD_PARAMS,
     GridStrategy,
     LinearConstraint,
     QuadraticConstraint,
@@ -299,14 +300,10 @@ def cmd_search_element(args) -> int:
     if emb.ambient != ambient:
         raise NonassocError("embedding ambient differs from --ambient algebra")
     lin = [LinearConstraint(k.strip(), emb) for k in args.lin.split(",") if k.strip()]
-    qparams = {}
-    for spec in args.quad_param or []:
-        qparams.update(_parse_kv(spec, as_scalar))
+    names = [n for n in QUAD_PARAMS.get(args.quad, ()) if n != "unit"]
+    qparams = fx.bind_args(args.quad, names, _spec_args(",".join(args.quad_param or [])))
     unit = load_element(args.unit) if args.unit else None
-    try:
-        quad = QuadraticConstraint(args.quad, unit=unit, **qparams)
-    except TypeError as exc:
-        raise NonassocError(f"bad --quad-param for {args.quad!r}: {exc}") from exc
+    quad = QuadraticConstraint(args.quad, unit=unit, **qparams)
     if args.strategy == "grid":
         if not args.grid:
             raise NonassocError("grid strategy requires --grid FILE")

@@ -933,20 +933,22 @@ def _custom_lin_dim(m: Materialized, kinds_raw, expected_raw) -> Verdict:
     constraints = [LinearConstraint(k, m.embedding) for k in kinds]
     space = solve_linear(m.ambient, constraints)
     actual = -1 if space.is_empty else space.dimension
-    expected = int(str(expected_raw))
+    try:
+        expected = int(str(expected_raw))
+    except ValueError as exc:
+        raise NonassocError(f"lin_dim expects an integer dimension, got {expected_raw!r}") from exc
     if actual == expected:
         return Verdict.ok()
     return Verdict.fail(Witness((), (), actual, expected))
 
 
 def _custom_null_product(a: Algebra) -> Verdict:
-    for i in range(a.dim):
-        for j in range(a.dim):
-            prod = a.basis_product(i, j)
-            if not prod.is_zero():
+    for i, row in enumerate(a.sparse_rows):
+        for j, entries in enumerate(row):
+            if entries:
                 return Verdict.fail(
                     Witness((i, j), (a.basis_vector(i), a.basis_vector(j)),
-                            prod, a.zero())
+                            a.basis_product(i, j), a.zero())
                 )
     return Verdict.ok()
 
@@ -1027,10 +1029,6 @@ class _BundleFamily:
 
     def instantiate(self, point: Mapping) -> Materialized:
         return materialize(self.bundle, point)
-
-
-def fixture_family(name: str) -> _BundleFamily:
-    return _BundleFamily(load_fixture(name))
 
 
 def certify_row(

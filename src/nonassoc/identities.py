@@ -34,9 +34,9 @@ D^(m-1).
 
 The derived products of ``constructions`` are words in the same language,
 signed sums in x and y.  One element-level evaluator, ``_eval_word_elements``,
-walks the same compiled schedules in exact rationals, applying R through the
-operator's ``apply``.  It gives both the raw sides of an identity at explicit
-elements and a derived product at each pair of basis vectors.
+walks their compiled schedules in exact rationals, applying R through the
+operator's ``apply``, and gives a derived product at each pair of basis
+vectors.
 """
 from __future__ import annotations
 
@@ -458,7 +458,7 @@ def check_words(
 
 
 # ---------------------------------------------------------------------------
-# Element-level evaluation: raw identity sides and derived products
+# Raw identity words, and element-level evaluation of derived products
 # ---------------------------------------------------------------------------
 
 def _raw_schedule(name: str) -> _Schedule:
@@ -497,38 +497,6 @@ def _eval_word_elements(a: Algebra, sched: _Schedule, elems: Sequence[Element], 
         return a.zero() if acc is None else acc
 
     return side(sched.lhs), side(sched.rhs)
-
-
-def evaluate_identity_sides(
-    a: Algebra, name: str, elems: Sequence[Element]
-) -> tuple[Element, Element]:
-    """Raw lhs/rhs of the identity at explicit elements (repeated variables stay repeated)."""
-    ident = get_identity(name)
-    if len(elems) != len(ident.variables):
-        raise NonassocError(
-            f"identity {name} takes {len(ident.variables)} elements"
-        )
-    return _eval_word_elements(a, _raw_schedule(name), elems)
-
-
-def check_identity_direct(a: Algebra, name: str) -> Verdict:
-    """Plain basis-tuple check of the raw identity (sound only for multidegree 1).
-
-    Kept as an independent path so the polarized engine can be
-    cross-checked on multilinear identities.
-    """
-    ident = get_identity(name)
-    if any(d != 1 for d in ident.multidegree):
-        raise NonassocError(
-            f"direct basis checking is only exact for multilinear identities, not {name}"
-        )
-    arity = len(ident.variables)
-    for tup in itertools.product(range(a.dim), repeat=arity):
-        elems = tuple(a.basis_vector(i) for i in tup)
-        lhs, rhs = evaluate_identity_sides(a, name, elems)
-        if lhs != rhs:
-            return Verdict.fail(Witness(tup, elems, lhs, rhs))
-    return Verdict.ok()
 
 
 def _doubled_coords(dim: int, rng: random.Random) -> dict:

@@ -48,12 +48,12 @@ def _int_in(v) -> int:
 
 
 def algebra_to_dict(a: Algebra) -> dict:
-    sc = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k, v in enumerate(a.sc[i][j]):
-                if v != 0:
-                    sc.append([i, j, k, _scalar_out(v)])
+    sc = [
+        [i, j, k, _scalar_out(v)]
+        for i, row in enumerate(a.sparse_rows)
+        for j, entries in enumerate(row)
+        for k, v in entries
+    ]
     return {"dim": a.dim, "labels": list(a.basis_labels), "sc": sc}
 
 

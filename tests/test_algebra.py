@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nonassoc.algebra import (
     Element,
+    algebra_from_products,
     element_from_matrix,
     induce_subalgebra,
     is_associative,
@@ -23,6 +24,7 @@ from nonassoc.errors import (
     DuplicateEntryError,
     SpanNotClosedError,
 )
+from nonassoc.serial import algebra_content_hash, algebra_to_dict
 from nonassoc.verdicts import Verdict, Witness
 
 
@@ -92,8 +94,57 @@ def test_make_algebra_rejects_bad_entries():
         make_algebra(2, [(0, 0, 2, 1)])
     with pytest.raises(DuplicateEntryError):
         make_algebra(2, [(0, 0, 0, 1), (0, 0, 0, 2)])
+    # a zero entry is still an entry
+    with pytest.raises(DuplicateEntryError):
+        make_algebra(2, [(0, 0, 0, 0), (0, 0, 0, 1)])
+    with pytest.raises(IndexError):
+        make_algebra(2, [(0, 2, 0, 0)])
     with pytest.raises(ValueError):
         make_algebra(0, [])
+
+
+def _stored_form_cases():
+    from genalgebras import mixed_denominator_algebra
+
+    rng = random.Random(29)
+    return [("M3", matrix_algebra(3))] + [
+        (f"mixed{n}", mixed_denominator_algebra(rng, n, (1, 2, 3, 7, 12))) for n in (1, 2, 3, 4)
+    ]
+
+
+def _same_algebra(a, b):
+    assert a == b and hash(a) == hash(b)
+    assert repr(a.sparse_rows) == repr(b.sparse_rows)
+    assert algebra_to_dict(a) == algebra_to_dict(b)
+    assert algebra_content_hash(a) == algebra_content_hash(b)
+
+
+@pytest.mark.parametrize("name, a", _stored_form_cases())
+def test_sparse_rows_are_the_stored_form(name, a):
+    for row in a.sparse_rows:
+        for entries in row:
+            ks = [k for k, _ in entries]
+            assert ks == sorted(set(ks)) and all(c != 0 for _, c in entries)
+    # every slot given once, shuffled, the zero ones in three spellings
+    rng = random.Random(name)
+    zeros = (0, Fraction(0), "0/7")
+    entries = [
+        (i, j, k, c if c != 0 else rng.choice(zeros))
+        for i in range(a.dim) for j in range(a.dim) for k, c in enumerate(a.sc[i][j])
+    ]
+    rng.shuffle(entries)
+    _same_algebra(make_algebra(a.dim, entries, a.basis_labels), a)
+    _same_algebra(algebra_from_products(a.dim, a.sc, a.basis_labels), a)
+    i, j, k, _ = entries[0]
+    bumped = [(i, j, k, a.sc[i][j][k] + 1)] + entries[1:]
+    assert make_algebra(a.dim, bumped) != a
+
+
+@pytest.mark.parametrize("name, a", _stored_form_cases())
+def test_basis_products_read_the_dense_view(name, a):
+    sc = a.sc
+    for i, j in product(range(a.dim), repeat=2):
+        assert repr(a.basis_product(i, j).coords) == repr(sc[i][j])
 
 
 def test_matrix_algebra_delta_rule():

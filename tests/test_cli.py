@@ -193,6 +193,26 @@ def test_search_element_univariate(capsys):
     assert "(1, 0, 0, 0)" in out
 
 
+def test_search_element_quad_params(tmp_path, capsys):
+    """--quad-param binds as a label's arguments do: k=v pairs, across repeated
+    flags too, or positional.  scaled(0) and rb_weighted(0,0) are nilpotent2;
+    bad bindings are cases of test_bad_spec_value_exits_2."""
+    grid = ("--grid", str(DATA / "examples" / "grid_f9.json"))
+    unit = tmp_path / "unit.json"
+    unit.write_text('{"dim": 4, "coords": ["1", "0", "0", "1"]}', encoding="utf-8")
+    code, want, _ = run(capsys, *_SEARCH_F9, "--quad", "nilpotent2", *grid)
+    assert code == 0 and "found 3 element(s)" in want
+    for quad in (
+        ("scaled", "--quad-param", "gamma=0"),
+        ("scaled", "--quad-param", "0"),
+        ("rb_weighted", "--quad-param", "lam=0", "--quad-param", "beta=0", "--unit", str(unit)),
+        ("rb_weighted", "--quad-param", "beta=0,lam=0", "--unit", str(unit)),
+    ):
+        code, out, _ = run(capsys, *_SEARCH_F9, "--quad", *quad, *grid)
+        assert code == 0
+        assert out.splitlines()[1:] == want.splitlines()[1:]
+
+
 def test_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
@@ -240,6 +260,13 @@ _SEARCH_F9 = (
     ("derive", "--algebra", str(DATA / "fixtures" / "F7.algebra.json"),
      "--operator", str(DATA / "fixtures" / "F7.operator.json"),
      "--construction", "novikov_affine", "--out", "unwritten.json"),
+    *(_SEARCH_F9 + ("--quad", *quad, "--grid", str(DATA / "examples" / "grid_f9.json"))
+      for quad in [("scaled",),
+                   ("scaled", "--quad-param", "gamma=0", "--quad-param", "gamma=1"),
+                   ("scaled", "--quad-param", "gamma=0,0"),
+                   ("scaled", "--quad-param", "gamma=x"),
+                   ("rb_weighted", "--quad-param", "lam=0,beta=0"),
+                   ("idempotent", "--quad-param", "1")]),
 ])
 def test_bad_spec_value_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)

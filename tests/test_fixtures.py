@@ -120,7 +120,13 @@ def test_run_row_algebra_outside_plan(label):
         verify_fixture("F9", expectations=[ExpectedRow(label, True)])
 
 
-@pytest.mark.parametrize("label", ["custom:null_product", "custom:lin_dim(stabilize)"])
+@pytest.mark.parametrize("label", [
+    "custom:null_product",
+    "custom:lin_dim(stabilize)",
+    # a dimension that is not an integer
+    "custom:lin_dim(stabilize,zz)",
+    "custom:lin_dim(stabilize,1/2)",
+])
 def test_run_row_custom_argument_count(label):
     with pytest.raises(NonassocError):
         run_row(materialize(load_fixture("F9")), label)
