@@ -15,6 +15,7 @@ workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -25,6 +26,7 @@ from .errors import (
 )
 from .linalg import SpanSolver
 from .scalars import Scalar, as_scalar, canonical
+from .symmetry import Automorphisms
 from .verdicts import Verdict
 
 
@@ -126,6 +128,11 @@ class Algebra:
             tuple(self.basis_product(i, j).coords for j in range(self.dim))
             for i in range(self.dim)
         )
+
+    @cached_property
+    def automorphisms(self) -> Automorphisms:
+        """The basis permutations that preserve the constants, searched for once."""
+        return Automorphisms(self.dim, self.sparse_rows)
 
     def basis_product(self, i: int, j: int) -> Element:
         coords = [0] * self.dim

@@ -13,6 +13,7 @@ treat derived and primary algebras uniformly; provenance is recorded in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Optional
 
 from .algebra import Algebra, algebra_from_products, make_algebra
@@ -96,8 +97,10 @@ def derive(
     sched = _SCHEDULES[spec.name]
     params = {name: getattr(spec, name) for name in cons.params}
     basis = source.basis()
+    # R is applied once per distinct element, so once per basis vector for R(x), R(y)
+    apply = None if operator is None else cache(operator.apply)
     products = [
-        [_eval_word_elements(source, sched, (x, y), operator, params)[0].coords for y in basis]
+        [_eval_word_elements(source, sched, (x, y), apply, params)[0].coords for y in basis]
         for x in basis
     ]
     from .serial import algebra_content_hash, operator_content_hash

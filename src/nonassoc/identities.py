@@ -19,6 +19,22 @@ the same D^(m-1) and equality is unchanged; a witness is scaled back.
 Random corroboration runs the raw words through the same int kernel at
 elements kept doubled, so both sides carry 2^m D^(m-1), compared exactly.
 
+Symmetry cuts the loop.  A basis permutation g with c[g i][g j][g k] =
+c[i][j][k] is an automorphism, so the polarized form vanishes at a tuple t
+iff it vanishes at g(t), and, being symmetric within each group of slots
+split from one variable, iff it vanishes at sort(g(t)), each group sorted.
+The loop therefore checks only the lex-min tuple of each orbit of
+G x (slot symmetry), G the group of ``symmetry``: a pass on every
+representative is a proof.  Every failing tuple's orbit has a representative
+no later than itself, and that representative fails, so the first failing
+representative is the lexicographically first failing tuple and witnesses
+are unchanged.  The group is searched for once per algebra, and used for a
+plan only when its tuple count prod C(n+d-1, d) exceeds ``_TUPLES_PER_UNIT``
+times (n + the number of nonzero constants), as the search costs about
+that many tuples' worth of the plain loop per index or constant, and only
+when the group has no more elements than the plan has tuples.  Operator words keep the plain loop,
+since an automorphism of the product need not commute with R.
+
 Words may also apply a linear operator: the node ``("R", w)`` is R(w).  The
 operator identities of ``operators`` (derivation, Rota-Baxter, ...) are
 signed sums of such words, linear in each variable, and run through the same
@@ -34,9 +50,9 @@ D^(m-1).
 
 The derived products of ``constructions`` are words in the same language,
 signed sums in x and y.  One element-level evaluator, ``_eval_word_elements``,
-walks their compiled schedules in exact rationals, applying R through the
-operator's ``apply``, and gives a derived product at each pair of basis
-vectors.
+walks their compiled schedules in exact rationals, applying R through a
+given function (the operator's ``apply``, remembered per element), and gives
+a derived product at each pair of basis vectors.
 """
 from __future__ import annotations
 
@@ -44,7 +60,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm, prod
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, Element
@@ -399,34 +415,85 @@ def _failure(indices, inputs, lhs, rhs, vals, dim: int, scale: int) -> Verdict:
     return Verdict.fail(Witness(indices, inputs, *sides))
 
 
-def _basis_verdict(a: Algebra, sched: _Schedule, rows, lhs, rhs, scale: int) -> Verdict:
+def _basis_verdict(a: Algebra, sched: _Schedule, rows, lhs, rhs, scale: int,
+                   group: Sequence[tuple] = ()) -> Verdict:
     """Check the weighted roots on basis tuples, stopping at the first failure.
 
     Tuples run in lexicographic order, non-decreasing within each symmetry
-    group.  ``rows`` are the int structure constants, each row extended by
-    R's column when the words apply R.
+    group of slots.  ``rows`` are the int structure constants, each row
+    extended by R's column when the words apply R.
+
+    ``group`` lists the non-identity elements of a group G of basis
+    permutations that preserve the constants; only the lex-min tuple of each
+    orbit of G x (slot symmetry) is checked.  Orbit argument: an automorphism
+    g maps the words' value at t to their value at g(t), and the polarized
+    form is symmetric within each slot group, so t passes iff sort(g(t))
+    does, sort ordering each slot group; a pass on every representative is a
+    proof.  Witness argument: a failing tuple's representative fails and
+    comes no later, so the first failing representative is the first failing
+    tuple, as without G.  Cost rule: ``check_identity`` passes G only for a
+    plan with more than ``_TUPLES_PER_UNIT`` tuples per basis index or
+    nonzero constant, and no more elements than tuples; ``check_words``
+    never does, as an automorphism need not commute with R.
+
+    A prefix is pruned when some g maps it, sorted within its slot groups, to
+    a lex-smaller prefix: every tuple below it then has a smaller image.  Kept
+    alive below a prefix are the g whose sorted image equals it on every
+    completed slot group, since a larger image there stays larger below.
+    Inside an unfinished slot group a larger sorted image can still become
+    smaller, so there no g is dropped.  At a full tuple the alive g are then
+    exactly the ones that could map it lower, and the test is exact.  With G
+    trivial (``group`` empty) this is the plain loop.
     """
     signed = lhs + tuple((-w, n) for w, n in rhs)
-    dim, last = a.dim, len(sched.tied) - 1
+    dim, tied = a.dim, sched.tied
+    last = len(tied) - 1
+    start = [0] * len(tied)  # first slot of each slot's group
+    for d in range(1, len(tied)):
+        start[d] = start[d - 1] if tied[d] else d
     vals: list = [None] * sched.size
     if sched.phantom is not None:
         vals[sched.phantom] = {dim: 1}
-    tup = [0] * len(sched.tied)
+    tup = [0] * len(tied)
 
-    def loop(d: int) -> bool:
+    def survivors(d: int, alive):
+        """The elements alive below the prefix ``tup[:d + 1]``, or None to prune it."""
+        run = tup[start[d]:d + 1]
+        closed = d == last or not tied[d + 1]
+        kept = []
+        for g in alive:
+            image = sorted([g[x] for x in run])
+            if image < run:
+                return None
+            if image == run or not closed:
+                kept.append(g)
+        return kept
+
+    def loop(d: int, alive) -> bool:
         """Run slot ``d`` and the slots after it; True at the first failure."""
-        for i in range(tup[d - 1] if sched.tied[d] else 0, dim):
+        for i in range(tup[d - 1] if tied[d] else 0, dim):
             tup[d] = i
+            below = alive and survivors(d, alive)
+            if below is None:
+                continue
             vals[d] = {i: 1}
             _products(rows, sched.steps[d], vals)
-            if loop(d + 1) if d < last else any(_signed_sum(signed, vals).values()):
+            if loop(d + 1, below) if d < last else any(_signed_sum(signed, vals).values()):
                 return True
         return False
 
-    if not loop(0):
+    if not loop(0, tuple(group)):
         return Verdict.ok()
     inputs = tuple(a.basis_vector(i) for i in tup)
     return _failure(tuple(tup), inputs, lhs, rhs, vals, dim, scale)
+
+
+# Tuples per basis index or nonzero constant above which a plan uses the
+# group.  Measured on M4, M5 and commutator(M5) in shuffled matrix-unit bases
+# (x86-64, Python 3.11), the search costs 30-45 us per index or constant and
+# the plain loop 2-11 us per tuple, a ratio of 3 to 23; at 16 a plan's plain
+# loop costs about as much as the whole search or more.
+_TUPLES_PER_UNIT = 16
 
 
 def check_identity(a: Algebra, name: str) -> Verdict:
@@ -436,11 +503,17 @@ def check_identity(a: Algebra, name: str) -> Verdict:
     through their polarized multilinear form.  A failing verdict carries
     the lexicographically first failing basis tuple: tuples run non-decreasing
     within each symmetry group, where the polarized form is symmetric.
+    A plan with more than ``_TUPLES_PER_UNIT`` tuples per basis index or
+    nonzero constant checks one tuple per orbit of the constants'
+    automorphisms (see ``_basis_verdict``).
     """
-    polarized_plan(name)
+    plan = polarized_plan(name)
     sched = _SCHEDULE_CACHE[name]
     rows, denom = _integer_rows(a)
-    return _basis_verdict(a, sched, rows, *_weighted(sched, denom))
+    tuples = prod(comb(a.dim + d - 1, d) for d in plan.identity.multidegree)
+    size = a.dim + sum(len(e) for row in rows for e in row)
+    group = a.automorphisms.elements(tuples) if tuples > _TUPLES_PER_UNIT * size else ()
+    return _basis_verdict(a, sched, rows, *_weighted(sched, denom), group)
 
 
 def check_words(
@@ -469,9 +542,10 @@ def _raw_schedule(name: str) -> _Schedule:
     return _RAW_SCHEDULE_CACHE[name]
 
 
-def _eval_word_elements(a: Algebra, sched: _Schedule, elems: Sequence[Element], r=None,
+def _eval_word_elements(a: Algebra, sched: _Schedule, elems: Sequence[Element],
+                        apply: Optional[Callable] = None,
                         params: Mapping = {}) -> tuple[Element, Element]:
-    """The lhs and rhs of the compiled words at ``elems``, R being the operator ``r``.
+    """The lhs and rhs of the compiled words at ``elems``, R being ``apply``.
 
     Each subword is one node of the schedule, evaluated once however many
     words share it.  A coefficient is an int, a Fraction or a name looked up
@@ -480,7 +554,7 @@ def _eval_word_elements(a: Algebra, sched: _Schedule, elems: Sequence[Element], 
     vals = [*elems, *[None] * (sched.size - len(elems))]
     for n, left, right in itertools.chain.from_iterable(sched.steps):
         if right == sched.phantom:
-            vals[n] = r.apply(vals[left])
+            vals[n] = apply(vals[left])
         else:
             vals[n] = a.product(vals[left], vals[right])
 

@@ -165,8 +165,10 @@ def _load_json(path) -> dict:
             return json.load(f)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path} nests too deeply: {exc}") from exc
 
 
 def _dump_json(obj: dict, path) -> None:

@@ -316,13 +316,17 @@ _PROPS_F9_FROM_U = (
      '{"dim": 2, "labels": "ab", "sc": []}'),
     (("check", "--identity", "jacobi", "--algebra"), "a.json",
      '{"dim": 2, "labels": [1, 2], "sc": []}'),
+    (("check", "--identity", "jacobi", "--algebra"), "a.json",
+     b'{"dim": 2, "labels": ["\xff", "b"], "sc": []}'),
+    (("check", "--identity", "jacobi", "--algebra"), "a.json",
+     "[" * 100_000 + "]" * 100_000),
 ], ids=["float_index", "float_dim", "bool_index", "operator_float_dim",
         "operator_matrix_not_a_list", "embedding_basis_not_a_list",
         "element_coords_not_a_list", "element_float_dim", "grid_points_not_a_list",
-        "labels_a_string", "labels_not_strings"])
+        "labels_a_string", "labels_not_strings", "not_utf8", "nested_100000_deep"])
 def test_malformed_file_field_exits_2(tmp_path, capsys, argv, name, content):
     bad = tmp_path / name
-    bad.write_text(content, encoding="utf-8")
+    bad.write_bytes(content if type(content) is bytes else content.encode("utf-8"))
     code, _, err = run(capsys, *argv, str(bad))
     assert code == 2
     assert err.startswith("error:")

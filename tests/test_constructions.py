@@ -298,6 +298,24 @@ def test_derive_matches_oracle_on_fixture_algebras(all_materialized):
     assert count == 29 * 2 * (12 + 2 * 2 + len(_A_VALUES))
 
 
+def test_derive_applies_r_once_per_distinct_element(monkeypatch, all_materialized):
+    """R(x) and R(y) cost one ``apply`` per basis vector, and R(x·y) one per
+    distinct product, per ``derive`` call."""
+    calls = []
+    original = LinearOperator.apply
+    monkeypatch.setattr(LinearOperator, "apply", lambda r, x: calls.append(x) or original(r, x))
+    m = all_materialized["F2"]
+    a = m.algebras["A"]
+    products = {a.product(x, y) for x in a.basis() for y in a.basis()}
+    for name, cons in CATALOG.items():
+        if not cons.needs_operator:
+            continue
+        calls.clear()
+        derive(a, m.operator, construction(name, *(("1/2",) if cons.params else ())))
+        assert len(calls) == len(set(calls)), name
+        assert set(calls) == (products if name == "flexible_avg" else set(a.basis())), name
+
+
 _BIG = (2, 3, 7, 12, 2**31 - 1, 2**61 - 1)
 
 

@@ -1,0 +1,237 @@
+"""Basis-permutation automorphisms and the orbit-reduced basis-tuple loop.
+
+Every permutation the search returns is checked against the dense ``sc``
+view by brute force; the loop's visited tuples are checked against the
+brute-force lex-min orbit representatives; and its verdicts and witnesses
+against a plain loop over all non-decreasing basis tuples, evaluated in
+rationals.
+"""
+import itertools
+import math
+import random
+
+import pytest
+
+from nonassoc import identities, symmetry
+from nonassoc.algebra import induce_subalgebra, make_algebra, matrix_algebra
+from nonassoc.constructions import construction, derive, hadamard_algebra
+from nonassoc.identities import IDENTITY_NAMES, check_identity, polarized_plan
+from nonassoc.verdicts import Verdict, Witness
+from test_identities import polarized_sides
+
+
+def shuffled_matrix_algebra(n, seed):
+    """M_n in its matrix-unit basis, listed in a seeded order."""
+    m = matrix_algebra(n)
+    order = list(range(m.dim))
+    random.Random(seed).shuffle(order)
+    return induce_subalgebra(m, [m.basis_vector(i) for i in order])[0]
+
+
+def commutator(a):
+    return derive(a, None, construction("commutator"))
+
+
+def is_automorphism(a, g):
+    """Oracle: c[g i][g j][g k] == c[i][j][k] for every i, j, k of the dense view."""
+    sc, n = a.sc, a.dim
+    return sorted(g) == list(range(n)) and all(
+        sc[g[i]][g[j]][g[k]] == sc[i][j][k]
+        for i in range(n) for j in range(n) for k in range(n)
+    )
+
+
+def group_of(a):
+    """The identity and every element of the group the search found."""
+    return (tuple(range(a.dim)),) + a.automorphisms.elements(math.factorial(a.dim))
+
+
+def canonical_tuples(dim, name):
+    """The basis tuples non-decreasing within each slot group, in lex order."""
+    degrees = identities.get_identity(name).multidegree
+    runs = [itertools.combinations_with_replacement(range(dim), d) for d in degrees]
+    return [sum(parts, ()) for parts in itertools.product(*runs)]
+
+
+def sorted_image(g, t, degrees):
+    out, at = [], 0
+    for d in degrees:
+        out += sorted(g[x] for x in t[at:at + d])
+        at += d
+    return tuple(out)
+
+
+def plain_verdict(a, name):
+    """Oracle: the polarized words at every non-decreasing basis tuple, in lex order,
+    each product a sum over ``sparse_rows`` in rationals; the witness's sides
+    come from ``polarized_sides``."""
+    plan = polarized_plan(name)
+    rows = a.sparse_rows
+
+    def side(words, t):
+        def value(word):
+            if isinstance(word, int):
+                return {t[word]: 1}
+            out = {}
+            for x, u in value(word[0]).items():
+                for y, w in value(word[1]).items():
+                    for k, c in rows[x][y]:
+                        out[k] = out.get(k, 0) + u * w * c
+            return out
+
+        acc = {}
+        for sign, word in words:
+            for k, v in value(word).items():
+                acc[k] = acc.get(k, 0) + sign * v
+        return {k: v for k, v in acc.items() if v}
+
+    for t in canonical_tuples(a.dim, name):
+        if side(plan.lhs, t) != side(plan.rhs, t):
+            lhs, rhs = polarized_sides(a, name, t)
+            return Verdict.fail(Witness(t, tuple(a.basis_vector(i) for i in t), lhs, rhs))
+    return Verdict.ok()
+
+
+@pytest.fixture
+def always_use_group(monkeypatch):
+    """Take the orbit-reduced path for every plan, whatever its size."""
+    monkeypatch.setattr(identities, "_TUPLES_PER_UNIT", 0)
+
+
+@pytest.fixture
+def visited(monkeypatch):
+    """Records, in ``tuples``, the first ``slots`` indices of each basis tuple at
+    which the loop compares the two sides, in order."""
+    seen = {"slots": 0, "tuples": []}
+    original = identities._signed_sum
+
+    def record(roots, vals):
+        t = tuple(next(iter(vals[s])) for s in range(seen["slots"]))
+        if not seen["tuples"] or seen["tuples"][-1] != t:  # a witness's sides sum again
+            seen["tuples"].append(t)
+        return original(roots, vals)
+
+    monkeypatch.setattr(identities, "_signed_sum", record)
+    return seen
+
+
+@pytest.mark.parametrize("n, seed", [(2, 1), (3, 2), (4, 3), (4, 4)])
+def test_matrix_units_have_symmetric_group(n, seed):
+    a = shuffled_matrix_algebra(n, seed)
+    group = group_of(a)
+    assert len(set(group)) == math.factorial(n)
+    assert all(is_automorphism(a, g) for g in a.automorphisms.generators + group)
+
+
+def test_commutator_m3_has_symmetric_group():
+    c = commutator(shuffled_matrix_algebra(3, 5))
+    group = group_of(c)
+    assert len(set(group)) == 6
+    assert all(is_automorphism(c, g) for g in c.automorphisms.generators + group)
+
+
+def test_every_found_permutation_is_an_automorphism(all_materialized):
+    """Any group found is sound, also where it is trivial or partial."""
+    from genalgebras import mixed_denominator_algebra
+
+    algebras = [a for m in all_materialized.values() for a in m.algebras.values()]
+    algebras += [mixed_denominator_algebra(random.Random(s), 3, (1, 2, 3)) for s in range(4)]
+    algebras += [make_algebra(4, []), hadamard_algebra(2, 2), commutator(matrix_algebra(2))]
+    for a in algebras:
+        for g in a.automorphisms.generators + group_of(a):
+            assert is_automorphism(a, g)
+
+
+def test_close_stops_at_its_limit():
+    gens = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]  # S_5
+    assert len(symmetry.close(gens, 5, 120)) == 119
+    assert symmetry.close(gens, 5, 119) is None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_algebra(25, []),
+    lambda: hadamard_algebra(3, 3),
+    lambda: hadamard_algebra(5, 5),
+], ids=["null25", "hadamard33", "hadamard55"])
+def test_symmetric_group_of_the_basis_is_never_materialized(monkeypatch, make):
+    """G = S_dim here: it is never closed, and the verdicts are the plain ones."""
+    closed = []
+    original = symmetry.close
+
+    def bounded(gens, dim, limit):
+        out = original(gens, dim, limit)
+        closed.append((limit, out))
+        return out
+
+    monkeypatch.setattr(symmetry, "close", bounded)
+    a = make()
+    # a null algebra passes everything; Hadamard is commutative and associative
+    fails = ("antisymmetry", "jacobi", "left_leibniz") if a.sparse_rows[0][0] else ()
+    for name in IDENTITY_NAMES:
+        verdict = check_identity(a, name)
+        if a.dim <= 9 or name in fails:
+            assert repr(verdict) == repr(plain_verdict(a, name))
+        else:  # the plain oracle would take minutes here
+            assert verdict.passed
+    assert a.automorphisms.order_bound == math.factorial(a.dim)
+    assert all(out is None or len(out) < limit for limit, out in closed)
+    assert a.automorphisms._elements is None
+
+
+@pytest.mark.parametrize("label", ["M3", "commutator(M3)"])
+@pytest.mark.parametrize("name", IDENTITY_NAMES)
+def test_visited_tuples_are_the_lex_min_representatives(always_use_group, visited, label, name):
+    a = shuffled_matrix_algebra(3, 7)
+    if label != "M3":
+        a = commutator(a)
+    degrees = identities.get_identity(name).multidegree
+    group = group_of(a)
+    reps, total = [], 0
+    for t in canonical_tuples(a.dim, name):
+        images = {sorted_image(g, t, degrees) for g in group}
+        if min(images) == t:
+            reps.append(t)
+            total += len(images)
+    assert total == math.prod(math.comb(a.dim + d - 1, d) for d in degrees)
+    visited["slots"] = sum(degrees)
+    verdict = check_identity(a, name)
+    if verdict.passed:
+        assert visited["tuples"] == reps
+    else:
+        assert visited["tuples"] == reps[:reps.index(verdict.witness.indices) + 1]
+
+
+def _witness_algebras(all_materialized):
+    from genalgebras import mixed_denominator_algebra
+
+    out = [(f"{f}:{n}", a) for f, m in all_materialized.items() for n, a in m.algebras.items()]
+    for seed in range(6):
+        rng = random.Random(seed)
+        out.append((f"mixed{seed}", mixed_denominator_algebra(rng, rng.randint(2, 4), (1, 2, 3, 7, 12))))
+    out += [("M3", shuffled_matrix_algebra(3, 8)), ("M4", shuffled_matrix_algebra(4, 9)),
+            ("commutator(M3)", commutator(shuffled_matrix_algebra(3, 10)))]
+    return out
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["cost_rule", "always_group"])
+def test_verdicts_and_witnesses_equal_the_plain_loop(monkeypatch, all_materialized, forced):
+    if forced:
+        monkeypatch.setattr(identities, "_TUPLES_PER_UNIT", 0)
+    for label, a in _witness_algebras(all_materialized):
+        for name in IDENTITY_NAMES:
+            assert repr(check_identity(a, name)) == repr(plain_verdict(a, name)), (label, name)
+
+
+def test_cost_rule_keeps_small_algebras_on_the_plain_loop(monkeypatch, all_materialized):
+    """Fixture algebras (dim <= 6) never start a search; M4 does, for jordan_main."""
+    searched = []
+    monkeypatch.setattr(symmetry, "find_generators",
+                        lambda dim, rows: searched.append(dim) or ((), 1))
+    for m in all_materialized.values():
+        for a in m.algebras.values():
+            a.__dict__.pop("automorphisms", None)
+            for name in IDENTITY_NAMES:
+                check_identity(a, name)
+    assert searched == []
+    check_identity(shuffled_matrix_algebra(4, 11), "jordan_main")
+    assert searched == [16]
