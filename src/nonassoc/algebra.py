@@ -221,8 +221,31 @@ class Embedding:
     def residual(self, v: Element) -> Element:
         return Element(tuple(self._solver.residual(list(v.coords))))
 
-    def contains(self, v: Element) -> bool:
-        return self.residual(v).is_zero()
+    def solve_transformed(self, w: list) -> Optional[Element]:
+        """``to_sub`` of the v with T v == w, T the span solver's factor, or None."""
+        coeffs = self._solver.solve_transformed(w)
+        if coeffs is None:
+            return None
+        return Element(tuple(coeffs))
+
+    @cached_property
+    def left_table(self) -> tuple:
+        """``left_table[j][k]`` is T (e_k b_j) as (row, value) pairs, value nonzero.
+
+        T is the span solver's factor (T M == RREF of the basis columns M).
+        The product is bilinear and T linear, so for every ambient u the sum
+        of u_k left_table[j][k] over k is exactly T (u b_j): its rows past
+        the rank vanish iff u b_j lies in the span, and then its pivot rows
+        are the coordinates of u b_j.  Built once per embedding.
+        """
+        amb, transform = self.ambient, self._solver.transform
+        return tuple(
+            tuple(
+                tuple((r, canonical(s)) for r, s in enumerate(transform(p.coords)) if s)
+                for p in (amb.product(e, b) for e in amb.basis())
+            )
+            for b in self.basis
+        )
 
 
 def make_algebra(

@@ -125,7 +125,9 @@ class SpanSolver:
     of R past its rank are zero: v lies in the span iff its null rows
     ``(T @ v)[rank:]`` vanish, and the pivot rows ``(T @ v)[:rank]`` are the
     coordinates of the pivot columns (free ones are zero).  ``coordinates``
-    costs one pass over T, summed over the nonzero entries of v.
+    costs one pass over T, summed over the nonzero entries of v; a caller
+    that already holds T @ v, by linearity from T applied to other vectors,
+    passes it to ``solve_transformed``.
     """
 
     def __init__(self, columns: list[Vector]):
@@ -141,17 +143,23 @@ class SpanSolver:
     def independent(self) -> bool:
         return self.rank == len(self.columns)
 
-    def coordinates(self, v: Vector) -> Vector | None:
-        """Canonical coefficients c with span-columns @ c == v, or None if v is outside."""
+    def transform(self, v: Vector) -> Vector:
+        """T @ v, summed over the nonzero entries of v."""
         nonzero = [(j, x) for j, x in enumerate(v) if x]
-        for row in self._t[self.rank:]:
-            if sum(row[j] * x for j, x in nonzero):
-                return None
+        return [sum(row[j] * x for j, x in nonzero) for row in self._t]
+
+    def solve_transformed(self, w: Vector) -> Vector | None:
+        """The ``coordinates`` of the v with T @ v == w, or None if v is outside."""
+        if any(w[self.rank:]):
+            return None
         c = [0] * len(self.columns)
-        for pc, row in zip(self._pivots, self._t):
-            s = sum(row[j] * x for j, x in nonzero)
+        for pc, s in zip(self._pivots, w):
             c[pc] = s if type(s) is int else canonical(s)
         return c
+
+    def coordinates(self, v: Vector) -> Vector | None:
+        """Canonical coefficients c with span-columns @ c == v, or None if v is outside."""
+        return self.solve_transformed(self.transform(v))
 
     def reconstruct(self, coeffs: Vector) -> Vector:
         return [

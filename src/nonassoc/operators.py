@@ -1,14 +1,18 @@
 """Linear operators on an algebra and exact verification of operator identities.
 
 The central construction is left multiplication by a distinguished ambient
-element: R(x) = u * x, restricted to a subalgebra that u stabilizes.  Every
-named operator identity is a sum of words over {product, R}, with integer
-or parameter coefficients, linear in each element argument, so checking it
-on basis vectors/pairs is a proof, not a sample.  ``PROPERTY_KINDS`` holds
-the words; the identity engine of ``identities`` checks them in int, with
-R's columns scaled by the lcm E of their denominators and each word weighted
-so that words with different numbers of products, R nodes or rational
-coefficients compare at one scale (see that module).
+element: R(x) = u * x, restricted to a subalgebra that u stabilizes.  R is
+linear in u, so its columns come from a table the embedding builds once, with
+no ambient product or span solve per u (see ``left_multiplication_operator``).
+
+Every named operator identity is a sum of words over {product, R}, with
+integer or parameter coefficients, linear in each element argument, so
+checking it on basis vectors/pairs is a proof, not a sample.
+``PROPERTY_KINDS`` holds the words; the identity engine of ``identities``
+checks them in int, with R's columns scaled by the lcm E of their
+denominators and each word weighted so that words with different numbers of
+products, R nodes or rational coefficients compare at one scale (see that
+module).
 """
 from __future__ import annotations
 
@@ -105,14 +109,27 @@ def left_multiplication_operator(emb: Embedding, u: Element) -> LinearOperator:
 
     Each image u * (basis element) must lie in the span; otherwise the
     offending basis index and the residual are reported.
+
+    No ambient product or span solve runs per call.  Linearity: with T the
+    span solver's factor, T (u b_j) = sum over k of u_k T (e_k b_j), and
+    ``emb.left_table`` holds every T (e_k b_j).  So w_j, that sum, is T
+    applied to the image exactly; a nonzero row of w_j past the rank means
+    the image leaves the span, and otherwise its pivot rows are the
+    coordinates, made canonical as ``Embedding.to_sub`` makes them.
     """
-    if len(u.coords) != emb.ambient.dim:
+    n = emb.ambient.dim
+    if len(u.coords) != n:
         raise DimensionMismatchError("u must be an ambient element")
+    terms = [(k, uk) for k, uk in enumerate(u.coords) if uk]
     cols = []
-    for j, b in enumerate(emb.basis):
-        img = emb.ambient.product(u, b)
-        coords = emb.to_sub(img)
+    for j, table in enumerate(emb.left_table):
+        w = [0] * n
+        for k, uk in terms:
+            for r, v in table[k]:
+                w[r] += uk * v
+        coords = emb.solve_transformed(w)
         if coords is None:
+            img = emb.ambient.product(u, emb.basis[j])
             raise ImageNotInSpanError(j, tuple(emb.residual(img).coords))
         cols.append(coords)
     return LinearOperator(emb.sub_dim, tuple(cols))

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from nonassoc.identities import (
     certify_parametric,
     check_identity,
     check_identity_random,
+    _doubled_coords,
     polarized_plan,
     random_element,
 )
@@ -344,6 +346,50 @@ def test_random_element_stream_is_pinned(m3):
     assert repr(second) == (
         "Element(coords=(-2, Fraction(3, 2), Fraction(-1, 2), -6, 4, 0, 0, 2, 6))"
     )
+
+
+def randint_doubled_coords(dim, rng):
+    """Reference draw of ``_doubled_coords`` through ``randint``/``randrange``."""
+    out = {}
+    for k in range(dim):
+        num = rng.randint(-6, 6)
+        h = num if rng.randrange(4) == 0 and num % 2 else 2 * num
+        if h:
+            out[k] = h
+    return out
+
+
+def test_doubled_coords_match_randint_stream():
+    """The ``getrandbits`` draws give the reference's coordinates and leave the
+    generator where the reference leaves it."""
+    for seed in range(200):
+        for dim in (1, 3, 9, 25):
+            fast, ref = random.Random(seed), random.Random(seed)
+            assert _doubled_coords(dim, fast) == randint_doubled_coords(dim, ref)
+            assert fast.random() == ref.random()
+
+
+def test_checks_leave_no_reference_cycles(m3):
+    """A passing and a failing check (one on the orbit-reduced loop) and an
+    operator check through ``check_words`` leave nothing to the cyclic collector."""
+    from nonassoc.fixtures import load_fixture, materialize
+    from nonassoc.operators import check_operator_property, derivation
+
+    m = materialize(load_fixture("F1"))
+
+    def checks():
+        return (check_identity(m3, "jordan_main"), check_identity(m3, "jacobi"),
+                check_operator_property(m.algebras["A"], m.operator, derivation()))
+
+    checks()  # build the caches and the automorphism group first
+    gc.collect()
+    gc.disable()
+    try:
+        verdicts = checks()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert [v.passed for v in verdicts] == [True, False, False]
 
 
 def test_random_checker_seed_determinism(m3):

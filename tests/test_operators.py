@@ -6,6 +6,7 @@ import pytest
 
 from nonassoc.algebra import (
     Element,
+    Embedding,
     element_from_matrix,
     induce_subalgebra,
     make_algebra,
@@ -17,6 +18,8 @@ from nonassoc.errors import (
     ImageNotInSpanError,
     MalformedPropertyError,
 )
+from nonassoc.fixtures import list_fixtures, load_fixture, materialize
+from nonassoc.linalg import SpanSolver
 from nonassoc.operators import (
     LinearOperator,
     OperatorProperty,
@@ -324,3 +327,102 @@ def test_mixed_denominator_operators_match_oracle(dim, denominators):
             for prop in every_property(values):
                 verdict = check_operator_property(a, op, prop)
                 assert repr(verdict) == repr(oracle_verdict(a, op, prop)), prop
+
+
+def per_column_operator(emb, u):
+    """Reference operator: one ambient product and one ``to_sub`` per basis vector."""
+    cols = []
+    for j, b in enumerate(emb.basis):
+        img = emb.ambient.product(u, b)
+        coords = emb.to_sub(img)
+        if coords is None:
+            raise ImageNotInSpanError(j, tuple(emb.residual(img).coords))
+        cols.append(coords)
+    return LinearOperator(emb.sub_dim, tuple(cols))
+
+
+def assert_table_operator_matches(emb, u) -> bool:
+    """The table path gives the reference's operator (repr-equal, and mapping
+    each basis vector to its exact image) or its escape index and residual.
+    True when the operator is defined."""
+    try:
+        expected = per_column_operator(emb, u)
+    except ImageNotInSpanError as exc:
+        with pytest.raises(ImageNotInSpanError) as got:
+            left_multiplication_operator(emb, u)
+        assert got.value.basis_index == exc.basis_index
+        assert repr(got.value.residual) == repr(exc.residual)
+        return False
+    r = left_multiplication_operator(emb, u)
+    assert repr(r) == repr(expected)
+    for col, b in zip(r.columns, emb.basis):
+        assert emb.to_ambient(col) == emb.ambient.product(u, b)
+    return True
+
+
+def test_table_operator_matches_per_column_on_fixture_grids():
+    """Every grid point of every certified fixture row, every sample point, and
+    the sample u plus each ambient basis vector (several leave the span)."""
+    defined = escaped = 0
+    for name in list_fixtures():
+        bundle = load_fixture(name)
+        axes = [p.axis for p in bundle.params] if bundle.certified_rows else []
+        for combo in itertools.product(*axes):
+            m = materialize(bundle, {p.name: v for p, v in zip(bundle.params, combo)})
+            assert assert_table_operator_matches(m.embedding, m.u)
+            defined += 1
+        m = materialize(bundle)
+        assert assert_table_operator_matches(m.embedding, m.u)
+        for k in range(m.ambient.dim):
+            if assert_table_operator_matches(m.embedding, m.u + m.ambient.basis_vector(k)):
+                defined += 1
+            else:
+                escaped += 1
+    assert defined > 1956 and escaped >= 10
+
+
+@pytest.mark.parametrize("denominators", [(1, 2, 3, 7, 12), _BIG], ids=["small", "big"])
+def test_table_operator_matches_per_column_on_rational_subspaces(denominators):
+    """Mixed-denominator ambients with rational u: the Krylov subspace of
+    x -> u x, which u stabilizes, and random subspaces, which u mostly leaves,
+    with rational bases."""
+    from genalgebras import mixed_denominator_algebra
+
+    rng = random.Random(len(denominators))
+
+    def vector(n):
+        return Element(tuple(canonical(Fraction(rng.randint(-5, 5), rng.choice(denominators)))
+                             for _ in range(n)))
+
+    def independent_prefix(vectors):
+        """The vectors up to the first one that depends on those before it."""
+        basis = []
+        for v in vectors:
+            if not SpanSolver([list(b.coords) for b in basis + [v]]).independent:
+                break
+            basis.append(v)
+        return basis
+
+    defined = escaped = 0
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            a = mixed_denominator_algebra(rng, n, denominators)
+            u = vector(n)
+            krylov = [vector(n)]
+            while krylov[0].is_zero():
+                krylov = [vector(n)]
+            for _ in range(n - 1):
+                krylov.append(a.product(u, krylov[-1]))
+            stable = Embedding.build(a, independent_prefix(krylov))
+            assert assert_table_operator_matches(stable, u)
+            for basis in (independent_prefix([vector(n) for _ in range(rng.randint(1, n))]),
+                          independent_prefix([vector(n) for _ in range(n)])):
+                if not basis:
+                    continue
+                emb = Embedding.build(a, basis)
+                for w in (u, u + vector(n), Element.zero(n)):
+                    if assert_table_operator_matches(emb, w):
+                        defined += 1
+                    else:
+                        escaped += 1
+    assert defined >= 40 and escaped >= 10
