@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -133,6 +134,19 @@ class Algebra:
     def automorphisms(self) -> Automorphisms:
         """The basis permutations that preserve the constants, searched for once."""
         return Automorphisms(self.dim, self.sparse_rows)
+
+    @cached_property
+    def integer_rows(self) -> tuple[tuple, int]:
+        """``sparse_rows`` times the lcm ``D`` of their denominators, and ``D``."""
+        rows = self.sparse_rows
+        denom = lcm(*(v.denominator for row in rows for e in row for _, v in e))
+        if denom == 1:
+            return rows, 1
+        scaled = tuple(
+            tuple(tuple((k, v.numerator * (denom // v.denominator)) for k, v in e) for e in row)
+            for row in rows
+        )
+        return scaled, denom
 
     def basis_product(self, i: int, j: int) -> Element:
         coords = [0] * self.dim

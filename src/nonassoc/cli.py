@@ -25,7 +25,8 @@ from .operators import (
 )
 from .scalars import as_scalar, format_scalar
 from .search import (
-    QUAD_PARAMS,
+    LINEAR_KINDS,
+    QUAD_KINDS,
     GridStrategy,
     LinearConstraint,
     QuadraticConstraint,
@@ -300,8 +301,8 @@ def cmd_search_element(args) -> int:
     if emb.ambient != ambient:
         raise NonassocError("embedding ambient differs from --ambient algebra")
     lin = [LinearConstraint(k.strip(), emb) for k in args.lin.split(",") if k.strip()]
-    names = [n for n in QUAD_PARAMS.get(args.quad, ()) if n != "unit"]
-    qparams = fx.bind_args(args.quad, names, _spec_args(",".join(args.quad_param or [])))
+    qparams = fx.bind_args(args.quad, QUAD_KINDS[args.quad].params,
+                           _spec_args(",".join(args.quad_param or [])))
     unit = load_element(args.unit) if args.unit else None
     quad = QuadraticConstraint(args.quad, unit=unit, **qparams)
     if args.strategy == "grid":
@@ -390,11 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambient", required=True)
     p.add_argument("--embedding", required=True)
     p.add_argument("--lin", required=True,
-                   help="comma-separated: right_identity,right_annihilator,"
-                        "centralize,stabilize")
-    p.add_argument("--quad", required=True,
-                   choices=["idempotent", "skew_idempotent", "nilpotent2",
-                            "scaled", "rb_weighted"])
+                   help="comma-separated: " + ",".join(LINEAR_KINDS))
+    p.add_argument("--quad", required=True, choices=list(QUAD_KINDS))
     p.add_argument("--quad-param", dest="quad_param", action="append",
                    metavar="lam=1", help="e.g. gamma=6 or lam=1,beta=2")
     p.add_argument("--unit", help="ambient element file (rb_weighted only)")

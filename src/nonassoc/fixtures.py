@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 from .algebra import (
@@ -53,7 +54,6 @@ from .scalars import Scalar, as_scalar, canonical, exact_div
 from .search import (
     LINEAR_KINDS,
     QUAD_KINDS,
-    QUAD_PARAMS,
     LinearConstraint,
     QuadraticConstraint,
     solve_linear,
@@ -783,14 +783,14 @@ def load_fixture(name: str) -> FixtureBundle:
 # Materialization
 # ---------------------------------------------------------------------------
 
-_AMBIENT_CACHE: dict[int, Algebra] = {}
-_EMB_CACHE: dict = {}
+_ambient = cache(matrix_algebra)
 
 
-def _ambient(n: int) -> Algebra:
-    if n not in _AMBIENT_CACHE:
-        _AMBIENT_CACHE[n] = matrix_algebra(n)
-    return _AMBIENT_CACHE[n]
+@cache
+def _induced(name: str, basis_matrices: tuple, ambient_n: int) -> tuple[Algebra, Embedding]:
+    """The fixture's subalgebra and embedding for one basis, built once."""
+    basis = tuple(element_from_matrix(m) for m in basis_matrices)
+    return induce_subalgebra(_ambient(ambient_n), basis)
 
 
 def materialize(bundle: FixtureBundle, point: Optional[Mapping] = None) -> Materialized:
@@ -807,13 +807,7 @@ def materialize(bundle: FixtureBundle, point: Optional[Mapping] = None) -> Mater
             )
     ambient = _ambient(bundle.ambient_n)
     basis_matrices = bundle.basis_fn(pt)  # tuples of tuples: hashable
-    cache_key = (bundle.name, basis_matrices)
-    if cache_key in _EMB_CACHE:
-        induced, emb = _EMB_CACHE[cache_key]
-    else:
-        basis = tuple(element_from_matrix(m) for m in basis_matrices)
-        induced, emb = induce_subalgebra(ambient, basis)
-        _EMB_CACHE[cache_key] = (induced, emb)
+    induced, emb = _induced(bundle.name, basis_matrices, bundle.ambient_n)
     u = element_from_matrix(bundle.u_fn(pt))
     operator = left_multiplication_operator(emb, u)
     algebras = _PlanAlgebras(bundle.plan, induced, operator)
@@ -914,9 +908,8 @@ def operator_property(kind: str, args: list) -> OperatorProperty:
 
 
 def _quad_from_label(kind: str, args: list, ambient_n: int) -> QuadraticConstraint:
-    needs = QUAD_PARAMS.get(kind, ())
-    params = bind_args(kind, [n for n in needs if n != "unit"], args)
-    if "unit" in needs:
+    params = bind_args(kind, QUAD_KINDS[kind].params, args)
+    if QUAD_KINDS[kind].unit:
         params["unit"] = matrix_identity_element(ambient_n)
     return QuadraticConstraint(kind, **params)
 

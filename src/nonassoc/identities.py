@@ -60,6 +60,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, lcm, prod
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -243,14 +244,8 @@ def _polarize_words(words, multidegree, offsets) -> list[SignedWord]:
     return out
 
 
-_PLAN_CACHE: dict[str, PolarizedPlan] = {}
-_SCHEDULE_CACHE: dict[str, _Schedule] = {}
-_RAW_SCHEDULE_CACHE: dict[str, _Schedule] = {}
-
-
+@cache
 def polarized_plan(name: str) -> PolarizedPlan:
-    if name in _PLAN_CACHE:
-        return _PLAN_CACHE[name]
     ident = get_identity(name)
     offsets = []
     total = 0
@@ -265,7 +260,7 @@ def polarized_plan(name: str) -> PolarizedPlan:
     var_of_slot = tuple(
         v for v, d in enumerate(ident.multidegree) for _ in range(d)
     )
-    plan = PolarizedPlan(
+    return PolarizedPlan(
         ident,
         total,
         tuple(_polarize_words(ident.lhs, ident.multidegree, offsets)),
@@ -273,9 +268,13 @@ def polarized_plan(name: str) -> PolarizedPlan:
         groups,
         var_of_slot,
     )
-    _PLAN_CACHE[name] = plan
-    _SCHEDULE_CACHE[name] = _schedule(total, plan.lhs, plan.rhs, groups)
-    return plan
+
+
+@cache
+def _plan_schedule(name: str) -> _Schedule:
+    """The polarized plan's words, compiled once."""
+    plan = polarized_plan(name)
+    return _schedule(plan.slots, plan.lhs, plan.rhs, plan.groups)
 
 
 class _Schedule(NamedTuple):
@@ -336,19 +335,6 @@ def compile_words(arity: int, lhs_words, rhs_words) -> _Schedule:
 # ---------------------------------------------------------------------------
 # Staged evaluation of multilinear words at basis tuples
 # ---------------------------------------------------------------------------
-
-def _integer_rows(a: Algebra) -> tuple[tuple, int]:
-    """``a.sparse_rows`` times the lcm ``D`` of their denominators, and ``D``."""
-    rows = a.sparse_rows
-    denom = lcm(*(v.denominator for row in rows for e in row for _, v in e))
-    if denom == 1:
-        return rows, 1
-    scaled = tuple(
-        tuple(tuple((k, v.numerator * (denom // v.denominator)) for k, v in e) for e in row)
-        for row in rows
-    )
-    return scaled, denom
-
 
 def _integer_columns(columns: Sequence[Element]) -> tuple[tuple, int]:
     """Sparse ``(k, c)`` columns times the lcm ``E`` of their denominators, and ``E``."""
@@ -510,8 +496,8 @@ def check_identity(a: Algebra, name: str) -> Verdict:
     automorphisms (see ``_basis_verdict``).
     """
     plan = polarized_plan(name)
-    sched = _SCHEDULE_CACHE[name]
-    rows, denom = _integer_rows(a)
+    sched = _plan_schedule(name)
+    rows, denom = a.integer_rows
     tuples = prod(comb(a.dim + d - 1, d) for d in plan.identity.multidegree)
     size = a.dim + sum(len(e) for row in rows for e in row)
     group = a.automorphisms.elements(tuples) if tuples > _TUPLES_PER_UNIT * size else ()
@@ -526,7 +512,7 @@ def check_words(
     ``params`` gives the coefficients named in the words.  A failing verdict
     carries the lexicographically first failing basis tuple.
     """
-    rows, denom = _integer_rows(a)
+    rows, denom = a.integer_rows
     cols, rdenom = _integer_columns(columns)
     rows = tuple(row + (col,) for row, col in zip(rows, cols))
     return _basis_verdict(a, sched, rows, *_weighted(sched, denom, rdenom, params))
@@ -536,12 +522,11 @@ def check_words(
 # Raw identity words, and element-level evaluation of derived products
 # ---------------------------------------------------------------------------
 
+@cache
 def _raw_schedule(name: str) -> _Schedule:
     """The identity's own words (not polarized), compiled once."""
-    if name not in _RAW_SCHEDULE_CACHE:
-        ident = get_identity(name)
-        _RAW_SCHEDULE_CACHE[name] = _schedule(len(ident.variables), ident.lhs, ident.rhs)
-    return _RAW_SCHEDULE_CACHE[name]
+    ident = get_identity(name)
+    return _schedule(len(ident.variables), ident.lhs, ident.rhs)
 
 
 def _eval_word_elements(a: Algebra, sched: _Schedule, elems: Sequence[Element],
@@ -618,7 +603,7 @@ def check_identity_random(a: Algebra, name: str, trials: int, seed: int) -> Verd
     arity = len(ident.variables)
     sched = _raw_schedule(name)
     steps = sum(sched.steps, ())
-    rows, denom = _integer_rows(a)
+    rows, denom = a.integer_rows
     lhs, rhs, scale = _weighted(sched, denom)
     signed = lhs + tuple((-w, n) for w, n in rhs)
     dim = a.dim

@@ -168,10 +168,14 @@ class SpanSolver:
         ]
 
     def residual(self, v: Vector) -> Vector:
-        """v minus its best reconstruction; zero iff v lies in the span."""
-        w = mat_vec(self._t, v)
+        """v minus its best reconstruction; zero iff v lies in the span.
+
+        Zeros straight away when the null rows of T @ v vanish."""
+        w = self.transform(v)
+        if not any(w[self.rank:]):
+            return [0] * self.ambient_dim
         c = [0] * len(self.columns)
-        for row_idx, pc in enumerate(self._pivots):
-            c[pc] = w[row_idx]
+        for pc, s in zip(self._pivots, w):
+            c[pc] = s
         rec = self.reconstruct(c)
         return [canonical(a - b) for a, b in zip(v, rec)]

@@ -1,9 +1,19 @@
 """Search for distinguished ambient elements u.
 
-The side conditions (right identity, right annihilator, centralizing,
-stabilizing) are linear in u and are solved exactly as one big rational
-system, yielding an affine solution space.  The quadratic condition
-(u^2 = u, -u, 0, gamma u, or -lam u - beta unit) is then resolved either by
+Every condition on u is defined once, as a table row that both the solver
+and the checker read.
+
+The linear side conditions (right identity, right annihilator, centralizing,
+stabilizing) are rows of ``LINEAR_SIDES``: for each subalgebra basis element
+b, two sides at u that must be equal.  Each side is affine in u (the product
+is bilinear, the span residual linear, b constant), so lhs - rhs = A u + d
+with d = (lhs - rhs)(0) and column j of A equal to (lhs - rhs)(e_j) - d.
+``solve_linear`` evaluates the rows at 0 and at each basis vector and solves
+A u = -d exactly, as one big rational system, for an affine solution space;
+``verify_element`` evaluates the same rows at a concrete u.
+
+The quadratic condition u^2 = a u + c unit is a row of ``QUAD_KINDS`` (u^2 =
+u, -u, 0, gamma u, or -lam u - beta unit).  It is resolved either by
 substituting explicit grid points into the affine parametrization, or by
 pinning all but one parameter and solving the remaining single-variable
 quadratic over Q.  Irrational roots are reported existentially, never as
@@ -12,7 +22,7 @@ approximate values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, Element, Embedding
 from .errors import MalformedPropertyError, SearchStrategyError
@@ -20,10 +30,15 @@ from .linalg import solve_affine
 from .scalars import Scalar, as_scalar, canonical, exact_div, format_scalar, rational_sqrt
 from .verdicts import Verdict, Witness
 
-LINEAR_KINDS = ("right_identity", "right_annihilator", "centralize", "stabilize")
-QUAD_KINDS = ("idempotent", "skew_idempotent", "nilpotent2", "rb_weighted", "scaled")
-# The fields each quadratic kind requires, in label argument order.
-QUAD_PARAMS = {"rb_weighted": ("lam", "beta", "unit"), "scaled": ("gamma",)}
+# kind -> the two sides at (ambient, embedding, b, u), for each subalgebra
+# basis element b; each side is affine in u.
+LINEAR_SIDES: dict[str, Callable] = {
+    "right_identity": lambda amb, emb, b, u: (amb.product(b, u), b),
+    "right_annihilator": lambda amb, emb, b, u: (amb.product(b, u), amb.zero()),
+    "centralize": lambda amb, emb, b, u: (amb.product(b, u), amb.product(u, b)),
+    "stabilize": lambda amb, emb, b, u: (emb.residual(amb.product(u, b)), amb.zero()),
+}
+LINEAR_KINDS = tuple(LINEAR_SIDES)
 
 
 @dataclass(frozen=True)
@@ -42,6 +57,24 @@ class LinearConstraint:
     def __post_init__(self):
         if self.kind not in LINEAR_KINDS:
             raise MalformedPropertyError(f"unknown linear constraint {self.kind!r}")
+
+
+class QuadKind(NamedTuple):
+    """A quadratic condition u^2 = a u + c unit: the parameters of its label,
+    whether it takes an ambient ``unit``, and (a, c) of a constraint."""
+
+    params: tuple[str, ...]
+    unit: bool
+    coefficients: Callable
+
+
+QUAD_KINDS: dict[str, QuadKind] = {
+    "idempotent": QuadKind((), False, lambda q: (1, 0)),
+    "skew_idempotent": QuadKind((), False, lambda q: (-1, 0)),
+    "nilpotent2": QuadKind((), False, lambda q: (0, 0)),
+    "scaled": QuadKind(("gamma",), False, lambda q: (q.gamma, 0)),
+    "rb_weighted": QuadKind(("lam", "beta"), True, lambda q: (-q.lam, -q.beta)),
+}
 
 
 @dataclass(frozen=True)
@@ -64,7 +97,8 @@ class QuadraticConstraint:
     def __post_init__(self):
         if self.kind not in QUAD_KINDS:
             raise MalformedPropertyError(f"unknown quadratic constraint {self.kind!r}")
-        needs = QUAD_PARAMS.get(self.kind, ())
+        kind = QUAD_KINDS[self.kind]
+        needs = kind.params + (("unit",) if kind.unit else ())
         for name in ("lam", "beta", "gamma", "unit"):
             value = getattr(self, name)
             if name in needs and value is None:
@@ -73,28 +107,21 @@ class QuadraticConstraint:
                 raise MalformedPropertyError(f"{self.kind} takes no {name}")
 
     def label(self) -> str:
-        if self.kind == "scaled":
-            return f"scaled({format_scalar(self.gamma)})"
-        if self.kind == "rb_weighted":
-            return f"rb_weighted({format_scalar(self.lam)},{format_scalar(self.beta)})"
-        return self.kind
+        params = QUAD_KINDS[self.kind].params
+        if not params:
+            return self.kind
+        return f"{self.kind}({','.join(format_scalar(getattr(self, n)) for n in params)})"
 
     def linear_part(self, u: Element) -> Element:
         """L(u) with the residual written as u^2 + L(u) + K."""
-        if self.kind == "idempotent":
-            return -u
-        if self.kind == "skew_idempotent":
-            return u
-        if self.kind == "nilpotent2":
-            return 0 * u
-        if self.kind == "scaled":
-            return (-self.gamma) * u
-        return self.lam * u
+        a, _ = QUAD_KINDS[self.kind].coefficients(self)
+        return (-a) * u
 
     def constant_part(self, dim: int) -> Element:
-        if self.kind == "rb_weighted":
-            return self.beta * self.unit
-        return Element.zero(dim)
+        if self.unit is None:
+            return Element.zero(dim)
+        _, c = QUAD_KINDS[self.kind].coefficients(self)
+        return (-c) * self.unit
 
     def residual(self, ambient: Algebra, u: Element) -> Element:
         """u^2 + L(u) + K; zero iff the constraint holds."""
@@ -159,63 +186,31 @@ class AffineSpace:
         return acc
 
 
-def _left_mul_columns(ambient: Algebra, x: Element) -> list[list[Scalar]]:
-    """Columns of u -> x*u as a matrix in the ambient coordinates of u."""
-    return [
-        list(ambient.product(x, ambient.basis_vector(j)).coords)
-        for j in range(ambient.dim)
-    ]
-
-
-def _right_mul_columns(ambient: Algebra, x: Element) -> list[list[Scalar]]:
-    """Columns of u -> u*x."""
-    return [
-        list(ambient.product(ambient.basis_vector(j), x).coords)
-        for j in range(ambient.dim)
-    ]
+def _difference(ambient: Algebra, c: LinearConstraint, b: Element, u: Element) -> Element:
+    """lhs - rhs of constraint ``c`` at basis element ``b`` and ambient ``u``."""
+    lhs, rhs = LINEAR_SIDES[c.kind](ambient, c.embedding, b, u)
+    return lhs - rhs
 
 
 def solve_linear(ambient: Algebra, constraints: Sequence[LinearConstraint]) -> AffineSpace:
-    """The full affine space of u satisfying every linear constraint."""
+    """The full affine space of u satisfying every linear constraint.
+
+    One block A u = -d per constraint and basis element b; see the module docstring."""
     if not constraints:
         raise MalformedPropertyError("at least one linear constraint is required")
     for c in constraints:
         if c.embedding.ambient != ambient:
             raise MalformedPropertyError("constraint embedding does not live in ambient")
     n = ambient.dim
+    units = ambient.basis()
     rows: list[list[Scalar]] = []
     rhs: list[Scalar] = []
     for c in constraints:
         for b in c.embedding.basis:
-            if c.kind == "right_identity":
-                cols = _left_mul_columns(ambient, b)
-                for k in range(n):
-                    rows.append([cols[j][k] for j in range(n)])
-                    rhs.append(b.coords[k])
-            elif c.kind == "right_annihilator":
-                cols = _left_mul_columns(ambient, b)
-                for k in range(n):
-                    rows.append([cols[j][k] for j in range(n)])
-                    rhs.append(0)
-            elif c.kind == "centralize":
-                left = _left_mul_columns(ambient, b)
-                right = _right_mul_columns(ambient, b)
-                for k in range(n):
-                    rows.append(
-                        [canonical(left[j][k] - right[j][k]) for j in range(n)]
-                    )
-                    rhs.append(0)
-            else:  # stabilize: residual(u * b) == 0
-                cols = _right_mul_columns(ambient, b)
-                res_cols = [
-                    list(
-                        c.embedding.residual(Element(tuple(cols[j]))).coords
-                    )
-                    for j in range(n)
-                ]
-                for k in range(n):
-                    rows.append([res_cols[j][k] for j in range(n)])
-                    rhs.append(0)
+            at0 = _difference(ambient, c, b, ambient.zero())
+            cols = [(_difference(ambient, c, b, e) - at0).coords for e in units]
+            rows.extend([col[k] for col in cols] for k in range(n))
+            rhs.extend(-v for v in at0.coords)
     particular, homogeneous = solve_affine(rows, rhs)
     if particular is None:
         return AffineSpace(n, None)
@@ -374,18 +369,9 @@ def verify_element(
     results: list[tuple[str, Verdict]] = []
     for c in lin:
         verdict = Verdict.ok()
+        sides = LINEAR_SIDES[c.kind]
         for idx, b in enumerate(c.embedding.basis):
-            if c.kind == "right_identity":
-                lhs, rhs = ambient.product(b, u), b
-            elif c.kind == "right_annihilator":
-                lhs, rhs = ambient.product(b, u), ambient.zero()
-            elif c.kind == "centralize":
-                lhs, rhs = ambient.product(b, u), ambient.product(u, b)
-            else:  # stabilize; the residual is built only as a witness
-                img = ambient.product(u, b)
-                if c.embedding.to_sub(img) is not None:
-                    continue
-                lhs, rhs = c.embedding.residual(img), ambient.zero()
+            lhs, rhs = sides(ambient, c.embedding, b, u)
             if lhs != rhs:
                 verdict = Verdict.fail(Witness((idx,), (b, u), lhs, rhs))
                 break

@@ -165,7 +165,7 @@ def _load_json(path) -> dict:
             return json.load(f)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer literal too long to convert
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FileFormatError(f"{path} nests too deeply: {exc}") from exc
@@ -192,16 +192,8 @@ def load_operator(path, algebra: Algebra) -> LinearOperator:
     return operator_from_dict(_load_json(path), algebra)
 
 
-def save_operator(r: LinearOperator, path) -> None:
-    _dump_json(operator_to_dict(r), path)
-
-
 def load_element(path) -> Element:
     return element_from_dict(_load_json(path))
-
-
-def save_element(e: Element, path) -> None:
-    _dump_json(element_to_dict(e), path)
 
 
 def load_embedding(path) -> Embedding:

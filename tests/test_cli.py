@@ -320,10 +320,13 @@ _PROPS_F9_FROM_U = (
      b'{"dim": 2, "labels": ["\xff", "b"], "sc": []}'),
     (("check", "--identity", "jacobi", "--algebra"), "a.json",
      "[" * 100_000 + "]" * 100_000),
+    (("check", "--identity", "jacobi", "--algebra"), "a.json",
+     '{"dim": %s, "sc": []}' % ("1" * 5000)),
 ], ids=["float_index", "float_dim", "bool_index", "operator_float_dim",
         "operator_matrix_not_a_list", "embedding_basis_not_a_list",
         "element_coords_not_a_list", "element_float_dim", "grid_points_not_a_list",
-        "labels_a_string", "labels_not_strings", "not_utf8", "nested_100000_deep"])
+        "labels_a_string", "labels_not_strings", "not_utf8", "nested_100000_deep",
+        "int_over_4300_digits"])
 def test_malformed_file_field_exits_2(tmp_path, capsys, argv, name, content):
     bad = tmp_path / name
     bad.write_bytes(content if type(content) is bytes else content.encode("utf-8"))
