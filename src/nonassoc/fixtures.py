@@ -22,12 +22,18 @@ Check labels:
 
 Argument values may reference fixture parameters as ``@name`` so that a
 parametric certification can vary them together with u.
+
+A row declared with the ``_CERTIFIED`` flag is certified for all rational
+parameter values: ``certify_row`` runs it at every point of the bundle's
+grid, which has more distinct values per parameter than that parameter's
+declared degree (Schwartz-Zippel).  ``FixtureBundle.certified_rows`` lists
+the flagged labels in row order.
 """
 from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable, Optional, Sequence
 
@@ -66,6 +72,7 @@ from .verdicts import Verdict, Witness
 class ExpectedRow:
     check: str
     expect: bool
+    certified: bool = False  # certified over the fixture's parameter grid
 
 
 @dataclass(frozen=True)
@@ -87,9 +94,16 @@ class FixtureBundle:
     sample_point: dict
     plan: tuple[tuple, ...]
     rows: tuple[ExpectedRow, ...]
-    certified_rows: tuple[str, ...]
     negative_control: NegativeControl
     notes: tuple[str, ...] = ()
+
+    @property
+    def certified_rows(self) -> tuple[str, ...]:
+        """The labels of the certified rows, in row order."""
+        return tuple(r.check for r in self.rows if r.certified)
+
+    def instantiate(self, point: Mapping) -> Materialized:
+        return materialize(self, point)
 
 
 @dataclass(frozen=True)
@@ -241,8 +255,12 @@ def _f11_u(p):
     )
 
 
-def _rows(*pairs) -> tuple[ExpectedRow, ...]:
-    return tuple(ExpectedRow(check, expect) for check, expect in pairs)
+def _rows(*specs) -> tuple[ExpectedRow, ...]:
+    """Rows from ``(check, expect)`` pairs, or triples ending in ``_CERTIFIED``."""
+    return tuple(ExpectedRow(*spec) for spec in specs)
+
+
+_CERTIFIED = True
 
 
 _AXIS8 = tuple(range(8))
@@ -267,27 +285,20 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         sample_point={"a": 2, "b": 3, "c": 5, "e": 7, "f": 11, "g": 13},
         plan=(("A", "induced"), ("lie", "derive", "A", "lie_endo", None)),
         rows=_rows(
-            ("element:right_identity", True),
-            ("element:stabilize", True),
+            ("element:right_identity", True, _CERTIFIED),
+            ("element:stabilize", True, _CERTIFIED),
             ("identity[A]:associativity", True),
-            ("operator[A]:endomorphism", True),
+            ("operator[A]:endomorphism", True, _CERTIFIED),
             # generic members of the family are not idempotent; only the
             # u^2 = u slice (fixture F1b) is
             ("operator[A]:idempotent_op", False),
-            ("identity[lie]:antisymmetry", True),
+            ("identity[lie]:antisymmetry", True, _CERTIFIED),
             # the bracket has the form psi(y) x - psi(x) y for a linear
             # functional psi, which satisfies the Jacobi identity for any
             # operator, idempotent or not
-            ("identity[lie]:jacobi", True),
+            ("identity[lie]:jacobi", True, _CERTIFIED),
             ("custom:null_product(lie)", False),
             ("custom:lin_dim(right_identity+stabilize,6)", True),
-        ),
-        certified_rows=(
-            "element:right_identity",
-            "element:stabilize",
-            "operator[A]:endomorphism",
-            "identity[lie]:antisymmetry",
-            "identity[lie]:jacobi",
         ),
         negative_control=NegativeControl("R+I", "operator[A]:endomorphism"),
     ))
@@ -308,28 +319,17 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             ("lie_alt", "derive", "A", "lie_endo_alt", None),
         ),
         rows=_rows(
-            ("element:right_identity", True),
-            ("element:stabilize", True),
-            ("element:idempotent", True),
-            ("operator[A]:endomorphism", True),
-            ("operator[A]:idempotent_op", True),
-            ("identity[lie]:antisymmetry", True),
-            ("identity[lie]:jacobi", True),
-            ("identity[lie_alt]:antisymmetry", True),
-            ("identity[lie_alt]:jacobi", True),
+            ("element:right_identity", True, _CERTIFIED),
+            ("element:stabilize", True, _CERTIFIED),
+            ("element:idempotent", True, _CERTIFIED),
+            ("operator[A]:endomorphism", True, _CERTIFIED),
+            ("operator[A]:idempotent_op", True, _CERTIFIED),
+            ("identity[lie]:antisymmetry", True, _CERTIFIED),
+            ("identity[lie]:jacobi", True, _CERTIFIED),
+            ("identity[lie_alt]:antisymmetry", True, _CERTIFIED),
+            ("identity[lie_alt]:jacobi", True, _CERTIFIED),
             ("custom:null_product(lie)", False),
             ("custom:null_product(lie_alt)", False),
-        ),
-        certified_rows=(
-            "element:right_identity",
-            "element:stabilize",
-            "element:idempotent",
-            "operator[A]:endomorphism",
-            "operator[A]:idempotent_op",
-            "identity[lie]:antisymmetry",
-            "identity[lie]:jacobi",
-            "identity[lie_alt]:antisymmetry",
-            "identity[lie_alt]:jacobi",
         ),
         negative_control=NegativeControl("R+I", "operator[A]:endomorphism"),
     ))
@@ -364,7 +364,6 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             ("identity[lie]:jacobi", True),
             ("custom:null_product(lie)", False),
         ),
-        certified_rows=(),
         negative_control=NegativeControl("R+I", "operator[A]:involution_op"),
     ))
 
@@ -406,7 +405,6 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             ("custom:null_product(jordan1)", False),
             ("custom:null_product(jordan2)", False),
         ),
-        certified_rows=(),
         negative_control=NegativeControl("u+E11", "element:idempotent"),
     ))
 
@@ -428,20 +426,13 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         ),
         rows=_rows(
             ("identity[plus]:commutativity", True),
-            ("identity[plus]:jordan_main", True),
+            ("identity[plus]:jordan_main", True, _CERTIFIED),
             ("identity[plus]:jordan_flex", True),
-            ("operator[plus]:endomorphism", True),
-            ("operator[plus]:idempotent_op", True),
-            ("identity[jordan1]:jordan_main", True),
-            ("identity[jordan1]:jordan_flex", True),
+            ("operator[plus]:endomorphism", True, _CERTIFIED),
+            ("operator[plus]:idempotent_op", True, _CERTIFIED),
+            ("identity[jordan1]:jordan_main", True, _CERTIFIED),
+            ("identity[jordan1]:jordan_flex", True, _CERTIFIED),
             ("custom:null_product(jordan1)", False),
-        ),
-        certified_rows=(
-            "identity[plus]:jordan_main",
-            "operator[plus]:endomorphism",
-            "operator[plus]:idempotent_op",
-            "identity[jordan1]:jordan_main",
-            "identity[jordan1]:jordan_flex",
         ),
         negative_control=NegativeControl("R+I", "operator[plus]:endomorphism"),
     ))
@@ -480,7 +471,6 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             ("identity[leibc]:antisymmetry", False),
             ("custom:null_product(leibc)", False),
         ),
-        certified_rows=(),
         negative_control=NegativeControl("u+E11", "element:idempotent"),
         notes=(
             "with this operator the bracket R(x) y - R(y) R(x) is identically "
@@ -523,7 +513,6 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             ("custom:null_product(prelie)", True),
             ("custom:null_product(prelie_alt)", True),
         ),
-        certified_rows=(),
         negative_control=NegativeControl("R+I", "operator[A]:endomorphism"),
         notes=(
             "the element conditions use the usual matrix product of the ambient, "
@@ -549,17 +538,12 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         sample_point={"a": 2, "b": 3, "c": 5, "e": 7, "f": 11, "g": 13},
         plan=(("A", "induced"),),
         rows=_rows(
-            ("element:right_annihilator", True),
-            ("element:stabilize", True),
-            ("operator[A]:derivation", True),
+            ("element:right_annihilator", True, _CERTIFIED),
+            ("element:stabilize", True, _CERTIFIED),
+            ("operator[A]:derivation", True, _CERTIFIED),
             ("operator[A]:endomorphism", False),
             ("custom:null_product(A)", False),
             ("custom:lin_dim(right_annihilator+stabilize,6)", True),
-        ),
-        certified_rows=(
-            "element:right_annihilator",
-            "element:stabilize",
-            "operator[A]:derivation",
         ),
         negative_control=NegativeControl("u+E11", "element:right_annihilator"),
     ))
@@ -585,21 +569,16 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             ("prelie", "derive", "A", "prelie_diff", None),
         ),
         rows=_rows(
-            ("element:right_annihilator", True),
-            ("element:stabilize", True),
+            ("element:right_annihilator", True, _CERTIFIED),
+            ("element:stabilize", True, _CERTIFIED),
             ("element:scaled(6)", True),            # gamma = lam*beta at the sample point
-            ("operator[A]:derivation", True),
+            ("operator[A]:derivation", True, _CERTIFIED),
             ("operator[A]:scaled_idempotent_op(6)", True),
             ("operator[A]:scaled_involution_op(36)", True),
             ("custom:null_product(A)", True),
             ("identity[A]:associativity", True),
             ("identity[A]:commutativity", True),
             ("identity[prelie]:left_prelie", True),
-        ),
-        certified_rows=(
-            "element:right_annihilator",
-            "element:stabilize",
-            "operator[A]:derivation",
         ),
         negative_control=NegativeControl("u+E11", "element:scaled(6)"),
         notes=(
@@ -649,7 +628,6 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             ("identity[lie]:flexible", True),
             ("custom:null_product(lie)", True),
         ),
-        certified_rows=(),
         negative_control=NegativeControl("u+E11", "element:idempotent"),
         notes=(
             "the subalgebra is commutative and u is central, so the derived "
@@ -681,17 +659,11 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         sample_point={"x": 1, "y": 1},
         plan=(("A", "induced"),),
         rows=_rows(
-            ("element:nilpotent2", True),
-            ("element:stabilize", True),
-            ("operator[A]:rota_baxter(0)", True),
-            ("custom:rota_baxter0_mirrored(A)", True),
+            ("element:nilpotent2", True, _CERTIFIED),
+            ("element:stabilize", True, _CERTIFIED),
+            ("operator[A]:rota_baxter(0)", True, _CERTIFIED),
+            ("custom:rota_baxter0_mirrored(A)", True, _CERTIFIED),
             ("custom:null_product(A)", False),
-        ),
-        certified_rows=(
-            "element:nilpotent2",
-            "element:stabilize",
-            "operator[A]:rota_baxter(0)",
-            "custom:rota_baxter0_mirrored(A)",
         ),
         negative_control=NegativeControl("R+I", "operator[A]:rota_baxter(0)"),
     ))
@@ -712,15 +684,10 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         sample_point={"x": 0, "y": 1},
         plan=(("A", "induced"),),
         rows=_rows(
-            ("element:skew_idempotent", True),
-            ("element:stabilize", True),
-            ("operator[A]:rota_baxter(1)", True),
+            ("element:skew_idempotent", True, _CERTIFIED),
+            ("element:stabilize", True, _CERTIFIED),
+            ("operator[A]:rota_baxter(1)", True, _CERTIFIED),
             ("custom:null_product(A)", False),
-        ),
-        certified_rows=(
-            "element:skew_idempotent",
-            "element:stabilize",
-            "operator[A]:rota_baxter(1)",
         ),
         negative_control=NegativeControl("R+I", "operator[A]:rota_baxter(1)"),
     ))
@@ -743,15 +710,10 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         sample_point={"x": 0, "y": 1, "lam": 1, "beta": 2},
         plan=(("A", "induced"),),
         rows=_rows(
-            ("element:rb_weighted(@lam,@beta)", True),
-            ("element:stabilize", True),
-            ("operator[A]:rota_baxter_weighted(@lam,@beta)", True),
+            ("element:rb_weighted(@lam,@beta)", True, _CERTIFIED),
+            ("element:stabilize", True, _CERTIFIED),
+            ("operator[A]:rota_baxter_weighted(@lam,@beta)", True, _CERTIFIED),
             ("custom:null_product(A)", False),
-        ),
-        certified_rows=(
-            "element:rb_weighted(@lam,@beta)",
-            "element:stabilize",
-            "operator[A]:rota_baxter_weighted(@lam,@beta)",
         ),
         negative_control=NegativeControl(
             "R+I", "operator[A]:rota_baxter_weighted(@lam,@beta)"
@@ -950,27 +912,21 @@ def _custom_null_product(a: Algebra) -> Verdict:
 _CUSTOM_ARITY = {"lin_dim": 2, "null_product": 1, "rota_baxter0_mirrored": 1}
 
 
-def run_row(m: Materialized, label: str, operator: Optional[LinearOperator] = None,
-            u: Optional[Element] = None) -> Verdict:
-    """Evaluate one check label against a materialized fixture.
-
-    ``operator``/``u`` override the fixture's own (used by negative controls).
-    """
+def run_row(m: Materialized, label: str) -> Verdict:
+    """Evaluate one check label against a materialized fixture."""
     match = _LABEL_RE.match(label)
     if not match:
         raise NonassocError(f"malformed check label {label!r}")
     family, alg_name, kind, raw_args = match.groups()
     args = _resolve_args(raw_args, m.point)
-    op = operator if operator is not None else m.operator
-    uu = u if u is not None else m.u
     if family == "element":
         if kind in LINEAR_KINDS:
             results = verify_element(
-                m.embedding, uu, [LinearConstraint(kind, m.embedding)], None
+                m.embedding, m.u, [LinearConstraint(kind, m.embedding)], None
             )
         elif kind in QUAD_KINDS:
             quad = _quad_from_label(kind, args, m.bundle.ambient_n)
-            results = verify_element(m.embedding, uu, [], quad)
+            results = verify_element(m.embedding, m.u, [], quad)
         else:
             raise NonassocError(f"unknown element constraint {kind!r}")
         return results[0][1]
@@ -987,7 +943,7 @@ def run_row(m: Materialized, label: str, operator: Optional[LinearOperator] = No
         family, alg_name, args = "operator", str(args[0]), []
     if family == "operator":
         prop = operator_property(kind, args)
-        return check_operator_property(_plan_algebra(m, alg_name, label), op, prop)
+        return check_operator_property(_plan_algebra(m, alg_name, label), m.operator, prop)
     if family == "identity":
         if args:
             raise NonassocError("identity rows take no arguments")
@@ -1012,18 +968,6 @@ def verify_fixture(
 # Parametric certification and negative controls
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _BundleFamily:
-    bundle: FixtureBundle
-
-    @property
-    def params(self):
-        return self.bundle.params
-
-    def instantiate(self, point: Mapping) -> Materialized:
-        return materialize(self.bundle, point)
-
-
 def certify_row(
     name: str,
     label: str,
@@ -1038,29 +982,23 @@ def certify_row(
     bundle = load_fixture(name)
     if label not in {r.check for r in bundle.rows}:
         raise NonassocError(f"fixture {name} has no row {label!r}")
-    family = _BundleFamily(bundle)
-    return certify_parametric(family, lambda m: run_row(m, label), axes)
+    return certify_parametric(bundle, lambda m: run_row(m, label), axes)
 
 
 def check_negative_control(name: str) -> NegativeControlResult:
     """Apply the fixture's documented perturbation; the target verdict must flip."""
     bundle = load_fixture(name)
+    perturb, target = bundle.negative_control.perturb, bundle.negative_control.target
     m = materialize(bundle)
-    original = run_row(m, bundle.negative_control.target)
-    perturb = bundle.negative_control.perturb
+    original = run_row(m, target)
+    # The perturbed copy keeps m's plan algebras, derived from the original operator.
     if perturb == "R+I":
-        perturbed_op = m.operator + LinearOperator.identity(m.operator.dim)
-        perturbed = run_row(m, bundle.negative_control.target, operator=perturbed_op)
+        perturbed = replace(m, operator=m.operator + LinearOperator.identity(m.operator.dim))
     elif perturb == "u+E11":
         bumped = m.u + m.ambient.basis_vector(0)  # ambient E11 is basis index 0
-        target = bundle.negative_control.target
-        if target.startswith("element:"):
-            perturbed = run_row(m, target, u=bumped)
-        else:
-            perturbed_op = left_multiplication_operator(m.embedding, bumped)
-            perturbed = run_row(m, target, operator=perturbed_op, u=bumped)
+        operator = (m.operator if target.startswith("element:")
+                    else left_multiplication_operator(m.embedding, bumped))
+        perturbed = replace(m, u=bumped, operator=operator)
     else:
         raise NonassocError(f"unknown perturbation {perturb!r}")
-    return NegativeControlResult(
-        name, perturb, bundle.negative_control.target, original, perturbed
-    )
+    return NegativeControlResult(name, perturb, target, original, run_row(perturbed, target))

@@ -214,8 +214,7 @@ class PolarizedPlan:
     ``slots`` is the expanded arity; ``groups`` lists the slot ranges that
     came from one original variable (the polarized form is symmetric in
     each group, so enumeration may be restricted to non-decreasing indices
-    within a group without losing witnesses).  ``var_of_slot`` maps each
-    slot back to its original variable.
+    within a group without losing witnesses).
     """
 
     identity: Identity
@@ -223,7 +222,6 @@ class PolarizedPlan:
     lhs: tuple[SignedWord, ...]
     rhs: tuple[SignedWord, ...]
     groups: tuple[tuple[int, ...], ...]
-    var_of_slot: tuple[int, ...]
 
 
 def _polarize_words(words, multidegree, offsets) -> list[SignedWord]:
@@ -257,16 +255,12 @@ def polarized_plan(name: str) -> PolarizedPlan:
         for v, d in enumerate(ident.multidegree)
         if d > 1
     )
-    var_of_slot = tuple(
-        v for v, d in enumerate(ident.multidegree) for _ in range(d)
-    )
     return PolarizedPlan(
         ident,
         total,
         tuple(_polarize_words(ident.lhs, ident.multidegree, offsets)),
         tuple(_polarize_words(ident.rhs, ident.multidegree, offsets)),
         groups,
-        var_of_slot,
     )
 
 

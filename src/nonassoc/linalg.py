@@ -13,19 +13,44 @@ Matrix = list  # list[list[Scalar]], row-major
 Vector = list  # list[Scalar]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
 def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return [canonical(sum(row[j] * v[j] for j in range(len(v)))) for row in m]
+def _reduce(rows: Matrix, n_cols: int) -> list[int]:
+    """Bring ``rows`` to RREF in place over their first ``n_cols`` columns.
+
+    Entries past ``n_cols`` ride along under the same row operations and
+    never hold a pivot.  Returns the pivot column of each nonzero row.
+    """
+    n_rows = len(rows)
+    pivots: list[int] = []
+    piv_row = 0
+    for col in range(n_cols):
+        sel = None
+        for i in range(piv_row, n_rows):
+            if rows[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        if sel != piv_row:
+            rows[piv_row], rows[sel] = rows[sel], rows[piv_row]
+        p = rows[piv_row][col]
+        if p != 1:
+            rows[piv_row] = [exact_div(x, p) for x in rows[piv_row]]
+        for i in range(n_rows):
+            if i == piv_row:
+                continue
+            f = rows[i][col]
+            if f == 0:
+                continue
+            rows[i] = [canonical(a - f * b) for a, b in zip(rows[i], rows[piv_row])]
+        pivots.append(col)
+        piv_row += 1
+        if piv_row == n_rows:
+            break
+    return pivots
 
 
 def rref(mat: Matrix) -> tuple[Matrix, Matrix, list[int]]:
@@ -34,41 +59,10 @@ def rref(mat: Matrix) -> tuple[Matrix, Matrix, list[int]]:
     Returns ``(R, T, pivots)`` with ``T @ mat == R``, R in RREF and
     ``pivots`` the pivot column of each nonzero row of R.
     """
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if n_rows else 0
-    r = [list(row) for row in mat]
-    t = identity(n_rows)
-    pivots: list[int] = []
-    piv_row = 0
-    for col in range(n_cols):
-        sel = None
-        for i in range(piv_row, n_rows):
-            if r[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != piv_row:
-            r[piv_row], r[sel] = r[sel], r[piv_row]
-            t[piv_row], t[sel] = t[sel], t[piv_row]
-        p = r[piv_row][col]
-        if p != 1:
-            inv_row = [exact_div(x, p) for x in r[piv_row]]
-            r[piv_row] = inv_row
-            t[piv_row] = [exact_div(x, p) for x in t[piv_row]]
-        for i in range(n_rows):
-            if i == piv_row:
-                continue
-            f = r[i][col]
-            if f == 0:
-                continue
-            r[i] = [canonical(a - f * b) for a, b in zip(r[i], r[piv_row])]
-            t[i] = [canonical(a - f * b) for a, b in zip(t[i], t[piv_row])]
-        pivots.append(col)
-        piv_row += 1
-        if piv_row == n_rows:
-            break
-    return r, t, pivots
+    n_cols = len(mat[0]) if mat else 0
+    rows = [list(row) + e for row, e in zip(mat, identity(len(mat)))]
+    pivots = _reduce(rows, n_cols)
+    return [row[:n_cols] for row in rows], [row[n_cols:] for row in rows], pivots
 
 
 def nullspace(mat: Matrix) -> list[Vector]:
@@ -77,44 +71,32 @@ def nullspace(mat: Matrix) -> list[Vector]:
     Deterministic: free columns in increasing order, each basis vector has
     a 1 in its free column.
     """
-    n_cols = len(mat[0]) if mat else 0
-    if not mat:
-        return [[1 if j == i else 0 for j in range(n_cols)] for i in range(n_cols)]
-    r, _, pivots = rref(mat)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        v = [0] * n_cols
-        v[free] = 1
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = canonical(-r[row_idx][free])
-        basis.append(v)
-    return basis
+    return solve_affine(mat, [0] * len(mat))[1]
 
 
 def solve_affine(mat: Matrix, rhs: Vector) -> tuple[Vector | None, list[Vector]]:
-    """Full solution set of ``mat @ x == rhs``.
+    """Full solution set of ``mat @ x == rhs``, from one RREF of ``[mat | rhs]``.
 
     Returns ``(particular, homogeneous_basis)``; particular is None when the
     system is inconsistent.  The particular solution has zeros in all free
-    coordinates.
+    coordinates; each homogeneous vector has a 1 in its free column.
     """
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if n_rows else 0
-    if n_rows == 0:
-        return [0] * n_cols, nullspace(mat) if n_cols else []
-    r, t, pivots = rref(mat)
-    b = mat_vec(t, rhs)
-    rank = len(pivots)
-    for i in range(rank, n_rows):
-        if b[i] != 0:
-            return None, []
+    n_cols = len(mat[0]) if mat else 0
+    rows = [list(row) + [b] for row, b in zip(mat, rhs)]
+    pivots = _reduce(rows, n_cols)
+    if any(row[n_cols] for row in rows[len(pivots):]):
+        return None, []
     x = [0] * n_cols
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = b[row_idx]
-    return x, nullspace(mat)
+    for row, pc in zip(rows, pivots):
+        x[pc] = canonical(row[n_cols])
+    homogeneous = []
+    for free in sorted(set(range(n_cols)) - set(pivots)):
+        v = [0] * n_cols
+        v[free] = 1
+        for row, pc in zip(rows, pivots):
+            v[pc] = canonical(-row[free])
+        homogeneous.append(v)
+    return x, homogeneous
 
 
 class SpanSolver:

@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
+from .errors import NonassocError
+
 Scalar = Union[int, Fraction]
 
 
@@ -41,9 +43,12 @@ def canonical(x: Scalar) -> Scalar:
 def format_scalar(x: Scalar) -> str:
     """Render as ``"p"`` or ``"p/q"`` in lowest terms with positive q."""
     f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:  # an integer past Python's 4300-digit limit for str()
+        raise NonassocError(f"cannot print an exact value: {exc}") from exc
 
 
 def exact_div(a: Scalar, b: Scalar) -> Scalar:

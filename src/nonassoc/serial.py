@@ -161,14 +161,18 @@ def grid_from_dict(d: dict) -> list[tuple]:
 
 def _load_json(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except OSError as exc:
+        f = open(path, "r", encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer literal too long to convert
-        raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise FileFormatError(f"{path} nests too deeply: {exc}") from exc
+    with f:
+        try:
+            return json.load(f)
+        except OSError as exc:
+            raise FileFormatError(f"cannot read {path}: {exc}") from exc
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer literal too long to convert
+            raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise FileFormatError(f"{path} nests too deeply: {exc}") from exc
 
 
 def _dump_json(obj: dict, path) -> None:
@@ -176,7 +180,7 @@ def _dump_json(obj: dict, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             json.dump(obj, f, indent=2)
             f.write("\n")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
 

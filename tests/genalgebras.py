@@ -19,7 +19,6 @@ from nonassoc.algebra import (
     make_algebra,
     matrix_algebra,
 )
-from nonassoc.linalg import mat_vec
 from nonassoc.operators import LinearOperator, left_multiplication_operator
 from nonassoc.scalars import canonical, exact_div
 
@@ -60,6 +59,11 @@ def invertible_int_matrix(rng: random.Random, n: int):
         for col in range(n):
             pinv[i][col] -= c * pinv[j][col]
     return p, pinv
+
+
+def mat_vec(m, v) -> list:
+    """The product of matrix ``m`` (a list of rows) with vector ``v``, canonical."""
+    return [canonical(sum(row[j] * v[j] for j in range(len(v)))) for row in m]
 
 
 def _mat_col(m, j):

@@ -4,7 +4,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonassoc.linalg import SpanSolver, identity, mat_vec, nullspace, rref, solve_affine
+from genalgebras import mat_vec
+from nonassoc.linalg import SpanSolver, identity, nullspace, rref, solve_affine
 from nonassoc.scalars import canonical
 
 small_matrix = st.integers(1, 5).flatmap(
@@ -83,10 +84,52 @@ def test_span_solver_detects_dependence():
     assert not s.independent
 
 
-def test_mat_vec_fractions_stay_exact():
-    m = [[Fraction(1, 3), Fraction(2, 3)]]
-    assert mat_vec(m, [1, 1]) == [1]
+def test_solve_affine_fractions_stay_exact():
+    sol, hom = solve_affine([[Fraction(3), 0], [0, Fraction(2, 1)]], [1, Fraction(4, 2)])
+    assert [(type(x), x) for x in sol] == [(Fraction, Fraction(1, 3)), (int, 1)]
+    assert hom == []
+    # an entry no row operation touches is canonicalized too
+    sol, hom = solve_affine([[1, 0]], [Fraction(2, 1)])
+    assert [(type(x), x) for x in sol] == [(int, 2), (int, 0)]
+    assert hom == [[0, 1]]
     assert identity(2) == [[1, 0], [0, 1]]
+
+
+def _solve_affine_oracle(mat, rhs):
+    """The solution set from rref(mat), T @ rhs and a nullspace from R."""
+    r, t, pivots = rref(mat)
+    b = mat_vec(t, rhs)
+    if any(b[len(pivots):]):
+        return None, []
+    n_cols = len(mat[0])
+    x = [0] * n_cols
+    for row_idx, pc in enumerate(pivots):
+        x[pc] = b[row_idx]
+    basis = []
+    for free in range(n_cols):
+        if free not in pivots:
+            v = [0] * n_cols
+            v[free] = 1
+            for row_idx, pc in enumerate(pivots):
+                v[pc] = canonical(-r[row_idx][free])
+            basis.append(v)
+    return x, basis
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_solve_affine_matches_oracle(data):
+    n, rows = data.draw(small_matrix)
+    mat = [[data.draw(_mixed_scalar) if x else 0 for x in row] for row in rows]
+    if data.draw(st.booleans()):  # a consistent system: rhs = mat @ x
+        x = data.draw(st.lists(_mixed_scalar, min_size=n, max_size=n))
+        rhs = [canonical(sum(a * b for a, b in zip(row, x))) for row in mat]
+    else:
+        rhs = data.draw(st.lists(_mixed_scalar, min_size=len(mat), max_size=len(mat)))
+    got = solve_affine(mat, rhs)
+    want = _solve_affine_oracle(mat, rhs)
+    assert repr(got) == repr(want)
+    assert nullspace(mat) == _solve_affine_oracle(mat, [0] * len(mat))[1]
 
 
 def _coordinates_oracle(columns, v):

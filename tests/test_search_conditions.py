@@ -13,12 +13,12 @@ from fractions import Fraction
 
 import pytest
 
-from genalgebras import _columns_subalgebra, mixed_denominator_algebra, rand_scalar
+from genalgebras import _columns_subalgebra, mat_vec, mixed_denominator_algebra, rand_scalar
 from nonassoc import fixtures as fx
 from nonassoc import search
 from nonassoc.algebra import Element, Embedding, matrix_identity_element, matrix_unit
 from nonassoc.errors import DependentBasisError, NonassocError
-from nonassoc.linalg import mat_vec, rref, solve_affine
+from nonassoc.linalg import rref, solve_affine
 from nonassoc.scalars import canonical, format_scalar
 from nonassoc.search import (
     LINEAR_KINDS,
