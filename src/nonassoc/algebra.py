@@ -250,16 +250,22 @@ class Embedding:
         The product is bilinear and T linear, so for every ambient u the sum
         of u_k left_table[j][k] over k is exactly T (u b_j): its rows past
         the rank vanish iff u b_j lies in the span, and then its pivot rows
-        are the coordinates of u b_j.  Built once per embedding.
+        are the coordinates of u b_j.  Built once per embedding, with
+        e_k b_j summed from the sparse rows: sum of b_ji c[k][i] over i.
         """
-        amb, transform = self.ambient, self._solver.transform
-        return tuple(
-            tuple(
-                tuple((r, canonical(s)) for r, s in enumerate(transform(p.coords)) if s)
-                for p in (amb.product(e, b) for e in amb.basis())
-            )
-            for b in self.basis
-        )
+        rows, transform = self.ambient.sparse_rows, self._solver.transform
+        table = []
+        for b in self.basis:
+            terms = [(i, bi) for i, bi in enumerate(b.coords) if bi]
+            entries = []
+            for row in rows:
+                p = [0] * self.ambient.dim
+                for i, bi in terms:
+                    for k, c in row[i]:
+                        p[k] += bi * c
+                entries.append(tuple((r, canonical(s)) for r, s in enumerate(transform(p)) if s))
+            table.append(tuple(entries))
+        return tuple(table)
 
 
 def make_algebra(

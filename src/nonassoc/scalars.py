@@ -12,7 +12,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
-from .errors import NonassocError
 
 Scalar = Union[int, Fraction]
 
@@ -43,12 +42,33 @@ def canonical(x: Scalar) -> Scalar:
 def format_scalar(x: Scalar) -> str:
     """Render as ``"p"`` or ``"p/q"`` in lowest terms with positive q."""
     f = Fraction(x)
-    try:
-        if f.denominator == 1:
-            return str(f.numerator)
-        return f"{f.numerator}/{f.denominator}"
-    except ValueError as exc:  # an integer past Python's 4300-digit limit for str()
-        raise NonassocError(f"cannot print an exact value: {exc}") from exc
+    if f.denominator == 1:
+        return _decimal(f.numerator)
+    return f"{_decimal(f.numerator)}/{_decimal(f.denominator)}"
+
+
+# 10^1000: a remainder below it prints within CPython's default limit of
+# 4,300 digits per int-to-str conversion.
+_CHUNK_DIGITS = 1000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """The exact decimal digits of ``n``, of any length.
+
+    Past one chunk the digits are converted 1,000 at a time, low chunks
+    zero-padded, so the interpreter's str() limit never applies and is
+    never changed.
+    """
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return sign + "".join(reversed(chunks))
 
 
 def exact_div(a: Scalar, b: Scalar) -> Scalar:

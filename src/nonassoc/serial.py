@@ -63,6 +63,8 @@ def algebra_from_dict(d: dict) -> Algebra:
         raw = d["sc"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed algebra object: {exc}") from exc
+    if dim < 1:
+        raise FileFormatError(f"invalid algebra: dimension must be positive, got {dim}")
     labels = d.get("labels", ())
     if "labels" in d and (
         type(labels) is not list

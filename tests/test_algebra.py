@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nonassoc.algebra import (
     Element,
+    Embedding,
     algebra_from_products,
     element_from_matrix,
     induce_subalgebra,
@@ -24,6 +25,7 @@ from nonassoc.errors import (
     DuplicateEntryError,
     SpanNotClosedError,
 )
+from nonassoc.scalars import canonical
 from nonassoc.serial import algebra_content_hash, algebra_to_dict
 from nonassoc.verdicts import Verdict, Witness
 
@@ -349,6 +351,43 @@ def test_embedding_roundtrip_products():
         inside = emb.to_ambient(sub.product(x, y))
         outside = ambient.product(emb.to_ambient(x), emb.to_ambient(y))
         assert inside == outside
+
+
+def dense_left_table(emb):
+    """``Embedding.left_table`` from one dense ambient product e_k b_j per entry."""
+    amb, transform = emb.ambient, emb._solver.transform
+    return tuple(
+        tuple(
+            tuple((r, canonical(s)) for r, s in enumerate(transform(amb.product(e, b).coords)) if s)
+            for e in amb.basis()
+        )
+        for b in emb.basis
+    )
+
+
+def test_left_table_matches_dense_products(all_materialized):
+    from genalgebras import mixed_denominator_algebra, rota_baxter_setup
+
+    embeddings = [m.embedding for m in all_materialized.values()]
+    assert len(embeddings) == 13
+    rng = random.Random(11)
+    embeddings += [rota_baxter_setup(rng, w)[2] for w in ("one", "zero", "weighted") * 2]
+    # rational constants and a rational basis; left_table needs no closure
+    for n in (2, 3, 4):
+        ambient = mixed_denominator_algebra(rng, n, (1, 2, 3, 7))
+        while True:
+            basis = [
+                Element(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)))
+                for _ in range(n - 1)
+            ]
+            try:
+                embeddings.append(Embedding.build(ambient, basis))
+                break
+            except DependentBasisError:
+                pass
+    for emb in embeddings:
+        dense = dense_left_table(emb)
+        assert emb.left_table == dense and repr(emb.left_table) == repr(dense)
 
 
 def test_is_associative_matches_random_triples():

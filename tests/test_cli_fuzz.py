@@ -212,13 +212,18 @@ def test_unusable_path_exits_2(tmp_path, bad):
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
 
-def test_witness_past_the_digit_limit_exits_2(tmp_path):
+def test_witness_past_the_digit_limit_prints_exactly(tmp_path):
     """(e0 e0) e0 = c^2 e0 but e0 (e0 e0) = 0: refuted, with a witness value of
-    8,000 digits, past what Python prints."""
+    8,000 digits, past what Python's str() prints; it is printed in full."""
     c = "9" * 4000
+    c_squared = "9" * 3999 + "8" + "0" * 3999 + "1"  # (10^4000 - 1)^2
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"dim": 2, "sc": [[0, 0, 1, c], [1, 0, 0, c]]}), encoding="utf-8")
-    for extra in ([], ["--json"]):
-        code, out, err = _run(["check", "--algebra", str(path), "--identity", "associativity",
-                               *extra])
-        assert code == 2 and err.startswith("error:") and out == ""
+    code, out, err = _run(["check", "--algebra", str(path), "--identity", "associativity"])
+    assert code == 1 and err == ""
+    assert f"  lhs = ({c_squared}, 0)" in out.splitlines()
+    code, out, err = _run(["check", "--algebra", str(path), "--identity", "associativity",
+                           "--json"])
+    assert code == 1 and err == ""
+    witness = json.loads(out)["checks"][0]["witness"]
+    assert (witness["lhs"], witness["rhs"]) == ([c_squared, "0"], ["0", "0"])

@@ -17,6 +17,8 @@ from nonassoc.identities import (
     check_identity,
     check_identity_random,
     _doubled_coords,
+    _plan_schedule,
+    _raw_schedule,
     polarized_plan,
     random_element,
 )
@@ -155,6 +157,58 @@ def test_polarized_plan_shapes():
     assert len(flex.lhs) == 2 and len(flex.rhs) == 2
     jac = polarized_plan("jacobi")
     assert jac.slots == 3 and jac.groups == ()
+
+
+def compound_subwords(words) -> set:
+    """The distinct product and R subwords of signed words: one step each when
+    the words are compiled without factoring."""
+    seen, stack = set(), [w for _, w in words]
+    while stack:
+        w = stack.pop()
+        if not isinstance(w, int) and w not in seen:
+            seen.add(w)
+            stack.extend(w[1:] if w[0] == "R" else w)
+    return seen
+
+
+def product_steps(steps) -> int:
+    return sum(1 for _, left, _ in steps if left is not None)
+
+
+def leaves(word) -> list:
+    if isinstance(word, int):
+        return [word]
+    return [s for w in (word[1:] if word[0] == "R" else word) for s in leaves(w)]
+
+
+def test_jordan_main_schedule_is_factored():
+    """Grouped by outer operand, the 6 + 6 polarized words of jordan_main are
+    3 + 3 roots, and the innermost loop depth computes 12 products, not 21."""
+    plan = polarized_plan("jordan_main")
+    unfactored = compound_subwords(plan.lhs + plan.rhs)
+    assert sum(1 for w in unfactored if max(leaves(w)) == plan.slots - 1) == 21
+    sched = _plan_schedule("jordan_main")
+    assert len(sched.lhs) == 3 and len(sched.rhs) == 3
+    assert product_steps(sched.steps[-1]) == 12
+    assert all(coef == 1 and (p, q) == (3, 0) for coef, _, p, q in sched.lhs + sched.rhs)
+
+
+def test_factoring_never_adds_products():
+    from nonassoc import constructions, operators
+
+    compiled = [(polarized_plan(n).lhs + polarized_plan(n).rhs, _plan_schedule(n))
+                for n in IDENTITY_NAMES]
+    compiled += [(IDENTITIES[n].lhs + IDENTITIES[n].rhs, _raw_schedule(n)) for n in IDENTITY_NAMES]
+    compiled += [(k.lhs + k.rhs, operators._SCHEDULES[kind])
+                 for kind, k in operators.PROPERTY_KINDS.items()]
+    compiled += [(c.words, constructions._SCHEDULES[name])
+                 for name, c in constructions.CATALOG.items()]
+    for words, sched in compiled:
+        assert sum(map(product_steps, sched.steps)) <= len(compound_subwords(words))
+    # R(R(x) y) + R(x R(y)) is R(R(x) y + x R(y)): one root and one R step fewer
+    rota = operators._SCHEDULES["rota_baxter"]
+    assert len(rota.rhs) == 2
+    assert sum(map(product_steps, rota.steps)) == 8
 
 
 def test_witness_is_lexicographically_first_and_reproducible(m3):

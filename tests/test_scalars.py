@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,18 @@ def test_canonical_preserves_value(q):
 def test_format_lowest_terms_positive_denominator():
     assert format_scalar(Fraction(4, -6)) == "-2/3"
     assert format_scalar(Fraction(0, 5)) == "0"
+
+
+def test_format_prints_integers_past_the_str_limit():
+    limit = sys.get_int_max_str_digits()
+    assert format_scalar(10**5000) == "1" + "0" * 5000
+    assert format_scalar(-(10**5000) - 7) == "-1" + "0" * 4999 + "7"
+    # a zero chunk in the middle, and a chunk boundary exactly
+    assert format_scalar(10**3000 * (10**1000 + 1)) == "1" + "0" * 999 + "1" + "0" * 3000
+    assert format_scalar(10**1000) == "1" + "0" * 1000
+    assert format_scalar(Fraction(10**5000 - 1, 7)) == "9" * 5000 + "/7"
+    assert format_scalar(Fraction(-3, 10**5000 + 1)) == "-3/1" + "0" * 4999 + "1"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_exact_div():

@@ -52,6 +52,8 @@ def test_algebra_rejects_malformed():
         algebra_from_dict({"dim": 2, "sc": [[0, 0, 0, 1.5]]})  # float scalar
     with pytest.raises(FileFormatError):
         algebra_from_dict({"sc": []})                          # missing dim
+    with pytest.raises(FileFormatError, match="dimension must be positive, got -1$"):
+        algebra_from_dict({"dim": -1, "labels": ["a"], "sc": []})  # dim before labels
 
 
 def test_operator_roundtrip_column_major():
