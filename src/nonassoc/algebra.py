@@ -88,6 +88,10 @@ class Element:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
 
+    def sparse(self) -> tuple:
+        """The (k, coords[k]) pairs with coords[k] nonzero, k ascending."""
+        return tuple((k, c) for k, c in enumerate(self.coords) if c)
+
 
 @dataclass(frozen=True, eq=False)
 class Algebra:
@@ -295,23 +299,6 @@ def make_algebra(
     return Algebra(dim, rows, tuple(basis_labels), meta or {})
 
 
-def algebra_from_products(
-    dim: int,
-    products: Sequence[Sequence[Sequence[Scalar]]],
-    basis_labels: Sequence[str] = (),
-    meta: dict | None = None,
-) -> Algebra:
-    """Build an algebra from the dense table products[i][j] = coords of e_i e_j."""
-    rows = tuple(
-        tuple(
-            tuple((k, c) for k, c in enumerate(map(as_scalar, products[i][j])) if c != 0)
-            for j in range(dim)
-        )
-        for i in range(dim)
-    )
-    return Algebra(dim, rows, tuple(basis_labels), meta or {})
-
-
 def matrix_algebra(n: int) -> Algebra:
     """Full matrix algebra M_n, basis E_ij ordered row-major, E_ij E_kl = d_jk E_il."""
     if n < 1:
@@ -352,24 +339,24 @@ def induce_subalgebra(
 ) -> tuple[Algebra, Embedding]:
     """Structure constants of the span of ``basis`` inside ``ambient``.
 
-    Fails if the basis is dependent or the span is not closed under the
-    ambient product; closure failures report the offending pair and the
-    residual outside the span.
+    Each ``sparse_rows`` entry holds the nonzero ``to_sub`` coordinates of
+    one product of basis elements.  Fails if the basis is dependent or the
+    span is not closed under the ambient product; closure failures report
+    the offending pair and the residual outside the span.
     """
     emb = Embedding.build(ambient, basis)
-    k = emb.sub_dim
-    products = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            p = ambient.product(basis[i], basis[j])
+    rows = []
+    for i, bi in enumerate(emb.basis):
+        row = []
+        for j, bj in enumerate(emb.basis):
+            p = ambient.product(bi, bj)
             coords = emb.to_sub(p)
             if coords is None:
                 raise SpanNotClosedError(i, j, tuple(emb.residual(p).coords))
-            products[i][j] = coords.coords
-    sub = algebra_from_products(
-        k, products, basis_labels, meta={"kind": "subalgebra", "ambient_dim": ambient.dim}
-    )
-    return sub, emb
+            row.append(coords.sparse())
+        rows.append(tuple(row))
+    meta = {"kind": "subalgebra", "ambient_dim": ambient.dim}
+    return Algebra(emb.sub_dim, tuple(rows), tuple(basis_labels), meta), emb
 
 
 def is_associative(a: Algebra) -> Verdict:

@@ -4,9 +4,9 @@ Each catalogued construction replaces the product of a source algebra by a
 bilinear expression in the old product and a linear operator R (or a
 derivation D): a signed sum of words over {product, R} in x and y, written in
 the word language of the identity engine.  ``derive`` evaluates the words at
-each pair of basis vectors with the same element evaluator that gives the
-raw sides of an identity, and materializes the result as a fresh
-structure-constant tensor so that the identity engine and the serializer
+each pair of basis vectors with the element evaluator of ``identities`` and
+writes the nonzero coordinates of each value straight into the new
+algebra's ``sparse_rows``, so that the identity engine and the serializer
 treat derived and primary algebras uniformly; provenance is recorded in
 ``meta``.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple, Optional
 
-from .algebra import Algebra, algebra_from_products, make_algebra
+from .algebra import Algebra, make_algebra
 from .errors import DimensionMismatchError, MalformedPropertyError
 from .identities import R, X, Y, _eval_word_elements, _shape, compile_words
 from .operators import LinearOperator
@@ -88,7 +88,7 @@ def construction(name: str, a=None) -> ConstructionSpec:
 def derive(
     source: Algebra, operator: Optional[LinearOperator], spec: ConstructionSpec
 ) -> Algebra:
-    """Materialize the derived product as a new structure-constant tensor."""
+    """Materialize the derived product as a new algebra, row by sparse row."""
     cons = CATALOG[spec.name]
     if cons.needs_operator and operator is None:
         raise MalformedPropertyError(f"construction {spec.name} requires an operator")
@@ -99,10 +99,10 @@ def derive(
     basis = source.basis()
     # R is applied once per distinct element, so once per basis vector for R(x), R(y)
     apply = None if operator is None else cache(operator.apply)
-    products = [
-        [_eval_word_elements(source, sched, (x, y), apply, params)[0].coords for y in basis]
+    rows = tuple(
+        tuple(_eval_word_elements(source, sched, (x, y), apply, params).sparse() for y in basis)
         for x in basis
-    ]
+    )
     from .serial import algebra_content_hash, operator_content_hash
 
     meta = {
@@ -113,7 +113,7 @@ def derive(
         meta["operator"] = operator_content_hash(operator)
     if spec.a is not None:
         meta["a"] = spec.a
-    return algebra_from_products(source.dim, products, source.basis_labels, meta)
+    return Algebra(source.dim, rows, source.basis_labels, meta)
 
 
 def hadamard_algebra(rows: int, cols: int) -> Algebra:

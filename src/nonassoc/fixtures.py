@@ -951,14 +951,10 @@ def run_row(m: Materialized, label: str) -> Verdict:
     raise NonassocError(f"unknown check family {family!r}")
 
 
-def verify_fixture(
-    name: str,
-    expectations: Optional[Sequence[ExpectedRow]] = None,
-    point: Optional[Mapping] = None,
-) -> Report:
+def verify_fixture(name: str, expectations: Optional[Sequence[ExpectedRow]] = None) -> Report:
     """Run every expected-verdict row of a fixture; mismatches are reported, not thrown."""
     bundle = load_fixture(name)
-    m = materialize(bundle, point)
+    m = materialize(bundle)
     rows = tuple(expectations) if expectations is not None else bundle.rows
     results = tuple(RowResult(r.check, r.expect, run_row(m, r.check)) for r in rows)
     return Report(name, results)

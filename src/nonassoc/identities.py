@@ -64,7 +64,9 @@ The derived products of ``constructions`` are words in the same language,
 signed sums in x and y.  One element-level evaluator, ``_eval_word_elements``,
 walks their compiled schedules, sum steps included, in exact rationals,
 applying R through a given function (the operator's ``apply``, remembered
-per element), and gives a derived product at each pair of basis vectors.
+per element).  At each pair of basis vectors it gives the one signed sum of
+a construction's words, whose nonzero coordinates ``derive`` writes straight
+into the derived algebra's sparse rows.
 """
 from __future__ import annotations
 
@@ -586,13 +588,13 @@ def _raw_schedule(name: str) -> _Schedule:
 
 
 def _eval_word_elements(a: Algebra, sched: _Schedule, elems: Sequence[Element],
-                        apply: Optional[Callable] = None,
-                        params: Mapping = {}) -> tuple[Element, Element]:
-    """The lhs and rhs of the compiled words at ``elems``, R being ``apply``.
+                        apply: Optional[Callable] = None, params: Mapping = {}) -> Element:
+    """The signed sum of the compiled words at ``elems``, R being ``apply``.
 
-    Each subword is one node of the schedule, evaluated once however many
-    words share it.  A coefficient is an int, a Fraction or a name looked up
-    in ``params``.
+    The words are the schedule's lhs, as ``compile_words(arity, words, ())``
+    gives them.  Each subword is one node of the schedule, evaluated once
+    however many words share it.  A coefficient is an int, a Fraction or a
+    name looked up in ``params``.
     """
     vals = [*elems, *[None] * (sched.size - len(elems))]
     for n, left, right in itertools.chain.from_iterable(sched.steps):
@@ -602,20 +604,16 @@ def _eval_word_elements(a: Algebra, sched: _Schedule, elems: Sequence[Element],
             vals[n] = apply(vals[left])
         else:
             vals[n] = a.product(vals[left], vals[right])
-
-    def side(roots) -> Element:
-        acc = None
-        for coef, n, _, _ in roots:
-            c = params[coef] if type(coef) is str else coef
-            if acc is None:
-                acc = vals[n] if c == 1 else c * vals[n]
-            elif c == -1:
-                acc = acc - vals[n]
-            else:
-                acc = acc + (vals[n] if c == 1 else c * vals[n])
-        return a.zero() if acc is None else acc
-
-    return side(sched.lhs), side(sched.rhs)
+    acc = None
+    for coef, n, _, _ in sched.lhs:
+        c = params[coef] if type(coef) is str else coef
+        if acc is None:
+            acc = vals[n] if c == 1 else c * vals[n]
+        elif c == -1:
+            acc = acc - vals[n]
+        else:
+            acc = acc + (vals[n] if c == 1 else c * vals[n])
+    return acc
 
 
 def _doubled_coords(dim: int, rng: random.Random) -> dict:
@@ -643,15 +641,10 @@ def _doubled_coords(dim: int, rng: random.Random) -> dict:
     return out
 
 
-def random_element(a: Algebra, rng: random.Random) -> Element:
-    """Element with small rational coordinates (mostly integers, some halves)."""
-    return _unscaled(_doubled_coords(a.dim, rng), a.dim, 2)
-
-
 def check_identity_random(a: Algebra, name: str, trials: int, seed: int) -> Verdict:
     """Evaluate the raw identity at pseudo-random elements; deterministic per seed.
 
-    The elements of ``random_element`` are kept doubled and the structure
+    The elements of ``_doubled_coords`` are kept doubled and the structure
     constants scaled by their lcm D, so both sides (m leaves, m - 1 products)
     carry 2^m D^(m-1) and compare exactly in int; a witness is scaled back.
     """

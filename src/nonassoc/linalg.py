@@ -65,15 +65,6 @@ def rref(mat: Matrix) -> tuple[Matrix, Matrix, list[int]]:
     return [row[:n_cols] for row in rows], [row[n_cols:] for row in rows], pivots
 
 
-def nullspace(mat: Matrix) -> list[Vector]:
-    """Basis of the right nullspace, one vector per free column.
-
-    Deterministic: free columns in increasing order, each basis vector has
-    a 1 in its free column.
-    """
-    return solve_affine(mat, [0] * len(mat))[1]
-
-
 def solve_affine(mat: Matrix, rhs: Vector) -> tuple[Vector | None, list[Vector]]:
     """Full solution set of ``mat @ x == rhs``, from one RREF of ``[mat | rhs]``.
 
@@ -118,7 +109,7 @@ class SpanSolver:
         self.columns = [list(c) for c in columns]
         self.ambient_dim = len(columns[0])
         mat = [[columns[j][i] for j in range(len(columns))] for i in range(self.ambient_dim)]
-        self._rref, self._t, self._pivots = rref(mat)
+        _, self._t, self._pivots = rref(mat)
         self.rank = len(self._pivots)
 
     @property

@@ -69,12 +69,6 @@ class LinearOperator:
     def __call__(self, x: Element) -> Element:
         return self.apply(x)
 
-    def compose(self, other: "LinearOperator") -> "LinearOperator":
-        """self after other."""
-        if self.dim != other.dim:
-            raise DimensionMismatchError("operator dimensions differ")
-        return LinearOperator(self.dim, tuple(self.apply(c) for c in other.columns))
-
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         if self.dim != other.dim:
             raise DimensionMismatchError("operator dimensions differ")
@@ -97,11 +91,7 @@ def make_operator(algebra: Algebra, columns: Sequence[Sequence]) -> LinearOperat
         raise DimensionMismatchError(
             f"operator needs {algebra.dim} columns, got {len(columns)}"
         )
-    cols = tuple(Element.from_iterable(c) for c in columns)
-    for c in cols:
-        if len(c.coords) != algebra.dim:
-            raise DimensionMismatchError("operator column has wrong length")
-    return LinearOperator(algebra.dim, cols)
+    return LinearOperator(algebra.dim, tuple(Element.from_iterable(c) for c in columns))
 
 
 def left_multiplication_operator(emb: Embedding, u: Element) -> LinearOperator:

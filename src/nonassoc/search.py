@@ -22,6 +22,7 @@ approximate values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, Element, Embedding
@@ -112,20 +113,14 @@ class QuadraticConstraint:
             return self.kind
         return f"{self.kind}({','.join(format_scalar(getattr(self, n)) for n in params)})"
 
-    def linear_part(self, u: Element) -> Element:
-        """L(u) with the residual written as u^2 + L(u) + K."""
-        a, _ = QUAD_KINDS[self.kind].coefficients(self)
-        return (-a) * u
-
-    def constant_part(self, dim: int) -> Element:
-        if self.unit is None:
-            return Element.zero(dim)
-        _, c = QUAD_KINDS[self.kind].coefficients(self)
-        return (-c) * self.unit
-
     def residual(self, ambient: Algebra, u: Element) -> Element:
-        """u^2 + L(u) + K; zero iff the constraint holds."""
-        return ambient.product(u, u) + self.linear_part(u) + self.constant_part(ambient.dim)
+        """u^2 - a u - c unit; zero iff the constraint holds."""
+        return ambient.product(u, u) - self.target(u)
+
+    def target(self, u: Element) -> Element:
+        """a u + c unit, what u^2 must equal."""
+        a, c = QUAD_KINDS[self.kind].coefficients(self)
+        return a * u if self.unit is None else a * u + c * self.unit
 
 
 def idempotent() -> QuadraticConstraint:
@@ -330,14 +325,12 @@ def find_special(
             consider(base)
         else:
             d = space.directions[free[0]]
-            # residual(base + t d) = Q2 t^2 + Q1 t + Q0 coordinatewise
+            # residual(base + t d) = Q2 t^2 + Q1 t + Q0 coordinatewise, read
+            # off at t = 0, 1, -1: Q1 = (r+ - r-)/2 and Q2 = (r+ + r-)/2 - Q0
             q0 = quad.residual(ambient, base)
-            q1 = (
-                ambient.product(base, d)
-                + ambient.product(d, base)
-                + quad.linear_part(d)
-            )
-            q2 = ambient.product(d, d)
+            r_plus, r_minus = quad.residual(ambient, base + d), quad.residual(ambient, base - d)
+            q1 = Fraction(1, 2) * (r_plus - r_minus)
+            q2 = Fraction(1, 2) * (r_plus + r_minus) - q0
             coeff_triples = [
                 (q2.coords[k], q1.coords[k], q0.coords[k])
                 for k in range(ambient.dim)
@@ -377,13 +370,10 @@ def verify_element(
                 break
         results.append((c.kind, verdict))
     if quad is not None:
-        res = quad.residual(emb.ambient, u)
+        res = quad.residual(ambient, u)
         if res.is_zero():
             results.append((quad.label(), Verdict.ok()))
         else:
-            usq = emb.ambient.product(u, u)
-            target = usq - res
-            results.append(
-                (quad.label(), Verdict.fail(Witness((), (u,), usq, target)))
-            )
+            target = quad.target(u)
+            results.append((quad.label(), Verdict.fail(Witness((), (u,), res + target, target))))
     return results

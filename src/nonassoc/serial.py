@@ -28,10 +28,6 @@ from .operators import LinearOperator, make_operator
 from .scalars import as_scalar, format_scalar
 
 
-def _scalar_out(x) -> str:
-    return format_scalar(x)
-
-
 def _scalar_in(v):
     if isinstance(v, bool) or isinstance(v, float):
         raise FileFormatError(f"scalars must be strings or integers, got {v!r}")
@@ -49,7 +45,7 @@ def _int_in(v) -> int:
 
 def algebra_to_dict(a: Algebra) -> dict:
     sc = [
-        [i, j, k, _scalar_out(v)]
+        [i, j, k, format_scalar(v)]
         for i, row in enumerate(a.sparse_rows)
         for j, entries in enumerate(row)
         for k, v in entries
@@ -85,6 +81,8 @@ def algebra_from_dict(d: dict) -> Algebra:
         raise FileFormatError(f"malformed structure constants: {exc}") from exc
     try:
         return make_algebra(dim, entries, tuple(labels))
+    except MemoryError:
+        raise
     except Exception as exc:
         raise FileFormatError(f"invalid algebra: {exc}") from exc
 
@@ -92,7 +90,7 @@ def algebra_from_dict(d: dict) -> Algebra:
 def operator_to_dict(r: LinearOperator) -> dict:
     return {
         "dim": r.dim,
-        "matrix": [[_scalar_out(v) for v in col.coords] for col in r.columns],
+        "matrix": [[format_scalar(v) for v in col.coords] for col in r.columns],
     }
 
 
@@ -108,12 +106,14 @@ def operator_from_dict(d: dict, algebra: Algebra) -> LinearOperator:
         )
     try:
         return make_operator(algebra, cols)
+    except MemoryError:
+        raise
     except Exception as exc:
         raise FileFormatError(f"invalid operator: {exc}") from exc
 
 
 def element_to_dict(e: Element) -> dict:
-    return {"dim": len(e.coords), "coords": [_scalar_out(v) for v in e.coords]}
+    return {"dim": len(e.coords), "coords": [format_scalar(v) for v in e.coords]}
 
 
 def element_from_dict(d: dict) -> Element:
@@ -131,7 +131,7 @@ def embedding_to_dict(emb: Embedding, ambient_path: str | None = None) -> dict:
     ambient: Any = ambient_path if ambient_path else algebra_to_dict(emb.ambient)
     return {
         "ambient": ambient,
-        "basis": [[_scalar_out(v) for v in b.coords] for b in emb.basis],
+        "basis": [[format_scalar(v) for v in b.coords] for b in emb.basis],
     }
 
 
@@ -150,6 +150,8 @@ def embedding_from_dict(d: dict, base_dir: Path | None = None) -> Embedding:
         ambient = algebra_from_dict(ambient_spec)
     try:
         return Embedding.build(ambient, basis)
+    except MemoryError:
+        raise
     except Exception as exc:
         raise FileFormatError(f"invalid embedding: {exc}") from exc
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 from nonassoc.algebra import (
     Algebra,
     Element,
-    algebra_from_products,
     induce_subalgebra,
     make_algebra,
     matrix_algebra,
@@ -25,6 +24,17 @@ from nonassoc.scalars import canonical, exact_div
 
 def rand_scalar(rng: random.Random, lo: int = -4, hi: int = 4, denom: int = 3):
     return canonical(exact_div(rng.randint(lo, hi), rng.choice([1] * 2 + list(range(1, denom + 1)))))
+
+
+def algebra_from_table(dim: int, products, labels=(), meta=None) -> Algebra:
+    """The algebra with e_i e_j = products[i][j], a dense coordinate table."""
+    entries = [
+        (i, j, k, c)
+        for i in range(dim)
+        for j in range(dim)
+        for k, c in enumerate(products[i][j])
+    ]
+    return make_algebra(dim, entries, labels, meta)
 
 
 def mixed_denominator_algebra(rng: random.Random, n: int, denominators) -> Algebra:
@@ -82,7 +92,7 @@ def conjugate_algebra(a: Algebra, p, pinv) -> Algebra:
             prod = a.product(ei, ej)
             row.append(tuple(mat_vec(pinv, list(prod.coords))))
         products.append(row)
-    return algebra_from_products(n, products)
+    return algebra_from_table(n, products)
 
 
 def conjugate_operator(r: LinearOperator, p, pinv) -> LinearOperator:

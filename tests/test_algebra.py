@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from nonassoc.algebra import (
     Element,
     Embedding,
-    algebra_from_products,
     element_from_matrix,
     induce_subalgebra,
     is_associative,
@@ -28,6 +27,8 @@ from nonassoc.errors import (
 from nonassoc.scalars import canonical
 from nonassoc.serial import algebra_content_hash, algebra_to_dict
 from nonassoc.verdicts import Verdict, Witness
+
+from genalgebras import algebra_from_table
 
 
 def mat_mul(a, b):
@@ -136,7 +137,7 @@ def test_sparse_rows_are_the_stored_form(name, a):
     ]
     rng.shuffle(entries)
     _same_algebra(make_algebra(a.dim, entries, a.basis_labels), a)
-    _same_algebra(algebra_from_products(a.dim, a.sc, a.basis_labels), a)
+    _same_algebra(algebra_from_table(a.dim, a.sc, a.basis_labels), a)
     i, j, k, _ = entries[0]
     bumped = [(i, j, k, a.sc[i][j][k] + 1)] + entries[1:]
     assert make_algebra(a.dim, bumped) != a
@@ -340,17 +341,54 @@ def test_multiply_bilinear(xs, xs2, ys, alpha, beta):
     assert sub.product(y, combo) == alpha * sub.product(y, x) + beta * sub.product(y, x2)
 
 
-def test_embedding_roundtrip_products():
+def dense_sub_rows(emb):
+    """``induce_subalgebra``'s rows from one dense ambient product and ``to_sub``
+    per entry, zeros dropped."""
+    amb = emb.ambient
+    return tuple(
+        tuple(
+            tuple((k, c) for k, c in enumerate(emb.to_sub(amb.product(x, y)).coords) if c != 0)
+            for y in emb.basis
+        )
+        for x in emb.basis
+    )
+
+
+def test_embedding_roundtrip_products(all_materialized):
+    from genalgebras import mixed_denominator_algebra, rota_baxter_setup
+
     rng = random.Random(7)
     ambient = matrix_algebra(3)
-    basis = [element_from_matrix(m) for m in (E1, E2, E3)]
-    sub, emb = induce_subalgebra(ambient, basis)
-    for _ in range(30):
-        x = Element(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)))
-        y = Element(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)))
-        inside = emb.to_ambient(sub.product(x, y))
-        outside = ambient.product(emb.to_ambient(x), emb.to_ambient(y))
-        assert inside == outside
+    embeddings = [Embedding.build(ambient, [element_from_matrix(m) for m in (E1, E2, E3)])]
+    embeddings += [m.embedding for m in all_materialized.values()]
+    embeddings += [rota_baxter_setup(rng, w)[2] for w in ("one", "zero", "weighted") * 2]
+    # rational constants in a rational basis of the whole space, which is closed
+    for n in (2, 3, 4):
+        amb = mixed_denominator_algebra(rng, n, (1, 2, 3, 7))
+        while True:
+            basis = [
+                Element(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)))
+                for _ in range(n)
+            ]
+            try:
+                embeddings.append(Embedding.build(amb, basis))
+                break
+            except DependentBasisError:
+                pass
+    assert len(embeddings) == 1 + 13 + 6 + 3
+    for emb in embeddings:
+        sub, got = induce_subalgebra(emb.ambient, emb.basis, [f"b{i}" for i in range(emb.sub_dim)])
+        assert got.basis == emb.basis
+        assert repr(sub.sparse_rows) == repr(dense_sub_rows(emb))
+        assert sub.basis_labels == tuple(f"b{i}" for i in range(emb.sub_dim))
+        assert sub.meta == {"kind": "subalgebra", "ambient_dim": emb.ambient.dim}
+        k = sub.dim
+        for _ in range(30):
+            x = Element(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(k)))
+            y = Element(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(k)))
+            inside = emb.to_ambient(sub.product(x, y))
+            outside = emb.ambient.product(emb.to_ambient(x), emb.to_ambient(y))
+            assert inside == outside
 
 
 def dense_left_table(emb):

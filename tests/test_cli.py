@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -219,6 +222,70 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "check", "--algebra", str(bad), "--identity", "jacobi")
     assert code == 2
     assert "error:" in err
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+_F1B = DATA / "fixtures" / "F1b"
+_F10 = DATA / "fixtures" / "F10"
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("nonassoc.serial.make_algebra",
+     ("check", "--algebra", str(DATA / "examples" / "null2.json"), "--identity", "jacobi")),
+    ("nonassoc.serial.make_operator",
+     ("props", "--algebra", f"{_F10}.algebra.json", "--operator", f"{_F10}.operator.json",
+      "--property", "rota_baxter:lam=1")),
+    ("nonassoc.serial.Embedding.build",
+     ("props", "--algebra", f"{_F1B}.algebra.json", "--from-u", f"{_F1B}.u.json",
+      "--embedding", f"{_F1B}.embedding.json", "--property", "endomorphism")),
+])
+def test_memory_error_while_loading_exits_2(capsys, monkeypatch, target, argv):
+    monkeypatch.setattr(target, _out_of_memory)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
+def test_memory_error_during_check_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("nonassoc.cli.check_identity", _out_of_memory)
+    code, out, err = run(
+        capsys, "check",
+        "--algebra", str(DATA / "examples" / "f3plus.json"),
+        "--identity", "associativity",
+    )
+    assert code == 2
+    assert err == "error: out of memory\n"
+    assert "FAIL" not in out
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    """``python -m nonassoc`` on shipped files: the process exit status itself."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(DATA.parent.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "nonassoc", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+
+    passed = run_module("check", "--algebra", str(DATA / "examples" / "null2.json"),
+                        "--identity", "jacobi")
+    assert passed.returncode == 0 and "result: PASS" in passed.stdout
+    refuted = run_module("check", "--algebra", str(DATA / "examples" / "f3plus.json"),
+                         "--identity", "associativity")
+    assert refuted.returncode == 1 and "witness indices" in refuted.stdout
+    assert "Traceback" not in refuted.stderr
+    missing = run_module("check", "--algebra", str(tmp_path / "missing.json"),
+                         "--identity", "jacobi")
+    assert missing.returncode == 2 and missing.stderr.startswith("error:")
+    assert "Traceback" not in missing.stderr
 
 
 def test_unknown_identity_exits_2(capsys):

@@ -19,10 +19,16 @@ from nonassoc.identities import (
     _doubled_coords,
     _plan_schedule,
     _raw_schedule,
+    _unscaled,
     polarized_plan,
-    random_element,
 )
 from nonassoc.verdicts import Verdict, Witness
+
+
+def random_element(a, rng):
+    """An element as ``check_identity_random`` draws it: small rational
+    coordinates, mostly integers, some halves."""
+    return _unscaled(_doubled_coords(a.dim, rng), a.dim, 2)
 
 
 def test_catalog_names_and_multidegrees():

@@ -5,7 +5,7 @@ per-kind if-chains they replaced.
 ``repr``-equal results to the chains on every fixture embedding (each linear
 kind alone and in pairs, at the sample u, u + E11 and five random rational
 u) and on random embeddings; every ``LINEAR_SIDES`` row must be affine in u;
-every quadratic kind must keep its label, linear part and residual.
+every quadratic kind must keep its label and residual.
 """
 import itertools
 import random
@@ -243,7 +243,6 @@ def test_find_special_matches_if_chains(monkeypatch):
     got = run_all()
     monkeypatch.setattr(search, "solve_linear", chain_solve_linear)
     monkeypatch.setattr(QuadraticConstraint, "residual", chain_quad_residual)
-    monkeypatch.setattr(QuadraticConstraint, "linear_part", chain_linear_part)
     old = run_all()
     assert got == old
 
@@ -280,5 +279,4 @@ def test_quadratic_kinds_match_formulas(quad):
     _, ambient, _, us = next(c for c in _CASES if c[1].dim == 4)
     assert quad.label() == chain_label(quad)
     for u in us:
-        assert quad.linear_part(u) == chain_linear_part(quad, u)
         assert repr(quad.residual(ambient, u)) == repr(chain_quad_residual(quad, ambient, u))
