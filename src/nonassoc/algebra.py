@@ -152,6 +152,11 @@ class Algebra:
         )
         return scaled, denom
 
+    @cached_property
+    def nonzero_constants(self) -> int:
+        """The number of nonzero structure constants, counted once."""
+        return sum(len(e) for row in self.sparse_rows for e in row)
+
     def basis_product(self, i: int, j: int) -> Element:
         coords = [0] * self.dim
         for k, c in self.sparse_rows[i][j]:

@@ -28,12 +28,15 @@ G x (slot symmetry), G the group of ``symmetry``: a pass on every
 representative is a proof.  Every failing tuple's orbit has a representative
 no later than itself, and that representative fails, so the first failing
 representative is the lexicographically first failing tuple and witnesses
-are unchanged.  The group is searched for once per algebra, and used for a
-plan only when its tuple count prod C(n+d-1, d) exceeds ``_TUPLES_PER_UNIT``
-times (n + the number of nonzero constants), as the search costs about
-that many tuples' worth of the plain loop per index or constant, and only
-when the group has no more elements than the plan has tuples.  Operator words keep the plain loop,
-since an automorphism of the product need not commute with R.
+are unchanged.  Only a g that sends some index of a slot group's run to its
+first index can give an image that is not larger (Linton's minimal-image
+idea), so only those g sort an image.  The group is searched for once per
+algebra, and used for a plan only when its tuple count prod C(n+d-1, d)
+exceeds ``_TUPLES_PER_UNIT`` times (n + the number of nonzero constants), as
+the search costs about that many tuples' worth of the plain loop per index
+or constant, and only when the group has no more elements than the plan has
+tuples.  Operator words keep the plain loop, since an automorphism need not
+commute with R.
 
 Words may also apply a linear operator: the node ``("R", w)`` is R(w).  The
 operator identities of ``operators`` (derivation, Rota-Baxter, ...) are
@@ -480,14 +483,20 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, lhs, rhs, scale: int,
     nonzero constant, and no more elements than tuples; ``check_words``
     never does, as an automorphism need not commute with R.
 
-    A prefix is pruned when some g maps it, sorted within its slot groups, to
-    a lex-smaller prefix: every tuple below it then has a smaller image.  Kept
-    alive below a prefix are the g whose sorted image equals it on every
-    completed slot group, since a larger image there stays larger below.
-    Inside an unfinished slot group a larger sorted image can still become
-    smaller, so there no g is dropped.  At a full tuple the alive g are then
-    exactly the ones that could map it lower, and the test is exact.  With G
-    trivial (``group`` empty) this is the plain loop.
+    A prefix is pruned when some alive g maps it, sorted within its slot
+    groups, to a lex-smaller prefix: every tuple below it then has a smaller
+    image.  Kept alive below a prefix are the g whose sorted image equals it
+    on every completed slot group, since a larger image there stays larger
+    below.  Inside an unfinished slot group a larger sorted image can still
+    become smaller, so there no g is dropped.  At a full tuple the alive g
+    are then exactly the ones that could map it lower, and the test is exact.
+    With G trivial (``group`` empty) this is the plain loop.
+
+    The alive g fix every completed slot group, so the current run r =
+    (a, ..., x) decides.  At a's slot g[a] < a prunes; g[a] = a keeps g if
+    r closes.  Else ``hits[y]`` holds the g with g[y] = a and ``low[y]`` the
+    least image of y.  At a later x, low[x] < a prunes; a g in no hits[y],
+    y in r, maps r above a, so it neither prunes nor stays: only hits sort.
     """
     signed = lhs + tuple((-w, n) for w, n in rhs)
     dim, tied = a.dim, sched.tied
@@ -499,22 +508,38 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, lhs, rhs, scale: int,
     if sched.phantom is not None:
         vals[sched.phantom] = {dim: 1}
     tup = [0] * len(tied)
+    low, hits = [None] * len(tied), [None] * len(tied)  # kept at each run's first slot
 
     def survivors(d: int, alive):
         """The elements alive below the prefix ``tup[:d + 1]``, or None to prune it."""
-        run = tup[start[d]:d + 1]
-        closed = d == last or not tied[d + 1]
-        kept = []
-        for g in alive:
-            image = sorted([g[x] for x in run])
-            if image < run:
-                return None
-            if image == run or not closed:
-                kept.append(g)
-        return kept
+        s, closed = start[d], d == last or not tied[d + 1]
+        a = tup[s]
+        if s == d:  # a run's first index: compare g[a] with a, sort nothing
+            kept, hits[d] = [], {}
+            for g in alive:
+                if g[a] < a:
+                    return None
+                if not closed:
+                    hits[d].setdefault(g.index(a), []).append(g)
+                elif g[a] == a:
+                    kept.append(g)
+            return kept if closed else alive
+        if low[s][tup[d]] < a:
+            return None
+        run, kept = tup[s:d + 1], []
+        for y in dict.fromkeys(run):
+            for g in hits[s].get(y, ()):
+                image = sorted([g[x] for x in run])
+                if image < run:
+                    return None
+                if image == run:
+                    kept.append(g)
+        return kept if closed else alive
 
     def loop(d: int, alive) -> bool:
         """Run slot ``d`` and the slots after it; True at the first failure."""
+        if alive and not tied[d] and d < last and tied[d + 1]:
+            low[d] = [min(c) for c in zip(*alive)]
         for i in range(tup[d - 1] if tied[d] else 0, dim):
             tup[d] = i
             below = alive and survivors(d, alive)
@@ -557,7 +582,7 @@ def check_identity(a: Algebra, name: str) -> Verdict:
     sched = _plan_schedule(name)
     rows, denom = a.integer_rows
     tuples = prod(comb(a.dim + d - 1, d) for d in plan.identity.multidegree)
-    size = a.dim + sum(len(e) for row in rows for e in row)
+    size = a.dim + a.nonzero_constants
     group = a.automorphisms.elements(tuples) if tuples > _TUPLES_PER_UNIT * size else ()
     return _basis_verdict(a, sched, rows, *_weighted(sched, denom), group)
 

@@ -46,9 +46,8 @@ def group_of(a):
     return (tuple(range(a.dim)),) + a.automorphisms.elements(math.factorial(a.dim))
 
 
-def canonical_tuples(dim, name):
+def canonical_tuples(dim, degrees):
     """The basis tuples non-decreasing within each slot group, in lex order."""
-    degrees = identities.get_identity(name).multidegree
     runs = [itertools.combinations_with_replacement(range(dim), d) for d in degrees]
     return [sum(parts, ()) for parts in itertools.product(*runs)]
 
@@ -59,6 +58,28 @@ def sorted_image(g, t, degrees):
         out += sorted(g[x] for x in t[at:at + d])
         at += d
     return tuple(out)
+
+
+def lex_min_representatives(a, degrees):
+    """Oracle: the lex-min tuple of each orbit of G x (slot symmetry), in lex
+    order, found by brute force; the orbits must partition all tuples."""
+    group = group_of(a)
+    reps, total = [], 0
+    for t in canonical_tuples(a.dim, degrees):
+        images = {sorted_image(g, t, degrees) for g in group}
+        if min(images) == t:
+            reps.append(t)
+            total += len(images)
+    assert total == math.prod(math.comb(a.dim + d - 1, d) for d in degrees)
+    return reps
+
+
+def assert_visited_representatives(visited, reps, verdict):
+    """The loop compared the sides at the representatives, cut at the witness."""
+    if verdict.passed:
+        assert visited == reps
+    else:
+        assert visited == reps[:reps.index(verdict.witness.indices) + 1]
 
 
 def plain_verdict(a, name):
@@ -85,7 +106,7 @@ def plain_verdict(a, name):
                 acc[k] = acc.get(k, 0) + sign * v
         return {k: v for k, v in acc.items() if v}
 
-    for t in canonical_tuples(a.dim, name):
+    for t in canonical_tuples(a.dim, plan.identity.multidegree):
         if side(plan.lhs, t) != side(plan.rhs, t):
             lhs, rhs = polarized_sides(a, name, t)
             return Verdict.fail(Witness(t, tuple(a.basis_vector(i) for i in t), lhs, rhs))
@@ -178,27 +199,52 @@ def test_symmetric_group_of_the_basis_is_never_materialized(monkeypatch, make):
     assert a.automorphisms._elements is None
 
 
-@pytest.mark.parametrize("label", ["M3", "commutator(M3)"])
-@pytest.mark.parametrize("name", IDENTITY_NAMES)
+_VISITED_CASES = [(name, label) for label in ("M3", "commutator(M3)") for name in IDENTITY_NAMES]
+_VISITED_CASES += [(name, "M4") for name in ("flexible", "jordan_flex", "jordan_main")]
+
+
+@pytest.mark.parametrize("name, label", _VISITED_CASES, ids=[f"{n}-{l}" for n, l in _VISITED_CASES])
 def test_visited_tuples_are_the_lex_min_representatives(always_use_group, visited, label, name):
-    a = shuffled_matrix_algebra(3, 7)
-    if label != "M3":
+    a = shuffled_matrix_algebra(4 if label == "M4" else 3, 7)
+    if label == "commutator(M3)":
         a = commutator(a)
     degrees = identities.get_identity(name).multidegree
-    group = group_of(a)
-    reps, total = [], 0
-    for t in canonical_tuples(a.dim, name):
-        images = {sorted_image(g, t, degrees) for g in group}
-        if min(images) == t:
-            reps.append(t)
-            total += len(images)
-    assert total == math.prod(math.comb(a.dim + d - 1, d) for d in degrees)
+    reps = lex_min_representatives(a, degrees)
     visited["slots"] = sum(degrees)
-    verdict = check_identity(a, name)
-    if verdict.passed:
-        assert visited["tuples"] == reps
-    else:
-        assert visited["tuples"] == reps[:reps.index(verdict.witness.indices) + 1]
+    assert_visited_representatives(visited["tuples"], reps, check_identity(a, name))
+
+
+# Words whose repeated variable follows a single one, or a second repeated
+# one, so the loop prunes inside a slot group whose alive elements are a
+# proper stabilizer: multidegree and (lhs, rhs) in x, y, z = 0, 1, 2.
+_TIED_AFTER_CLOSED = {
+    "xy.y=x.yy": ((1, 2), ((1, ((0, 1), 1)),), ((1, (0, (1, 1))),)),
+    "xy.xy=xx.yy": ((2, 2), ((1, ((0, 1), (0, 1))),), ((1, ((0, 0), (1, 1))),)),
+    "xz.yz=xy.zz": ((1, 1, 2), ((1, ((0, 2), (1, 2))),), ((1, ((0, 1), (2, 2))),)),
+}
+
+
+@pytest.mark.parametrize("words", _TIED_AFTER_CLOSED)
+@pytest.mark.parametrize("label", ["M2", "M3", "commutator(M3)"])
+def test_tied_slots_after_a_closed_group_visit_the_lex_min_representatives(visited, label, words):
+    a = shuffled_matrix_algebra(3 if label != "M2" else 2, 12)
+    if label == "commutator(M3)":
+        a = commutator(a)
+    degrees, lhs, rhs = _TIED_AFTER_CLOSED[words]
+    offsets = [sum(degrees[:v]) for v in range(len(degrees))]
+    groups = tuple(tuple(range(o, o + d)) for o, d in zip(offsets, degrees) if d > 1)
+    sched = identities._schedule(
+        sum(degrees),
+        identities._polarize_words(lhs, degrees, offsets),
+        identities._polarize_words(rhs, degrees, offsets),
+        groups,
+    )
+    rows, denom = a.integer_rows
+    weighted = identities._weighted(sched, denom)
+    visited["slots"] = sum(degrees)
+    verdict = identities._basis_verdict(a, sched, rows, *weighted, group_of(a)[1:])
+    assert_visited_representatives(visited["tuples"], lex_min_representatives(a, degrees), verdict)
+    assert repr(verdict) == repr(identities._basis_verdict(a, sched, rows, *weighted))
 
 
 def _witness_algebras(all_materialized):
