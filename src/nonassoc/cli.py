@@ -14,8 +14,7 @@ import sys
 
 from . import fixtures as fx
 from .algebra import Element
-from .constructions import CATALOG as CONSTRUCTION_CATALOG
-from .constructions import construction, derive
+from .constructions import ConstructionSpec, derive
 from .errors import NonassocError
 from .identities import IDENTITY_NAMES, check_identity, check_identity_random
 from .operators import (
@@ -108,11 +107,6 @@ def _parse_kv(spec: str, cast=str) -> dict:
 
 def _spec_args(raw: str) -> list[str]:
     return [piece.strip() for piece in raw.split(",") if piece.strip()]
-
-
-def _parse_property(spec: str) -> OperatorProperty:
-    kind, _, raw = spec.partition(":")
-    return fx.operator_property(kind.strip(), _spec_args(raw))
 
 
 def cmd_list_fixtures(args) -> int:
@@ -243,7 +237,8 @@ def cmd_props(args) -> int:
     operator = _load_operator_for(args, algebra)
     results = []
     for spec in args.property:
-        prop = _parse_property(spec)
+        kind, _, raw = spec.partition(":")
+        prop = OperatorProperty.parse(kind.strip(), _spec_args(raw))
         results.append((prop.label(), check_operator_property(algebra, operator, prop)))
     ok = all(v.passed for _, v in results)
     lines = [f"props: operator on {args.algebra} (dim {algebra.dim})"]
@@ -266,17 +261,10 @@ def cmd_props(args) -> int:
 
 def cmd_derive(args) -> int:
     algebra = load_algebra(args.algebra)
-    if args.construction not in CONSTRUCTION_CATALOG:
-        raise NonassocError(
-            f"unknown construction {args.construction!r}; choose from "
-            f"{', '.join(sorted(CONSTRUCTION_CATALOG))}"
-        )
+    spec = ConstructionSpec.parse(args.construction, _spec_args(args.param or ""))
     operator = None
     if args.operator:
         operator = load_operator(args.operator, algebra)
-    names = CONSTRUCTION_CATALOG[args.construction].params
-    params = fx.bind_args(args.construction, names, _spec_args(args.param or ""))
-    spec = construction(args.construction, **params)
     derived = derive(algebra, operator, spec)
     save_algebra(derived, args.out)
     lines = [
@@ -301,10 +289,10 @@ def cmd_search_element(args) -> int:
     if emb.ambient != ambient:
         raise NonassocError("embedding ambient differs from --ambient algebra")
     lin = [LinearConstraint(k.strip(), emb) for k in args.lin.split(",") if k.strip()]
-    qparams = fx.bind_args(args.quad, QUAD_KINDS[args.quad].params,
-                           _spec_args(",".join(args.quad_param or [])))
     unit = load_element(args.unit) if args.unit else None
-    quad = QuadraticConstraint(args.quad, unit=unit, **qparams)
+    quad = QuadraticConstraint.parse(
+        args.quad, _spec_args(",".join(args.quad_param or [])), unit=unit
+    )
     if args.strategy == "grid":
         if not args.grid:
             raise NonassocError("grid strategy requires --grid FILE")

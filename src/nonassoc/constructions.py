@@ -20,7 +20,7 @@ from .algebra import Algebra, make_algebra
 from .errors import DimensionMismatchError, MalformedPropertyError
 from .identities import R, X, Y, _eval_word_elements, _shape, compile_words
 from .operators import LinearOperator
-from .scalars import Scalar, as_scalar
+from .scalars import NamedKind, Scalar
 
 
 class Construction(NamedTuple):
@@ -65,36 +65,30 @@ _SCHEDULES = {name: compile_words(2, cons.words, ()) for name, cons in CATALOG.i
 
 
 @dataclass(frozen=True)
-class ConstructionSpec:
+class ConstructionSpec(NamedKind):
     """A catalog name plus its parameters (only novikov_affine takes one)."""
 
-    name: str
-    a: Optional[Scalar] = None
+    KINDS = CATALOG
+    WHAT = "construction"
 
-    def __post_init__(self):
-        if self.name not in CATALOG:
-            raise MalformedPropertyError(f"unknown construction {self.name!r}")
-        needs_a = "a" in CATALOG[self.name].params
-        if needs_a and self.a is None:
-            raise MalformedPropertyError(f"{self.name} requires parameter a")
-        if not needs_a and self.a is not None:
-            raise MalformedPropertyError(f"{self.name} takes no parameter")
+    kind: str
+    a: Optional[Scalar] = None
 
 
 def construction(name: str, a=None) -> ConstructionSpec:
-    return ConstructionSpec(name, None if a is None else as_scalar(a))
+    return ConstructionSpec(name, a)
 
 
 def derive(
     source: Algebra, operator: Optional[LinearOperator], spec: ConstructionSpec
 ) -> Algebra:
     """Materialize the derived product as a new algebra, row by sparse row."""
-    cons = CATALOG[spec.name]
+    cons = CATALOG[spec.kind]
     if cons.needs_operator and operator is None:
-        raise MalformedPropertyError(f"construction {spec.name} requires an operator")
+        raise MalformedPropertyError(f"construction {spec.kind} requires an operator")
     if operator is not None and operator.dim != source.dim:
         raise DimensionMismatchError("operator dimension differs from algebra")
-    sched = _SCHEDULES[spec.name]
+    sched = _SCHEDULES[spec.kind]
     params = {name: getattr(spec, name) for name in cons.params}
     basis = source.basis()
     # R is applied once per distinct element, so once per basis vector for R(x), R(y)
@@ -106,7 +100,7 @@ def derive(
     from .serial import algebra_content_hash, operator_content_hash
 
     meta = {
-        "construction": spec.name,
+        "construction": spec.kind,
         "source": algebra_content_hash(source),
     }
     if operator is not None:

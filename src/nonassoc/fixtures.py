@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Callable, Optional, Sequence
 
@@ -50,7 +50,6 @@ from .constructions import construction, derive, hadamard_algebra
 from .errors import GridError, NonassocError, UnknownFixtureError
 from .identities import ParamSpec, ParametricVerdict, certify_parametric, check_identity
 from .operators import (
-    PROPERTY_KINDS,
     LinearOperator,
     OperatorProperty,
     check_operator_property,
@@ -90,11 +89,11 @@ class FixtureBundle:
     ambient_n: int
     basis_fn: Callable[[Mapping[str, Scalar]], tuple]
     u_fn: Callable[[Mapping[str, Scalar]], tuple]
-    params: tuple[ParamSpec, ...]
-    sample_point: dict
     plan: tuple[tuple, ...]
     rows: tuple[ExpectedRow, ...]
     negative_control: NegativeControl
+    params: tuple[ParamSpec, ...] = ()
+    sample_point: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
     @property
@@ -349,8 +348,6 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             [[0, 0, 0], [0, 0, 0], [0, 1, 1]],   # n
         ]),
         u_fn=_static([[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
-        params=(),
-        sample_point={},
         plan=(("A", "induced"), ("lie", "derive", "A", "lie_endo", None)),
         rows=_rows(
             ("element:right_identity", True),
@@ -377,8 +374,6 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         ambient_n=3,
         basis_fn=_static(_ROW1M11),
         u_fn=_static([[1, -1, 1], [1, -1, 1], [1, -1, 1]]),
-        params=(),
-        sample_point={},
         plan=(
             ("A", "induced"),
             ("plus", "derive", "A", "jordan_plus", None),
@@ -447,8 +442,6 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         ambient_n=3,
         basis_fn=_static(_ROWM111),
         u_fn=_static([[-1, 1, 1], [-1, 1, 1], [-1, 1, 1]]),
-        params=(),
-        sample_point={},
         plan=(
             ("A", "induced"),
             ("leib", "derive", "A", "leibniz_endo", None),
@@ -492,8 +485,6 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             [[0, 0], [1, 0]],
         ]),
         u_fn=_static([[1, 0], [0, 0]]),
-        params=(),
-        sample_point={},
         plan=(
             ("A", "hadamard", 2, 1),
             ("prelie", "derive", "A", "prelie_endo", None),
@@ -601,8 +592,6 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
         ]),
         u_fn=_static([[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
-        params=(),
-        sample_point={},
         plan=(
             ("A", "induced"),
             ("flex", "derive", "A", "flexible_avg", None),
@@ -720,10 +709,7 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         ),
     ))
 
-    order = ["F1", "F1b", "F2", "F3", "F3b", "F4", "F5",
-             "F6", "F7", "F8", "F9", "F10", "F11"]
-    by_name = {b.name: b for b in bundles}
-    return {name: by_name[name] for name in order}
+    return {b.name: b for b in bundles}
 
 
 _CATALOG: dict[str, FixtureBundle] = _build_catalog()
@@ -846,36 +832,6 @@ def _resolve_args(raw: Optional[str], point: Mapping) -> list:
     return out
 
 
-def bind_args(kind: str, names: Sequence[str], args: list) -> dict:
-    """Arguments as scalars keyed by ``names``: positional, or ``k=v`` pairs
-    that give each name once."""
-    pairs = [str(arg).partition("=") for arg in args]
-    if any(sep for _, sep, _ in pairs):
-        keyed = {k.strip(): v.strip() for k, _, v in pairs}
-        if len(keyed) != len(args) or set(keyed) != set(names):
-            raise NonassocError(f"{kind} has parameters {list(names)}, got {list(args)}")
-        args = [keyed[name] for name in names]
-    if len(args) != len(names):
-        raise NonassocError(f"{kind} takes {len(names)} argument(s), got {len(args)}")
-    try:
-        return {name: as_scalar(arg) for name, arg in zip(names, args)}
-    except (TypeError, ValueError) as exc:
-        raise NonassocError(f"bad argument for {kind}: {exc}") from exc
-
-
-def operator_property(kind: str, args: list) -> OperatorProperty:
-    if kind not in PROPERTY_KINDS:
-        raise NonassocError(f"unknown operator property {kind!r}")
-    return OperatorProperty(kind, **bind_args(kind, PROPERTY_KINDS[kind].params, args))
-
-
-def _quad_from_label(kind: str, args: list, ambient_n: int) -> QuadraticConstraint:
-    params = bind_args(kind, QUAD_KINDS[kind].params, args)
-    if QUAD_KINDS[kind].unit:
-        params["unit"] = matrix_identity_element(ambient_n)
-    return QuadraticConstraint(kind, **params)
-
-
 def _plan_algebra(m: Materialized, name: Optional[str], label: str) -> Algebra:
     """The plan algebra that a row's label names."""
     if name not in m.algebras:
@@ -925,7 +881,8 @@ def run_row(m: Materialized, label: str) -> Verdict:
                 m.embedding, m.u, [LinearConstraint(kind, m.embedding)], None
             )
         elif kind in QUAD_KINDS:
-            quad = _quad_from_label(kind, args, m.bundle.ambient_n)
+            unit = matrix_identity_element(m.bundle.ambient_n) if QUAD_KINDS[kind].unit else None
+            quad = QuadraticConstraint.parse(kind, args, unit=unit)
             results = verify_element(m.embedding, m.u, [], quad)
         else:
             raise NonassocError(f"unknown element constraint {kind!r}")
@@ -942,7 +899,7 @@ def run_row(m: Materialized, label: str) -> Verdict:
         # the catalogued label of operator[ALG]:rota_baxter0_mirrored
         family, alg_name, args = "operator", str(args[0]), []
     if family == "operator":
-        prop = operator_property(kind, args)
+        prop = OperatorProperty.parse(kind, args)
         return check_operator_property(_plan_algebra(m, alg_name, label), m.operator, prop)
     if family == "identity":
         if args:

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, Element, Embedding
-from .errors import DimensionMismatchError, ImageNotInSpanError, MalformedPropertyError
+from .errors import DimensionMismatchError, ImageNotInSpanError
 from .identities import R, X, Y, check_words, compile_words
-from .scalars import Scalar, as_scalar, canonical, format_scalar
+from .scalars import NamedKind, Scalar, canonical
 from .verdicts import Verdict
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LinearOperator:
     """Square matrix acting on the elements of one algebra.
 
@@ -43,16 +43,6 @@ class LinearOperator:
             if len(c.coords) != self.dim:
                 raise DimensionMismatchError("operator column has wrong length")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinearOperator)
-            and self.dim == other.dim
-            and self.columns == other.columns
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.columns))
-
     def apply(self, x: Element) -> Element:
         if len(x.coords) != self.dim:
             raise DimensionMismatchError("element has wrong dimension for operator")
@@ -65,9 +55,6 @@ class LinearOperator:
                 if col[k] != 0:
                     acc[k] = acc[k] + c * col[k]
         return Element(tuple(a if type(a) is int else canonical(a) for a in acc))
-
-    def __call__(self, x: Element) -> Element:
-        return self.apply(x)
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         if self.dim != other.dim:
@@ -167,7 +154,7 @@ _SCHEDULES = {
 
 
 @dataclass(frozen=True)
-class OperatorProperty:
+class OperatorProperty(NamedKind):
     """A named operator identity, with parameters where the kind requires them.
 
     Kinds and their identities:
@@ -187,27 +174,13 @@ class OperatorProperty:
     unit element enters the check.
     """
 
+    KINDS = PROPERTY_KINDS
+    WHAT = "operator property"
+
     kind: str
     alpha: Optional[Scalar] = None
     lam: Optional[Scalar] = None
     beta: Optional[Scalar] = None
-
-    def __post_init__(self):
-        if self.kind not in PROPERTY_KINDS:
-            raise MalformedPropertyError(f"unknown operator property {self.kind!r}")
-        required = PROPERTY_KINDS[self.kind].params
-        for name in ("alpha", "lam", "beta"):
-            value = getattr(self, name)
-            if name in required and value is None:
-                raise MalformedPropertyError(f"{self.kind} requires parameter {name}")
-            if name not in required and value is not None:
-                raise MalformedPropertyError(f"{self.kind} takes no parameter {name}")
-
-    def label(self) -> str:
-        params = PROPERTY_KINDS[self.kind].params
-        if not params:
-            return self.kind
-        return f"{self.kind}({','.join(format_scalar(getattr(self, n)) for n in params)})"
 
 
 def endomorphism() -> OperatorProperty:
@@ -223,11 +196,11 @@ def involution_op() -> OperatorProperty:
 
 
 def scaled_idempotent_op(alpha) -> OperatorProperty:
-    return OperatorProperty("scaled_idempotent_op", alpha=as_scalar(alpha))
+    return OperatorProperty("scaled_idempotent_op", alpha=alpha)
 
 
 def scaled_involution_op(alpha) -> OperatorProperty:
-    return OperatorProperty("scaled_involution_op", alpha=as_scalar(alpha))
+    return OperatorProperty("scaled_involution_op", alpha=alpha)
 
 
 def derivation() -> OperatorProperty:
@@ -239,11 +212,11 @@ def left_averaging() -> OperatorProperty:
 
 
 def rota_baxter(lam) -> OperatorProperty:
-    return OperatorProperty("rota_baxter", lam=as_scalar(lam))
+    return OperatorProperty("rota_baxter", lam=lam)
 
 
 def rota_baxter_weighted(lam, beta) -> OperatorProperty:
-    return OperatorProperty("rota_baxter_weighted", lam=as_scalar(lam), beta=as_scalar(beta))
+    return OperatorProperty("rota_baxter_weighted", lam=lam, beta=beta)
 
 
 def check_operator_property(

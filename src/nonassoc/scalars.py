@@ -1,4 +1,4 @@
-"""Exact rational scalars.
+"""Exact rational scalars, and the named kinds whose parameters are scalars.
 
 A scalar is a plain ``int`` or a ``fractions.Fraction``; both are exact,
 hash/compare equal when numerically equal, and interoperate in arithmetic.
@@ -8,12 +8,19 @@ identity-checking hot loops.  No floating point is used anywhere.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
-from typing import Union
+from typing import Sequence, Union
 
+from .errors import MalformedPropertyError
 
 Scalar = Union[int, Fraction]
+
+# "p" or "p/q" in ASCII digits, with an optional sign and surrounding
+# whitespace.  Fraction's own parser would also take decimals and exponents,
+# and expands "1e99999999" digit by digit.
+_SCALAR_TEXT = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def as_scalar(value) -> Scalar:
@@ -25,11 +32,82 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, Fraction):
         return canonical(value)
     if isinstance(value, str):
-        try:
-            return canonical(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse scalar {value!r}") from exc
+        match = _SCALAR_TEXT.fullmatch(value)
+        if match:
+            p, q = match.groups()
+            try:
+                return int(p) if q is None else canonical(Fraction(int(p), int(q)))
+            except (ValueError, ZeroDivisionError):  # past int's digit limit, or q = 0
+                pass
+        raise ValueError(f"cannot parse scalar {value!r}")
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
+
+
+def bind(kind: str, names: Sequence[str], args: Sequence) -> dict:
+    """``args`` keyed by ``names``: positional, or ``k=v`` pairs that give
+    each name once."""
+    pairs = [str(arg).partition("=") for arg in args]
+    if any(sep for _, sep, _ in pairs):
+        keyed = {k.strip(): v.strip() for k, _, v in pairs}
+        if len(keyed) != len(args) or set(keyed) != set(names):
+            raise MalformedPropertyError(f"{kind} has parameters {list(names)}, got {list(args)}")
+        args = [keyed[name] for name in names]
+    if len(args) != len(names):
+        raise MalformedPropertyError(f"{kind} takes {len(names)} argument(s), got {len(args)}")
+    return dict(zip(names, args))
+
+
+class NamedKind:
+    """A frozen dataclass ``(kind, *parameters)`` whose ``kind`` names a row
+    of the class's ``KINDS`` table; ``WHAT`` says what a kind is.
+
+    A row declares its scalar parameters as ``params`` (and, through a true
+    ``unit``, an ambient unit element).  Construction checks that exactly
+    the declared parameters are set and coerces each scalar one with
+    ``as_scalar``, so a float, a bool or a malformed string fails here, not
+    in a check.
+    """
+
+    KINDS: dict
+    WHAT: str
+
+    def __post_init__(self):
+        row = self.row(self.kind)
+        needs = ("kind",) + row.params + (("unit",) if getattr(row, "unit", False) else ())
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if value is None:
+                if name in needs:
+                    raise MalformedPropertyError(f"{self.kind} requires parameter {name}")
+            elif name not in needs:
+                raise MalformedPropertyError(f"{self.kind} takes no parameter {name}")
+            elif name in row.params:
+                try:
+                    object.__setattr__(self, name, as_scalar(value))
+                except (TypeError, ValueError) as exc:
+                    raise MalformedPropertyError(f"bad argument for {self.kind}: {exc}") from exc
+
+    @classmethod
+    def row(cls, kind: str):
+        """The table row of ``kind``."""
+        if kind not in cls.KINDS:
+            raise MalformedPropertyError(
+                f"unknown {cls.WHAT} {kind!r}; choose from {', '.join(sorted(cls.KINDS))}"
+            )
+        return cls.KINDS[kind]
+
+    @classmethod
+    def parse(cls, kind: str, args: Sequence, **fixed):
+        """The record of ``kind`` with ``args`` bound to its parameters by
+        ``bind``; ``fixed`` gives the other fields as they are."""
+        return cls(kind, **bind(kind, cls.row(kind).params, args), **fixed)
+
+    def label(self) -> str:
+        """``kind``, or ``kind(v1,v2)`` with the parameter values in row order."""
+        params = self.KINDS[self.kind].params
+        if not params:
+            return self.kind
+        return f"{self.kind}({','.join(format_scalar(getattr(self, n)) for n in params)})"
 
 
 def canonical(x: Scalar) -> Scalar:

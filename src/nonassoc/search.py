@@ -28,7 +28,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from .algebra import Algebra, Element, Embedding
 from .errors import MalformedPropertyError, SearchStrategyError
 from .linalg import solve_affine
-from .scalars import Scalar, as_scalar, canonical, exact_div, format_scalar, rational_sqrt
+from .scalars import NamedKind, Scalar, as_scalar, canonical, exact_div, rational_sqrt
 from .verdicts import Verdict, Witness
 
 # kind -> the two sides at (ambient, embedding, b, u), for each subalgebra
@@ -79,7 +79,7 @@ QUAD_KINDS: dict[str, QuadKind] = {
 
 
 @dataclass(frozen=True)
-class QuadraticConstraint:
+class QuadraticConstraint(NamedKind):
     """The quadratic condition on u: what u^2 must equal.
 
     - ``idempotent``       u^2 = u
@@ -89,29 +89,14 @@ class QuadraticConstraint:
     - ``rb_weighted``      u^2 = -lam u - beta unit   (unit an ambient element)
     """
 
+    KINDS = QUAD_KINDS
+    WHAT = "quadratic constraint"
+
     kind: str
     lam: Optional[Scalar] = None
     beta: Optional[Scalar] = None
     gamma: Optional[Scalar] = None
     unit: Optional[Element] = None
-
-    def __post_init__(self):
-        if self.kind not in QUAD_KINDS:
-            raise MalformedPropertyError(f"unknown quadratic constraint {self.kind!r}")
-        kind = QUAD_KINDS[self.kind]
-        needs = kind.params + (("unit",) if kind.unit else ())
-        for name in ("lam", "beta", "gamma", "unit"):
-            value = getattr(self, name)
-            if name in needs and value is None:
-                raise MalformedPropertyError(f"{self.kind} requires {name}")
-            if name not in needs and value is not None:
-                raise MalformedPropertyError(f"{self.kind} takes no {name}")
-
-    def label(self) -> str:
-        params = QUAD_KINDS[self.kind].params
-        if not params:
-            return self.kind
-        return f"{self.kind}({','.join(format_scalar(getattr(self, n)) for n in params)})"
 
     def residual(self, ambient: Algebra, u: Element) -> Element:
         """u^2 - a u - c unit; zero iff the constraint holds."""
@@ -121,28 +106,6 @@ class QuadraticConstraint:
         """a u + c unit, what u^2 must equal."""
         a, c = QUAD_KINDS[self.kind].coefficients(self)
         return a * u if self.unit is None else a * u + c * self.unit
-
-
-def idempotent() -> QuadraticConstraint:
-    return QuadraticConstraint("idempotent")
-
-
-def skew_idempotent() -> QuadraticConstraint:
-    return QuadraticConstraint("skew_idempotent")
-
-
-def nilpotent2() -> QuadraticConstraint:
-    return QuadraticConstraint("nilpotent2")
-
-
-def scaled(gamma) -> QuadraticConstraint:
-    return QuadraticConstraint("scaled", gamma=as_scalar(gamma))
-
-
-def rb_weighted(lam, beta, unit: Element) -> QuadraticConstraint:
-    return QuadraticConstraint(
-        "rb_weighted", lam=as_scalar(lam), beta=as_scalar(beta), unit=unit
-    )
 
 
 @dataclass(frozen=True)

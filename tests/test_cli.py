@@ -334,6 +334,16 @@ _SEARCH_F9 = (
                    ("scaled", "--quad-param", "gamma=x"),
                    ("rb_weighted", "--quad-param", "lam=0,beta=0"),
                    ("idempotent", "--quad-param", "1")]),
+    # an exponent is refused at once, before Fraction would expand it
+    ("props", "--algebra", str(DATA / "fixtures" / "F10.algebra.json"),
+     "--operator", str(DATA / "fixtures" / "F10.operator.json"),
+     "--property", "rota_baxter:lam=1e99999999"),
+    _SEARCH_F9 + ("--quad", "scaled", "--quad-param", "gamma=1e99999999",
+                  "--grid", str(DATA / "examples" / "grid_f9.json")),
+    _SEARCH_F9 + ("--quad", "idempotent", "--strategy", "univariate", "--pin", "1=1e99999999"),
+    ("derive", "--algebra", str(DATA / "fixtures" / "F7.algebra.json"),
+     "--operator", str(DATA / "fixtures" / "F7.operator.json"),
+     "--construction", "novikov_affine", "--param", "a=1e99999999", "--out", "unwritten.json"),
 ])
 def test_bad_spec_value_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -345,7 +355,8 @@ def test_bad_spec_value_exits_2(capsys, argv):
 @pytest.mark.parametrize("content", [
     '{"dim": 2, "sc": 5}',
     '{"dim": 2, "sc": [["x", 0, 0, "1"]]}',
-], ids=["sc_not_a_list", "sc_bad_index"])
+    '{"dim":1,"sc":[[0,0,0,"1e99999999"]]}',
+], ids=["sc_not_a_list", "sc_bad_index", "sc_exponent"])
 def test_malformed_structure_constants_exit_2(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"
     bad.write_text(content, encoding="utf-8")

@@ -25,7 +25,8 @@ from nonassoc.search import LINEAR_KINDS, QUAD_KINDS
 DATA = Path(__file__).parent.parent / "src" / "nonassoc" / "data"
 
 # Leaf values that no reader accepts where a dimension, index or scalar belongs.
-_HOSTILE = st.sampled_from([1.5, 2.0, True, None, "x", "1/0", "", [], {}, [1], "1" * 40])
+_HOSTILE = st.sampled_from([1.5, 2.0, True, None, "x", "1/0", "", [], {}, [1], "1" * 40,
+                            "1e99999999"])
 
 
 def _mostly(good):

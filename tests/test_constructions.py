@@ -47,6 +47,14 @@ def test_spec_validation():
         ConstructionSpec("novikov_affine")          # missing a
     with pytest.raises(MalformedPropertyError):
         ConstructionSpec("commutator", a=1)         # stray a
+    for bad in (1.5, True):
+        with pytest.raises(MalformedPropertyError):
+            ConstructionSpec("novikov_affine", a=bad)
+    half = ConstructionSpec("novikov_affine", a="1/2")
+    assert half.a == Fraction(1, 2) and type(half.a) is Fraction
+    assert half.label() == construction("novikov_affine", Fraction(1, 2)).label()
+    assert half.label() == "novikov_affine(1/2)"
+    assert derive(matrix_algebra(1), LinearOperator.identity(1), half).meta["a"] == Fraction(1, 2)
     with pytest.raises(MalformedPropertyError):
         derive(matrix_algebra(2), None, construction("lie_endo"))  # operator required
 
@@ -250,11 +258,11 @@ _A_VALUES = (0, 1, -1, Fraction(1, 2), Fraction(-2, 3))
 
 
 def _oracle_derive(source, operator, spec):
-    fn = _ORACLE[spec.name][2]
+    fn = _ORACLE[spec.kind][2]
     r = operator.apply if operator is not None else None
     basis = source.basis()
     products = [[fn(source.product, r, spec.a, x, y).coords for y in basis] for x in basis]
-    meta = {"construction": spec.name, "source": algebra_content_hash(source)}
+    meta = {"construction": spec.kind, "source": algebra_content_hash(source)}
     if operator is not None:
         meta["operator"] = operator_content_hash(operator)
     if spec.a is not None:

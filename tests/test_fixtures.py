@@ -187,7 +187,7 @@ def test_plan_algebras_are_derived_on_first_lookup(monkeypatch):
     calls = []
 
     def counting_derive(*args):
-        calls.append(args[2].name)
+        calls.append(args[2].kind)
         return derive(*args)
 
     monkeypatch.setattr(fixtures, "derive", counting_derive)

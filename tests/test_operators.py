@@ -158,6 +158,14 @@ def test_property_param_validation():
         OperatorProperty("endomorphism", lam=1)            # stray param
     with pytest.raises(MalformedPropertyError):
         OperatorProperty("no_such_property")
+    for bad in (1.5, True):
+        with pytest.raises(MalformedPropertyError):
+            OperatorProperty("rota_baxter", lam=bad)
+        with pytest.raises(MalformedPropertyError):
+            rota_baxter_weighted(1, bad)
+    half = OperatorProperty("rota_baxter", lam="1/2")
+    assert half.lam == Fraction(1, 2) and type(half.lam) is Fraction
+    assert half.label() == rota_baxter(Fraction(1, 2)).label() == "rota_baxter(1/2)"
     assert rota_baxter(1).label() == "rota_baxter(1)"
     assert rota_baxter_weighted(1, Fraction(1, 2)).label() == "rota_baxter_weighted(1,1/2)"
     assert scaled_idempotent_op(6).label() == "scaled_idempotent_op(6)"

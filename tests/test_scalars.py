@@ -22,6 +22,7 @@ def test_as_scalar_parses_strings():
     assert as_scalar("3") == 3
     assert as_scalar("-7/2") == Fraction(-7, 2)
     assert as_scalar("4/2") == 2 and isinstance(as_scalar("4/2"), int)
+    assert as_scalar(" +3/6 ") == Fraction(1, 2)
 
 
 def test_as_scalar_rejects_junk():
@@ -31,6 +32,11 @@ def test_as_scalar_rejects_junk():
         as_scalar(1.5)
     with pytest.raises(TypeError):
         as_scalar(True)
+    # only "p" or "p/q" in ASCII digits: Fraction would take all of these,
+    # and would spend minutes expanding "1e99999999"
+    for text in ("1e5", "1.5", "1_000", "\u0661\u0662", "1e99999999", "1/-2", "/2", ""):
+        with pytest.raises(ValueError):
+            as_scalar(text)
 
 
 @given(rationals)

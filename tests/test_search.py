@@ -24,11 +24,6 @@ from nonassoc.search import (
     QuadraticConstraint,
     UnivariateStrategy,
     find_special,
-    idempotent,
-    nilpotent2,
-    rb_weighted,
-    scaled,
-    skew_idempotent,
     solve_linear,
     verify_element,
 )
@@ -104,15 +99,15 @@ def test_find_special_grid_examples(column_plane):
     ambient, _, emb = column_plane
     lin = [LinearConstraint("stabilize", emb)]
 
-    found = find_special(ambient, lin, nilpotent2(),
+    found = find_special(ambient, lin, QuadraticConstraint("nilpotent2"),
                          GridStrategy.of([(1, -1, 1, -1)]))
     assert list(found) == [element_from_matrix([[1, -1], [1, -1]])]
 
-    found = find_special(ambient, lin, skew_idempotent(),
+    found = find_special(ambient, lin, QuadraticConstraint("skew_idempotent"),
                          GridStrategy.of([(0, 1, 0, -1), (1, 1, 1, 1)]))
     assert list(found) == [element_from_matrix([[0, 1], [0, -1]])]
 
-    quad = rb_weighted(1, 2, matrix_identity_element(2))
+    quad = QuadraticConstraint("rb_weighted", lam=1, beta=2, unit=matrix_identity_element(2))
     found = find_special(ambient, lin, quad, GridStrategy.of([(0, 1, -2, -1)]))
     assert list(found) == [element_from_matrix([[0, 1], [-2, -1]])]
 
@@ -122,7 +117,7 @@ def test_find_special_grid_formula_admits_zero(column_plane):
     # satisfies u^2 = 0 and is returned when the grid contains it
     ambient, _, emb = column_plane
     found = find_special(ambient, [LinearConstraint("stabilize", emb)],
-                         nilpotent2(), GridStrategy.of([(0, 0, 0, 0)]))
+                         QuadraticConstraint("nilpotent2"), GridStrategy.of([(0, 0, 0, 0)]))
     assert len(found) == 1 and found[0].is_zero()
 
 
@@ -132,7 +127,7 @@ def test_find_special_univariate_rational_roots(column_plane):
     # all four ambient directions free; pin all but E11: u = t E11, u^2 = u
     # forces t in {0, 1}
     uni = UnivariateStrategy.of({1: 0, 2: 0, 3: 0})
-    found = find_special(ambient, lin, idempotent(), uni)
+    found = find_special(ambient, lin, QuadraticConstraint("idempotent"), uni)
     assert sorted(tuple(e.coords) for e in found) == [(0, 0, 0, 0), (1, 0, 0, 0)]
 
 
@@ -154,7 +149,7 @@ def test_find_special_univariate_filters_roots_by_other_coordinates(column_plane
     ambient, _, emb = column_plane
     lin = [LinearConstraint("stabilize", emb)]
     uni = UnivariateStrategy.of({1: 1, 2: 0, 3: 0})
-    found = find_special(ambient, lin, idempotent(), uni)
+    found = find_special(ambient, lin, QuadraticConstraint("idempotent"), uni)
     assert [tuple(e.coords) for e in found] == [(1, 1, 0, 0)]
 
 
@@ -162,7 +157,7 @@ def test_find_special_univariate_rejects_two_free(column_plane):
     ambient, _, emb = column_plane
     with pytest.raises(SearchStrategyError):
         find_special(ambient, [LinearConstraint("stabilize", emb)],
-                     idempotent(), UnivariateStrategy.of({1: 0, 2: 0}))
+                     QuadraticConstraint("idempotent"), UnivariateStrategy.of({1: 0, 2: 0}))
 
 
 def test_find_special_univariate_detects_infinite_family(column_plane):
@@ -171,18 +166,29 @@ def test_find_special_univariate_detects_infinite_family(column_plane):
     ambient, _, emb = column_plane
     with pytest.raises(SearchStrategyError):
         find_special(ambient, [LinearConstraint("stabilize", emb)],
-                     nilpotent2(), UnivariateStrategy.of({0: 0, 2: 0, 3: 0}))
+                     QuadraticConstraint("nilpotent2"), UnivariateStrategy.of({0: 0, 2: 0, 3: 0}))
 
 
 def test_quadratic_constraint_validation():
+    unit = matrix_identity_element(2)
     with pytest.raises(MalformedPropertyError):
         QuadraticConstraint("idempotent", gamma=1)
     with pytest.raises(MalformedPropertyError):
         QuadraticConstraint("rb_weighted", lam=1, beta=2)   # missing unit
     with pytest.raises(MalformedPropertyError):
+        QuadraticConstraint("idempotent", unit=unit)        # stray unit
+    with pytest.raises(MalformedPropertyError):
         QuadraticConstraint("not_a_kind")
-    assert scaled(6).label() == "scaled(6)"
-    assert rb_weighted(1, 2, matrix_identity_element(2)).label() == "rb_weighted(1,2)"
+    for bad in (1.5, True):
+        with pytest.raises(MalformedPropertyError):
+            QuadraticConstraint("scaled", gamma=bad)
+        with pytest.raises(MalformedPropertyError):
+            QuadraticConstraint("rb_weighted", lam=1, beta=bad, unit=unit)
+    assert QuadraticConstraint("scaled", gamma=6).label() == "scaled(6)"
+    assert QuadraticConstraint("rb_weighted", lam=1, beta=2, unit=unit).label() == "rb_weighted(1,2)"
+    half = QuadraticConstraint("scaled", gamma="1/2")
+    assert half.gamma == Fraction(1, 2) and type(half.gamma) is Fraction
+    assert half.label() == QuadraticConstraint("scaled", gamma=Fraction(1, 2)).label() == "scaled(1/2)"
 
 
 def test_verify_element_itemized(row_span):
@@ -193,7 +199,7 @@ def test_verify_element_itemized(row_span):
     rows = verify_element(
         emb, u,
         [LinearConstraint("right_identity", emb), LinearConstraint("stabilize", emb)],
-        idempotent(),
+        QuadraticConstraint("idempotent"),
     )
     labels = [label for label, _ in rows]
     assert labels == ["right_identity", "stabilize", "idempotent"]
@@ -218,7 +224,7 @@ def test_verify_element_scaled_rank_one(row_span):
     rows = verify_element(
         emb1, u,
         [LinearConstraint("right_annihilator", emb1), LinearConstraint("stabilize", emb1)],
-        scaled(lam * beta),
+        QuadraticConstraint("scaled", gamma=lam * beta),
     )
     assert all(v.passed for _, v in rows)
 
@@ -243,10 +249,10 @@ def test_found_elements_pass_verify_and_chain(row_span):
     rng = random.Random(9)
     for _ in range(40):
         pts.append(tuple(rng.randint(-2, 2) for _ in range(space.dimension)))
-    found = find_special(ambient, lin, idempotent(), GridStrategy.of(pts))
+    found = find_special(ambient, lin, QuadraticConstraint("idempotent"), GridStrategy.of(pts))
     assert len(found) >= 1
     for u in found:
-        rows = verify_element(emb, u, lin, idempotent())
+        rows = verify_element(emb, u, lin, QuadraticConstraint("idempotent"))
         assert all(v.passed for _, v in rows)
         r = left_multiplication_operator(emb, u)
         assert check_operator_property(sub, r, endomorphism()).passed

@@ -30,11 +30,6 @@ from nonassoc.search import (
     QuadraticConstraint,
     UnivariateStrategy,
     find_special,
-    idempotent,
-    nilpotent2,
-    rb_weighted,
-    scaled,
-    skew_idempotent,
     solve_linear,
     verify_element,
 )
@@ -161,8 +156,15 @@ def _random_u(rng, dim):
 def _quads(ambient):
     n = int(round(ambient.dim ** 0.5))
     unit = matrix_identity_element(n) if n * n == ambient.dim else ambient.basis_vector(0)
-    return [idempotent(), skew_idempotent(), nilpotent2(), scaled(Fraction(3, 2)),
-            scaled(0), rb_weighted(1, Fraction(-2, 3), unit), rb_weighted(-2, 0, unit)]
+    return [
+        QuadraticConstraint("idempotent"),
+        QuadraticConstraint("skew_idempotent"),
+        QuadraticConstraint("nilpotent2"),
+        QuadraticConstraint("scaled", gamma=Fraction(3, 2)),
+        QuadraticConstraint("scaled", gamma=0),
+        QuadraticConstraint("rb_weighted", lam=1, beta=Fraction(-2, 3), unit=unit),
+        QuadraticConstraint("rb_weighted", lam=-2, beta=0, unit=unit),
+    ]
 
 
 def _fixture_cases():
@@ -269,9 +271,14 @@ def test_span_residual_matches_dense_reconstruction():
 
 
 @pytest.mark.parametrize("quad", [
-    idempotent(), skew_idempotent(), nilpotent2(), scaled(6), scaled(Fraction(-1, 2)),
-    rb_weighted(1, 2, matrix_identity_element(2)),
-    rb_weighted(Fraction(3, 2), Fraction(-1, 3), matrix_identity_element(2)),
+    QuadraticConstraint("idempotent"),
+    QuadraticConstraint("skew_idempotent"),
+    QuadraticConstraint("nilpotent2"),
+    QuadraticConstraint("scaled", gamma=6),
+    QuadraticConstraint("scaled", gamma=Fraction(-1, 2)),
+    QuadraticConstraint("rb_weighted", lam=1, beta=2, unit=matrix_identity_element(2)),
+    QuadraticConstraint("rb_weighted", lam=Fraction(3, 2), beta=Fraction(-1, 3),
+                        unit=matrix_identity_element(2)),
 ], ids=lambda q: q.label())
 def test_quadratic_kinds_match_formulas(quad):
     assert set(QUAD_KINDS) == {"idempotent", "skew_idempotent", "nilpotent2", "scaled",
