@@ -930,12 +930,28 @@ def certify_row(
 
     A pass certifies the row for all rational parameter values away from
     the excluded ones, by polynomial identity testing against the declared
-    degree bounds.
+    degree bounds.  Every grid point is materialized and counted; an
+    ``identity`` row is re-checked only at points where its plan algebra
+    differs (``Algebra.__eq__``: dim and ``sparse_rows``) from the previous
+    point's, since ``check_identity`` depends on nothing else.  Only that
+    previous algebra and its verdict are kept, and only within this call.
     """
     bundle = load_fixture(name)
     if label not in {r.check for r in bundle.rows}:
         raise NonassocError(f"fixture {name} has no row {label!r}")
-    return certify_parametric(bundle, lambda m: run_row(m, label), axes)
+    match = _LABEL_RE.match(label)
+    if match[1] != "identity":
+        return certify_parametric(bundle, lambda m: run_row(m, label), axes)
+    last: tuple = (None, None)  # the previous point's (plan algebra, verdict)
+
+    def check(m: Materialized) -> Verdict:
+        nonlocal last
+        algebra = _plan_algebra(m, match[2], label)
+        if algebra != last[0]:
+            last = (algebra, run_row(m, label))
+        return last[1]
+
+    return certify_parametric(bundle, check, axes)
 
 
 def check_negative_control(name: str) -> NegativeControlResult:

@@ -83,7 +83,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, Element
 from .errors import GridError, NonassocError
-from .scalars import Scalar, canonical, format_scalar
+from .scalars import Scalar, as_scalar, canonical, format_scalar
 from .verdicts import Verdict, Witness
 
 # A word is a slot index (leaf), a pair (left, right), or ("R", word).
@@ -744,11 +744,20 @@ def certify_parametric(
     distinct points in each variable separately vanishes identically, a
     grid with more than ``degree`` distinct values per parameter certifies
     the check for all rational parameter values (off the excluded ones).
+    Axis values are read through ``as_scalar``, so ``"1"`` and ``"2/2"`` are
+    one value; an axis naming no parameter of the family is an error.
     """
     params = list(family.params)
+    axes = dict(axes or {})
+    unknown = [name for name in axes if name not in {p.name for p in params}]
+    if unknown:
+        raise GridError(f"grid names axes {unknown} that are not parameters of the family")
     axis_values: list[list[Scalar]] = []
     for p in params:
-        axis = list((axes or {}).get(p.name, p.axis))
+        try:
+            axis = [as_scalar(v) for v in axes.get(p.name, p.axis)]
+        except (TypeError, ValueError) as exc:
+            raise GridError(f"grid for parameter {p.name}: {exc}") from None
         distinct = set(axis)
         if len(distinct) < p.degree + 1:
             raise GridError(

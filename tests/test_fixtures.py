@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from nonassoc.fixtures import (
     run_row,
     verify_fixture,
 )
+from nonassoc.identities import ParamSpec, certify_parametric
 from nonassoc.verdicts import Verdict, Witness
 
 ALL_NAMES = ["F1", "F1b", "F2", "F3", "F3b", "F4", "F5",
@@ -161,6 +163,84 @@ def test_certify_row_unknown_label():
 def test_certify_row_too_small_grid():
     with pytest.raises(GridError):
         certify_row("F1b", "identity[lie]:jacobi", axes={"b": [0, 1]})
+
+
+def test_certify_row_counts_distinct_scalars_not_strings():
+    """"1", "1/1" and "2/2" are one rational: a one-point grid, too small."""
+    with pytest.raises(GridError, match="1 distinct"):
+        certify_row("F1b", "identity[lie]:jacobi", axes={"b": ["1", "1/1", "2/2"]})
+    with pytest.raises(GridError):
+        certify_row("F1b", "identity[lie]:jacobi", axes={"b": ["x", 1, 2]})
+    v = certify_row("F1b", "identity[lie]:jacobi", axes={"b": ["1/2", "2/3", "3"]})
+    assert v.passed and v.points_checked == 3
+
+
+def test_certify_row_rejects_unknown_axes():
+    with pytest.raises(GridError, match="'bb'"):
+        certify_row("F1b", "identity[lie]:jacobi", axes={"bb": [0, 1]})
+    with pytest.raises(GridError, match="'z'"):
+        certify_row("F1b", "identity[lie]:jacobi", axes={"b": [0, 1, 2], "z": [0]})
+
+
+_IDENTITY_ROWS = [(name, r.check) for name in ALL_NAMES
+                  for r in load_fixture(name).rows if r.check.startswith("identity[")]
+
+
+def test_identity_rows_catalog():
+    assert len(_IDENTITY_ROWS) == 40
+    failing = [(n, label) for n, label in _IDENTITY_ROWS
+               if not next(r for r in load_fixture(n).rows if r.check == label).expect]
+    assert failing == [("F3", "identity[plus]:associativity"),
+                       ("F4", "identity[leibc]:antisymmetry")]
+
+
+@pytest.mark.parametrize("name,label", _IDENTITY_ROWS)
+def test_certify_row_identity_matches_every_point_checked(name, label):
+    """Re-checking an identity row only where its algebra changes gives the
+    verdict of checking it at every point."""
+    reference = certify_parametric(load_fixture(name), lambda m: run_row(m, label))
+    assert repr(certify_row(name, label)) == repr(reference)
+
+
+def _counting_check_identity(monkeypatch) -> list:
+    calls = []
+    check_identity = fixtures.check_identity
+
+    def counting(algebra, name):
+        calls.append(name)
+        return check_identity(algebra, name)
+
+    monkeypatch.setattr(fixtures, "check_identity", counting)
+    return calls
+
+
+def test_certify_row_checks_an_unchanged_algebra_once(monkeypatch):
+    # psi(y) x - psi(x) y is one Lie algebra at all 729 points of F1
+    calls = _counting_check_identity(monkeypatch)
+    v = certify_row("F1", "identity[lie]:jacobi")
+    assert v.passed and v.points_checked == 729
+    assert calls == ["jacobi"]
+
+
+def test_certify_row_rechecks_when_the_algebra_changes(monkeypatch):
+    """u = 0 makes the bracket null (associative) at t = 0, 1, 2; the sample
+    u of F1 at t = 3 makes it fail associativity."""
+    f1 = load_fixture("F1")
+    sample_u = f1.u_fn(f1.sample_point)
+    zero_u = tuple(tuple(0 for _ in row) for row in sample_u)
+    label = "identity[lie]:associativity"
+    bundle = replace(
+        f1, name="T1", params=(ParamSpec("t", 1, (0, 1, 2, 3)),), sample_point={"t": 0},
+        u_fn=lambda p: sample_u if p["t"] == 3 else zero_u,
+        rows=f1.rows + (ExpectedRow(label, False),),
+    )
+    monkeypatch.setitem(fixtures._CATALOG, "T1", bundle)
+    reference = certify_parametric(bundle, lambda m: run_row(m, label))
+    calls = _counting_check_identity(monkeypatch)
+    v = certify_row("T1", label)
+    assert calls == ["associativity", "associativity"]
+    assert not v.passed and v.failing_point == {"t": 3} and v.points_checked == 4
+    assert repr(v) == repr(reference)
 
 
 def test_f7_is_flagged_vacuous():
