@@ -749,7 +749,8 @@ def certify_parametric(
     """
     params = list(family.params)
     axes = dict(axes or {})
-    unknown = [name for name in axes if name not in {p.name for p in params}]
+    names = {p.name for p in params}
+    unknown = [name for name in axes if name not in names]
     if unknown:
         raise GridError(f"grid names axes {unknown} that are not parameters of the family")
     axis_values: list[list[Scalar]] = []
