@@ -153,6 +153,13 @@ class Algebra:
         return scaled, denom
 
     @cached_property
+    def content_hash(self) -> str:
+        """``serial.algebra_content_hash`` of this algebra, computed once."""
+        from .serial import algebra_content_hash  # serial imports this module
+
+        return algebra_content_hash(self)
+
+    @cached_property
     def nonzero_constants(self) -> int:
         """The number of nonzero structure constants, counted once."""
         return sum(len(e) for row in self.sparse_rows for e in row)
@@ -275,6 +282,22 @@ class Embedding:
                 entries.append(tuple((r, canonical(s)) for r, s in enumerate(transform(p)) if s))
             table.append(tuple(entries))
         return tuple(table)
+
+    def left_image(self, u: Element, j: int) -> list:
+        """T (u b_j), summed from ``left_table[j]`` over the nonzero u_k.
+
+        Its rows past the rank vanish iff u b_j lies in the span, and
+        ``solve_transformed`` reads the coordinates off it.
+        """
+        if len(u.coords) != self.ambient.dim:
+            raise DimensionMismatchError("u must be an ambient element")
+        table = self.left_table[j]
+        w = [0] * self.ambient.dim
+        for k, uk in enumerate(u.coords):
+            if uk:
+                for r, v in table[k]:
+                    w[r] += uk * v
+        return w
 
 
 def make_algebra(

@@ -97,12 +97,9 @@ def derive(
         tuple(_eval_word_elements(source, sched, (x, y), apply, params).sparse() for y in basis)
         for x in basis
     )
-    from .serial import algebra_content_hash, operator_content_hash
+    from .serial import operator_content_hash
 
-    meta = {
-        "construction": spec.kind,
-        "source": algebra_content_hash(source),
-    }
+    meta = {"construction": spec.kind, "source": source.content_hash}
     if operator is not None:
         meta["operator"] = operator_content_hash(operator)
     if spec.a is not None:

@@ -3,8 +3,8 @@
 Each fixture bundles an ambient matrix algebra, a subalgebra basis, a
 (possibly parametrized) distinguished element u, the derived algebras built
 from the induced operator R(x) = u x, and the expected verdict of every
-check.  Running a fixture builds u and its operator at the given point and
-each derived algebra on its first lookup, then compares against the
+check.  Running a fixture builds u at the given point, and its operator and
+each derived algebra on their first read, then compares against the
 expectations, so the catalog doubles as the regression suite and the
 documentation spine.
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Optional, Sequence
 
 from .algebra import (
@@ -107,15 +107,29 @@ class FixtureBundle:
 
 @dataclass(frozen=True)
 class Materialized:
-    """A fixture instantiated at a concrete parameter point."""
+    """A fixture instantiated at a concrete parameter point.
+
+    ``operator`` is R(x) = u x, built the first time it is read, unless
+    ``given_operator`` (a negative control's) stands in for it; the plan
+    algebras derive from R of the u they were made with, built on their
+    first derive.  Element rows read neither, so a u whose products leave
+    the span still materializes, and only a row that needs R raises
+    ``ImageNotInSpanError``.
+    """
 
     bundle: FixtureBundle
     point: dict
     ambient: Algebra
     embedding: Embedding
     u: Element
-    operator: LinearOperator
     algebras: Mapping[str, Algebra]
+    given_operator: Optional[LinearOperator] = None
+
+    @cached_property
+    def operator(self) -> LinearOperator:
+        if self.given_operator is not None:
+            return self.given_operator
+        return left_multiplication_operator(self.embedding, self.u)
 
 
 @dataclass(frozen=True)
@@ -757,21 +771,22 @@ def materialize(bundle: FixtureBundle, point: Optional[Mapping] = None) -> Mater
     basis_matrices = bundle.basis_fn(pt)  # tuples of tuples: hashable
     induced, emb = _induced(bundle.name, basis_matrices, bundle.ambient_n)
     u = element_from_matrix(bundle.u_fn(pt))
-    operator = left_multiplication_operator(emb, u)
-    algebras = _PlanAlgebras(bundle.plan, induced, operator)
-    return Materialized(bundle, pt, ambient, emb, u, operator, algebras)
+    algebras = _PlanAlgebras(bundle.plan, induced, emb, u)
+    return Materialized(bundle, pt, ambient, emb, u, algebras)
 
 
 class _PlanAlgebras(Mapping):
     """The algebras of a fixture's plan, each built the first time it is looked up.
 
     A lookup derives the step together with its source chain and keeps the
-    result, so a row pays only for the algebras it reads.  Iteration follows
-    the plan order.  Step shapes are checked up front, so a malformed plan
-    still fails at ``materialize`` time.
+    result, so a row pays only for the algebras it reads, and R is built
+    only when a step derives.  It holds (embedding, u) rather than the
+    ``Materialized``, so no reference cycle keeps a grid point alive.
+    Iteration follows the plan order.  Step shapes are checked up front, so
+    a malformed plan still fails at ``materialize`` time.
     """
 
-    def __init__(self, plan, induced: Algebra, operator: LinearOperator):
+    def __init__(self, plan, induced: Algebra, embedding: Embedding, u: Element):
         for step in plan:
             if step[0] == "A":
                 if step[1] not in ("induced", "hadamard"):
@@ -780,8 +795,13 @@ class _PlanAlgebras(Mapping):
                 raise NonassocError(f"unknown plan step {step!r}")
         self._steps = {step[0]: step for step in plan}
         self._induced = induced
-        self._operator = operator
+        self._embedding, self._u = embedding, u
         self._built: dict[str, Algebra] = {}
+
+    @cached_property
+    def operator(self) -> LinearOperator:
+        """R(x) = u x, the operator every derived step of the plan uses."""
+        return left_multiplication_operator(self._embedding, self._u)
 
     def __getitem__(self, name: str) -> Algebra:
         algebra = self._built.get(name)
@@ -789,7 +809,7 @@ class _PlanAlgebras(Mapping):
             step = self._steps[name]
             if step[0] != "A":
                 _, _, source, cons_name, a = step
-                algebra = derive(self[source], self._operator, construction(cons_name, a))
+                algebra = derive(self[source], self.operator, construction(cons_name, a))
             elif step[1] == "induced":
                 algebra = self._induced
             else:
@@ -962,12 +982,10 @@ def check_negative_control(name: str) -> NegativeControlResult:
     original = run_row(m, target)
     # The perturbed copy keeps m's plan algebras, derived from the original operator.
     if perturb == "R+I":
-        perturbed = replace(m, operator=m.operator + LinearOperator.identity(m.operator.dim))
+        perturbed = replace(m, given_operator=m.operator + LinearOperator.identity(m.operator.dim))
     elif perturb == "u+E11":
-        bumped = m.u + m.ambient.basis_vector(0)  # ambient E11 is basis index 0
-        operator = (m.operator if target.startswith("element:")
-                    else left_multiplication_operator(m.embedding, bumped))
-        perturbed = replace(m, u=bumped, operator=operator)
+        # ambient E11 is basis index 0; R is rebuilt from the new u if read
+        perturbed = replace(m, u=m.u + m.ambient.basis_vector(0))
     else:
         raise NonassocError(f"unknown perturbation {perturb!r}")
     return NegativeControlResult(name, perturb, target, original, run_row(perturbed, target))

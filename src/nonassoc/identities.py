@@ -745,7 +745,8 @@ def certify_parametric(
     grid with more than ``degree`` distinct values per parameter certifies
     the check for all rational parameter values (off the excluded ones).
     Axis values are read through ``as_scalar``, so ``"1"`` and ``"2/2"`` are
-    one value; an axis naming no parameter of the family is an error.
+    one value; an axis that repeats a value, or names no parameter of the
+    family, is an error.
     """
     params = list(family.params)
     axes = dict(axes or {})
@@ -764,6 +765,11 @@ def certify_parametric(
             raise GridError(
                 f"grid for parameter {p.name} has {len(distinct)} distinct values; "
                 f"declared degree {p.degree} needs at least {p.degree + 1}"
+            )
+        if len(distinct) < len(axis):
+            repeated = next(v for i, v in enumerate(axis) if v in axis[:i])
+            raise GridError(
+                f"grid for parameter {p.name} repeats the value {format_scalar(repeated)}"
             )
         bad = distinct.intersection(p.exclude)
         if bad:

@@ -89,22 +89,14 @@ def left_multiplication_operator(emb: Embedding, u: Element) -> LinearOperator:
 
     No ambient product or span solve runs per call.  Linearity: with T the
     span solver's factor, T (u b_j) = sum over k of u_k T (e_k b_j), and
-    ``emb.left_table`` holds every T (e_k b_j).  So w_j, that sum, is T
-    applied to the image exactly; a nonzero row of w_j past the rank means
-    the image leaves the span, and otherwise its pivot rows are the
-    coordinates, made canonical as ``Embedding.to_sub`` makes them.
+    ``emb.left_table`` holds every T (e_k b_j).  So ``emb.left_image(u, j)``,
+    that sum, is T applied to the image exactly; a nonzero row of it past
+    the rank means the image leaves the span, and otherwise its pivot rows
+    are the coordinates, made canonical as ``Embedding.to_sub`` makes them.
     """
-    n = emb.ambient.dim
-    if len(u.coords) != n:
-        raise DimensionMismatchError("u must be an ambient element")
-    terms = [(k, uk) for k, uk in enumerate(u.coords) if uk]
     cols = []
-    for j, table in enumerate(emb.left_table):
-        w = [0] * n
-        for k, uk in terms:
-            for r, v in table[k]:
-                w[r] += uk * v
-        coords = emb.solve_transformed(w)
+    for j in range(emb.sub_dim):
+        coords = emb.solve_transformed(emb.left_image(u, j))
         if coords is None:
             img = emb.ambient.product(u, emb.basis[j])
             raise ImageNotInSpanError(j, tuple(emb.residual(img).coords))

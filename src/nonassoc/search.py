@@ -5,12 +5,15 @@ and the checker read.
 
 The linear side conditions (right identity, right annihilator, centralizing,
 stabilizing) are rows of ``LINEAR_SIDES``: for each subalgebra basis element
-b, two sides at u that must be equal.  Each side is affine in u (the product
-is bilinear, the span residual linear, b constant), so lhs - rhs = A u + d
-with d = (lhs - rhs)(0) and column j of A equal to (lhs - rhs)(e_j) - d.
-``solve_linear`` evaluates the rows at 0 and at each basis vector and solves
-A u = -d exactly, as one big rational system, for an affine solution space;
-``verify_element`` evaluates the same rows at a concrete u.
+b_j, two sides at u that must be equal.  Each side is affine in u (the
+product is bilinear, the span residual linear, b_j constant), so lhs - rhs =
+A u + d with d = (lhs - rhs)(0) and column k of A equal to (lhs - rhs)(e_k) -
+d.  ``solve_linear`` evaluates the rows at 0 and at each basis vector and
+solves A u = -d exactly, as one big rational system, for an affine solution
+space; ``verify_element`` evaluates the same rows at a concrete u.  The
+stabilize row tells whether u b_j lies in the span from the embedding's
+table (``Embedding.left_image``) and forms the ambient product and its
+residual only when it does not, so its witness is still that residual.
 
 The quadratic condition u^2 = a u + c unit is a row of ``QUAD_KINDS`` (u^2 =
 u, -u, 0, gamma u, or -lam u - beta unit).  It is resolved either by
@@ -31,13 +34,28 @@ from .linalg import solve_affine
 from .scalars import NamedKind, Scalar, as_scalar, canonical, exact_div, rational_sqrt
 from .verdicts import Verdict, Witness
 
-# kind -> the two sides at (ambient, embedding, b, u), for each subalgebra
-# basis element b; each side is affine in u.
+
+def _stabilize_sides(amb: Algebra, emb: Embedding, j: int, u: Element) -> tuple:
+    """(the residual of u b_j outside the span, 0).
+
+    ``emb.left_image`` decides membership from the embedding's table, so the
+    ambient product and the span residual run only when u b_j leaves.
+    """
+    zero = amb.zero()
+    if emb.solve_transformed(emb.left_image(u, j)) is not None:
+        return zero, zero
+    return emb.residual(amb.product(u, emb.basis[j])), zero
+
+
+# kind -> the two sides at (ambient, embedding, j, u), for each subalgebra
+# basis index j (b = emb.basis[j]); each side is affine in u.
 LINEAR_SIDES: dict[str, Callable] = {
-    "right_identity": lambda amb, emb, b, u: (amb.product(b, u), b),
-    "right_annihilator": lambda amb, emb, b, u: (amb.product(b, u), amb.zero()),
-    "centralize": lambda amb, emb, b, u: (amb.product(b, u), amb.product(u, b)),
-    "stabilize": lambda amb, emb, b, u: (emb.residual(amb.product(u, b)), amb.zero()),
+    "right_identity": lambda amb, emb, j, u: (amb.product(emb.basis[j], u), emb.basis[j]),
+    "right_annihilator": lambda amb, emb, j, u: (amb.product(emb.basis[j], u), amb.zero()),
+    "centralize": lambda amb, emb, j, u: (
+        amb.product(emb.basis[j], u), amb.product(u, emb.basis[j])
+    ),
+    "stabilize": _stabilize_sides,
 }
 LINEAR_KINDS = tuple(LINEAR_SIDES)
 
@@ -144,9 +162,9 @@ class AffineSpace:
         return acc
 
 
-def _difference(ambient: Algebra, c: LinearConstraint, b: Element, u: Element) -> Element:
-    """lhs - rhs of constraint ``c`` at basis element ``b`` and ambient ``u``."""
-    lhs, rhs = LINEAR_SIDES[c.kind](ambient, c.embedding, b, u)
+def _difference(ambient: Algebra, c: LinearConstraint, j: int, u: Element) -> Element:
+    """lhs - rhs of constraint ``c`` at basis index ``j`` and ambient ``u``."""
+    lhs, rhs = LINEAR_SIDES[c.kind](ambient, c.embedding, j, u)
     return lhs - rhs
 
 
@@ -164,9 +182,9 @@ def solve_linear(ambient: Algebra, constraints: Sequence[LinearConstraint]) -> A
     rows: list[list[Scalar]] = []
     rhs: list[Scalar] = []
     for c in constraints:
-        for b in c.embedding.basis:
-            at0 = _difference(ambient, c, b, ambient.zero())
-            cols = [(_difference(ambient, c, b, e) - at0).coords for e in units]
+        for j in range(c.embedding.sub_dim):
+            at0 = _difference(ambient, c, j, ambient.zero())
+            cols = [(_difference(ambient, c, j, e) - at0).coords for e in units]
             rows.extend([col[k] for col in cols] for k in range(n))
             rhs.extend(-v for v in at0.coords)
     particular, homogeneous = solve_affine(rows, rhs)
@@ -327,7 +345,7 @@ def verify_element(
         verdict = Verdict.ok()
         sides = LINEAR_SIDES[c.kind]
         for idx, b in enumerate(c.embedding.basis):
-            lhs, rhs = sides(ambient, c.embedding, b, u)
+            lhs, rhs = sides(ambient, c.embedding, idx, u)
             if lhs != rhs:
                 verdict = Verdict.fail(Witness((idx,), (b, u), lhs, rhs))
                 break

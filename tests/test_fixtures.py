@@ -1,12 +1,15 @@
+import importlib.util
 import re
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from nonassoc import fixtures
+from nonassoc import fixtures, search
 from nonassoc.algebra import Element, induce_subalgebra
 from nonassoc.constructions import construction, derive, hadamard_algebra
-from nonassoc.errors import GridError, NonassocError, UnknownFixtureError
+from nonassoc.errors import GridError, ImageNotInSpanError, NonassocError, UnknownFixtureError
 from nonassoc.fixtures import (
     ExpectedRow,
     check_negative_control,
@@ -175,6 +178,14 @@ def test_certify_row_counts_distinct_scalars_not_strings():
     assert v.passed and v.points_checked == 3
 
 
+def test_certify_row_rejects_repeated_axis_values():
+    """A repeated value would be checked and counted twice."""
+    with pytest.raises(GridError, match=r"parameter b repeats the value 2$"):
+        certify_row("F1b", "element:idempotent", {"b": [0, 1, 2, 2, "2/1", 3]})
+    with pytest.raises(GridError, match=r"parameter b repeats the value 1/2$"):
+        certify_row("F1b", "element:idempotent", {"b": ["1/2", 0, 1, "2/4"]})
+
+
 def test_certify_row_rejects_unknown_axes():
     with pytest.raises(GridError, match="'bb'"):
         certify_row("F1b", "identity[lie]:jacobi", axes={"bb": [0, 1]})
@@ -340,3 +351,115 @@ def test_certify_row_reports_first_failing_point():
     assert v.inner == inner
     m = materialize(load_fixture("F1"), v.failing_point)
     assert run_row(m, "operator[A]:idempotent_op") == inner
+
+
+def _dense_stabilize(amb, emb, j, u):
+    """The stabilize row's sides from the ambient product and its residual."""
+    return emb.residual(amb.product(u, emb.basis[j])), amb.zero()
+
+
+def _eager_oracle(bundle, label, monkeypatch):
+    """``label`` certified as every grid point was once checked: R built as
+    soon as the point is materialized, the stabilize row from the dense
+    residual, and every identity row checked at every point."""
+
+    def instantiate(point):
+        m = materialize(bundle, point)
+        m.operator  # noqa: B018 -- built here, as materialize once built it
+        return m
+
+    family = SimpleNamespace(params=bundle.params, instantiate=instantiate)
+    with monkeypatch.context() as patch:
+        patch.setitem(search.LINEAR_SIDES, "stabilize", _dense_stabilize)
+        return certify_parametric(family, lambda m: run_row(m, label))
+
+
+@pytest.mark.parametrize("name,label", _CERTIFIED)
+def test_certified_row_matches_the_eager_oracle(name, label, monkeypatch):
+    oracle = _eager_oracle(load_fixture(name), label, monkeypatch)
+    assert repr(certify_row(name, label)) == repr(oracle)
+
+
+def _counting_left_multiplication(monkeypatch) -> list:
+    calls = []
+    build = fixtures.left_multiplication_operator
+
+    def counting(emb, u):
+        calls.append(u)
+        return build(emb, u)
+
+    monkeypatch.setattr(fixtures, "left_multiplication_operator", counting)
+    return calls
+
+
+def test_r_is_built_only_for_rows_that_read_it(monkeypatch):
+    calls = _counting_left_multiplication(monkeypatch)
+    assert certify_row("F1", "element:stabilize").points_checked == 729
+    assert calls == []
+    assert certify_row("F1", "operator[A]:endomorphism").points_checked == 729
+    assert len(calls) == 729
+    assert certify_row("F1", "identity[lie]:jacobi").points_checked == 729
+    assert len(calls) == 2 * 729  # the plan builds R when it derives lie
+    m = materialize(load_fixture("F1"))
+    assert m.operator is m.operator and m.algebras["lie"] == m.algebras["lie"]
+    assert len(calls) == 2 * 729 + 2  # each built once
+
+
+def _f8_leaving_the_span(monkeypatch):
+    """F8 with a parameter t: its u at t = 0, and u + E11 = diag(2, 1, 0) at
+    t = 1, whose product with the first basis element E11 + E22 leaves the
+    span."""
+    f8 = load_fixture("F8")
+    u = f8.u_fn(f8.sample_point)
+    bumped = ((u[0][0] + 1,) + u[0][1:],) + u[1:]
+    bundle = replace(
+        f8, name="T8", params=(ParamSpec("t", 1, (0, 1)),), sample_point={"t": 0},
+        u_fn=lambda p: bumped if p["t"] == 1 else u,
+    )
+    monkeypatch.setitem(fixtures._CATALOG, "T8", bundle)
+    return bundle
+
+
+def test_u_leaving_the_span_fails_its_rows_that_read_u_or_r(monkeypatch):
+    bundle = _f8_leaving_the_span(monkeypatch)
+    m = materialize(bundle, {"t": 1})  # R is not built, so nothing raises yet
+    amb, emb = m.ambient, m.embedding
+    images = [amb.product(m.u, b) for b in emb.basis]
+    j = next(j for j, img in enumerate(images) if not emb.residual(img).is_zero())
+    residual = emb.residual(images[j])
+    expected = Verdict.fail(Witness((j,), (emb.basis[j], m.u), residual, amb.zero()))
+    assert j == 0 and repr(run_row(m, "element:stabilize")) == repr(expected)
+    for label in ("element:idempotent", "element:centralize"):
+        assert not run_row(m, label).passed
+    assert run_row(m, "identity[A]:associativity").passed  # A needs no R
+
+    v = certify_row("T8", "element:stabilize")
+    assert not v.passed and v.failing_point == {"t": 1} and v.points_checked == 2
+    assert repr(v.inner) == repr(expected)
+
+    for label in ("operator[A]:endomorphism", "identity[lie]:jacobi",
+                  "identity[flex]:flexible"):
+        with pytest.raises(ImageNotInSpanError) as exc:
+            run_row(m, label)
+        assert exc.value.basis_index == j and exc.value.residual == residual.coords
+        with pytest.raises(ImageNotInSpanError) as exc:
+            certify_row("T8", label)
+        assert exc.value.basis_index == j and exc.value.residual == residual.coords
+    with pytest.raises(ImageNotInSpanError):  # where R was built with every point
+        _eager_oracle(bundle, "element:stabilize", monkeypatch)
+
+
+def test_reproduce_examples_stdout_ends_in_the_row_count(capsys):
+    """The elapsed time goes to stderr, so stdout is the same on every run."""
+    script = Path(__file__).parent.parent / "scripts" / "reproduce_examples.py"
+    spec = importlib.util.spec_from_file_location("reproduce_examples", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    outs = []
+    for _ in range(2):
+        assert module.main() == 0
+        out, err = capsys.readouterr()
+        assert re.fullmatch(r"elapsed \d+\.\ds\n", err)
+        outs.append(out)
+    assert outs[0].splitlines()[-1] == "ALL EXAMPLES REPRODUCED (121 rows)"
+    assert outs[0] == outs[1]

@@ -4,8 +4,9 @@ per-kind if-chains they replaced.
 ``solve_linear``, ``verify_element`` and ``find_special`` must give
 ``repr``-equal results to the chains on every fixture embedding (each linear
 kind alone and in pairs, at the sample u, u + E11 and five random rational
-u) and on random embeddings; every ``LINEAR_SIDES`` row must be affine in u;
-every quadratic kind must keep its label and residual.
+u) and on random embeddings; every ``LINEAR_SIDES`` row must be affine in u,
+and the stabilize row must equal the dense residual of u b_j; every
+quadratic kind must keep its label and residual.
 """
 import itertools
 import random
@@ -255,13 +256,30 @@ def test_linear_sides_are_affine_in_u(kind):
     rng = random.Random(kind)
     for _, ambient, emb, us in _CASES[::2]:
         zero = ambient.zero()
-        for b in emb.basis[:3]:
-            at0 = sides(ambient, emb, b, zero)
+        for j in range(min(3, emb.sub_dim)):
+            at0 = sides(ambient, emb, j, zero)
             u, v = _random_u(rng, ambient.dim), us[0]
-            at_u, at_v = sides(ambient, emb, b, u), sides(ambient, emb, b, v)
-            at_uv = sides(ambient, emb, b, u + v)
+            at_u, at_v = sides(ambient, emb, j, u), sides(ambient, emb, j, v)
+            at_uv = sides(ambient, emb, j, u + v)
             for s in (0, 1):
                 assert at_uv[s] - at0[s] == (at_u[s] - at0[s]) + (at_v[s] - at0[s])
+
+
+def test_stabilize_side_matches_the_dense_residual():
+    """The stabilize row reads span membership off ``Embedding.left_image``;
+    its sides are those of the residual of the ambient product u b_j, on
+    every fixture embedding at the sample u and at u + e_k for every k."""
+    sides = LINEAR_SIDES["stabilize"]
+    leaving = 0
+    for name in fx.list_fixtures():
+        m = fx.materialize(fx.load_fixture(name))
+        ambient, emb = m.ambient, m.embedding
+        for u in [m.u] + [m.u + e for e in ambient.basis()]:
+            for j, b in enumerate(emb.basis):
+                dense = (emb.residual(ambient.product(u, b)), ambient.zero())
+                assert repr(sides(ambient, emb, j, u)) == repr(dense)
+                leaving += not dense[0].is_zero()
+    assert leaving > 0  # both branches ran
 
 
 def test_span_residual_matches_dense_reconstruction():
