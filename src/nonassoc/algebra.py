@@ -4,10 +4,11 @@ An algebra of dimension n is given by its structure constants c[i][j][k]
 with e_i * e_j = sum_k c[i][j][k] e_k; products of arbitrary elements extend
 bilinearly.  The constants are stored sparse, and only in that form:
 ``sparse_rows[i][j]`` holds the (k, c[i][j][k]) pairs with c nonzero, k
-ascending.  The dense tensor ``sc`` is a view built on each access.  No axiom
-(associativity, commutativity, ...) is assumed at construction;
-``is_associative``/``is_commutative`` verify the two axioms exactly, through
-the identity engine.
+ascending.  The dense tensor ``sc`` is a view built on each access.  An
+index whose row and column are both empty is null (e_i x = x e_i = 0);
+``active`` lists the others.  No axiom (associativity, commutativity, ...)
+is assumed at construction; ``is_associative``/``is_commutative`` verify
+the two axioms exactly, through the identity engine.
 
 All types are immutable after construction and safe to share across
 workers.
@@ -151,6 +152,17 @@ class Algebra:
             for row in rows
         )
         return scaled, denom
+
+    @cached_property
+    def active(self) -> tuple[int, ...]:
+        """The indices i with row i or column i of ``sparse_rows`` nonempty, ascending.
+
+        Every other index is null: e_i x = x e_i = 0 for every x.
+        """
+        rows = self.sparse_rows
+        live = {i for i, row in enumerate(rows) if any(row)}
+        live.update(j for row in rows for j, e in enumerate(row) if e)
+        return tuple(sorted(live))
 
     @cached_property
     def content_hash(self) -> str:

@@ -38,6 +38,17 @@ or constant, and only when the group has no more elements than the plan has
 tuples.  Operator words keep the plain loop, since an automorphism need not
 commute with R.
 
+Null indices are skipped.  An index i is null when row i and column i of the
+constants are empty, so e_i x = x e_i = 0 for every x; ``Algebra.active``
+lists the others.  When no side of an identity is a bare leaf, every leaf
+sits under a product or an R node, so a tuple holding a null index i gives
+0 on both sides, provided R(e_i) = 0 when the words apply R.  The loop runs
+each slot over the other indices only, in the same order; every skipped
+tuple passes, so the first failing tuple and its witness are unchanged.  A
+bare leaf (the x of R(R(x)) = x) is e_i itself, and then every index runs.
+Random trials run on each draw's projection to the active indices, exact as
+x y = x_a y_a, and a null algebra passes with nothing drawn.
+
 Words may also apply a linear operator: the node ``("R", w)`` is R(w).  The
 operator identities of ``operators`` (derivation, Rota-Baxter, ...) are
 signed sums of such words, linear in each variable, and run through the same
@@ -299,6 +310,8 @@ class _Schedule(NamedTuple):
     ``rhs`` list each root as ``(coef, node, p, q)``: its coefficient (an
     int or a parameter name) and its numbers of products and of R nodes.
     ``tied[d]``: slot ``d`` follows slot ``d - 1`` in one symmetry group.
+    ``covered``: no unfactored word is a bare leaf, so every leaf sits under
+    a product or an R node (see ``_basis_verdict``).
 
     A root stands for the words of one (coef, p, q) group of a side, factored
     by ``_factor``; the roots of a group sum to its words exactly.
@@ -310,6 +323,7 @@ class _Schedule(NamedTuple):
     tied: tuple[bool, ...]
     size: int
     phantom: Optional[int]
+    covered: bool
 
 
 def _factor(words: list) -> list:
@@ -341,6 +355,7 @@ def _factor(words: list) -> list:
 
 
 def _schedule(slots: int, lhs_words, rhs_words, groups=()) -> _Schedule:
+    covered = not any(isinstance(w, int) for _, w in (*lhs_words, *rhs_words))
     ids: dict = {s: s for s in range(slots)}
     depth = list(range(slots))
     steps: list[list] = [[] for _ in range(slots)]
@@ -372,7 +387,9 @@ def _schedule(slots: int, lhs_words, rhs_words, groups=()) -> _Schedule:
 
     lhs, rhs = roots(lhs_words), roots(rhs_words)
     tied = tuple(any(s in g[1:] for g in groups) for s in range(slots))
-    return _Schedule(tuple(map(tuple, steps)), lhs, rhs, tied, len(depth), ids.get("R"))
+    return _Schedule(
+        tuple(map(tuple, steps)), lhs, rhs, tied, len(depth), ids.get("R"), covered
+    )
 
 
 def compile_words(arity: int, lhs_words, rhs_words) -> _Schedule:
@@ -497,9 +514,27 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, lhs, rhs, scale: int,
     r closes.  Else ``hits[y]`` holds the g with g[y] = a and ``low[y]`` the
     least image of y.  At a later x, low[x] < a prunes; a g in no hits[y],
     y in r, maps r above a, so it neither prunes nor stays: only hits sort.
+
+    Null-index pruning: when ``sched.covered`` (no side is a bare leaf),
+    every slot runs over the live indices only: the ``Algebra.active`` ones
+    and, when the words apply R, those whose R column is nonzero.  A tuple
+    holding any other index i gives 0 on both sides, since e_i is null and
+    R(e_i) = 0, so the leaf's parent, a product or an R node, is 0 and so is
+    every word.  Each skipped tuple passes, so the first failing tuple is
+    unchanged.  Automorphisms map null indices to null indices, so the lex-min
+    tuple of an orbit of live tuples is live and the orbit argument holds
+    as before.  A bare leaf, as the x of ``involution_op``'s R(R(x)) = x, is
+    e_i itself, so then every index runs.
     """
     signed = lhs + tuple((-w, n) for w, n in rhs)
     dim, tied = a.dim, sched.tied
+    order = range(dim)  # the live indices, in lex order
+    if sched.covered and len(a.active) < dim:
+        live = set(a.active)
+        if sched.phantom is not None:
+            live.update(i for i, row in enumerate(rows) if row[dim])
+        order = sorted(live)
+    at = order if len(order) == dim else {i: p for p, i in enumerate(order)}
     last = len(tied) - 1
     start = [0] * len(tied)  # first slot of each slot's group
     for d in range(1, len(tied)):
@@ -540,7 +575,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, lhs, rhs, scale: int,
         """Run slot ``d`` and the slots after it; True at the first failure."""
         if alive and not tied[d] and d < last and tied[d + 1]:
             low[d] = [min(c) for c in zip(*alive)]
-        for i in range(tup[d - 1] if tied[d] else 0, dim):
+        for i in order[at[tup[d - 1]]:] if tied[d] else order:
             tup[d] = i
             below = alive and survivors(d, alive)
             if below is None:
@@ -574,15 +609,17 @@ def check_identity(a: Algebra, name: str) -> Verdict:
     through their polarized multilinear form.  A failing verdict carries
     the lexicographically first failing basis tuple: tuples run non-decreasing
     within each symmetry group, where the polarized form is symmetric.
-    A plan with more than ``_TUPLES_PER_UNIT`` tuples per basis index or
-    nonzero constant checks one tuple per orbit of the constants'
-    automorphisms (see ``_basis_verdict``).
+    Tuples holding a null index are skipped, as they pass.  A plan with more
+    than ``_TUPLES_PER_UNIT`` tuples per active index or nonzero constant
+    checks one tuple per orbit of the constants' automorphisms (see
+    ``_basis_verdict``).
     """
     plan = polarized_plan(name)
     sched = _plan_schedule(name)
     rows, denom = a.integer_rows
-    tuples = prod(comb(a.dim + d - 1, d) for d in plan.identity.multidegree)
-    size = a.dim + a.nonzero_constants
+    n = len(a.active) if sched.covered else a.dim  # the indices the loop runs over
+    tuples = prod(comb(n + d - 1, d) for d in plan.identity.multidegree)
+    size = n + a.nonzero_constants
     group = a.automorphisms.elements(tuples) if tuples > _TUPLES_PER_UNIT * size else ()
     return _basis_verdict(a, sched, rows, *_weighted(sched, denom), group)
 
@@ -593,7 +630,9 @@ def check_words(
     """Exact verdict for the compiled words, R being the matrix with ``columns``.
 
     ``params`` gives the coefficients named in the words.  A failing verdict
-    carries the lexicographically first failing basis tuple.
+    carries the lexicographically first failing basis tuple.  Tuples holding
+    a null index whose R column is zero are skipped, as they pass, unless a
+    side is a bare leaf.
     """
     rows, denom = a.integer_rows
     cols, rdenom = _integer_columns(columns)
@@ -672,27 +711,38 @@ def check_identity_random(a: Algebra, name: str, trials: int, seed: int) -> Verd
     The elements of ``_doubled_coords`` are kept doubled and the structure
     constants scaled by their lcm D, so both sides (m leaves, m - 1 products)
     carry 2^m D^(m-1) and compare exactly in int; a witness is scaled back.
+
+    Every leaf of a catalog word sits under a product, so x y = x_a y_a,
+    x_a the projection of x to the active indices: the words run on each
+    draw's projection, and a witness's inputs are the full draws.  With no
+    active index no trial can fail, and nothing is drawn.
     """
     if trials < 1:
         raise NonassocError("trials must be >= 1")
     ident = get_identity(name)
     arity = len(ident.variables)
     sched = _raw_schedule(name)
+    dim = a.dim
+    live = frozenset(a.active) if sched.covered and len(a.active) < dim else None
+    if live is not None and not live:
+        return Verdict.ok()
     steps = sum(sched.steps, ())
     rows, denom = a.integer_rows
     lhs, rhs, scale = _weighted(sched, denom)
     signed = lhs + tuple((-w, n) for w, n in rhs)
-    dim = a.dim
     vals: list = [None] * sched.size
+    drawn: list = [None] * arity
     rng = random.Random(seed)
     for _ in range(trials):
         for s in range(arity):
-            vals[s] = _doubled_coords(dim, rng)
+            drawn[s] = vals[s] = _doubled_coords(dim, rng)
+            if live is not None:
+                vals[s] = {k: v for k, v in drawn[s].items() if k in live}
         _products(rows, steps, vals)
         if any(_signed_sum(signed, vals).values()):
             # each of the m doubled leaves carries a factor 2
             scale <<= sum(ident.multidegree)
-            inputs = tuple(_unscaled(vals[s], dim, 2) for s in range(arity))
+            inputs = tuple(_unscaled(x, dim, 2) for x in drawn)
             return _failure((), inputs, lhs, rhs, vals, dim, scale)
     return Verdict.ok()
 
@@ -756,8 +806,11 @@ def certify_parametric(
         raise GridError(f"grid names axes {unknown} that are not parameters of the family")
     axis_values: list[list[Scalar]] = []
     for p in params:
+        axis = axes.get(p.name, p.axis)
+        if not isinstance(axis, (list, tuple)):  # a string would be read by character
+            raise GridError(f"grid for parameter {p.name} must be a list, got {axis!r:.40}")
         try:
-            axis = [as_scalar(v) for v in axes.get(p.name, p.axis)]
+            axis = [as_scalar(v) for v in axis]
         except (TypeError, ValueError) as exc:
             raise GridError(f"grid for parameter {p.name}: {exc}") from None
         distinct = set(axis)

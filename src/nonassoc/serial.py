@@ -37,6 +37,13 @@ def _scalar_in(v):
         raise FileFormatError(str(exc)) from exc
 
 
+def _list_in(v, what: str) -> list:
+    """``v`` itself, which must be a JSON array: a string would be read by character."""
+    if type(v) is not list:
+        raise FileFormatError(f"{what} must be an array, got {v!r:.40}")
+    return v
+
+
 def _int_in(v) -> int:
     if type(v) is not int:
         raise FileFormatError(f"dimensions and indices must be JSON integers, got {v!r}")
@@ -97,7 +104,8 @@ def operator_to_dict(r: LinearOperator) -> dict:
 def operator_from_dict(d: dict, algebra: Algebra) -> LinearOperator:
     try:
         dim = _int_in(d["dim"])
-        cols = [[_scalar_in(v) for v in col] for col in d["matrix"]]
+        cols = [[_scalar_in(v) for v in _list_in(col, "an operator column")]
+                for col in _list_in(d["matrix"], "matrix")]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed operator object: {exc}") from exc
     if dim != algebra.dim:
@@ -118,7 +126,7 @@ def element_to_dict(e: Element) -> dict:
 
 def element_from_dict(d: dict) -> Element:
     try:
-        e = Element(tuple(_scalar_in(v) for v in d["coords"]))
+        e = Element(tuple(_scalar_in(v) for v in _list_in(d["coords"], "coords")))
         dim = _int_in(d["dim"]) if "dim" in d else len(e.coords)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed element object: {exc}") from exc
@@ -138,7 +146,8 @@ def embedding_to_dict(emb: Embedding, ambient_path: str | None = None) -> dict:
 def embedding_from_dict(d: dict, base_dir: Path | None = None) -> Embedding:
     try:
         ambient_spec = d["ambient"]
-        basis = [Element(tuple(_scalar_in(v) for v in row)) for row in d["basis"]]
+        basis = [Element(tuple(_scalar_in(v) for v in _list_in(row, "a basis element")))
+                 for row in _list_in(d["basis"], "basis")]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed embedding object: {exc}") from exc
     if isinstance(ambient_spec, str):
@@ -158,7 +167,8 @@ def embedding_from_dict(d: dict, base_dir: Path | None = None) -> Embedding:
 
 def grid_from_dict(d: dict) -> list[tuple]:
     try:
-        return [tuple(_scalar_in(v) for v in p) for p in d["points"]]
+        return [tuple(_scalar_in(v) for v in _list_in(p, "a grid point"))
+                for p in _list_in(d["points"], "points")]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed grid object: {exc}") from exc
 

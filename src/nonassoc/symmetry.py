@@ -9,8 +9,11 @@ individualized and the colours refined again, down to a discrete colouring;
 the map between two such leaves is a candidate (the scheme of McKay's
 nauty).  Each candidate is verified exactly against the entries, so every
 generator kept is an automorphism and a search that stops early only finds a
-smaller group.  The generators are closed to an element list on demand,
-never past a caller's limit.
+smaller group.  Only the indices that some constant mentions are searched;
+any permutation of the others is an automorphism too, but every generator
+fixes them, so a block of null indices never enters the search.  The
+generators are closed to an element list on demand, never past a caller's
+limit.
 """
 from __future__ import annotations
 
@@ -149,13 +152,23 @@ def close(gens: list, dim: int, limit: int) -> Optional[tuple]:
 class Automorphisms:
     """The verified basis-permutation automorphisms of one algebra's constants.
 
-    The generators are searched for once, on construction; the element list
-    is closed on demand and kept.
+    The generators are searched for once, on construction, over the indices
+    that some constant mentions; they fix every other index.  The element
+    list is closed on demand and kept.
     """
 
     def __init__(self, dim: int, rows):
         self.dim = dim
-        self.generators, self.order_bound = find_generators(dim, rows)
+        mentioned = sorted({x for i, row in enumerate(rows) for j, e in enumerate(row)
+                            for k, _ in e for x in (i, j, k)})
+        at = {x: p for p, x in enumerate(mentioned)}
+        if len(mentioned) < dim:  # the constants, renumbered over the mentioned indices
+            rows = tuple(tuple(tuple((at[k], v) for k, v in rows[i][j]) for j in mentioned)
+                         for i in mentioned)
+        gens, self.order_bound = find_generators(len(mentioned), rows)
+        self.generators = tuple(
+            tuple(mentioned[g[at[x]]] if x in at else x for x in range(dim)) for g in gens
+        )
         self._elements: Optional[tuple] = None
         self._exceeded = self.order_bound - 1  # a limit the group is known to exceed
 

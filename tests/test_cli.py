@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from nonassoc.cli import main
+from nonassoc.identities import IDENTITY_NAMES
 
 DATA = Path(__file__).parent.parent / "src" / "nonassoc" / "data"
 
@@ -288,6 +289,29 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert "Traceback" not in missing.stderr
 
 
+@pytest.mark.parametrize("random_trials", [False, True], ids=["exact", "random"])
+def test_null_dim_200_passes_every_identity_in_bounded_memory(tmp_path, random_trials):
+    """A 200-dimensional null algebra: each catalog identity exits 0 with PASS,
+    in a child process whose address space is capped at 512 MiB."""
+    resource = pytest.importorskip("resource")
+    limit = 512 * 2**20
+    (tmp_path / "null200.json").write_text('{"dim": 200, "sc": []}')
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(DATA.parent.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    extra = ("--random", "trials=100,seed=7") if random_trials else ()
+    for name in IDENTITY_NAMES:
+        done = subprocess.run(
+            [sys.executable, "-m", "nonassoc", "check", "--algebra", "null200.json",
+             "--identity", name, *extra],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert done.returncode == 0, (name, done.stderr)
+        assert "result: PASS" in done.stdout
+
+
 def test_unknown_identity_exits_2(capsys):
     code, _, err = run(
         capsys, "check",
@@ -390,6 +414,13 @@ _PROPS_F9_FROM_U = (
     (_PROPS_F9_FROM_U, "u.json", '{"dim": 4, "coords": 5}'),
     (_PROPS_F9_FROM_U, "u.json", '{"dim": 4.5, "coords": ["1", "-1", "1", "-1"]}'),
     (_SEARCH_F9 + ("--quad", "idempotent", "--grid"), "grid.json", '{"points": 5}'),
+    (_SEARCH_F9 + ("--quad", "idempotent", "--grid"), "grid.json", '{"points": ["12", "34"]}'),
+    (_SEARCH_F9 + ("--quad", "idempotent", "--grid"), "grid.json", '{"points": "12"}'),
+    (_PROPS_F9_FROM_U, "u.json", '{"coords": "1111"}'),
+    (("props", "--algebra", _NULL2, "--property", "rota_baxter:lam=1", "--operator"),
+     "r.json", '{"dim": 2, "matrix": ["10", "01"]}'),
+    (_SEARCH_F9[:3] + ("--lin", "stabilize", "--quad", "idempotent", "--embedding"),
+     "emb.json", '{"ambient": "%s", "basis": ["1000"]}' % (DATA / "fixtures" / "F9.ambient.json")),
     (("check", "--identity", "jacobi", "--algebra"), "a.json",
      '{"dim": 2, "labels": "ab", "sc": []}'),
     (("check", "--identity", "jacobi", "--algebra"), "a.json",
@@ -403,6 +434,8 @@ _PROPS_F9_FROM_U = (
 ], ids=["float_index", "float_dim", "bool_index", "operator_float_dim",
         "operator_matrix_not_a_list", "embedding_basis_not_a_list",
         "element_coords_not_a_list", "element_float_dim", "grid_points_not_a_list",
+        "grid_points_strings", "grid_points_a_string", "element_coords_a_string",
+        "operator_columns_strings", "embedding_basis_strings",
         "labels_a_string", "labels_not_strings", "not_utf8", "nested_100000_deep",
         "int_over_4300_digits"])
 def test_malformed_file_field_exits_2(tmp_path, capsys, argv, name, content):

@@ -186,6 +186,13 @@ def test_certify_row_rejects_repeated_axis_values():
         certify_row("F1b", "element:idempotent", {"b": ["1/2", 0, 1, "2/4"]})
 
 
+def test_certify_row_rejects_a_string_axis():
+    """A string axis would be read as one value per character."""
+    with pytest.raises(GridError, match="parameter b must be a list"):
+        certify_row("F1b", "element:idempotent", {"b": "01234567"})
+    assert certify_row("F1b", "element:idempotent", {"b": list("01234567")}).points_checked == 8
+
+
 def test_certify_row_rejects_unknown_axes():
     with pytest.raises(GridError, match="'bb'"):
         certify_row("F1b", "identity[lie]:jacobi", axes={"bb": [0, 1]})

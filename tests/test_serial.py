@@ -17,6 +17,7 @@ from nonassoc.serial import (
     element_to_dict,
     embedding_from_dict,
     embedding_to_dict,
+    grid_from_dict,
     load_algebra,
     load_embedding,
     operator_content_hash,
@@ -54,6 +55,38 @@ def test_algebra_rejects_malformed():
         algebra_from_dict({"sc": []})                          # missing dim
     with pytest.raises(FileFormatError, match="dimension must be positive, got -1$"):
         algebra_from_dict({"dim": -1, "labels": ["a"], "sc": []})  # dim before labels
+
+
+def test_grid_rejects_strings_where_arrays_belong():
+    """A string is never read character by character as a list of points or values."""
+    with pytest.raises(FileFormatError, match="a grid point must be an array"):
+        grid_from_dict({"points": ["12", "34"]})
+    with pytest.raises(FileFormatError, match="points must be an array"):
+        grid_from_dict({"points": "12"})
+    assert grid_from_dict({"points": [["1", "2"], [3, "4/2"]]}) == [(1, 2), (3, 2)]
+
+
+def test_element_rejects_string_coords():
+    with pytest.raises(FileFormatError, match="coords must be an array"):
+        element_from_dict({"coords": "123"})
+    with pytest.raises(FileFormatError, match="coords must be an array"):
+        element_from_dict({"dim": 3, "coords": "123"})
+
+
+def test_operator_rejects_string_matrix_and_columns():
+    a = make_algebra(2, [])
+    with pytest.raises(FileFormatError, match="matrix must be an array"):
+        operator_from_dict({"dim": 2, "matrix": "12"}, a)
+    with pytest.raises(FileFormatError, match="an operator column must be an array"):
+        operator_from_dict({"dim": 2, "matrix": ["10", "01"]}, a)
+
+
+def test_embedding_rejects_string_basis_and_rows():
+    ambient = algebra_to_dict(make_algebra(2, []))
+    with pytest.raises(FileFormatError, match="basis must be an array"):
+        embedding_from_dict({"ambient": ambient, "basis": "10"})
+    with pytest.raises(FileFormatError, match="a basis element must be an array"):
+        embedding_from_dict({"ambient": ambient, "basis": ["10"]})
 
 
 def test_operator_roundtrip_column_major():

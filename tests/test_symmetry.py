@@ -175,7 +175,9 @@ def test_close_stops_at_its_limit():
     lambda: hadamard_algebra(5, 5),
 ], ids=["null25", "hadamard33", "hadamard55"])
 def test_symmetric_group_of_the_basis_is_never_materialized(monkeypatch, make):
-    """G = S_dim here: it is never closed, and the verdicts are the plain ones."""
+    """G is the symmetric group of the indices some constant mentions (all of
+    them here, or none in the null algebra, whose search fixes every index):
+    it is never closed, and the verdicts are the plain ones."""
     closed = []
     original = symmetry.close
 
@@ -194,9 +196,32 @@ def test_symmetric_group_of_the_basis_is_never_materialized(monkeypatch, make):
             assert repr(verdict) == repr(plain_verdict(a, name))
         else:  # the plain oracle would take minutes here
             assert verdict.passed
-    assert a.automorphisms.order_bound == math.factorial(a.dim)
+    mentioned = {x for i, row in enumerate(a.sparse_rows) for j, e in enumerate(row)
+                 for k, _ in e for x in (i, j, k)}
+    assert a.automorphisms.order_bound == math.factorial(len(mentioned))
     assert all(out is None or len(out) < limit for limit, out in closed)
     assert a.automorphisms._elements is None
+
+
+def test_a_null_block_never_enters_the_search(monkeypatch):
+    """The search runs over the indices some constant mentions: none here."""
+    calls = []
+    original = symmetry._refine
+    monkeypatch.setattr(symmetry, "_refine", lambda *args: calls.append(1) or original(*args))
+    a = make_algebra(60, [])
+    assert a.automorphisms.generators == () and a.automorphisms.order_bound == 1
+    assert len(calls) <= 1
+
+
+def test_the_search_fixes_unmentioned_indices():
+    """M2 in the indices 1, 3, 4, 6 of seven: its group, lifted, fixes 0, 2 and 5."""
+    m = matrix_algebra(2)
+    at = (1, 3, 4, 6)
+    a = make_algebra(7, [(at[i], at[j], at[k], v) for i, row in enumerate(m.sparse_rows)
+                         for j, e in enumerate(row) for k, v in e])
+    group = group_of(a)
+    assert len(set(group)) == 2
+    assert all(is_automorphism(a, g) and g[0] == 0 and g[2] == 2 and g[5] == 5 for g in group)
 
 
 _VISITED_CASES = [(name, label) for label in ("M3", "commutator(M3)") for name in IDENTITY_NAMES]
