@@ -837,18 +837,13 @@ _LABEL_RE = re.compile(
 
 
 def _resolve_args(raw: Optional[str], point: Mapping) -> list:
-    if not raw:
-        return []
-    out = []
-    for piece in raw.split(","):
-        piece = piece.strip()
+    """The label's arguments, each ``@name`` read from ``point``."""
+    out = [piece.strip() for piece in raw.split(",")] if raw else []
+    for i, piece in enumerate(out):
         if piece.startswith("@"):
-            name = piece[1:]
-            if name not in point:
-                raise NonassocError(f"label references unknown parameter {name!r}")
-            out.append(point[name])
-        else:
-            out.append(piece)
+            if piece[1:] not in point:
+                raise NonassocError(f"label references unknown parameter {piece[1:]!r}")
+            out[i] = point[piece[1:]]
     return out
 
 
@@ -888,44 +883,65 @@ def _custom_null_product(a: Algebra) -> Verdict:
 _CUSTOM_ARITY = {"lin_dim": 2, "null_product": 1, "rota_baxter0_mirrored": 1}
 
 
-def run_row(m: Materialized, label: str) -> Verdict:
-    """Evaluate one check label against a materialized fixture."""
+def bind_row(bundle: FixtureBundle, label: str) -> Callable[[Materialized], Verdict]:
+    """The check of ``label`` on a materialized ``bundle``, parsed and its
+    record built once (at each point, for ``@param`` arguments).  An identity
+    row re-checks only where its plan algebra changes (``Algebra.__eq__``)."""
     match = _LABEL_RE.match(label)
     if not match:
         raise NonassocError(f"malformed check label {label!r}")
+    if "@" in (match[4] or ""):
+        return lambda m: _bind(bundle, label, match, m.point)(m)
+    return _bind(bundle, label, match, {})
+
+
+def _bind(bundle, label, match, point) -> Callable[[Materialized], Verdict]:
     family, alg_name, kind, raw_args = match.groups()
-    args = _resolve_args(raw_args, m.point)
+    args = _resolve_args(raw_args, point)
     if family == "element":
         if kind in LINEAR_KINDS:
-            results = verify_element(
+            return lambda m: verify_element(
                 m.embedding, m.u, [LinearConstraint(kind, m.embedding)], None
-            )
-        elif kind in QUAD_KINDS:
-            unit = matrix_identity_element(m.bundle.ambient_n) if QUAD_KINDS[kind].unit else None
+            )[0][1]
+        if kind in QUAD_KINDS:
+            unit = matrix_identity_element(bundle.ambient_n) if QUAD_KINDS[kind].unit else None
             quad = QuadraticConstraint.parse(kind, args, unit=unit)
-            results = verify_element(m.embedding, m.u, [], quad)
-        else:
-            raise NonassocError(f"unknown element constraint {kind!r}")
-        return results[0][1]
+            return lambda m: verify_element(m.embedding, m.u, [], quad)[0][1]
+        raise NonassocError(f"unknown element constraint {kind!r}")
     if family == "custom":
         if kind not in _CUSTOM_ARITY:
             raise NonassocError(f"unknown custom check {kind!r}")
         if len(args) != _CUSTOM_ARITY[kind]:
             raise NonassocError(f"{kind} takes {_CUSTOM_ARITY[kind]} argument(s), got {len(args)}")
         if kind == "lin_dim":
-            return _custom_lin_dim(m, *args)
+            return lambda m: _custom_lin_dim(m, *args)
         if kind == "null_product":
-            return _custom_null_product(_plan_algebra(m, str(args[0]), label))
+            return lambda m: _custom_null_product(_plan_algebra(m, str(args[0]), label))
         # the catalogued label of operator[ALG]:rota_baxter0_mirrored
         family, alg_name, args = "operator", str(args[0]), []
     if family == "operator":
         prop = OperatorProperty.parse(kind, args)
-        return check_operator_property(_plan_algebra(m, alg_name, label), m.operator, prop)
+        return lambda m: check_operator_property(
+            _plan_algebra(m, alg_name, label), m.operator, prop
+        )
     if family == "identity":
         if args:
             raise NonassocError("identity rows take no arguments")
-        return check_identity(_plan_algebra(m, alg_name, label), kind)
+        last = [None, None]  # the previous call's plan algebra and its verdict
+
+        def check(m: Materialized) -> Verdict:
+            algebra = _plan_algebra(m, alg_name, label)
+            if algebra != last[0]:
+                last[:] = algebra, check_identity(algebra, kind)
+            return last[1]
+
+        return check
     raise NonassocError(f"unknown check family {family!r}")
+
+
+def run_row(m: Materialized, label: str) -> Verdict:
+    """Evaluate one check label against a materialized fixture."""
+    return bind_row(m.bundle, label)(m)
 
 
 def verify_fixture(name: str, expectations: Optional[Sequence[ExpectedRow]] = None) -> Report:
@@ -950,28 +966,13 @@ def certify_row(
 
     A pass certifies the row for all rational parameter values away from
     the excluded ones, by polynomial identity testing against the declared
-    degree bounds.  Every grid point is materialized and counted; an
-    ``identity`` row is re-checked only at points where its plan algebra
-    differs (``Algebra.__eq__``: dim and ``sparse_rows``) from the previous
-    point's, since ``check_identity`` depends on nothing else.  Only that
-    previous algebra and its verdict are kept, and only within this call.
+    degree bounds.  Every grid point is materialized and counted; the label
+    is bound once (``bind_row``), for all of them and only for this call.
     """
     bundle = load_fixture(name)
     if label not in {r.check for r in bundle.rows}:
         raise NonassocError(f"fixture {name} has no row {label!r}")
-    match = _LABEL_RE.match(label)
-    if match[1] != "identity":
-        return certify_parametric(bundle, lambda m: run_row(m, label), axes)
-    last: tuple = (None, None)  # the previous point's (plan algebra, verdict)
-
-    def check(m: Materialized) -> Verdict:
-        nonlocal last
-        algebra = _plan_algebra(m, match[2], label)
-        if algebra != last[0]:
-            last = (algebra, run_row(m, label))
-        return last[1]
-
-    return certify_parametric(bundle, check, axes)
+    return certify_parametric(bundle, bind_row(bundle, label), axes)
 
 
 def check_negative_control(name: str) -> NegativeControlResult:

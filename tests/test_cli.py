@@ -514,3 +514,22 @@ def test_derive_json_golden(capsys, tmp_path):
     assert digest.hexdigest() == (
         "c9e52ef354962fa76ab5462b3edaf6b9971d98bed237215513ec2879639233bf"
     )
+
+
+def test_derive_text_golden(capsys, tmp_path):
+    """sha256 of the text reports of ``derive``, provenance line included,
+    with the data directory and the tmp ``out`` path written as names."""
+    digest = hashlib.sha256()
+    for name in _EVERY_CONSTRUCTION:
+        out_path = str(tmp_path / f"{name}.json")
+        argv = ["derive", "--algebra", str(DATA / "fixtures" / "F2.algebra.json"),
+                "--operator", str(DATA / "fixtures" / "F2.operator.json"),
+                "--construction", name, "--out", out_path]
+        if name == "novikov_affine":
+            argv += ["--param", "a=1/2"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        digest.update(out.replace(out_path, "OUT").replace(str(DATA), "DATA").encode())
+    assert digest.hexdigest() == (
+        "ab34e72cb51ffa3e1b46a7b7afb248daeff960126634e03a7d663d21abd475cf"
+    )

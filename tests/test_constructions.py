@@ -4,7 +4,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nonassoc import serial
 from nonassoc.algebra import (
     Element,
     element_from_matrix,
@@ -324,6 +327,123 @@ def test_derive_applies_r_once_per_distinct_element(monkeypatch, all_materialize
         derive(a, m.operator, construction(name, *(("1/2",) if cons.params else ())))
         assert len(calls) == len(set(calls)), name
         assert set(calls) == (products if name == "flexible_avg" else set(a.basis())), name
+
+
+def test_parity_table():
+    """y∘x = parity·(x∘y), read off the words; every other construction is 0."""
+    assert {name: c.parity for name, c in CATALOG.items() if c.parity} == {
+        "commutator": -1, "lie_endo": -1, "lie_endo_alt": -1, "jordan_plus": 1,
+    }
+    # the flags are fields, computed once per catalog entry
+    assert CATALOG["lie_endo"]._fields == ("params", "words", "needs_operator", "parity")
+
+
+def test_parity_holds_on_the_oracle(f1b_materialized):
+    a, r = f1b_materialized.algebras["A"], f1b_materialized.operator
+    basis = a.basis()
+    for name, cons in CATALOG.items():
+        fn = _ORACLE[name][2]
+        for x in basis if cons.parity else ():
+            for y in basis:
+                assert fn(a.product, r.apply, None, y, x) == cons.parity * fn(
+                    a.product, r.apply, None, x, y
+                ), name
+
+
+def test_mirrored_pairs_on_a_dim_1_source():
+    for c in (0, 3, Fraction(-2, 5)):
+        a = make_algebra(1, [(0, 0, 0, c)] if c else [])
+        for entry in (0, 1, Fraction(-3, 7)):
+            _assert_derive_matches_oracle(a, make_operator(a, [[entry]]))
+
+
+def test_mirrored_pairs_negate_fractions():
+    m2 = matrix_algebra(2)
+    r = make_operator(m2, [[Fraction(1, 2), 0, Fraction(-1, 3), 1],
+                           [0, Fraction(2, 3), 0, 0],
+                           [Fraction(5, 4), 0, 1, Fraction(-1, 2)],
+                           [0, 0, Fraction(1, 7), 0]])
+    assert _assert_derive_matches_oracle(m2, r) == 12 + 2 * 2 + len(_A_VALUES)
+    lie = derive(m2, r, construction("lie_endo"))
+    mirrored = [c for i, row in enumerate(lie.sparse_rows) for j, e in enumerate(row)
+                if j < i for _, c in e]
+    assert any(type(c) is Fraction and c < 0 for c in mirrored)
+    assert any(type(c) is Fraction and c > 0 for c in mirrored)
+
+
+def _genalgebra(kind: int, seed: int, dim: int):
+    from genalgebras import (
+        entrywise_algebra_with_retraction,
+        entrywise_with_averaging,
+        null_algebra_with_root_operator,
+        row_algebra_with_projection,
+        truncated_poly_with_derivation,
+    )
+
+    rng = random.Random(seed)
+    return (
+        lambda: row_algebra_with_projection(rng, dim),
+        lambda: entrywise_algebra_with_retraction(rng, dim),
+        lambda: truncated_poly_with_derivation(rng, dim)[:2],
+        lambda: null_algebra_with_root_operator(rng, 2 * (1 + dim // 3))[:2],
+        lambda: entrywise_with_averaging(rng, dim),
+    )[kind]()
+
+
+@given(st.integers(0, 4), st.integers(0, 2**32), st.integers(2, 4))
+@settings(max_examples=25, deadline=None)
+def test_mirrored_pairs_match_the_oracle_on_genalgebras(kind, seed, dim):
+    a, r = _genalgebra(kind, seed, dim)
+    assert _assert_derive_matches_oracle(a, r) == 12 + 2 * 2 + len(_A_VALUES)
+    _assert_derive_matches_oracle(a, r + LinearOperator.identity(a.dim))
+
+
+def _counting_operator_hash(monkeypatch) -> list:
+    calls = []
+    original = serial.operator_content_hash
+    monkeypatch.setattr(serial, "operator_content_hash",
+                        lambda op: calls.append(op) or original(op))
+    return calls
+
+
+def test_operator_hash_is_computed_on_first_read_of_meta(monkeypatch, f1b_materialized):
+    calls = _counting_operator_hash(monkeypatch)
+    a, r = f1b_materialized.algebras["A"], f1b_materialized.operator
+    for name, cons in CATALOG.items():
+        spec = construction(name, a=Fraction(-1, 2) if cons.params else None)
+        got = derive(a, r, spec)
+        assert calls == []
+        want = {"construction": name, "source": algebra_content_hash(a),
+                "operator": operator_content_hash(r)}
+        if cons.params:
+            want["a"] = Fraction(-1, 2)
+        calls.clear()
+        assert repr(got.meta) == repr(want) and str(got.meta) == str(want)
+        assert f"{got.meta}" == f"{want}"
+        assert got.meta == want and want == got.meta and dict(got.meta) == want
+        assert list(got.meta) == list(want) and list(got.meta.items()) == list(want.items())
+        assert got.meta["operator"] == want["operator"] and len(got.meta) == len(want)
+        assert "operator" in got.meta and got.meta.get("a") == want.get("a")
+        assert len(calls) == 1, name
+        calls.clear()
+
+
+def test_certifying_a_derived_row_never_hashes_the_operator(monkeypatch):
+    from nonassoc.fixtures import certify_row
+
+    calls = _counting_operator_hash(monkeypatch)
+    v = certify_row("F1", "identity[lie]:jacobi")
+    assert v.passed and v.points_checked == 729
+    assert calls == []
+
+
+def test_derive_still_hashes_the_source(monkeypatch, f1b_materialized):
+    calls = []
+    original = serial.algebra_content_hash
+    monkeypatch.setattr(serial, "algebra_content_hash", lambda a: calls.append(a) or original(a))
+    source = algebra_from_table(2, [[(1, 0), (0, 1)], [(0, 1), (0, 0)]])
+    derive(source, None, construction("commutator"))
+    assert calls == [source]
 
 
 _BIG = (2, 3, 7, 12, 2**31 - 1, 2**61 - 1)

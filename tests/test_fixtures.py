@@ -21,6 +21,8 @@ from nonassoc.fixtures import (
     verify_fixture,
 )
 from nonassoc.identities import ParamSpec, certify_parametric
+from nonassoc.operators import OperatorProperty
+from nonassoc.search import QuadraticConstraint
 from nonassoc.verdicts import Verdict, Witness
 
 ALL_NAMES = ["F1", "F1b", "F2", "F3", "F3b", "F4", "F5",
@@ -144,6 +146,63 @@ def test_run_row_binds_keyword_arguments():
     for args in ("(lam=1)", "(lam=1,gamma=2)", "(lam=1,lam=2)", "(1,beta=2)"):
         with pytest.raises(NonassocError):
             run_row(m, label + args)
+
+
+def _counting_parse(monkeypatch, cls) -> list:
+    calls = []
+    parse = cls.parse
+
+    def counting(kind, args, **fixed):
+        calls.append((kind, list(args)))
+        return parse(kind, args, **fixed)
+
+    monkeypatch.setattr(cls, "parse", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name,label,cls", [
+    ("F1", "operator[A]:endomorphism", OperatorProperty),
+    ("F9", "custom:rota_baxter0_mirrored(A)", OperatorProperty),
+    ("F10", "operator[A]:rota_baxter(1)", OperatorProperty),
+    ("F1b", "element:idempotent", QuadraticConstraint),
+])
+def test_certify_row_binds_its_label_once(monkeypatch, name, label, cls):
+    calls = _counting_parse(monkeypatch, cls)
+    v = certify_row(name, label)
+    assert v.passed and v.points_checked == _CERTIFIED_POINTS[name]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("label,cls", [
+    ("operator[A]:rota_baxter_weighted(@lam,@beta)", OperatorProperty),
+    ("element:rb_weighted(@lam,@beta)", QuadraticConstraint),
+])
+def test_certify_row_binds_param_arguments_at_each_point(monkeypatch, label, cls):
+    calls = _counting_parse(monkeypatch, cls)
+    v = certify_row("F11", label)
+    assert v.passed and v.points_checked == 400
+    assert len(calls) == 400
+    axes = {p.name: p.axis for p in load_fixture("F11").params}
+    assert {tuple(args) for _, args in calls} == {
+        (lam, beta) for lam in axes["lam"] for beta in axes["beta"]
+    }
+
+
+@pytest.mark.parametrize("label,message", [
+    ("bogus label", "malformed check label 'bogus label'"),
+    ("operator[A]:endomorphism(", "malformed check label 'operator[A]:endomorphism('"),
+    ("element:unknown_kind", "unknown element constraint 'unknown_kind'"),
+    ("custom:missing_check", "unknown custom check 'missing_check'"),
+    ("custom:null_product", "null_product takes 1 argument(s), got 0"),
+    ("identity[A]:jacobi(1)", "identity rows take no arguments"),
+    ("operator[A]:rota_baxter(@zz)", "label references unknown parameter 'zz'"),
+    ("operator[A]:rota_baxter(1,2)", "rota_baxter takes 1 argument(s), got 2"),
+])
+def test_malformed_labels_keep_their_error_text(label, message):
+    m = materialize(load_fixture("F11"))
+    with pytest.raises(NonassocError) as raised:
+        run_row(m, label)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
