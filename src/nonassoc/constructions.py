@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter, UserDict
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 from .algebra import Algebra, make_algebra
@@ -92,14 +92,28 @@ def construction(name: str, a=None) -> ConstructionSpec:
 
 
 class _LazyDict(UserDict):
-    """The dict ``make()``, built on first read; it reads and prints as that dict."""
+    """The dict ``make()``, built on first read; it reads, prints, copies and
+    pickles as that dict (so ``make`` must pickle).  Given a dict, as ``|``
+    gives one, it holds a copy of that dict."""
 
-    def __init__(self, make: Callable[[], dict]):
-        self._make = make
+    def __init__(self, make: Callable[[], dict] | dict):
+        self._make = make if callable(make) else make.copy
 
     @cached_property
     def data(self) -> dict:
         return self._make()
+
+    def __copy__(self) -> _LazyDict:
+        return _LazyDict(self.data)
+
+
+def _provenance(spec: ConstructionSpec, source_hash: str, operator) -> dict:
+    from .serial import operator_content_hash
+
+    meta = {"construction": spec.kind, "source": source_hash}
+    if operator is not None:
+        meta["operator"] = operator_content_hash(operator)
+    return meta if spec.a is None else {**meta, "a": spec.a}
 
 
 def derive(
@@ -132,16 +146,8 @@ def derive(
     rows: list[tuple] = []
     for i in range(source.dim):
         rows.append(tuple(entry(i, j) for j in range(source.dim)))
-    meta = {"construction": spec.kind, "source": source.content_hash}
-
-    def provenance() -> dict:
-        from .serial import operator_content_hash
-
-        if operator is not None:
-            meta["operator"] = operator_content_hash(operator)
-        return meta if spec.a is None else {**meta, "a": spec.a}
-
-    return Algebra(source.dim, tuple(rows), source.basis_labels, _LazyDict(provenance))
+    meta = _LazyDict(partial(_provenance, spec, source.content_hash, operator))
+    return Algebra(source.dim, tuple(rows), source.basis_labels, meta)
 
 
 def hadamard_algebra(rows: int, cols: int) -> Algebra:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable, Optional, Sequence
 
@@ -96,6 +96,13 @@ class FixtureBundle:
     sample_point: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        for step in self.plan:
+            if step[0] == "A" and step[1] not in ("induced", "hadamard"):
+                raise NonassocError(f"unknown base algebra step {step!r}")
+            if step[0] != "A" and step[1] != "derive":
+                raise NonassocError(f"unknown plan step {step!r}")
+
     @property
     def certified_rows(self) -> tuple[str, ...]:
         """The labels of the certified rows, in row order."""
@@ -109,27 +116,24 @@ class FixtureBundle:
 class Materialized:
     """A fixture instantiated at a concrete parameter point.
 
-    ``operator`` is R(x) = u x, built the first time it is read, unless
-    ``given_operator`` (a negative control's) stands in for it; the plan
-    algebras derive from R of the u they were made with, built on their
-    first derive.  Element rows read neither, so a u whose products leave
-    the span still materializes, and only a row that needs R raises
-    ``ImageNotInSpanError``.
+    ``operator`` is R(x) = u x, the one that ``algebras`` builds and derives
+    from.  Element rows read neither, so a u whose products leave the span
+    still materializes, and only a row that needs R raises ``ImageNotInSpanError``.
     """
 
     bundle: FixtureBundle
     point: dict
-    ambient: Algebra
     embedding: Embedding
     u: Element
-    algebras: Mapping[str, Algebra]
-    given_operator: Optional[LinearOperator] = None
+    algebras: _PlanAlgebras
 
-    @cached_property
+    @property
+    def ambient(self) -> Algebra:
+        return self.embedding.ambient
+
+    @property
     def operator(self) -> LinearOperator:
-        if self.given_operator is not None:
-            return self.given_operator
-        return left_multiplication_operator(self.embedding, self.u)
+        return self.algebras.operator
 
 
 @dataclass(frozen=True)
@@ -749,8 +753,8 @@ _ambient = cache(matrix_algebra)
 
 
 @cache
-def _induced(name: str, basis_matrices: tuple, ambient_n: int) -> tuple[Algebra, Embedding]:
-    """The fixture's subalgebra and embedding for one basis, built once."""
+def _induced(basis_matrices: tuple, ambient_n: int) -> tuple[Algebra, Embedding]:
+    """The subalgebra and embedding of one basis, built once."""
     basis = tuple(element_from_matrix(m) for m in basis_matrices)
     return induce_subalgebra(_ambient(ambient_n), basis)
 
@@ -767,40 +771,29 @@ def materialize(bundle: FixtureBundle, point: Optional[Mapping] = None) -> Mater
             raise GridError(
                 f"parameter {p.name} = {pt[p.name]} is excluded for fixture {bundle.name}"
             )
-    ambient = _ambient(bundle.ambient_n)
-    basis_matrices = bundle.basis_fn(pt)  # tuples of tuples: hashable
-    induced, emb = _induced(bundle.name, basis_matrices, bundle.ambient_n)
-    u = element_from_matrix(bundle.u_fn(pt))
-    algebras = _PlanAlgebras(bundle.plan, induced, emb, u)
-    return Materialized(bundle, pt, ambient, emb, u, algebras)
+    return _at(bundle, pt, element_from_matrix(bundle.u_fn(pt)))
+
+
+def _at(bundle: FixtureBundle, pt: dict, u: Element) -> Materialized:
+    """The fixture at the checked point ``pt``, with distinguished element ``u``."""
+    induced, emb = _induced(bundle.basis_fn(pt), bundle.ambient_n)  # tuples: hashable
+    return Materialized(bundle, pt, emb, u, _PlanAlgebras(bundle.plan, induced, emb, u))
 
 
 class _PlanAlgebras(Mapping):
-    """The algebras of a fixture's plan, each built the first time it is looked up.
-
-    A lookup derives the step together with its source chain and keeps the
-    result, so a row pays only for the algebras it reads, and R is built
-    only when a step derives.  It holds (embedding, u) rather than the
-    ``Materialized``, so no reference cycle keeps a grid point alive.
-    Iteration follows the plan order.  Step shapes are checked up front, so
-    a malformed plan still fails at ``materialize`` time.
-    """
+    """The algebras of a fixture's plan, in plan order, and their operator
+    R(x) = u x, each built on its first read, so a row pays only for what it
+    reads.  It holds (embedding, u) rather than the ``Materialized``, so no
+    reference cycle keeps a grid point alive."""
 
     def __init__(self, plan, induced: Algebra, embedding: Embedding, u: Element):
-        for step in plan:
-            if step[0] == "A":
-                if step[1] not in ("induced", "hadamard"):
-                    raise NonassocError(f"unknown base algebra step {step!r}")
-            elif step[1] != "derive":
-                raise NonassocError(f"unknown plan step {step!r}")
         self._steps = {step[0]: step for step in plan}
-        self._induced = induced
-        self._embedding, self._u = embedding, u
+        self._induced, self._embedding, self._u = induced, embedding, u
         self._built: dict[str, Algebra] = {}
 
     @cached_property
     def operator(self) -> LinearOperator:
-        """R(x) = u x, the operator every derived step of the plan uses."""
+        """R(x) = u x, read by operator rows and every derived step."""
         return left_multiplication_operator(self._embedding, self._u)
 
     def __getitem__(self, name: str) -> Algebra:
@@ -847,25 +840,20 @@ def _resolve_args(raw: Optional[str], point: Mapping) -> list:
     return out
 
 
-def _plan_algebra(m: Materialized, name: Optional[str], label: str) -> Algebra:
-    """The plan algebra that a row's label names."""
-    if name not in m.algebras:
-        raise NonassocError(f"check {label!r} names no algebra in the plan of {m.bundle.name}")
-    return m.algebras[name]
-
-
-def _custom_lin_dim(m: Materialized, kinds_raw, expected_raw) -> Verdict:
+def _custom_lin_dim(kinds_raw, dim_raw) -> Callable[[Materialized], Verdict]:
+    """u's solutions of the ``+``-joined linear conditions span this dimension (-1: none)."""
     kinds = str(kinds_raw).split("+")
-    constraints = [LinearConstraint(k, m.embedding) for k in kinds]
-    space = solve_linear(m.ambient, constraints)
-    actual = -1 if space.is_empty else space.dimension
     try:
-        expected = int(str(expected_raw))
+        dim = int(str(dim_raw))
     except ValueError as exc:
-        raise NonassocError(f"lin_dim expects an integer dimension, got {expected_raw!r}") from exc
-    if actual == expected:
-        return Verdict.ok()
-    return Verdict.fail(Witness((), (), actual, expected))
+        raise NonassocError(f"lin_dim expects an integer dimension, got {dim_raw!r}") from exc
+
+    def check(m: Materialized) -> Verdict:
+        space = solve_linear(m.ambient, [LinearConstraint(k, m.embedding) for k in kinds])
+        actual = -1 if space.is_empty else space.dimension
+        return Verdict.ok() if actual == dim else Verdict.fail(Witness((), (), actual, dim))
+
+    return check
 
 
 def _custom_null_product(a: Algebra) -> Verdict:
@@ -884,9 +872,10 @@ _CUSTOM_ARITY = {"lin_dim": 2, "null_product": 1, "rota_baxter0_mirrored": 1}
 
 
 def bind_row(bundle: FixtureBundle, label: str) -> Callable[[Materialized], Verdict]:
-    """The check of ``label`` on a materialized ``bundle``, parsed and its
-    record built once (at each point, for ``@param`` arguments).  An identity
-    row re-checks only where its plan algebra changes (``Algebra.__eq__``)."""
+    """The check of ``label`` on a materialized ``bundle``, parsed, its
+    record built and its algebra name checked against the plan once (at
+    each point, for ``@param`` arguments).  An identity row re-checks only
+    where its plan algebra changes (``Algebra.__eq__``)."""
     match = _LABEL_RE.match(label)
     if not match:
         raise NonassocError(f"malformed check label {label!r}")
@@ -914,29 +903,29 @@ def _bind(bundle, label, match, point) -> Callable[[Materialized], Verdict]:
         if len(args) != _CUSTOM_ARITY[kind]:
             raise NonassocError(f"{kind} takes {_CUSTOM_ARITY[kind]} argument(s), got {len(args)}")
         if kind == "lin_dim":
-            return lambda m: _custom_lin_dim(m, *args)
-        if kind == "null_product":
-            return lambda m: _custom_null_product(_plan_algebra(m, str(args[0]), label))
-        # the catalogued label of operator[ALG]:rota_baxter0_mirrored
-        family, alg_name, args = "operator", str(args[0]), []
+            return _custom_lin_dim(*args)
+        alg_name = str(args[0])
+        if kind == "rota_baxter0_mirrored":  # catalogued as custom, checked as operator[ALG]
+            family, args = "operator", []
     if family == "operator":
         prop = OperatorProperty.parse(kind, args)
-        return lambda m: check_operator_property(
-            _plan_algebra(m, alg_name, label), m.operator, prop
-        )
-    if family == "identity":
-        if args:
-            raise NonassocError("identity rows take no arguments")
-        last = [None, None]  # the previous call's plan algebra and its verdict
+    elif family == "identity" and args:
+        raise NonassocError("identity rows take no arguments")
+    if alg_name not in {step[0] for step in bundle.plan}:
+        raise NonassocError(f"check {label!r} names no algebra in the plan of {bundle.name}")
+    if family == "custom":
+        return lambda m: _custom_null_product(m.algebras[alg_name])
+    if family == "operator":
+        return lambda m: check_operator_property(m.algebras[alg_name], m.operator, prop)
+    last = [None, None]  # the previous call's plan algebra and its verdict
 
-        def check(m: Materialized) -> Verdict:
-            algebra = _plan_algebra(m, alg_name, label)
-            if algebra != last[0]:
-                last[:] = algebra, check_identity(algebra, kind)
-            return last[1]
+    def check(m: Materialized) -> Verdict:
+        algebra = m.algebras[alg_name]
+        if algebra != last[0]:
+            last[:] = algebra, check_identity(algebra, kind)
+        return last[1]
 
-        return check
-    raise NonassocError(f"unknown check family {family!r}")
+    return check
 
 
 def run_row(m: Materialized, label: str) -> Verdict:
@@ -976,17 +965,21 @@ def certify_row(
 
 
 def check_negative_control(name: str) -> NegativeControlResult:
-    """Apply the fixture's documented perturbation; the target verdict must flip."""
+    """Apply the fixture's documented perturbation to u; the target verdict must flip.
+
+    ``u+E11`` adds E11.  ``R+I`` adds the ambient identity, as (u + I) x = u x + x
+    makes R + I the left multiplication by u + I.  The perturbed point is built
+    like any other, its R and plan algebras from the perturbed u."""
     bundle = load_fixture(name)
     perturb, target = bundle.negative_control.perturb, bundle.negative_control.target
+    check = bind_row(bundle, target)
     m = materialize(bundle)
-    original = run_row(m, target)
-    # The perturbed copy keeps m's plan algebras, derived from the original operator.
+    original = check(m)
     if perturb == "R+I":
-        perturbed = replace(m, given_operator=m.operator + LinearOperator.identity(m.operator.dim))
+        shift = matrix_identity_element(bundle.ambient_n)
     elif perturb == "u+E11":
-        # ambient E11 is basis index 0; R is rebuilt from the new u if read
-        perturbed = replace(m, u=m.u + m.ambient.basis_vector(0))
+        shift = m.ambient.basis_vector(0)  # ambient E11 is basis index 0
     else:
         raise NonassocError(f"unknown perturbation {perturb!r}")
-    return NegativeControlResult(name, perturb, target, original, run_row(perturbed, target))
+    perturbed = check(_at(bundle, m.point, m.u + shift))
+    return NegativeControlResult(name, perturb, target, original, perturbed)

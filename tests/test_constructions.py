@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -426,6 +428,36 @@ def test_operator_hash_is_computed_on_first_read_of_meta(monkeypatch, f1b_materi
         assert "operator" in got.meta and got.meta.get("a") == want.get("a")
         assert len(calls) == 1, name
         calls.clear()
+
+
+@pytest.mark.parametrize("name,with_operator", [
+    ("commutator", False), ("lie_endo", True), ("novikov_affine", True),
+])
+def test_unread_meta_pickles_copies_and_merges_as_its_dict(
+    monkeypatch, f1b_materialized, name, with_operator
+):
+    a, r = f1b_materialized.algebras["A"], f1b_materialized.operator
+    if not with_operator:
+        a, r = matrix_algebra(2), None
+    spec = construction(name, a=Fraction(-1, 2) if CATALOG[name].params else None)
+    want = dict(derive(a, r, spec).meta)
+    calls = _counting_operator_hash(monkeypatch)
+
+    source = derive(a, r, spec)
+    got = pickle.loads(pickle.dumps(source))
+    assert calls == []  # pickling leaves the operator unhashed
+    assert got == source and got.meta == want and repr(got.meta) == repr(want)
+
+    meta = derive(a, r, spec).meta
+    copied = copy.copy(meta)
+    assert copied == want and repr(copied) == repr(want)
+    copied["x"] = 1
+    assert meta == want and copied == {**want, "x": 1}
+
+    meta = derive(a, r, spec).meta
+    assert meta | {"x": 1} == {**want, "x": 1} and list(meta | {"x": 1}) == [*want, "x"]
+    assert {"x": 1} | meta == {"x": 1, **want} and meta == want
+    assert len(calls) == (3 if with_operator else 0)
 
 
 def test_certifying_a_derived_row_never_hashes_the_operator(monkeypatch):

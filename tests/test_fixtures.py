@@ -7,11 +7,13 @@ from types import SimpleNamespace
 import pytest
 
 from nonassoc import fixtures, search
-from nonassoc.algebra import Element, induce_subalgebra
+from nonassoc.algebra import Element, induce_subalgebra, matrix_identity_element
 from nonassoc.constructions import construction, derive, hadamard_algebra
 from nonassoc.errors import GridError, ImageNotInSpanError, NonassocError, UnknownFixtureError
 from nonassoc.fixtures import (
     ExpectedRow,
+    NegativeControlResult,
+    bind_row,
     check_negative_control,
     certify_row,
     list_fixtures,
@@ -21,7 +23,7 @@ from nonassoc.fixtures import (
     verify_fixture,
 )
 from nonassoc.identities import ParamSpec, certify_parametric
-from nonassoc.operators import OperatorProperty
+from nonassoc.operators import LinearOperator, OperatorProperty, left_multiplication_operator
 from nonassoc.search import QuadraticConstraint
 from nonassoc.verdicts import Verdict, Witness
 
@@ -210,6 +212,64 @@ def test_negative_controls_flip(name):
     res = check_negative_control(name)
     assert res.original.passed, f"{name}: control target must pass originally"
     assert res.flipped, f"{name}: perturbation {res.perturb} did not flip {res.target}"
+
+
+class _OnceRunPoint(SimpleNamespace):
+    """A perturbed point as negative controls once built it: the plan algebras
+    of the unperturbed point, and R read off ``u`` unless ``given``."""
+
+    @property
+    def operator(self):
+        return self.given or left_multiplication_operator(self.embedding, self.u)
+
+
+def _negative_control_oracle(name: str) -> NegativeControlResult:
+    """The control with the target run on R + I, or on u + E11, at the
+    unperturbed sample point's plan algebras."""
+    bundle = load_fixture(name)
+    perturb, target = bundle.negative_control.perturb, bundle.negative_control.target
+    m = materialize(bundle)
+    kept = dict(bundle=m.bundle, point=m.point, ambient=m.ambient,
+                embedding=m.embedding, algebras=m.algebras)
+    if perturb == "R+I":
+        given = m.operator + LinearOperator.identity(m.operator.dim)
+        perturbed = _OnceRunPoint(**kept, u=m.u, given=given)
+    else:
+        assert perturb == "u+E11"
+        perturbed = _OnceRunPoint(**kept, u=m.u + m.ambient.basis_vector(0), given=None)
+    return NegativeControlResult(name, perturb, target, run_row(m, target),
+                                 run_row(perturbed, target))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_negative_controls_perturb_u_as_the_once_run_controls(name):
+    m = materialize(load_fixture(name))
+    shifted = m.u + matrix_identity_element(m.bundle.ambient_n)
+    r_plus_i = m.operator + LinearOperator.identity(m.operator.dim)
+    assert left_multiplication_operator(m.embedding, shifted) == r_plus_i
+    assert repr(check_negative_control(name)) == repr(_negative_control_oracle(name))
+
+
+@pytest.mark.parametrize("plan,message", [
+    ((("A", "induced"), ("A", "bogus")), "unknown base algebra step ('A', 'bogus')"),
+    ((("A", "induced"), ("lie", "build", "A", "lie_endo", None)),
+     "unknown plan step ('lie', 'build', 'A', 'lie_endo', None)"),
+])
+def test_malformed_plan_steps_fail_when_the_bundle_is_made(plan, message):
+    with pytest.raises(NonassocError) as raised:
+        replace(load_fixture("F1"), plan=plan)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("label,message", [
+    ("identity[B]:jacobi", "check 'identity[B]:jacobi' names no algebra in the plan of F9"),
+    ("custom:null_product(B)", "check 'custom:null_product(B)' names no algebra in the plan of F9"),
+    ("custom:lin_dim(stabilize,zz)", "lin_dim expects an integer dimension, got 'zz'"),
+])
+def test_bind_row_checks_names_and_dimensions_without_a_point(label, message):
+    with pytest.raises(NonassocError) as raised:
+        bind_row(load_fixture("F9"), label)
+    assert str(raised.value) == message
 
 
 def test_certify_row_f1b_full_grid():
@@ -468,7 +528,14 @@ def test_r_is_built_only_for_rows_that_read_it(monkeypatch):
     assert len(calls) == 2 * 729  # the plan builds R when it derives lie
     m = materialize(load_fixture("F1"))
     assert m.operator is m.operator and m.algebras["lie"] == m.algebras["lie"]
-    assert len(calls) == 2 * 729 + 2  # each built once
+    assert len(calls) == 2 * 729 + 1  # one R, which derives lie
+
+
+@pytest.mark.parametrize("label", ["operator[plus]:endomorphism", "operator[plus]:idempotent_op"])
+def test_one_r_per_point_serves_the_row_and_the_derived_algebra(monkeypatch, label):
+    calls = _counting_left_multiplication(monkeypatch)
+    assert certify_row("F3b", label).points_checked == 4
+    assert len(calls) == 4
 
 
 def _f8_leaving_the_span(monkeypatch):
