@@ -8,6 +8,11 @@ each derived algebra on their first read, then compares against the
 expectations, so the catalog doubles as the regression suite and the
 documentation spine.
 
+A bundle declares u and its basis as square matrices of scalars and
+``scalars.Poly``s in its parameters, evaluated at the point (a basis with no
+``Poly`` once).  A family that divides declares ``denominator``, a monomial in
+parameters that exclude 0, and u is the declared matrix over it.
+
 Check labels:
 
 - ``element:KIND`` or ``element:KIND(args)`` - side conditions on u itself
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from typing import Callable, Optional, Sequence
 
@@ -41,21 +46,26 @@ from .algebra import (
     Algebra,
     Element,
     Embedding,
-    element_from_matrix,
     induce_subalgebra,
     matrix_algebra,
     matrix_identity_element,
 )
-from .constructions import construction, derive, hadamard_algebra
-from .errors import GridError, NonassocError, UnknownFixtureError
-from .identities import ParamSpec, ParametricVerdict, certify_parametric, check_identity
+from .constructions import CATALOG, construction, derive, hadamard_algebra
+from .errors import GridError, MalformedPropertyError, NonassocError, UnknownFixtureError
+from .identities import (
+    ParamSpec,
+    ParametricVerdict,
+    certify_parametric,
+    check_identity,
+    get_identity,
+)
 from .operators import (
     LinearOperator,
     OperatorProperty,
     check_operator_property,
     left_multiplication_operator,
 )
-from .scalars import Scalar, as_scalar, canonical, exact_div
+from .scalars import Poly, Scalar, as_scalar, exact_div
 from .search import (
     LINEAR_KINDS,
     QUAD_KINDS,
@@ -86,15 +96,15 @@ class NegativeControl:
 class FixtureBundle:
     name: str
     description: str
-    ambient_n: int
-    basis_fn: Callable[[Mapping[str, Scalar]], tuple]
-    u_fn: Callable[[Mapping[str, Scalar]], tuple]
+    basis: Sequence  # square matrices of scalars and Polys
+    u: Sequence      # a square matrix of scalars and Polys; over ``denominator`` if set
     plan: tuple[tuple, ...]
     rows: tuple[ExpectedRow, ...]
     negative_control: NegativeControl
     params: tuple[ParamSpec, ...] = ()
     sample_point: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
+    denominator: Optional[Poly] = None
 
     def __post_init__(self):
         for step in self.plan:
@@ -102,6 +112,19 @@ class FixtureBundle:
                 raise NonassocError(f"unknown base algebra step {step!r}")
             if step[0] != "A" and step[1] != "derive":
                 raise NonassocError(f"unknown plan step {step!r}")
+        zeros_excluded = {p.name for p in self.params if 0 in p.exclude}
+        d = self.denominator
+        if d is not None and (len(d.terms) != 1 or not zeros_excluded.issuperset(*d.terms)):
+            raise NonassocError(f"denominator of {self.name} is not a monomial in "
+                                f"parameters that exclude 0")
+        # row-major entries; a basis that holds no Poly is read as it is at every point
+        basis = tuple(_entries(m) for m in self.basis)
+        varies = any(type(v) is Poly for m in basis for v in m)
+        self.__dict__.update(_u=_entries(self.u), _basis=basis, _basis_varies=varies)
+
+    @property
+    def ambient_n(self) -> int:
+        return len(self.u)
 
     @property
     def certified_rows(self) -> tuple[str, ...]:
@@ -174,102 +197,26 @@ class NegativeControlResult:
 # Bundle construction helpers
 # ---------------------------------------------------------------------------
 
-def _static(value) -> Callable:
-    """A parameter-free ``basis_fn``/``u_fn``: nested lists of scalars, as tuples."""
-
-    def freeze(v):
-        return tuple(map(freeze, v)) if isinstance(v, (list, tuple)) else as_scalar(v)
-
-    fixed = freeze(value)
-
-    def fn(point):
-        return fixed
-
-    return fn
-
-
 # Subalgebra of M3 with every row a multiple of a fixed vector v:
 # basis e_i puts v in row i.  Right multiplication acts columnwise, so the
 # span is a left ideal and any u stabilizes it.
 def _row_family_basis(v):
-    return [
-        [list(v), [0, 0, 0], [0, 0, 0]],
-        [[0, 0, 0], list(v), [0, 0, 0]],
-        [[0, 0, 0], [0, 0, 0], list(v)],
-    ]
+    return [_outer([int(i == k) for k in range(3)], v) for i in range(3)]
+
+
+def _outer(col, row) -> tuple:
+    """The rank-one matrix with entries col[i] * row[j]."""
+    return tuple(tuple(ci * rj for rj in row) for ci in col)
 
 
 _ROW110 = _row_family_basis((1, 1, 0))
 
 
-def _f1_u(p):
-    a, b, c, e, f, g = (p["a"], p["b"], p["c"], p["e"], p["f"], p["g"])
-    return (
-        (a, b, c),
-        (canonical(1 - a), canonical(1 - b), canonical(-c)),
-        (e, f, g),
-    )
-
-
-def _f1b_u(p):
-    b = p["b"]
-    return (
-        (1, b, b),
-        (0, canonical(1 - b), canonical(-b)),
-        (0, canonical(b - 1), b),
-    )
-
-
-def _f6_u(p):
-    a, b, c, e, f, g = (p["a"], p["b"], p["c"], p["e"], p["f"], p["g"])
-    return (
-        (a, b, c),
-        (canonical(-a), canonical(-b), canonical(-c)),
-        (e, f, g),
-    )
-
-
-def _f7_basis(p):
-    # rank-1 matrix (a, b, 1)^T (n, p, q) with b=n=p=1, a=-beta, q=beta-1,
-    # which enforces x u = 0 for the companion u below.
-    beta = p["beta"]
-    a = canonical(-beta)
-    q = canonical(beta - 1)
-    col = (a, 1, 1)
-    row = (1, 1, q)
-    return (tuple(tuple(canonical(ci * rj) for rj in row) for ci in col),)
-
-
-def _f7_u(p):
-    beta, lam = p["beta"], p["lam"]
-    a = canonical(-beta)
-    col = (a, 1, 1)
-    row = (1, beta, canonical(lam * beta))
-    return tuple(tuple(canonical(ci * rj) for rj in row) for ci in col)
-
-
-def _f9_u(p):
-    x, y = p["x"], p["y"]
-    return (
-        (canonical(x * y), canonical(-x * x)),
-        (canonical(y * y), canonical(-x * y)),
-    )
-
-
-def _f10_u(p):
-    x, y = p["x"], p["y"]
-    return (
-        (x, y),
-        (exact_div(-x * x - x, y), canonical(-x - 1)),
-    )
-
-
-def _f11_u(p):
-    x, y, lam, beta = p["x"], p["y"], p["lam"], p["beta"]
-    return (
-        (x, y),
-        (exact_div(-x * x - lam * x - beta, y), canonical(-x - lam)),
-    )
+def _entries(matrix) -> tuple:
+    """The entries of a square matrix of scalars and Polys, row-major."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise NonassocError(f"fixture matrix {matrix!r:.60} is not square")
+    return tuple(v if type(v) is Poly else as_scalar(v) for row in matrix for v in row)
 
 
 def _rows(*specs) -> tuple[ExpectedRow, ...]:
@@ -280,25 +227,28 @@ def _rows(*specs) -> tuple[ExpectedRow, ...]:
 _CERTIFIED = True
 
 
-_AXIS8 = tuple(range(8))
 _AXIS5 = tuple(range(5))
-_AXIS012 = (0, 1, 2)
+_AXIS4 = (0, 1, 2, 3)
+_SIX = tuple(ParamSpec(n, 2, (0, 1, 2)) for n in "abcefg")  # F1 and F6
+_X = ParamSpec("x", 4, _AXIS5)  # F9 to F11
+_Y_NONZERO = ParamSpec("y", 4, (1, 2, 3, 4, 5), exclude=(0,))  # F10 and F11 divide by y
 
 
 def _build_catalog() -> dict[str, FixtureBundle]:
     bundles: list[FixtureBundle] = []
+    a, b, c, e, f, g, x, y, lam, beta = map(
+        Poly.var, ("a", "b", "c", "e", "f", "g", "x", "y", "lam", "beta")
+    )
+    u_b = ((1, b, b), (0, 1 - b, -b), (0, b - 1, b))  # F1b and F3b
 
     # -- F1: six-parameter right-identity family on the row-span subalgebra.
     bundles.append(FixtureBundle(
         name="F1",
         description="right-identity family on the 3-dim subalgebra with rows "
                     "proportional to (1,1,0); induced operator is multiplicative",
-        ambient_n=3,
-        basis_fn=_static(_ROW110),
-        u_fn=_f1_u,
-        params=tuple(
-            ParamSpec(n, 2, _AXIS012) for n in ("a", "b", "c", "e", "f", "g")
-        ),
+        basis=_ROW110,
+        u=((a, b, c), (1 - a, 1 - b, -c), (e, f, g)),
+        params=_SIX,
         sample_point={"a": 2, "b": 3, "c": 5, "e": 7, "f": 11, "g": 13},
         plan=(("A", "induced"), ("lie", "derive", "A", "lie_endo", None)),
         rows=_rows(
@@ -325,10 +275,9 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         name="F1b",
         description="idempotent right-identity slice u(b); operator is a "
                     "multiplicative projection and both derived brackets are Lie",
-        ambient_n=3,
-        basis_fn=_static(_ROW110),
-        u_fn=_f1b_u,
-        params=(ParamSpec("b", 2, _AXIS8),),
+        basis=_ROW110,
+        u=u_b,
+        params=(ParamSpec("b", 2, tuple(range(8))),),
         sample_point={"b": 2},
         plan=(
             ("A", "induced"),
@@ -356,16 +305,15 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         name="F2",
         description="permutation right identity with u^2 = I on the 6-dim "
                     "subalgebra with equal second and third columns",
-        ambient_n=3,
-        basis_fn=_static([
+        basis=[
             [[1, 0, 0], [0, 0, 0], [0, 0, 0]],   # x
             [[0, 1, 1], [0, 0, 0], [0, 0, 0]],   # y
             [[0, 0, 0], [1, 0, 0], [0, 0, 0]],   # w
             [[0, 0, 0], [0, 1, 1], [0, 0, 0]],   # k
             [[0, 0, 0], [0, 0, 0], [1, 0, 0]],   # m
             [[0, 0, 0], [0, 0, 0], [0, 1, 1]],   # n
-        ]),
-        u_fn=_static([[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+        ],
+        u=[[1, 0, 0], [0, 0, 1], [0, 1, 0]],
         plan=(("A", "induced"), ("lie", "derive", "A", "lie_endo", None)),
         rows=_rows(
             ("element:right_identity", True),
@@ -383,15 +331,13 @@ def _build_catalog() -> dict[str, FixtureBundle]:
     ))
 
     # -- F3: rank-one idempotent right identity; symmetrized product is Jordan.
-    _ROW1M11 = _row_family_basis((1, -1, 1))
     bundles.append(FixtureBundle(
         name="F3",
         description="idempotent right identity on the subalgebra with rows "
                     "proportional to (1,-1,1); the symmetrized product and both "
                     "operator-twisted products are Jordan",
-        ambient_n=3,
-        basis_fn=_static(_ROW1M11),
-        u_fn=_static([[1, -1, 1], [1, -1, 1], [1, -1, 1]]),
+        basis=_row_family_basis((1, -1, 1)),
+        u=[[1, -1, 1], [1, -1, 1], [1, -1, 1]],
         plan=(
             ("A", "induced"),
             ("plus", "derive", "A", "jordan_plus", None),
@@ -427,10 +373,9 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         description="symmetrized product on the (1,1,0) row subalgebra with the "
                     "u(b) operator; x o y = R(x) R(y) under the symmetrized "
                     "product satisfies both Jordan identities",
-        ambient_n=3,
-        basis_fn=_static(_ROW110),
-        u_fn=_f1b_u,
-        params=(ParamSpec("b", 2, (0, 1, 2, 3)),),
+        basis=_ROW110,
+        u=u_b,
+        params=(ParamSpec("b", 2, _AXIS4),),
         sample_point={"b": 2},
         plan=(
             ("A", "induced"),
@@ -451,15 +396,13 @@ def _build_catalog() -> dict[str, FixtureBundle]:
     ))
 
     # -- F4: idempotent right identity; twisted brackets are left Leibniz.
-    _ROWM111 = _row_family_basis((-1, 1, 1))
     bundles.append(FixtureBundle(
         name="F4",
         description="idempotent right identity on the subalgebra with rows "
                     "proportional to (-1,1,1); both twisted brackets satisfy "
                     "the left Leibniz identity",
-        ambient_n=3,
-        basis_fn=_static(_ROWM111),
-        u_fn=_static([[-1, 1, 1], [-1, 1, 1], [-1, 1, 1]]),
+        basis=_row_family_basis((-1, 1, 1)),
+        u=[[-1, 1, 1], [-1, 1, 1], [-1, 1, 1]],
         plan=(
             ("A", "induced"),
             ("leib", "derive", "A", "leibniz_endo", None),
@@ -497,12 +440,11 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         description="first-column plane under the entrywise product with the "
                     "operator induced (via the usual product) by the idempotent "
                     "diag(1,0); the twisted products are left pre-Lie",
-        ambient_n=2,
-        basis_fn=_static([
+        basis=[
             [[1, 0], [0, 0]],
             [[0, 0], [1, 0]],
-        ]),
-        u_fn=_static([[1, 0], [0, 0]]),
+        ],
+        u=[[1, 0], [0, 0]],
         plan=(
             ("A", "hadamard", 2, 1),
             ("prelie", "derive", "A", "prelie_endo", None),
@@ -538,12 +480,9 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         description="six-parameter right-annihilator family on the (1,1,0) row "
                     "subalgebra; left multiplication by u satisfies the Leibniz "
                     "product rule",
-        ambient_n=3,
-        basis_fn=_static(_ROW110),
-        u_fn=_f6_u,
-        params=tuple(
-            ParamSpec(n, 2, _AXIS012) for n in ("a", "b", "c", "e", "f", "g")
-        ),
+        basis=_ROW110,
+        u=((a, b, c), (-a, -b, -c), (e, f, g)),
+        params=_SIX,
         sample_point={"a": 2, "b": 3, "c": 5, "e": 7, "f": 11, "g": 13},
         plan=(("A", "induced"),),
         rows=_rows(
@@ -565,12 +504,13 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         description="one-dimensional rank-one subalgebra with x u = 0; the "
                     "subalgebra product vanishes identically and u acts as the "
                     "scalar lam*beta, so R^2 = (lam*beta) R",
-        ambient_n=3,
-        basis_fn=_f7_basis,
-        u_fn=_f7_u,
+        # rank-1 matrix (a, b, 1)^T (n, p, q) with b=n=p=1, a=-beta, q=beta-1,
+        # which enforces x u = 0 for the companion u below.
+        basis=(_outer((-beta, 1, 1), (1, 1, beta - 1)),),
+        u=_outer((-beta, 1, 1), (1, beta, lam * beta)),
         params=(
             ParamSpec("beta", 8, tuple(range(9))),
-            ParamSpec("lam", 3, (0, 1, 2, 3)),
+            ParamSpec("lam", 3, _AXIS4),
         ),
         sample_point={"beta": 2, "lam": 3},
         plan=(
@@ -603,13 +543,12 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         description="central idempotent diag(1,1,0) inside a commutative 3-dim "
                     "subalgebra; the induced operator is left averaging and "
                     "multiplicative, and x o y = R(x y) is flexible",
-        ambient_n=3,
-        basis_fn=_static([
+        basis=[
             [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
             [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
             [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
-        ]),
-        u_fn=_static([[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+        ],
+        u=[[1, 0, 0], [0, 1, 0], [0, 0, 0]],
         plan=(
             ("A", "induced"),
             ("flex", "derive", "A", "flexible_avg", None),
@@ -656,13 +595,9 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         description="rank-one square-zero family u(x,y) acting on the plane of "
                     "matrices with zero first column; the induced operator is "
                     "Rota-Baxter of weight 0 under both argument orders",
-        ambient_n=2,
-        basis_fn=_static(_COLUMN_PLANE),
-        u_fn=_f9_u,
-        params=(
-            ParamSpec("x", 4, _AXIS5),
-            ParamSpec("y", 4, _AXIS5),
-        ),
+        basis=_COLUMN_PLANE,
+        u=((x * y, -x * x), (y * y, -x * y)),
+        params=(_X, ParamSpec("y", 4, _AXIS5)),
         sample_point={"x": 1, "y": 1},
         plan=(("A", "induced"),),
         rows=_rows(
@@ -681,13 +616,10 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         description="skew-idempotent family u(x,y) (u^2 = -u, y nonzero) acting "
                     "on the zero-first-column plane; the induced operator is "
                     "Rota-Baxter of weight 1",
-        ambient_n=2,
-        basis_fn=_static(_COLUMN_PLANE),
-        u_fn=_f10_u,
-        params=(
-            ParamSpec("x", 4, _AXIS5),
-            ParamSpec("y", 4, (1, 2, 3, 4, 5), exclude=(0,)),
-        ),
+        basis=_COLUMN_PLANE,
+        u=((x * y, y * y), (-x * x - x, (-x - 1) * y)),
+        denominator=y,
+        params=(_X, _Y_NONZERO),
         sample_point={"x": 0, "y": 1},
         plan=(("A", "induced"),),
         rows=_rows(
@@ -705,15 +637,10 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         description="family u(x,y,lam,beta) with u^2 = -lam u - beta I (y "
                     "nonzero) acting on the zero-first-column plane; the induced "
                     "operator satisfies the weight-(lam,beta) Rota-Baxter identity",
-        ambient_n=2,
-        basis_fn=_static(_COLUMN_PLANE),
-        u_fn=_f11_u,
-        params=(
-            ParamSpec("x", 4, _AXIS5),
-            ParamSpec("y", 4, (1, 2, 3, 4, 5), exclude=(0,)),
-            ParamSpec("lam", 3, (0, 1, 2, 3)),
-            ParamSpec("beta", 3, (0, 1, 2, 3)),
-        ),
+        basis=_COLUMN_PLANE,
+        u=((x * y, y * y), (-x * x - lam * x - beta, (-x - lam) * y)),
+        denominator=y,
+        params=(_X, _Y_NONZERO, ParamSpec("lam", 3, _AXIS4), ParamSpec("beta", 3, _AXIS4)),
         sample_point={"x": 0, "y": 1, "lam": 1, "beta": 2},
         plan=(("A", "induced"),),
         rows=_rows(
@@ -753,10 +680,13 @@ _ambient = cache(matrix_algebra)
 
 
 @cache
-def _induced(basis_matrices: tuple, ambient_n: int) -> tuple[Algebra, Embedding]:
-    """The subalgebra and embedding of one basis, built once."""
-    basis = tuple(element_from_matrix(m) for m in basis_matrices)
-    return induce_subalgebra(_ambient(ambient_n), basis)
+def _induced(basis: tuple, ambient_n: int) -> tuple[Algebra, Embedding]:
+    """The subalgebra and embedding of one basis (row-major entries), built once."""
+    return induce_subalgebra(_ambient(ambient_n), tuple(map(Element, basis)))
+
+
+def _evaluate(entries: tuple, pt: Mapping) -> tuple:  # each Poly at pt
+    return tuple(v(pt) if type(v) is Poly else v for v in entries)
 
 
 def materialize(bundle: FixtureBundle, point: Optional[Mapping] = None) -> Materialized:
@@ -768,15 +698,17 @@ def materialize(bundle: FixtureBundle, point: Optional[Mapping] = None) -> Mater
             pt[k] = as_scalar(v)
     for p in bundle.params:
         if pt[p.name] in p.exclude:
-            raise GridError(
-                f"parameter {p.name} = {pt[p.name]} is excluded for fixture {bundle.name}"
-            )
-    return _at(bundle, pt, element_from_matrix(bundle.u_fn(pt)))
-
-
-def _at(bundle: FixtureBundle, pt: dict, u: Element) -> Materialized:
-    """The fixture at the checked point ``pt``, with distinguished element ``u``."""
-    induced, emb = _induced(bundle.basis_fn(pt), bundle.ambient_n)  # tuples: hashable
+            raise GridError(f"parameter {p.name} = {pt[p.name]} is excluded for fixture "
+                            f"{bundle.name}")
+    u = _evaluate(bundle._u, pt)
+    if bundle.denominator is not None:
+        d = bundle.denominator(pt)
+        u = tuple(exact_div(v, d) for v in u)
+    basis = bundle._basis
+    if bundle._basis_varies:
+        basis = tuple(_evaluate(m, pt) for m in basis)
+    induced, emb = _induced(basis, bundle.ambient_n)
+    u = Element(u)
     return Materialized(bundle, pt, emb, u, _PlanAlgebras(bundle.plan, induced, emb, u))
 
 
@@ -793,7 +725,7 @@ class _PlanAlgebras(Mapping):
 
     @cached_property
     def operator(self) -> LinearOperator:
-        """R(x) = u x, read by operator rows and every derived step."""
+        """R(x) = u x, read by operator rows and the derived steps whose words read R."""
         return left_multiplication_operator(self._embedding, self._u)
 
     def __getitem__(self, name: str) -> Algebra:
@@ -802,7 +734,9 @@ class _PlanAlgebras(Mapping):
             step = self._steps[name]
             if step[0] != "A":
                 _, _, source, cons_name, a = step
-                algebra = derive(self[source], self.operator, construction(cons_name, a))
+                spec = construction(cons_name, a)
+                operator = self.operator if CATALOG[cons_name].needs_operator else None
+                algebra = derive(self[source], operator, spec)
             elif step[1] == "induced":
                 algebra = self._induced
             else:
@@ -843,6 +777,9 @@ def _resolve_args(raw: Optional[str], point: Mapping) -> list:
 def _custom_lin_dim(kinds_raw, dim_raw) -> Callable[[Materialized], Verdict]:
     """u's solutions of the ``+``-joined linear conditions span this dimension (-1: none)."""
     kinds = str(kinds_raw).split("+")
+    for kind in kinds:
+        if kind not in LINEAR_KINDS:
+            raise MalformedPropertyError(f"unknown linear constraint {kind!r}")
     try:
         dim = int(str(dim_raw))
     except ValueError as exc:
@@ -873,9 +810,9 @@ _CUSTOM_ARITY = {"lin_dim": 2, "null_product": 1, "rota_baxter0_mirrored": 1}
 
 def bind_row(bundle: FixtureBundle, label: str) -> Callable[[Materialized], Verdict]:
     """The check of ``label`` on a materialized ``bundle``, parsed, its
-    record built and its algebra name checked against the plan once (at
-    each point, for ``@param`` arguments).  An identity row re-checks only
-    where its plan algebra changes (``Algebra.__eq__``)."""
+    record built and its names (condition, identity, algebra in the plan)
+    checked once (at each point, for ``@param`` arguments).  An identity row
+    re-checks only where its plan algebra changes (``Algebra.__eq__``)."""
     match = _LABEL_RE.match(label)
     if not match:
         raise NonassocError(f"malformed check label {label!r}")
@@ -909,8 +846,10 @@ def _bind(bundle, label, match, point) -> Callable[[Materialized], Verdict]:
             family, args = "operator", []
     if family == "operator":
         prop = OperatorProperty.parse(kind, args)
-    elif family == "identity" and args:
-        raise NonassocError("identity rows take no arguments")
+    elif family == "identity":
+        if args:
+            raise NonassocError("identity rows take no arguments")
+        get_identity(kind)  # an unknown name raises here, not at the first point
     if alg_name not in {step[0] for step in bundle.plan}:
         raise NonassocError(f"check {label!r} names no algebra in the plan of {bundle.name}")
     if family == "custom":
@@ -968,18 +907,18 @@ def check_negative_control(name: str) -> NegativeControlResult:
     """Apply the fixture's documented perturbation to u; the target verdict must flip.
 
     ``u+E11`` adds E11.  ``R+I`` adds the ambient identity, as (u + I) x = u x + x
-    makes R + I the left multiplication by u + I.  The perturbed point is built
-    like any other, its R and plan algebras from the perturbed u."""
+    makes R + I the left multiplication by u + I.  The shift is added to u's
+    declaration (times its denominator), and the perturbed fixture is built at
+    the sample point like any other, its R and plan algebras from the perturbed u."""
     bundle = load_fixture(name)
     perturb, target = bundle.negative_control.perturb, bundle.negative_control.target
+    if perturb not in ("R+I", "u+E11"):
+        raise NonassocError(f"unknown perturbation {perturb!r}")
+    d = 1 if bundle.denominator is None else bundle.denominator
+    u = [list(row) for row in bundle.u]
+    for i in range(bundle.ambient_n if perturb == "R+I" else 1):
+        u[i][i] = u[i][i] + d
     check = bind_row(bundle, target)
     m = materialize(bundle)
-    original = check(m)
-    if perturb == "R+I":
-        shift = matrix_identity_element(bundle.ambient_n)
-    elif perturb == "u+E11":
-        shift = m.ambient.basis_vector(0)  # ambient E11 is basis index 0
-    else:
-        raise NonassocError(f"unknown perturbation {perturb!r}")
-    perturbed = check(_at(bundle, m.point, m.u + shift))
-    return NegativeControlResult(name, perturb, target, original, perturbed)
+    perturbed = check(materialize(replace(bundle, u=u), m.point))
+    return NegativeControlResult(name, perturb, target, check(m), perturbed)

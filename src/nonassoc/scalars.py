@@ -1,4 +1,5 @@
-"""Exact rational scalars, and the named kinds whose parameters are scalars.
+"""Exact rational scalars, polynomials over them in named parameters, and the
+named kinds whose parameters are scalars.
 
 A scalar is a plain ``int`` or a ``fractions.Fraction``; both are exact,
 hash/compare equal when numerically equal, and interoperate in arithmetic.
@@ -151,7 +152,66 @@ def _decimal(n: int) -> str:
 
 def exact_div(a: Scalar, b: Scalar) -> Scalar:
     """a / b as an exact rational (b nonzero)."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
     return canonical(Fraction(a) / Fraction(b))
+
+
+class Poly:
+    """A sparse polynomial over Q in named parameters: the sum of its
+    ``(monomial, coefficient)`` pairs.
+
+    ``terms`` maps each monomial, the sorted tuple of its parameter names
+    with each repeated by its exponent (x^2 y is ``("x", "x", "y")``), to its
+    nonzero coefficient.  ``+``, ``-`` and ``*`` take Polys and scalars (``of``
+    reads a scalar as a constant), and a Poly called at a point (parameter
+    name -> scalar) evaluates exactly.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, pairs=()):
+        terms: dict = {}
+        for m, c in pairs:
+            terms[m] = terms.get(m, 0) + c
+        self.terms = {m: canonical(c) for m, c in terms.items() if c}
+
+    @staticmethod
+    def var(name: str) -> Poly:
+        return Poly([((name,), 1)])
+
+    @staticmethod
+    def of(x) -> Poly:
+        return x if isinstance(x, Poly) else Poly([((), as_scalar(x))])
+
+    def __add__(self, other) -> Poly:
+        return Poly([*self.terms.items(), *Poly.of(other).terms.items()])
+
+    def __mul__(self, other) -> Poly:
+        pairs = Poly.of(other).terms.items()
+        return Poly((tuple(sorted(m + n)), c * d) for m, c in self.terms.items() for n, d in pairs)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self) -> Poly:
+        return self * -1
+
+    def __sub__(self, other) -> Poly:
+        return self + -Poly.of(other)
+
+    def __rsub__(self, other) -> Poly:
+        return -self + other
+
+    def __call__(self, point) -> Scalar:
+        total = 0
+        for m, c in self.terms.items():
+            for name in m:
+                c *= point[name]
+            total += c
+        return total if type(total) is int else canonical(total)
+
+    def __repr__(self) -> str:
+        return f"Poly({list(self.terms.items())!r})"
 
 
 def rational_sqrt(x: Scalar) -> Scalar | None:

@@ -1,14 +1,22 @@
 import importlib.util
+import itertools
 import re
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from nonassoc import fixtures, search
-from nonassoc.algebra import Element, induce_subalgebra, matrix_identity_element
-from nonassoc.constructions import construction, derive, hadamard_algebra
+from nonassoc.algebra import (
+    Element,
+    element_from_matrix,
+    induce_subalgebra,
+    matrix_algebra,
+    matrix_identity_element,
+)
+from nonassoc.constructions import CATALOG, construction, derive, hadamard_algebra
 from nonassoc.errors import GridError, ImageNotInSpanError, NonassocError, UnknownFixtureError
 from nonassoc.fixtures import (
     ExpectedRow,
@@ -24,6 +32,7 @@ from nonassoc.fixtures import (
 )
 from nonassoc.identities import ParamSpec, certify_parametric
 from nonassoc.operators import LinearOperator, OperatorProperty, left_multiplication_operator
+from nonassoc.scalars import Poly, canonical, exact_div
 from nonassoc.search import QuadraticConstraint
 from nonassoc.verdicts import Verdict, Witness
 
@@ -272,6 +281,16 @@ def test_bind_row_checks_names_and_dimensions_without_a_point(label, message):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("name,label,message", [
+    ("F9", "custom:lin_dim(bogus,6)", "unknown linear constraint 'bogus'"),
+    ("F1", "identity[A]:bogus", "unknown identity 'bogus'"),
+])
+def test_bind_row_checks_condition_and_identity_names(name, label, message):
+    with pytest.raises(NonassocError) as raised:
+        bind_row(load_fixture(name), label)
+    assert str(raised.value) == message
+
+
 def test_certify_row_f1b_full_grid():
     v = certify_row("F1b", "identity[lie]:jacobi")
     assert v.passed and v.points_checked == 8
@@ -363,12 +382,12 @@ def test_certify_row_rechecks_when_the_algebra_changes(monkeypatch):
     """u = 0 makes the bracket null (associative) at t = 0, 1, 2; the sample
     u of F1 at t = 3 makes it fail associativity."""
     f1 = load_fixture("F1")
-    sample_u = f1.u_fn(f1.sample_point)
-    zero_u = tuple(tuple(0 for _ in row) for row in sample_u)
+    t = Poly.var("t")
+    scale = t * (t - 1) * (t - 2) * Fraction(1, 6)  # 0 at t = 0, 1, 2 and 1 at t = 3
     label = "identity[lie]:associativity"
     bundle = replace(
         f1, name="T1", params=(ParamSpec("t", 1, (0, 1, 2, 3)),), sample_point={"t": 0},
-        u_fn=lambda p: sample_u if p["t"] == 3 else zero_u,
+        u=[[scale * v for v in row] for row in _f1_u(f1.sample_point)],
         rows=f1.rows + (ExpectedRow(label, False),),
     )
     monkeypatch.setitem(fixtures._CATALOG, "T1", bundle)
@@ -430,7 +449,8 @@ def _eager_plan(m) -> dict:
             built["A"] = hadamard_algebra(step[2], step[3])
         else:
             name, _, source, cons_name, a = step
-            built[name] = derive(built[source], m.operator, construction(cons_name, a))
+            operator = m.operator if CATALOG[cons_name].needs_operator else None
+            built[name] = derive(built[source], operator, construction(cons_name, a))
     return built
 
 
@@ -538,16 +558,16 @@ def test_one_r_per_point_serves_the_row_and_the_derived_algebra(monkeypatch, lab
     assert len(calls) == 4
 
 
-def _f8_leaving_the_span(monkeypatch):
-    """F8 with a parameter t: its u at t = 0, and u + E11 = diag(2, 1, 0) at
-    t = 1, whose product with the first basis element E11 + E22 leaves the
-    span."""
+def _f8_leaving_the_span(monkeypatch, **changes):
+    """F8 with a parameter t and u + t E11: its u at t = 0, and diag(2, 1, 0)
+    at t = 1, whose product with the first basis element E11 + E22 leaves
+    the span."""
     f8 = load_fixture("F8")
-    u = f8.u_fn(f8.sample_point)
-    bumped = ((u[0][0] + 1,) + u[0][1:],) + u[1:]
+    u = [list(row) for row in f8.u]
+    u[0][0] += Poly.var("t")
     bundle = replace(
-        f8, name="T8", params=(ParamSpec("t", 1, (0, 1)),), sample_point={"t": 0},
-        u_fn=lambda p: bumped if p["t"] == 1 else u,
+        f8, name="T8", params=(ParamSpec("t", 1, (0, 1)),), sample_point={"t": 0}, u=u,
+        **changes,
     )
     monkeypatch.setitem(fixtures._CATALOG, "T8", bundle)
     return bundle
@@ -580,6 +600,135 @@ def test_u_leaving_the_span_fails_its_rows_that_read_u_or_r(monkeypatch):
         assert exc.value.basis_index == j and exc.value.residual == residual.coords
     with pytest.raises(ImageNotInSpanError):  # where R was built with every point
         _eager_oracle(bundle, "element:stabilize", monkeypatch)
+
+
+def test_r_is_built_only_for_steps_whose_words_read_it(monkeypatch):
+    calls = _counting_left_multiplication(monkeypatch)
+    assert certify_row("F3b", "identity[plus]:jordan_main").points_checked == 4
+    assert calls == []
+    algebras = materialize(load_fixture("F3")).algebras
+    assert "operator" not in algebras["plus"].meta
+    assert "operator" in algebras["jordan1"].meta
+
+
+def test_u_leaving_the_span_leaves_the_steps_that_read_no_r(monkeypatch):
+    plan = load_fixture("F8").plan + (("plus", "derive", "A", "jordan_plus", None),)
+    m = materialize(_f8_leaving_the_span(monkeypatch, plan=plan), {"t": 1})
+    for label in ("identity[plus]:commutativity", "identity[plus]:jordan_main"):
+        assert run_row(m, label).passed
+    with pytest.raises(ImageNotInSpanError):
+        run_row(m, "identity[lie]:jacobi")
+
+
+def test_denominator_must_be_a_monomial_whose_zeros_are_excluded():
+    f10 = load_fixture("F10")
+    x, y = f10.params
+    assert y.exclude == (0,) and f10.denominator.terms == {("y",): 1}
+    message = "denominator of F10 is not a monomial in parameters that exclude 0"
+    for bad in (dict(params=(x, replace(y, exclude=()))), dict(denominator=Poly.var("y") + 1)):
+        with pytest.raises(NonassocError) as raised:
+            replace(f10, **bad)
+        assert str(raised.value) == message
+
+
+# The closures that once declared u and the bases, kept as the oracle of
+# the polynomial declarations: u(point) and basis(point) as nested tuples.
+
+def _f1_u(p):
+    a, b, c, e, f, g = (p["a"], p["b"], p["c"], p["e"], p["f"], p["g"])
+    return (
+        (a, b, c),
+        (canonical(1 - a), canonical(1 - b), canonical(-c)),
+        (e, f, g),
+    )
+
+
+def _f1b_u(p):
+    b = p["b"]
+    return (
+        (1, b, b),
+        (0, canonical(1 - b), canonical(-b)),
+        (0, canonical(b - 1), b),
+    )
+
+
+def _f6_u(p):
+    a, b, c, e, f, g = (p["a"], p["b"], p["c"], p["e"], p["f"], p["g"])
+    return (
+        (a, b, c),
+        (canonical(-a), canonical(-b), canonical(-c)),
+        (e, f, g),
+    )
+
+
+def _f7_basis(p):
+    beta = p["beta"]
+    a = canonical(-beta)
+    q = canonical(beta - 1)
+    col = (a, 1, 1)
+    row = (1, 1, q)
+    return (tuple(tuple(canonical(ci * rj) for rj in row) for ci in col),)
+
+
+def _f7_u(p):
+    beta, lam = p["beta"], p["lam"]
+    a = canonical(-beta)
+    col = (a, 1, 1)
+    row = (1, beta, canonical(lam * beta))
+    return tuple(tuple(canonical(ci * rj) for rj in row) for ci in col)
+
+
+def _f9_u(p):
+    x, y = p["x"], p["y"]
+    return (
+        (canonical(x * y), canonical(-x * x)),
+        (canonical(y * y), canonical(-x * y)),
+    )
+
+
+def _f10_u(p):
+    x, y = p["x"], p["y"]
+    return (
+        (x, y),
+        (exact_div(-x * x - x, y), canonical(-x - 1)),
+    )
+
+
+def _f11_u(p):
+    x, y, lam, beta = p["x"], p["y"], p["lam"], p["beta"]
+    return (
+        (x, y),
+        (exact_div(-x * x - lam * x - beta, y), canonical(-x - lam)),
+    )
+
+
+_U_CLOSURES = {"F1": _f1_u, "F1b": _f1b_u, "F3b": _f1b_u, "F6": _f6_u, "F7": _f7_u,
+               "F9": _f9_u, "F10": _f10_u, "F11": _f11_u}
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_polynomial_u_and_basis_match_the_closures(name):
+    """At every default-grid point and the sample point: u, the embedding
+    basis and A's structure constants, as the closures gave them (a fixed
+    declaration was read as it is)."""
+    bundle = load_fixture(name)
+    grid = [dict(zip([p.name for p in bundle.params], combo))
+            for combo in itertools.product(*(p.axis for p in bundle.params))]
+    points = grid + ([] if bundle.sample_point in grid else [bundle.sample_point])
+    for point in points:
+        m = materialize(bundle, point)
+        u_fn = _U_CLOSURES.get(name)
+        u = element_from_matrix(u_fn(point) if u_fn else bundle.u)
+        basis = _f7_basis(point) if name == "F7" else bundle.basis
+        a, emb = induce_subalgebra(matrix_algebra(bundle.ambient_n),
+                                   [element_from_matrix(b) for b in basis])
+        if bundle.plan[0][1] == "hadamard":
+            a = hadamard_algebra(*bundle.plan[0][2:])
+        assert repr(m.u) == repr(u), point
+        assert repr(m.embedding.basis) == repr(emb.basis), point
+        assert repr(m.algebras["A"].sparse_rows) == repr(a.sparse_rows), point
+    assert len(points) == {"F1": 730, "F6": 730, "F7": 36, "F9": 25, "F10": 25,
+                           "F11": 400, "F1b": 8, "F3b": 4}.get(name, 1)
 
 
 def test_reproduce_examples_stdout_ends_in_the_row_count(capsys):

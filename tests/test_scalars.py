@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nonassoc.scalars import (
+    Poly,
     as_scalar,
     canonical,
     exact_div,
@@ -85,3 +86,39 @@ def test_rational_sqrt_rejects_nonsquares():
     assert rational_sqrt(Fraction(1, 2)) is None
     assert rational_sqrt(-4) is None
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+
+
+def test_poly_arithmetic_collects_and_drops_terms():
+    x, y = Poly.var("x"), Poly.var("y")
+    assert ((x + 1) * (x - 1)).terms == (x * x - 1).terms == {("x", "x"): 1, (): -1}
+    assert (x * y - y * x).terms == {}
+    assert (2 * x * y * x).terms == {("x", "x", "y"): 2}
+    assert (x * Fraction(1, 2) * 2).terms == {("x",): 1}  # an int, not Fraction(1)
+    assert (1 - x)({"x": Fraction(1, 3)}) == Fraction(2, 3)
+    assert Poly.of(x) is x and Poly.of(3).terms == Poly([((), 1), ((), 2)]).terms == {(): 3}
+
+
+_leaves = st.one_of(
+    st.sampled_from("xyz"),
+    st.integers(-5, 5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+_expressions = st.recursive(
+    _leaves, lambda sub: st.tuples(st.sampled_from("+-*"), sub, sub), max_leaves=10
+)
+
+
+def _evaluate(expression, leaf):
+    if isinstance(expression, tuple):
+        op, left, right = expression
+        left, right = _evaluate(left, leaf), _evaluate(right, leaf)
+        return left + right if op == "+" else left - right if op == "-" else left * right
+    return leaf(expression)
+
+
+@given(_expressions, st.fixed_dictionaries({name: rationals for name in "xyz"}))
+def test_poly_evaluates_as_the_same_expression_in_fractions(expression, point):
+    poly = _evaluate(expression, lambda v: Poly.var(v) if isinstance(v, str) else v)
+    expected = _evaluate(expression, lambda v: Fraction(point[v] if isinstance(v, str) else v))
+    value = Poly.of(poly)(point)
+    assert value == expected and type(value) is type(canonical(expected))
