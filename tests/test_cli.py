@@ -490,6 +490,50 @@ def test_verify_fixture_all_json_golden(capsys):
     )
 
 
+_F9 = ("--ambient", "fixtures/F9.ambient.json",
+       "--embedding", "fixtures/F9.embedding.json", "--lin", "stabilize")
+
+
+@pytest.mark.parametrize("argv, digest, want", [
+    (("check", "--algebra", "examples/f3plus.json", "--identity", "associativity"),
+     "30bde2bf03d670b014f2a835db5e63d07dd83517b08084a9b600e8881791227d", 1),
+    (("check", "--algebra", "examples/f3plus.json", "--identity", "associativity",
+      "--json", "--random", "trials=50,seed=3"),
+     "a2a7989045995cc560d00dbe5c8e299ec48d299fc6bab9cd97eb492cce12f4f5", 1),
+    (("props", "--algebra", "fixtures/F2.algebra.json",
+      "--operator", "fixtures/F2.operator.json",
+      "--property", "endomorphism", "--property", "idempotent_op"),
+     "c7626e57ca99d9d63adbd8cdb5a43e0b3e63f38e252a45a7a77397ccc755e37b", 1),
+    (("props", "--algebra", "fixtures/F1b.algebra.json", "--from-u", "fixtures/F1b.u.json",
+      "--embedding", "fixtures/F1b.embedding.json", "--property", "endomorphism",
+      "--property", "idempotent_op"),
+     "72b190606af3ac4047e2dd84f9295c2d91292bc8ca493763e7eaddfd245a6288", 0),
+    (("search-element", *_F9, "--quad", "nilpotent2", "--grid", "examples/grid_f9.json"),
+     "1b4b0f2a2bb23865a688f5c093985537fe9c1e0b85f0dc333f8fe84afd8c5c11", 0),
+    (("search-element", *_F9, "--quad", "nilpotent2", "--grid", "examples/grid_f9.json",
+      "--json"),
+     "b0d3e784ea7aa8d03ddce670d2571299285196368d8f5bb4e6a2cd32252baf78", 0),
+    (("search-element", *_F9, "--quad", "idempotent", "--strategy", "univariate",
+      "--pin", "1=0", "--pin", "2=0", "--pin", "3=0"),
+     "d9a9a20c2565d4447cbfbd3245b434630350d1cab1538f090c68e1a46cd3cc15", 0),
+    (("verify-fixture", "F4"),
+     "6afd18798fc1ecbbe0e2f00334f87fe69b5596f10b2c5896f11420a135a8b398", 0),
+    (("verify-fixture", "F4", "--json"),
+     "3bff29ef49b368cacc027688195beeb9ab80baab91709b0fe9d75e13e1aea89a", 0),
+    (("list-fixtures",),
+     "a3de85d0175c92a8c5595cdfc94ac92243f91feacd170df755772bfe9090cbdb", 0),
+    (("list-fixtures", "--json"),
+     "adad03a6fdef0069648e03b79d5424f6d1607fdfe9f3a1e8a3e615a07ebb438f", 0),
+])
+def test_report_golden(capsys, monkeypatch, argv, digest, want):
+    """sha256 of each command's stdout, with its exit code, pinned so that a
+    change to how reports are built cannot change a byte of them."""
+    monkeypatch.chdir(DATA)  # reports echo the input paths
+    code, out, _ = run(capsys, *argv)
+    assert code == want
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 _EVERY_CONSTRUCTION = (
     "commutator", "lie_endo", "lie_endo_alt", "jordan_plus", "jordan_endo_left",
     "jordan_endo_right", "jordan_endo_both", "leibniz_comm", "leibniz_endo", "prelie_endo",
