@@ -44,41 +44,24 @@ from .serial import (
 from .verdicts import Verdict
 
 
-def _fmt_element(e: Element) -> str:
+def _element_text(e: Element) -> str:
     return "(" + ", ".join(format_scalar(v) for v in e.coords) + ")"
 
 
-def _element_json(e) -> list:
-    if isinstance(e, Element):
-        return [format_scalar(v) for v in e.coords]
-    return [str(e)]
+def _element_json(e: Element) -> list:
+    return [format_scalar(v) for v in e.coords]
 
 
 def _witness_json(verdict: Verdict):
     if verdict.passed:
         return None
     w = verdict.witness
-    return {
+    return {  # custom:lin_dim compares dimensions, so its sides are ints
         "indices": list(w.indices),
         "inputs": [_element_json(x) for x in w.inputs],
         "lhs": _element_json(w.lhs) if isinstance(w.lhs, Element) else str(w.lhs),
         "rhs": _element_json(w.rhs) if isinstance(w.rhs, Element) else str(w.rhs),
     }
-
-
-def _witness_lines(verdict: Verdict) -> list[str]:
-    if verdict.passed:
-        return []
-    w = verdict.witness
-    lines = [f"  witness indices: {w.indices}"]
-    for i, x in enumerate(w.inputs):
-        rendered = _fmt_element(x) if isinstance(x, Element) else str(x)
-        lines.append(f"  input[{i}] = {rendered}")
-    lhs = _fmt_element(w.lhs) if isinstance(w.lhs, Element) else str(w.lhs)
-    rhs = _fmt_element(w.rhs) if isinstance(w.rhs, Element) else str(w.rhs)
-    lines.append(f"  lhs = {lhs}")
-    lines.append(f"  rhs = {rhs}")
-    return lines
 
 
 def _emit(args, text_lines: list[str], json_obj: dict) -> None:
@@ -87,6 +70,31 @@ def _emit(args, text_lines: list[str], json_obj: dict) -> None:
     else:
         for line in text_lines:
             print(line)
+
+
+def _verdict_report(args, title: str, head: dict, keys: tuple[str, str], pairs) -> int:
+    """Print (label, verdict) pairs as text under ``title``, or as JSON: ``head``,
+    then the pairs listed under keys[0] with each label under keys[1].  Exit
+    code 0 if every verdict passed, else 1."""
+    ok = all(v.passed for _, v in pairs)
+    lines = [title]
+    for label, v in pairs:
+        lines.append(f"{label}: {'PASS' if v.passed else 'FAIL'}")
+        if not v.passed:
+            w = v.witness
+            lines.append(f"  witness indices: {w.indices}")
+            lines += [f"  input[{i}] = {_element_text(x)}" for i, x in enumerate(w.inputs)]
+            lines += [f"  lhs = {_element_text(w.lhs)}", f"  rhs = {_element_text(w.rhs)}"]
+    lines.append(f"result: {'PASS' if ok else 'FAIL'}")
+    many, one = keys
+    obj = {
+        **head,
+        many: [{one: label, "passed": v.passed, "witness": _witness_json(v)}
+               for label, v in pairs],
+        "passed": ok,
+    }
+    _emit(args, lines, obj)
+    return 0 if ok else 1
 
 
 def _parse_kv(spec: str, cast=str) -> dict:
@@ -151,14 +159,11 @@ def _fixture_report_lines(report: fx.Report) -> list[str]:
 
 def cmd_verify_fixture(args) -> int:
     names = fx.list_fixtures() if args.all else [args.name]
-    if not args.all and args.name not in fx.list_fixtures():
-        raise NonassocError(f"unknown fixture {args.name!r}")
     reports = [fx.verify_fixture(n) for n in names]
     ok = all(r.passed for r in reports)
     if args.all:
-        lines = []
-        for r in reports:
-            lines.append(f"{r.fixture}: {'PASS' if r.passed else 'FAIL'} ({len(r.rows)} rows)")
+        lines = [f"{r.fixture}: {'PASS' if r.passed else 'FAIL'} ({len(r.rows)} rows)"
+                 for r in reports]
         lines.append(f"result: {'PASS' if ok else 'FAIL'} ({len(reports)} fixtures)")
         obj = {
             "command": "verify-fixture",
@@ -178,39 +183,20 @@ def cmd_check(args) -> int:
         raise NonassocError(
             f"unknown identity {args.identity!r}; choose from {', '.join(IDENTITY_NAMES)}"
         )
-    checks = []
-    verdict = check_identity(algebra, args.identity)
-    checks.append(("polarized", verdict))
+    checks = [("polarized", check_identity(algebra, args.identity))]
     if args.random:
         opts = _parse_kv(args.random, int)
         trials = opts.pop("trials", 100)
         seed = opts.pop("seed", 0)
         if opts:
             raise NonassocError(f"unknown --random options: {sorted(opts)}")
-        checks.append(
-            (
-                f"random(trials={trials}, seed={seed})",
-                check_identity_random(algebra, args.identity, trials, seed),
-            )
-        )
-    ok = all(v.passed for _, v in checks)
-    lines = [f"check: identity {args.identity} on {args.algebra} (dim {algebra.dim})"]
-    for mode, v in checks:
-        lines.append(f"{mode}: {'PASS' if v.passed else 'FAIL'}")
-        lines.extend(_witness_lines(v))
-    lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    obj = {
-        "command": "check",
-        "algebra": str(args.algebra),
-        "identity": args.identity,
-        "checks": [
-            {"mode": m, "passed": v.passed, "witness": _witness_json(v)}
-            for m, v in checks
-        ],
-        "passed": ok,
-    }
-    _emit(args, lines, obj)
-    return 0 if ok else 1
+        checks.append((f"random(trials={trials}, seed={seed})",
+                       check_identity_random(algebra, args.identity, trials, seed)))
+    return _verdict_report(
+        args, f"check: identity {args.identity} on {args.algebra} (dim {algebra.dim})",
+        {"command": "check", "algebra": str(args.algebra), "identity": args.identity},
+        ("checks", "mode"), checks,
+    )
 
 
 def _load_operator_for(args, algebra):
@@ -240,23 +226,10 @@ def cmd_props(args) -> int:
         kind, _, raw = spec.partition(":")
         prop = OperatorProperty.parse(kind.strip(), _spec_args(raw))
         results.append((prop.label(), check_operator_property(algebra, operator, prop)))
-    ok = all(v.passed for _, v in results)
-    lines = [f"props: operator on {args.algebra} (dim {algebra.dim})"]
-    for label, v in results:
-        lines.append(f"{label}: {'PASS' if v.passed else 'FAIL'}")
-        lines.extend(_witness_lines(v))
-    lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    obj = {
-        "command": "props",
-        "algebra": str(args.algebra),
-        "properties": [
-            {"property": label, "passed": v.passed, "witness": _witness_json(v)}
-            for label, v in results
-        ],
-        "passed": ok,
-    }
-    _emit(args, lines, obj)
-    return 0 if ok else 1
+    return _verdict_report(
+        args, f"props: operator on {args.algebra} (dim {algebra.dim})",
+        {"command": "props", "algebra": str(args.algebra)}, ("properties", "property"), results,
+    )
 
 
 def cmd_derive(args) -> int:
@@ -313,7 +286,7 @@ def cmd_search_element(args) -> int:
         f"found {len(result)} element(s)",
     ]
     for e in result:
-        lines.append(f"  {_fmt_element(e)}")
+        lines.append(f"  {_element_text(e)}")
     for note in result.notes:
         lines.append(f"note: {note}")
     obj = {
@@ -336,13 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("list-fixtures", help="list the example catalog")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_list_fixtures)
 
     p = sub.add_parser("verify-fixture", help="re-derive a fixture and compare verdicts")
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--all", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify_fixture)
 
     p = sub.add_parser("check", help="verify a polynomial identity of an algebra")
@@ -350,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", required=True)
     p.add_argument("--random", metavar="trials=100,seed=7",
                    help="additionally corroborate at random rational elements")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("props", help="verify operator identities")
@@ -362,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NAME[:k=v,...]",
                    help="e.g. endomorphism, rota_baxter:lam=1, "
                         "rota_baxter_weighted:lam=1,beta=2")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_props)
 
     p = sub.add_parser("derive", help="materialize a derived product as a new algebra")
@@ -371,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construction", required=True)
     p.add_argument("--param", metavar="a=p/q")
     p.add_argument("--out", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_derive)
 
     p = sub.add_parser("search-element",
@@ -388,9 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="grid file with coefficient tuples")
     p.add_argument("--pin", action="append", metavar="IDX=VALUE",
                    help="pin a free direction (univariate strategy)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_search_element)
 
+    for p in sub.choices.values():  # last, so each -h lists it last
+        p.add_argument("--json", action="store_true")
     return parser
 
 
