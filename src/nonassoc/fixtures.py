@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 from .algebra import (
@@ -112,15 +112,24 @@ class FixtureBundle:
                 raise NonassocError(f"unknown base algebra step {step!r}")
             if step[0] != "A" and step[1] != "derive":
                 raise NonassocError(f"unknown plan step {step!r}")
+        names = {p.name for p in self.params}
+        if set(self.sample_point) != names:
+            raise NonassocError(f"sample point of {self.name} names {sorted(self.sample_point)}, "
+                                f"not its parameters {sorted(names)}")
         zeros_excluded = {p.name for p in self.params if 0 in p.exclude}
         d = self.denominator
         if d is not None and (len(d.terms) != 1 or not zeros_excluded.issuperset(*d.terms)):
             raise NonassocError(f"denominator of {self.name} is not a monomial in "
                                 f"parameters that exclude 0")
         # row-major entries; a basis that holds no Poly is read as it is at every point
-        basis = tuple(_entries(m) for m in self.basis)
+        u, basis = _entries(self.u), tuple(_entries(m) for m in self.basis)
+        polys = [v for v in (*u, *(v for m in basis for v in m), d) if type(v) is Poly]
+        undeclared = {name for v in polys for m in v.terms for name in m} - names
+        if undeclared:
+            raise NonassocError(f"fixture {self.name} uses {sorted(undeclared)}, "
+                                f"which are not its parameters")
         varies = any(type(v) is Poly for m in basis for v in m)
-        self.__dict__.update(_u=_entries(self.u), _basis=basis, _basis_varies=varies)
+        self.__dict__.update(_u=u, _basis=basis, _basis_varies=varies)
 
     @property
     def ambient_n(self) -> int:
@@ -679,7 +688,10 @@ def load_fixture(name: str) -> FixtureBundle:
 _ambient = cache(matrix_algebra)
 
 
-@cache
+# One fixture-catalog set-up and pass reads 16 distinct (basis, ambient_n)
+# keys, so 64 keeps every hit on the default grids, while a basis that varies
+# over a large grid (F7's) cannot keep one subalgebra per point alive.
+@lru_cache(maxsize=64)
 def _induced(basis: tuple, ambient_n: int) -> tuple[Algebra, Embedding]:
     """The subalgebra and embedding of one basis (row-major entries), built once."""
     return induce_subalgebra(_ambient(ambient_n), tuple(map(Element, basis)))
@@ -695,7 +707,10 @@ def materialize(bundle: FixtureBundle, point: Optional[Mapping] = None) -> Mater
         for k, v in point.items():
             if k not in pt:
                 raise NonassocError(f"fixture {bundle.name} has no parameter {k!r}")
-            pt[k] = as_scalar(v)
+            try:
+                pt[k] = as_scalar(v)
+            except (TypeError, ValueError) as exc:
+                raise GridError(f"parameter {k} of fixture {bundle.name}: {exc}") from None
     for p in bundle.params:
         if pt[p.name] in p.exclude:
             raise GridError(f"parameter {p.name} = {pt[p.name]} is excluded for fixture "

@@ -292,13 +292,13 @@ def find_special(
             consider(space.point(p))
     elif isinstance(strategy, UnivariateStrategy):
         pins = dict(strategy.pins)
+        if any(i < 0 or i >= len(space.directions) for i in pins):
+            raise SearchStrategyError("pin index out of range")
         free = [i for i in range(len(space.directions)) if i not in pins]
         if len(free) > 1:
             raise SearchStrategyError(
                 f"univariate strategy needs <= 1 unpinned direction, got {len(free)}"
             )
-        if any(i < 0 or i >= len(space.directions) for i in pins):
-            raise SearchStrategyError("pin index out of range")
         base = space.point(
             [pins.get(i, 0) for i in range(len(space.directions))]
         )

@@ -623,6 +623,32 @@ def test_denominator_must_be_a_monomial_whose_zeros_are_excluded():
         assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("change,message", [
+    (dict(u=[[Poly.var("zz"), 0], [0, 0]]), "fixture F9 uses ['zz'], which are not its parameters"),
+    (dict(basis=[[[Poly.var("w"), 0], [0, 1]]]), "fixture F9 uses ['w'], which are not its parameters"),
+    (dict(sample_point={"x": 1}), "sample point of F9 names ['x'], not its parameters ['x', 'y']"),
+])
+def test_bundle_declarations_are_checked_when_it_is_made(change, message):
+    with pytest.raises(NonassocError) as raised:
+        replace(load_fixture("F9"), **change)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("value", [1.5, True, "1.5"], ids=["float", "bool", "decimal"])
+def test_bad_point_value_is_a_grid_error(value):
+    with pytest.raises(GridError, match="^parameter x of fixture F9: "):
+        materialize(load_fixture("F9"), {"x": value})
+
+
+def test_induced_cache_is_bounded():
+    """A basis that varies with beta gives each beta its own subalgebra."""
+    fixtures._induced.cache_clear()
+    v = certify_row("F7", "element:stabilize", {"beta": list(range(100)), "lam": [0, 1, 2, 3]})
+    info = fixtures._induced.cache_info()
+    assert v.passed and v.points_checked == 400
+    assert info.misses == 100 and info.currsize == info.maxsize < 100
+
+
 # The closures that once declared u and the bases, kept as the oracle of
 # the polynomial declarations: u(point) and basis(point) as nested tuples.
 

@@ -160,6 +160,13 @@ def test_find_special_univariate_rejects_two_free(column_plane):
                      QuadraticConstraint("idempotent"), UnivariateStrategy.of({1: 0, 2: 0}))
 
 
+def test_find_special_univariate_checks_the_pin_range_first(column_plane):
+    ambient, _, emb = column_plane
+    with pytest.raises(SearchStrategyError, match="^pin index out of range$"):
+        find_special(ambient, [LinearConstraint("stabilize", emb)],
+                     QuadraticConstraint("idempotent"), UnivariateStrategy.of({9: 0}))
+
+
 def test_find_special_univariate_detects_infinite_family(column_plane):
     # nilpotent2 along the direction E12 (inside the plane, square zero):
     # every t works, which the strategy must refuse to enumerate
