@@ -14,6 +14,8 @@ Formats (all UTF-8 JSON):
 - embedding: {"ambient": <algebra object or file path>, "basis": [[...], ...]}
 - grid:      {"points": [["p/q", ...], ...]}
 - expectations: {"fixture": name, "rows": [{"check": label, "expect": "pass"}, ...]}
+             written only by ``scripts/export_fixture_data.py``; no loader
+             reads it (a test compares the shipped files with the catalog).
 """
 from __future__ import annotations
 
