@@ -106,6 +106,8 @@ def _parse_kv(spec: str, cast=str) -> dict:
         if "=" not in piece:
             raise NonassocError(f"expected key=value, got {piece!r}")
         k, v = (part.strip() for part in piece.split("=", 1))
+        if k in out:
+            raise NonassocError(f"{k!r} is given twice")
         try:
             out[k] = cast(v)
         except (ValueError, TypeError) as exc:
@@ -275,9 +277,12 @@ def cmd_search_element(args) -> int:
         for spec in args.pin or []:
             for k, v in _parse_kv(spec, as_scalar).items():
                 try:
-                    pins[int(k)] = v
+                    i = int(k)
                 except ValueError as exc:
                     raise NonassocError(f"bad --pin index {k!r}") from exc
+                if i in pins:
+                    raise NonassocError(f"--pin index {i} is given twice")
+                pins[i] = v
         strategy = UnivariateStrategy.of(pins)
     result = find_special(ambient, lin, quad, strategy)
     lines = [
@@ -366,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify-fixture" and not args.all and args.name is None:
-        parser.error("verify-fixture needs a fixture name or --all")
+    if args.command == "verify-fixture" and args.all == (args.name is not None):
+        parser.error("verify-fixture needs a fixture name or --all, not both")
     try:
         return args.fn(args)
     except NonassocError as exc:

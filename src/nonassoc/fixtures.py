@@ -13,6 +13,11 @@ A bundle declares u and its basis as square matrices of scalars and
 ``Poly`` once).  A family that divides declares ``denominator``, a monomial in
 parameters that exclude 0, and u is the declared matrix over it.
 
+The plan lists the derived algebras as ``(name, source, construction)``
+steps after ``"A"``: the subalgebra the basis spans, or ``base`` if set (F5's
+entrywise-product plane).  Making a bundle checks its steps, its negative
+control's perturbation and that the control's target is one of its rows.
+
 Check labels:
 
 - ``element:KIND`` or ``element:KIND(args)`` - side conditions on u itself
@@ -98,20 +103,28 @@ class FixtureBundle:
     description: str
     basis: Sequence  # square matrices of scalars and Polys
     u: Sequence      # a square matrix of scalars and Polys; over ``denominator`` if set
-    plan: tuple[tuple, ...]
     rows: tuple[ExpectedRow, ...]
     negative_control: NegativeControl
+    plan: tuple[tuple[str, str, str], ...] = ()  # (name, source, construction) after "A"
+    base: Optional[Algebra] = None  # "A" when it is not the subalgebra the basis spans
     params: tuple[ParamSpec, ...] = ()
     sample_point: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
     denominator: Optional[Poly] = None
 
     def __post_init__(self):
+        steps = {"A": None}  # name -> (source, construction spec)
         for step in self.plan:
-            if step[0] == "A" and step[1] not in ("induced", "hadamard"):
-                raise NonassocError(f"unknown base algebra step {step!r}")
-            if step[0] != "A" and step[1] != "derive":
-                raise NonassocError(f"unknown plan step {step!r}")
+            if len(step) != 3 or step[0] in steps or step[1] not in steps:
+                raise NonassocError(f"plan step {step!r} of {self.name} is not (a new name, "
+                                    f"'A' or an earlier name, a construction)")
+            steps[step[0]] = step[1], construction(step[2])
+        control = self.negative_control
+        if control.perturb not in ("R+I", "u+E11"):
+            raise NonassocError(f"unknown perturbation {control.perturb!r}")
+        if control.target not in {r.check for r in self.rows}:
+            raise NonassocError(f"negative control target {control.target!r} is not a row "
+                                f"of {self.name}")
         names = {p.name for p in self.params}
         if set(self.sample_point) != names:
             raise NonassocError(f"sample point of {self.name} names {sorted(self.sample_point)}, "
@@ -129,7 +142,7 @@ class FixtureBundle:
             raise NonassocError(f"fixture {self.name} uses {sorted(undeclared)}, "
                                 f"which are not its parameters")
         varies = any(type(v) is Poly for m in basis for v in m)
-        self.__dict__.update(_u=u, _basis=basis, _basis_varies=varies)
+        self.__dict__.update(_steps=steps, _u=u, _basis=basis, _basis_varies=varies)
 
     @property
     def ambient_n(self) -> int:
@@ -139,9 +152,6 @@ class FixtureBundle:
     def certified_rows(self) -> tuple[str, ...]:
         """The labels of the certified rows, in row order."""
         return tuple(r.check for r in self.rows if r.certified)
-
-    def instantiate(self, point: Mapping) -> Materialized:
-        return materialize(self, point)
 
 
 @dataclass(frozen=True)
@@ -259,7 +269,7 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         u=((a, b, c), (1 - a, 1 - b, -c), (e, f, g)),
         params=_SIX,
         sample_point={"a": 2, "b": 3, "c": 5, "e": 7, "f": 11, "g": 13},
-        plan=(("A", "induced"), ("lie", "derive", "A", "lie_endo", None)),
+        plan=(("lie", "A", "lie_endo"),),
         rows=_rows(
             ("element:right_identity", True, _CERTIFIED),
             ("element:stabilize", True, _CERTIFIED),
@@ -288,11 +298,7 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         u=u_b,
         params=(ParamSpec("b", 2, tuple(range(8))),),
         sample_point={"b": 2},
-        plan=(
-            ("A", "induced"),
-            ("lie", "derive", "A", "lie_endo", None),
-            ("lie_alt", "derive", "A", "lie_endo_alt", None),
-        ),
+        plan=(("lie", "A", "lie_endo"), ("lie_alt", "A", "lie_endo_alt")),
         rows=_rows(
             ("element:right_identity", True, _CERTIFIED),
             ("element:stabilize", True, _CERTIFIED),
@@ -323,7 +329,7 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             [[0, 0, 0], [0, 0, 0], [0, 1, 1]],   # n
         ],
         u=[[1, 0, 0], [0, 0, 1], [0, 1, 0]],
-        plan=(("A", "induced"), ("lie", "derive", "A", "lie_endo", None)),
+        plan=(("lie", "A", "lie_endo"),),
         rows=_rows(
             ("element:right_identity", True),
             ("element:stabilize", True),
@@ -348,10 +354,9 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         basis=_row_family_basis((1, -1, 1)),
         u=[[1, -1, 1], [1, -1, 1], [1, -1, 1]],
         plan=(
-            ("A", "induced"),
-            ("plus", "derive", "A", "jordan_plus", None),
-            ("jordan1", "derive", "plus", "jordan_endo_both", None),
-            ("jordan2", "derive", "jordan1", "jordan_endo_left", None),
+            ("plus", "A", "jordan_plus"),
+            ("jordan1", "plus", "jordan_endo_both"),
+            ("jordan2", "jordan1", "jordan_endo_left"),
         ),
         rows=_rows(
             ("element:idempotent", True),
@@ -386,11 +391,7 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         u=u_b,
         params=(ParamSpec("b", 2, _AXIS4),),
         sample_point={"b": 2},
-        plan=(
-            ("A", "induced"),
-            ("plus", "derive", "A", "jordan_plus", None),
-            ("jordan1", "derive", "plus", "jordan_endo_both", None),
-        ),
+        plan=(("plus", "A", "jordan_plus"), ("jordan1", "plus", "jordan_endo_both")),
         rows=_rows(
             ("identity[plus]:commutativity", True),
             ("identity[plus]:jordan_main", True, _CERTIFIED),
@@ -412,11 +413,7 @@ def _build_catalog() -> dict[str, FixtureBundle]:
                     "the left Leibniz identity",
         basis=_row_family_basis((-1, 1, 1)),
         u=[[-1, 1, 1], [-1, 1, 1], [-1, 1, 1]],
-        plan=(
-            ("A", "induced"),
-            ("leib", "derive", "A", "leibniz_endo", None),
-            ("leibc", "derive", "A", "leibniz_comm", None),
-        ),
+        plan=(("leib", "A", "leibniz_endo"), ("leibc", "A", "leibniz_comm")),
         rows=_rows(
             ("element:idempotent", True),
             ("element:right_identity", True),
@@ -454,11 +451,8 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             [[0, 0], [1, 0]],
         ],
         u=[[1, 0], [0, 0]],
-        plan=(
-            ("A", "hadamard", 2, 1),
-            ("prelie", "derive", "A", "prelie_endo", None),
-            ("prelie_alt", "derive", "A", "prelie_endo_alt", None),
-        ),
+        base=hadamard_algebra(2, 1),
+        plan=(("prelie", "A", "prelie_endo"), ("prelie_alt", "A", "prelie_endo_alt")),
         rows=_rows(
             ("element:idempotent", True),
             ("element:right_identity", True),
@@ -493,7 +487,6 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         u=((a, b, c), (-a, -b, -c), (e, f, g)),
         params=_SIX,
         sample_point={"a": 2, "b": 3, "c": 5, "e": 7, "f": 11, "g": 13},
-        plan=(("A", "induced"),),
         rows=_rows(
             ("element:right_annihilator", True, _CERTIFIED),
             ("element:stabilize", True, _CERTIFIED),
@@ -522,10 +515,7 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             ParamSpec("lam", 3, _AXIS4),
         ),
         sample_point={"beta": 2, "lam": 3},
-        plan=(
-            ("A", "induced"),
-            ("prelie", "derive", "A", "prelie_diff", None),
-        ),
+        plan=(("prelie", "A", "prelie_diff"),),
         rows=_rows(
             ("element:right_annihilator", True, _CERTIFIED),
             ("element:stabilize", True, _CERTIFIED),
@@ -558,11 +548,7 @@ def _build_catalog() -> dict[str, FixtureBundle]:
             [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
         ],
         u=[[1, 0, 0], [0, 1, 0], [0, 0, 0]],
-        plan=(
-            ("A", "induced"),
-            ("flex", "derive", "A", "flexible_avg", None),
-            ("lie", "derive", "A", "lie_endo", None),
-        ),
+        plan=(("flex", "A", "flexible_avg"), ("lie", "A", "lie_endo")),
         rows=_rows(
             ("element:idempotent", True),
             ("element:centralize", True),
@@ -608,7 +594,6 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         u=((x * y, -x * x), (y * y, -x * y)),
         params=(_X, ParamSpec("y", 4, _AXIS5)),
         sample_point={"x": 1, "y": 1},
-        plan=(("A", "induced"),),
         rows=_rows(
             ("element:nilpotent2", True, _CERTIFIED),
             ("element:stabilize", True, _CERTIFIED),
@@ -630,7 +615,6 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         denominator=y,
         params=(_X, _Y_NONZERO),
         sample_point={"x": 0, "y": 1},
-        plan=(("A", "induced"),),
         rows=_rows(
             ("element:skew_idempotent", True, _CERTIFIED),
             ("element:stabilize", True, _CERTIFIED),
@@ -651,7 +635,6 @@ def _build_catalog() -> dict[str, FixtureBundle]:
         denominator=y,
         params=(_X, _Y_NONZERO, ParamSpec("lam", 3, _AXIS4), ParamSpec("beta", 3, _AXIS4)),
         sample_point={"x": 0, "y": 1, "lam": 1, "beta": 2},
-        plan=(("A", "induced"),),
         rows=_rows(
             ("element:rb_weighted(@lam,@beta)", True, _CERTIFIED),
             ("element:stabilize", True, _CERTIFIED),
@@ -723,8 +706,9 @@ def materialize(bundle: FixtureBundle, point: Optional[Mapping] = None) -> Mater
     if bundle._basis_varies:
         basis = tuple(_evaluate(m, pt) for m in basis)
     induced, emb = _induced(basis, bundle.ambient_n)
+    base = induced if bundle.base is None else bundle.base
     u = Element(u)
-    return Materialized(bundle, pt, emb, u, _PlanAlgebras(bundle.plan, induced, emb, u))
+    return Materialized(bundle, pt, emb, u, _PlanAlgebras(bundle._steps, base, emb, u))
 
 
 class _PlanAlgebras(Mapping):
@@ -733,10 +717,9 @@ class _PlanAlgebras(Mapping):
     reads.  It holds (embedding, u) rather than the ``Materialized``, so no
     reference cycle keeps a grid point alive."""
 
-    def __init__(self, plan, induced: Algebra, embedding: Embedding, u: Element):
-        self._steps = {step[0]: step for step in plan}
-        self._induced, self._embedding, self._u = induced, embedding, u
-        self._built: dict[str, Algebra] = {}
+    def __init__(self, steps: dict, base: Algebra, embedding: Embedding, u: Element):
+        self._steps, self._embedding, self._u = steps, embedding, u
+        self._built: dict[str, Algebra] = {"A": base}
 
     @cached_property
     def operator(self) -> LinearOperator:
@@ -746,17 +729,9 @@ class _PlanAlgebras(Mapping):
     def __getitem__(self, name: str) -> Algebra:
         algebra = self._built.get(name)
         if algebra is None:
-            step = self._steps[name]
-            if step[0] != "A":
-                _, _, source, cons_name, a = step
-                spec = construction(cons_name, a)
-                operator = self.operator if CATALOG[cons_name].needs_operator else None
-                algebra = derive(self[source], operator, spec)
-            elif step[1] == "induced":
-                algebra = self._induced
-            else:
-                algebra = hadamard_algebra(step[2], step[3])
-            self._built[name] = algebra
+            source, spec = self._steps[name]
+            operator = self.operator if CATALOG[spec.kind].needs_operator else None
+            algebra = self._built[name] = derive(self[source], operator, spec)
         return algebra
 
     def __contains__(self, name) -> bool:
@@ -826,12 +801,14 @@ _CUSTOM_ARITY = {"lin_dim": 2, "null_product": 1, "rota_baxter0_mirrored": 1}
 def bind_row(bundle: FixtureBundle, label: str) -> Callable[[Materialized], Verdict]:
     """The check of ``label`` on a materialized ``bundle``, parsed, its
     record built and its names (condition, identity, algebra in the plan)
-    checked once (at each point, for ``@param`` arguments).  An identity row
-    re-checks only where its plan algebra changes (``Algebra.__eq__``)."""
+    checked once.  A label with ``@param`` arguments is checked at the
+    sample point and bound again at each point.  An identity row re-checks
+    only where its plan algebra changes (``Algebra.__eq__``)."""
     match = _LABEL_RE.match(label)
     if not match:
         raise NonassocError(f"malformed check label {label!r}")
     if "@" in (match[4] or ""):
+        _bind(bundle, label, match, bundle.sample_point)  # its names checked once, here
         return lambda m: _bind(bundle, label, match, m.point)(m)
     return _bind(bundle, label, match, {})
 
@@ -865,7 +842,7 @@ def _bind(bundle, label, match, point) -> Callable[[Materialized], Verdict]:
         if args:
             raise NonassocError("identity rows take no arguments")
         get_identity(kind)  # an unknown name raises here, not at the first point
-    if alg_name not in {step[0] for step in bundle.plan}:
+    if alg_name not in bundle._steps:
         raise NonassocError(f"check {label!r} names no algebra in the plan of {bundle.name}")
     if family == "custom":
         return lambda m: _custom_null_product(m.algebras[alg_name])
@@ -915,7 +892,8 @@ def certify_row(
     bundle = load_fixture(name)
     if label not in {r.check for r in bundle.rows}:
         raise NonassocError(f"fixture {name} has no row {label!r}")
-    return certify_parametric(bundle, bind_row(bundle, label), axes)
+    check = bind_row(bundle, label)
+    return certify_parametric(bundle.params, lambda pt: check(materialize(bundle, pt)), axes)
 
 
 def check_negative_control(name: str) -> NegativeControlResult:
@@ -927,8 +905,6 @@ def check_negative_control(name: str) -> NegativeControlResult:
     the sample point like any other, its R and plan algebras from the perturbed u."""
     bundle = load_fixture(name)
     perturb, target = bundle.negative_control.perturb, bundle.negative_control.target
-    if perturb not in ("R+I", "u+E11"):
-        raise NonassocError(f"unknown perturbation {perturb!r}")
     d = 1 if bundle.denominator is None else bundle.denominator
     u = [list(row) for row in bundle.u]
     for i in range(bundle.ambient_n if perturb == "R+I" else 1):

@@ -781,24 +781,22 @@ class ParametricVerdict:
 
 
 def certify_parametric(
-    family,
-    check: Callable[[object], Verdict],
+    params: Sequence[ParamSpec],
+    check: Callable[[dict], Verdict],
     axes: Optional[Mapping[str, Sequence[Scalar]]] = None,
 ) -> ParametricVerdict:
     """Certify a polynomial check over all rational parameter values.
 
-    ``family`` must expose ``params`` (a sequence of ParamSpec) and
-    ``instantiate(point: dict) -> object``; ``check`` maps an instantiated
-    family member to a Verdict.  The check is run at every point of the
-    product grid ``axes``; since a polynomial of degree d vanishing at d+1
-    distinct points in each variable separately vanishes identically, a
-    grid with more than ``degree`` distinct values per parameter certifies
-    the check for all rational parameter values (off the excluded ones).
-    Axis values are read through ``as_scalar``, so ``"1"`` and ``"2/2"`` are
-    one value; an axis that repeats a value, or names no parameter of the
-    family, is an error.
+    ``check`` maps a point, a dict from each name in ``params`` to a value,
+    to a Verdict.  It is run at every point of the product grid ``axes``
+    (a parameter's declared axis where ``axes`` names none); since a
+    polynomial of degree d vanishing at d+1 distinct points in each
+    variable separately vanishes identically, a grid with more than
+    ``degree`` distinct values per parameter certifies the check for all
+    rational parameter values (off the excluded ones).  Axis values are
+    read through ``as_scalar``, so ``"1"`` and ``"2/2"`` are one value; an
+    axis that repeats a value, or names no parameter, is an error.
     """
-    params = list(family.params)
     axes = dict(axes or {})
     names = {p.name for p in params}
     unknown = [name for name in axes if name not in names]
@@ -834,8 +832,7 @@ def certify_parametric(
     count = 0
     for combo in itertools.product(*axis_values):
         point = {p.name: v for p, v in zip(params, combo)}
-        member = family.instantiate(point)
-        verdict = check(member)
+        verdict = check(point)
         count += 1
         if not verdict:
             return ParametricVerdict(False, point, verdict, count)

@@ -104,6 +104,15 @@ def test_verify_fixture_unknown(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [("F1", "--all"), ()], ids=["both", "neither"])
+def test_verify_fixture_takes_a_name_or_all(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(["verify-fixture", *argv])
+    assert exited.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: verify-fixture needs a fixture name or --all, not both\n")
+
+
 def test_props_with_operator_file(capsys):
     code, out, _ = run(
         capsys, "props",
@@ -365,6 +374,13 @@ _SEARCH_F9 = (
     _SEARCH_F9 + ("--quad", "scaled", "--quad-param", "gamma=1e99999999",
                   "--grid", str(DATA / "examples" / "grid_f9.json")),
     _SEARCH_F9 + ("--quad", "idempotent", "--strategy", "univariate", "--pin", "1=1e99999999"),
+    # a key given twice, within one flag or across two
+    ("check", "--algebra", str(DATA / "examples" / "null2.json"),
+     "--identity", "jacobi", "--random", "trials=5,trials=7"),
+    _SEARCH_F9 + ("--quad", "idempotent", "--strategy", "univariate", "--pin", "1=0,1=5",
+                  "--pin", "2=0", "--pin", "3=0"),
+    _SEARCH_F9 + ("--quad", "idempotent", "--strategy", "univariate", "--pin", "0=1",
+                  "--pin", "1=0", "--pin", "2=0", "--pin", "3=0", "--pin", "0=2"),
     ("derive", "--algebra", str(DATA / "fixtures" / "F7.algebra.json"),
      "--operator", str(DATA / "fixtures" / "F7.operator.json"),
      "--construction", "novikov_affine", "--param", "a=1e99999999", "--out", "unwritten.json"),

@@ -20,6 +20,7 @@ from nonassoc.constructions import CATALOG, construction, derive, hadamard_algeb
 from nonassoc.errors import GridError, ImageNotInSpanError, NonassocError, UnknownFixtureError
 from nonassoc.fixtures import (
     ExpectedRow,
+    NegativeControl,
     NegativeControlResult,
     bind_row,
     check_negative_control,
@@ -192,7 +193,7 @@ def test_certify_row_binds_param_arguments_at_each_point(monkeypatch, label, cls
     calls = _counting_parse(monkeypatch, cls)
     v = certify_row("F11", label)
     assert v.passed and v.points_checked == 400
-    assert len(calls) == 400
+    assert len(calls) == 401  # once at the sample point when bound, then at each point
     axes = {p.name: p.axis for p in load_fixture("F11").params}
     assert {tuple(args) for _, args in calls} == {
         (lam, beta) for lam in axes["lam"] for beta in axes["beta"]
@@ -259,14 +260,35 @@ def test_negative_controls_perturb_u_as_the_once_run_controls(name):
     assert repr(check_negative_control(name)) == repr(_negative_control_oracle(name))
 
 
+_NOT_A_STEP = " of F1 is not (a new name, 'A' or an earlier name, a construction)"
+
+
 @pytest.mark.parametrize("plan,message", [
-    ((("A", "induced"), ("A", "bogus")), "unknown base algebra step ('A', 'bogus')"),
-    ((("A", "induced"), ("lie", "build", "A", "lie_endo", None)),
-     "unknown plan step ('lie', 'build', 'A', 'lie_endo', None)"),
-])
-def test_malformed_plan_steps_fail_when_the_bundle_is_made(plan, message):
+    ((("lie", "Z", "lie_endo"),), "plan step ('lie', 'Z', 'lie_endo')" + _NOT_A_STEP),
+    ((("lie", "A", "lie_endo"), ("lie", "A", "lie_endo_alt")),
+     "plan step ('lie', 'A', 'lie_endo_alt')" + _NOT_A_STEP),
+    ((("A", "A", "lie_endo"),), "plan step ('A', 'A', 'lie_endo')" + _NOT_A_STEP),
+    ((("lie", "A", "bogus"),), "unknown construction 'bogus'; choose from "),
+    ((("nov", "A", "novikov_affine"),), "novikov_affine requires parameter a"),
+    ((("lie", "A"),), "plan step ('lie', 'A')" + _NOT_A_STEP),
+    ((("lie", "derive", "A", "lie_endo", None),),
+     "plan step ('lie', 'derive', 'A', 'lie_endo', None)" + _NOT_A_STEP),
+], ids=["unknown-source", "repeated-name", "redefined-A", "unknown-construction",
+        "needs-a-parameter", "too-short", "old-form"])
+def test_plan_steps_are_checked_when_the_bundle_is_made(plan, message):
     with pytest.raises(NonassocError) as raised:
         replace(load_fixture("F1"), plan=plan)
+    assert str(raised.value).startswith(message)
+
+
+@pytest.mark.parametrize("control,message", [
+    (NegativeControl("R+2I", "operator[A]:rota_baxter(0)"), "unknown perturbation 'R+2I'"),
+    (NegativeControl("R+I", "operator[A]:endomorphism"),
+     "negative control target 'operator[A]:endomorphism' is not a row of F9"),
+], ids=["perturbation", "target"])
+def test_negative_control_is_checked_when_the_bundle_is_made(control, message):
+    with pytest.raises(NonassocError) as raised:
+        replace(load_fixture("F9"), negative_control=control)
     assert str(raised.value) == message
 
 
@@ -276,11 +298,17 @@ def test_malformed_plan_steps_fail_when_the_bundle_is_made(plan, message):
     ("custom:lin_dim(stabilize,zz)", "lin_dim expects an integer dimension, got 'zz'"),
     ("custom:lin_dim(bogus,6)", "unknown linear constraint 'bogus'"),
     ("identity[A]:bogus", "unknown identity 'bogus'"),
+    # labels whose arguments name parameters are checked at the sample point
+    ("operator[B]:rota_baxter_weighted(@x,@y)",
+     "check 'operator[B]:rota_baxter_weighted(@x,@y)' names no algebra in the plan of F9"),
+    ("operator[A]:bogus(@x,@y)", "unknown operator property 'bogus'; choose from "),
+    ("operator[A]:rota_baxter_weighted(@zz,@y)", "label references unknown parameter 'zz'"),
+    ("operator[A]:rota_baxter_weighted(@x)", "rota_baxter_weighted takes 2 argument(s), got 1"),
 ])
 def test_bind_row_checks_names_and_dimensions_without_a_point(label, message):
     with pytest.raises(NonassocError) as raised:
         bind_row(load_fixture("F9"), label)
-    assert str(raised.value) == message
+    assert str(raised.value).startswith(message)
 
 
 def test_certify_row_f1b_full_grid():
@@ -346,7 +374,9 @@ def test_identity_rows_catalog():
 def test_certify_row_identity_matches_every_point_checked(name, label):
     """Re-checking an identity row only where its algebra changes gives the
     verdict of checking it at every point."""
-    reference = certify_parametric(load_fixture(name), lambda m: run_row(m, label))
+    bundle = load_fixture(name)
+    reference = certify_parametric(bundle.params,
+                                   lambda pt: run_row(materialize(bundle, pt), label))
     assert repr(certify_row(name, label)) == repr(reference)
 
 
@@ -383,7 +413,8 @@ def test_certify_row_rechecks_when_the_algebra_changes(monkeypatch):
         rows=f1.rows + (ExpectedRow(label, False),),
     )
     monkeypatch.setitem(fixtures._CATALOG, "T1", bundle)
-    reference = certify_parametric(bundle, lambda m: run_row(m, label))
+    reference = certify_parametric(bundle.params,
+                                   lambda pt: run_row(materialize(bundle, pt), label))
     calls = _counting_check_identity(monkeypatch)
     v = certify_row("T1", label)
     assert calls == ["associativity", "associativity"]
@@ -433,23 +464,20 @@ def test_plan_algebras_are_derived_on_first_lookup(monkeypatch):
 
 def _eager_plan(m) -> dict:
     """Every algebra of the plan, built in plan order as a reference."""
-    built = {}
-    for step in m.bundle.plan:
-        if step == ("A", "induced"):
-            built["A"] = induce_subalgebra(m.ambient, m.embedding.basis)[0]
-        elif step[:2] == ("A", "hadamard"):
-            built["A"] = hadamard_algebra(step[2], step[3])
-        else:
-            name, _, source, cons_name, a = step
-            operator = m.operator if CATALOG[cons_name].needs_operator else None
-            built[name] = derive(built[source], operator, construction(cons_name, a))
+    if m.bundle.name == "F5":
+        built = {"A": hadamard_algebra(2, 1)}
+    else:
+        built = {"A": induce_subalgebra(m.ambient, m.embedding.basis)[0]}
+    for name, source, cons_name in m.bundle.plan:
+        operator = m.operator if CATALOG[cons_name].needs_operator else None
+        built[name] = derive(built[source], operator, construction(cons_name))
     return built
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_plan_algebras_match_eager_derivation(name):
     m = materialize(load_fixture(name))
-    assert list(m.algebras) == [step[0] for step in m.bundle.plan]
+    assert list(m.algebras) == ["A", *(step[0] for step in m.bundle.plan)]
     eager = _eager_plan(m)
     for alg_name in reversed(list(eager)):  # a derived algebra before its source
         assert m.algebras[alg_name] == eager[alg_name]
@@ -501,15 +529,14 @@ def _eager_oracle(bundle, label, monkeypatch):
     soon as the point is materialized, the stabilize row from the dense
     residual, and every identity row checked at every point."""
 
-    def instantiate(point):
+    def check(point):
         m = materialize(bundle, point)
         m.operator  # noqa: B018 -- built here, as materialize once built it
-        return m
+        return run_row(m, label)
 
-    family = SimpleNamespace(params=bundle.params, instantiate=instantiate)
     with monkeypatch.context() as patch:
         patch.setitem(search.LINEAR_SIDES, "stabilize", _dense_stabilize)
-        return certify_parametric(family, lambda m: run_row(m, label))
+        return certify_parametric(bundle.params, check)
 
 
 @pytest.mark.parametrize("name,label", _CERTIFIED)
@@ -604,7 +631,7 @@ def test_r_is_built_only_for_steps_whose_words_read_it(monkeypatch):
 
 
 def test_u_leaving_the_span_leaves_the_steps_that_read_no_r(monkeypatch):
-    plan = load_fixture("F8").plan + (("plus", "derive", "A", "jordan_plus", None),)
+    plan = load_fixture("F8").plan + (("plus", "A", "jordan_plus"),)
     m = materialize(_f8_leaving_the_span(monkeypatch, plan=plan), {"t": 1})
     for label in ("identity[plus]:commutativity", "identity[plus]:jordan_main"):
         assert run_row(m, label).passed
@@ -740,8 +767,8 @@ def test_polynomial_u_and_basis_match_the_closures(name):
         basis = _f7_basis(point) if name == "F7" else bundle.basis
         a, emb = induce_subalgebra(matrix_algebra(bundle.ambient_n),
                                    [element_from_matrix(b) for b in basis])
-        if bundle.plan[0][1] == "hadamard":
-            a = hadamard_algebra(*bundle.plan[0][2:])
+        if name == "F5":  # the entrywise-product plane, not the subalgebra of M2
+            a = hadamard_algebra(2, 1)
         assert repr(m.u) == repr(u), point
         assert repr(m.embedding.basis) == repr(emb.basis), point
         assert repr(m.algebras["A"].sparse_rows) == repr(a.sparse_rows), point

@@ -495,44 +495,32 @@ def test_random_elements_are_small_exact(m3):
         assert Fraction(v).denominator in (1, 2)
 
 
-class _SquareFamily:
-    """Toy parametrized family: passes iff t^2 - t vanishes, degree 2 in t."""
-
-    params = (ParamSpec("t", 2, (0, 1, 2)),)
-
-    def instantiate(self, point):
-        return point["t"]
+# Toy parametrized check: passes iff t^2 - t vanishes, degree 2 in t.
+_SQUARE = (ParamSpec("t", 2, (0, 1, 2)),)
 
 
 def test_certify_parametric_finds_failure_point():
-    fam = _SquareFamily()
-
-    def check(t):
+    def check(point):
+        t = point["t"]
         if t * t == t:
             return Verdict.ok()
         from nonassoc.verdicts import Witness
         return Verdict.fail(Witness((), (), t * t, t))
 
-    res = certify_parametric(fam, check)
+    res = certify_parametric(_SQUARE, check)
     assert not res.passed
     assert res.failing_point == {"t": 2}
 
-    passing = certify_parametric(fam, lambda t: Verdict.ok())
+    passing = certify_parametric(_SQUARE, lambda pt: Verdict.ok())
     assert passing.passed and passing.points_checked == 3
 
 
 def test_certify_parametric_grid_too_small():
-    fam = _SquareFamily()
     with pytest.raises(GridError):
-        certify_parametric(fam, lambda t: Verdict.ok(), axes={"t": [1]})
+        certify_parametric(_SQUARE, lambda pt: Verdict.ok(), axes={"t": [1]})
 
 
 def test_certify_parametric_rejects_excluded_values():
-    class _Guarded:
-        params = (ParamSpec("t", 1, (1, 2), exclude=(0,)),)
-
-        def instantiate(self, point):
-            return point["t"]
-
+    guarded = (ParamSpec("t", 1, (1, 2), exclude=(0,)),)
     with pytest.raises(GridError):
-        certify_parametric(_Guarded(), lambda t: Verdict.ok(), axes={"t": [0, 1]})
+        certify_parametric(guarded, lambda pt: Verdict.ok(), axes={"t": [0, 1]})
