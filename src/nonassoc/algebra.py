@@ -154,6 +154,11 @@ class Algebra:
         return scaled, denom
 
     @cached_property
+    def integer_cell_norm(self) -> int:
+        """The largest l1 norm of a cell ``integer_rows[0][i][j]``."""
+        return max(sum(abs(v) for _, v in e) for row in self.integer_rows[0] for e in row)
+
+    @cached_property
     def active(self) -> tuple[int, ...]:
         """The indices i with row i or column i of ``sparse_rows`` nonempty, ascending.
 

@@ -753,7 +753,7 @@ _LABEL_RE = re.compile(
 )
 
 
-def _resolve_args(raw: Optional[str], point: Mapping) -> list:
+def _resolve_args(raw: Optional[str], point: Mapping) -> tuple:
     """The label's arguments, each ``@name`` read from ``point``."""
     out = [piece.strip() for piece in raw.split(",")] if raw else []
     for i, piece in enumerate(out):
@@ -761,7 +761,7 @@ def _resolve_args(raw: Optional[str], point: Mapping) -> list:
             if piece[1:] not in point:
                 raise NonassocError(f"label references unknown parameter {piece[1:]!r}")
             out[i] = point[piece[1:]]
-    return out
+    return tuple(out)
 
 
 def _custom_lin_dim(kinds_raw, dim_raw) -> Callable[[Materialized], Verdict]:
@@ -801,21 +801,21 @@ _CUSTOM_ARITY = {"lin_dim": 2, "null_product": 1, "rota_baxter0_mirrored": 1}
 def bind_row(bundle: FixtureBundle, label: str) -> Callable[[Materialized], Verdict]:
     """The check of ``label`` on a materialized ``bundle``, parsed, its
     record built and its names (condition, identity, algebra in the plan)
-    checked once.  A label with ``@param`` arguments is checked at the
-    sample point and bound again at each point.  An identity row re-checks
+    checked once.  A label with ``@param`` arguments is bound once per
+    argument tuple, first at the sample point.  An identity row re-checks
     only where its plan algebra changes (``Algebra.__eq__``)."""
     match = _LABEL_RE.match(label)
     if not match:
         raise NonassocError(f"malformed check label {label!r}")
-    if "@" in (match[4] or ""):
-        _bind(bundle, label, match, bundle.sample_point)  # its names checked once, here
-        return lambda m: _bind(bundle, label, match, m.point)(m)
-    return _bind(bundle, label, match, {})
+    if "@" not in (match[4] or ""):
+        return _bind(bundle, label, match, _resolve_args(match[4], {}))
+    bind = cache(lambda args: _bind(bundle, label, match, args))
+    bind(_resolve_args(match[4], bundle.sample_point))  # its names checked once, here
+    return lambda m: bind(_resolve_args(match[4], m.point))(m)
 
 
-def _bind(bundle, label, match, point) -> Callable[[Materialized], Verdict]:
-    family, alg_name, kind, raw_args = match.groups()
-    args = _resolve_args(raw_args, point)
+def _bind(bundle, label, match, args: tuple) -> Callable[[Materialized], Verdict]:
+    family, alg_name, kind, _ = match.groups()
     if family == "element":
         if kind in LINEAR_KINDS:
             return lambda m: verify_element(
@@ -835,7 +835,7 @@ def _bind(bundle, label, match, point) -> Callable[[Materialized], Verdict]:
             return _custom_lin_dim(*args)
         alg_name = str(args[0])
         if kind == "rota_baxter0_mirrored":  # catalogued as custom, checked as operator[ALG]
-            family, args = "operator", []
+            family, args = "operator", ()
     if family == "operator":
         prop = OperatorProperty.parse(kind, args)
     elif family == "identity":

@@ -19,6 +19,18 @@ the same D^(m-1) and equality is unchanged; a witness is scaled back.
 Random corroboration runs the raw words through the same int kernel at
 elements kept doubled, so both sides carry 2^m D^(m-1), compared exactly.
 
+The innermost slot runs all at once, by Kronecker substitution: its leaf
+holds index live[p] of the slot's run as the int 2^(w p).  Every word is
+linear in that slot (a product has it in one operand, a sum's terms all
+hold it), so each node at that depth is sum_p 2^(w p) (its value at live[p])
+exactly.  With cmax the largest l1 norm of a cell of the int constants or
+of R's columns, a word of p products and q R nodes has coordinates at most
+cmax^(p+q) at basis vectors, and the signed roots, each summing at most the
+k words of its (coef, p, q) group, at most B = sum |weight| k cmax^(p+q).
+With 2^(w-1) > B a packed coordinate is 0 iff each field is, and the least
+lowest set bit over the coordinates, over w, is the slot's first failing
+index, whose tuple is evaluated alone for the witness.
+
 Symmetry cuts the loop.  A basis permutation g with c[g i][g j][g k] =
 c[i][j][k] is an automorphism, so the polarized form vanishes at a tuple t
 iff it vanishes at g(t), and, being symmetric within each group of slots
@@ -32,11 +44,10 @@ are unchanged.  Only a g that sends some index of a slot group's run to its
 first index can give an image that is not larger (Linton's minimal-image
 idea), so only those g sort an image.  The group is searched for once per
 algebra, and used for a plan only when its tuple count prod C(n+d-1, d)
-exceeds ``_TUPLES_PER_UNIT`` times (n + the number of nonzero constants), as
-the search costs about that many tuples' worth of the plain loop per index
-or constant, and only when the group has no more elements than the plan has
-tuples.  Operator words keep the plain loop, since an automorphism need not
-commute with R.
+exceeds ``_TUPLES_PER_UNIT`` times (n + the number of nonzero constants),
+the measured point past which the search pays for itself, and only when the
+group has no more elements than the plan has tuples.  Operator words keep
+the plain loop, since an automorphism need not commute with R.
 
 Null indices are skipped.  An index i is null when row i and column i of the
 constants are empty, so e_i x = x e_i = 0 for every x; ``Algebra.active``
@@ -88,13 +99,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import comb, lcm, prod
+from operator import or_
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, Element
 from .errors import GridError, NonassocError
-from .scalars import Scalar, as_scalar, canonical, format_scalar
+from .scalars import Scalar, as_scalar, format_scalar
 from .verdicts import Verdict, Witness
 
 # A word is a slot index (leaf), a pair (left, right), or ("R", word).
@@ -314,7 +326,8 @@ class _Schedule(NamedTuple):
     a product or an R node (see ``_basis_verdict``).
 
     A root stands for the words of one (coef, p, q) group of a side, factored
-    by ``_factor``; the roots of a group sum to its words exactly.
+    by ``_factor``; the roots of a group sum to its words exactly.  ``norms``
+    gives each root, lhs then rhs, as (the k words of its group, p + q).
     """
 
     steps: tuple[tuple[tuple, ...], ...]
@@ -324,6 +337,7 @@ class _Schedule(NamedTuple):
     size: int
     phantom: Optional[int]
     covered: bool
+    norms: tuple[tuple[int, int], ...]
 
 
 def _factor(words: list) -> list:
@@ -377,18 +391,20 @@ def _schedule(slots: int, lhs_words, rhs_words, groups=()) -> _Schedule:
             steps[at].append((ids[word], left, right))
         return ids[word]
 
+    norms: list = []
+
     def roots(words) -> tuple:
         by_shape: dict = {}
         for coef, w in words:
             by_shape.setdefault((coef, *_shape(w)), []).append(w)
-        return tuple(
-            (coef, node(t), p, q) for (coef, p, q), ws in by_shape.items() for t in _factor(ws)
-        )
+        terms = [(c, t, p, q, len(ws)) for (c, p, q), ws in by_shape.items() for t in _factor(ws)]
+        norms.extend((k, p + q) for _, _, p, q, k in terms)
+        return tuple((coef, node(t), p, q) for coef, t, p, q, _ in terms)
 
     lhs, rhs = roots(lhs_words), roots(rhs_words)
     tied = tuple(any(s in g[1:] for g in groups) for s in range(slots))
     return _Schedule(
-        tuple(map(tuple, steps)), lhs, rhs, tied, len(depth), ids.get("R"), covered
+        tuple(map(tuple, steps)), lhs, rhs, tied, len(depth), ids.get("R"), covered, tuple(norms)
     )
 
 
@@ -469,14 +485,26 @@ def _products(rows, steps, vals) -> None:
 
 
 def _unscaled(acc: dict, dim: int, scale: int) -> Element:
-    """The element with coordinates ``acc[k] / scale`` (a missing key is 0)."""
-    return Element(tuple(canonical(Fraction(acc.get(k, 0), scale)) for k in range(dim)))
+    """The element with coordinates ``acc[k] / scale`` (a missing key is 0), ints where integral."""
+    return Element(tuple(
+        Fraction(v, scale) if (v := acc.get(k, 0)) % scale else v // scale for k in range(dim)))
 
 
 def _failure(indices, inputs, lhs, rhs, vals, dim: int, scale: int) -> Verdict:
     """Failing verdict whose sides are the weighted roots divided by ``scale``."""
     sides = (_unscaled(_signed_sum(r, vals), dim, scale) for r in (lhs, rhs))
     return Verdict.fail(Witness(indices, inputs, *sides))
+
+
+def _field_width(a: Algebra, sched: _Schedule, rows, signed) -> int:
+    """Bits per packed field: 2^(width - 1) exceeds every coordinate of the
+    ``signed`` roots at any basis tuple, by the bound of the module docstring;
+    R's columns are the cells ``rows[x][dim]``."""
+    cmax = a.integer_cell_norm
+    if sched.phantom is not None:
+        cmax = max(cmax, *(sum(abs(v) for _, v in row[a.dim]) for row in rows))
+    bound = sum(abs(w) * k * cmax**e for (w, _), (k, e) in zip(signed, sched.norms))
+    return bound.bit_length() + 1
 
 
 def _basis_verdict(a: Algebra, sched: _Schedule, rows, lhs, rhs, scale: int,
@@ -515,6 +543,10 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, lhs, rhs, scale: int,
     least image of y.  At a later x, low[x] < a prunes; a g in no hits[y],
     y in r, maps r above a, so it neither prunes nor stays: only hits sort.
 
+    Packing (module docstring): the last slot's run less the indices
+    ``survivors`` prunes is one leaf {live[p]: 2^(width p)}, checked in one
+    pass; the first failing p's tuple is evaluated alone for the witness.
+
     Null-index pruning: when ``sched.covered`` (no side is a bare leaf),
     every slot runs over the live indices only: the ``Algebra.active`` ones
     and, when the words apply R, those whose R column is nonzero.  A tuple
@@ -536,6 +568,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, lhs, rhs, scale: int,
         order = sorted(live)
     at = order if len(order) == dim else {i: p for p, i in enumerate(order)}
     last = len(tied) - 1
+    width = _field_width(a, sched, rows, signed)
     start = [0] * len(tied)  # first slot of each slot's group
     for d in range(1, len(tied)):
         start[d] = start[d - 1] if tied[d] else d
@@ -571,18 +604,36 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, lhs, rhs, scale: int,
                     kept.append(g)
         return kept if closed else alive
 
+    def block(run, alive) -> bool:
+        """Check the last slot over ``run`` at once; True at a failure, set in ``tup``."""
+        live = []
+        for i in run:
+            tup[last] = i
+            if not alive or survivors(last, alive) is not None:
+                live.append(i)
+        vals[last] = {i: 1 << width * p for p, i in enumerate(live)}
+        _products(rows, sched.steps[last], vals)
+        bits = reduce(or_, _signed_sum(signed, vals).values(), 0)
+        if not bits:
+            return False
+        tup[last] = live[((bits & -bits).bit_length() - 1) // width]
+        return True
+
     def loop(d: int, alive) -> bool:
         """Run slot ``d`` and the slots after it; True at the first failure."""
         if alive and not tied[d] and d < last and tied[d + 1]:
             low[d] = [min(c) for c in zip(*alive)]
-        for i in order[at[tup[d - 1]]:] if tied[d] else order:
+        run = order[at[tup[d - 1]]:] if tied[d] else order
+        if d == last:
+            return block(run, alive)
+        for i in run:
             tup[d] = i
             below = alive and survivors(d, alive)
             if below is None:
                 continue
             vals[d] = {i: 1}
             _products(rows, sched.steps[d], vals)
-            if loop(d + 1, below) if d < last else any(_signed_sum(signed, vals).values()):
+            if loop(d + 1, below):
                 return True
         return False
 
@@ -590,15 +641,17 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, lhs, rhs, scale: int,
     del loop  # empties the closure cell through which loop calls itself: no cycle
     if not failed:
         return Verdict.ok()
+    vals[last] = {tup[last]: 1}  # the witness, evaluated alone
+    _products(rows, sched.steps[last], vals)
     inputs = tuple(a.basis_vector(i) for i in tup)
     return _failure(tuple(tup), inputs, lhs, rhs, vals, dim, scale)
 
 
 # Tuples per basis index or nonzero constant above which a plan uses the
-# group.  Measured on M4, M5 and commutator(M5) in shuffled matrix-unit bases
-# (x86-64, Python 3.11), the search costs 30-45 us per index or constant and
-# the plain loop 2-11 us per tuple, a ratio of 3 to 23; at 16 a plan's plain
-# loop costs about as much as the whole search or more.
+# group.  On fresh M4, M5, commutator(M5) and M6 in shuffled matrix-unit bases
+# (2-core x86-64, Python 3.11; the search 17-34 us per index or constant, the
+# packed loop 0.4-2.4 us per tuple), the catalog suite took 0.056 s at 8 or
+# 16, 0.085 s at 32, 0.15 s at 64 and 0.87 s without the group.
 _TUPLES_PER_UNIT = 16
 
 

@@ -19,7 +19,6 @@ Formats (all UTF-8 JSON):
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any
@@ -231,6 +230,7 @@ def load_grid(path) -> list[tuple]:
 
 def algebra_content_hash(a: Algebra) -> str:
     """Stable hash of the mathematical content (dim + structure constants)."""
+    import hashlib  # here: it loads OpenSSL, which only the two content hashes need
     payload = json.dumps(
         {"dim": a.dim, "sc": algebra_to_dict(a)["sc"]},
         sort_keys=True,
@@ -240,5 +240,6 @@ def algebra_content_hash(a: Algebra) -> str:
 
 
 def operator_content_hash(r: LinearOperator) -> str:
+    import hashlib
     payload = json.dumps(operator_to_dict(r), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -298,6 +298,24 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert "Traceback" not in missing.stderr
 
 
+def test_importing_the_cli_loads_no_openssl():
+    """``hashlib`` loads OpenSSL (about 5 ms and 3.6 MiB); only the content
+    hashes import it, when first called."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(DATA.parent.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    probe = ("import sys, nonassoc.cli; "
+             "print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules)); "
+             "from nonassoc.algebra import make_algebra; "
+             "from nonassoc.serial import algebra_content_hash; "
+             "algebra_content_hash(make_algebra(1, [])); print('hashlib' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["[]", "True"]
+
+
 @pytest.mark.parametrize("random_trials", [False, True], ids=["exact", "random"])
 def test_null_dim_200_passes_every_identity_in_bounded_memory(tmp_path, random_trials):
     """A 200-dimensional null algebra: each catalog identity exits 0 with PASS,

@@ -75,11 +75,14 @@ def lex_min_representatives(a, degrees):
 
 
 def assert_visited_representatives(visited, reps, verdict):
-    """The loop compared the sides at the representatives, cut at the witness."""
+    """The loop compared the sides at the representatives, cut at the end of
+    the witness's block: the representatives that share all but its last index."""
     if verdict.passed:
         assert visited == reps
     else:
-        assert visited == reps[:reps.index(verdict.witness.indices) + 1]
+        w = verdict.witness.indices
+        end = max(k for k, t in enumerate(reps) if t[:-1] == w[:-1])
+        assert w in reps and visited == reps[:end + 1]
 
 
 def plain_verdict(a, name):
@@ -121,15 +124,18 @@ def always_use_group(monkeypatch):
 
 @pytest.fixture
 def visited(monkeypatch):
-    """Records, in ``tuples``, the first ``slots`` indices of each basis tuple at
-    which the loop compares the two sides, in order."""
+    """Records, in ``tuples``, each basis tuple of ``slots`` indices at which the
+    loop compares the two sides, in order: the loop compares a packed block at
+    once, the prefix's indices followed by each key of the last slot's leaf."""
     seen = {"slots": 0, "tuples": []}
     original = identities._signed_sum
 
     def record(roots, vals):
-        t = tuple(next(iter(vals[s])) for s in range(seen["slots"]))
-        if not seen["tuples"] or seen["tuples"][-1] != t:  # a witness's sides sum again
-            seen["tuples"].append(t)
+        last = seen["slots"] - 1
+        prefix = tuple(next(iter(vals[s])) for s in range(last))
+        for i in vals[last]:
+            if prefix + (i,) not in seen["tuples"]:  # a witness's sides sum again
+                seen["tuples"].append(prefix + (i,))
         return original(roots, vals)
 
     monkeypatch.setattr(identities, "_signed_sum", record)
