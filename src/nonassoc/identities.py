@@ -25,11 +25,10 @@ linear in that slot (a product has it in one operand, a sum's terms all
 hold it), so each node at that depth is sum_p 2^(w p) (its value at live[p])
 exactly.  With cmax the largest l1 norm of a cell of the int constants or
 of R's columns, a word of p products and q R nodes has coordinates at most
-cmax^(p+q) at basis vectors, and the signed roots, each summing at most the
-k words of its (coef, p, q) group, at most B = sum |weight| k cmax^(p+q).
-With 2^(w-1) > B a packed coordinate is 0 iff each field is, and the least
-lowest set bit over the coordinates, over w, is the slot's first failing
-index, whose tuple is evaluated alone for the witness.
+cmax^(p+q) at basis vectors, and a signed root, summing at most the k words
+of its (coef, p, q) group, at most |weight| k cmax^(p+q); B is their sum.
+With 2^(w-1) > B a packed coordinate is 0 iff each field is, and the lowest
+set bit of all coordinates, over w, is the slot's first failing index.
 
 Symmetry cuts the loop.  A basis permutation g with c[g i][g j][g k] =
 c[i][j][k] is an automorphism, so the polarized form vanishes at a tuple t
@@ -326,8 +325,8 @@ class _Schedule(NamedTuple):
     a product or an R node (see ``_basis_verdict``).
 
     A root stands for the words of one (coef, p, q) group of a side, factored
-    by ``_factor``; the roots of a group sum to its words exactly.  ``norms``
-    gives each root, lhs then rhs, as (the k words of its group, p + q).
+    by ``_factor``; the roots of a group sum to its words exactly.  ``counts``
+    gives each root, lhs then rhs, the number k of words in its group.
     """
 
     steps: tuple[tuple[tuple, ...], ...]
@@ -337,7 +336,7 @@ class _Schedule(NamedTuple):
     size: int
     phantom: Optional[int]
     covered: bool
-    norms: tuple[tuple[int, int], ...]
+    counts: tuple[int, ...]
 
 
 def _factor(words: list) -> list:
@@ -391,20 +390,20 @@ def _schedule(slots: int, lhs_words, rhs_words, groups=()) -> _Schedule:
             steps[at].append((ids[word], left, right))
         return ids[word]
 
-    norms: list = []
+    counts: list = []
 
     def roots(words) -> tuple:
         by_shape: dict = {}
         for coef, w in words:
             by_shape.setdefault((coef, *_shape(w)), []).append(w)
         terms = [(c, t, p, q, len(ws)) for (c, p, q), ws in by_shape.items() for t in _factor(ws)]
-        norms.extend((k, p + q) for _, _, p, q, k in terms)
+        counts.extend(k for *_, k in terms)
         return tuple((coef, node(t), p, q) for coef, t, p, q, _ in terms)
 
     lhs, rhs = roots(lhs_words), roots(rhs_words)
     tied = tuple(any(s in g[1:] for g in groups) for s in range(slots))
     return _Schedule(
-        tuple(map(tuple, steps)), lhs, rhs, tied, len(depth), ids.get("R"), covered, tuple(norms)
+        tuple(map(tuple, steps)), lhs, rhs, tied, len(depth), ids.get("R"), covered, tuple(counts)
     )
 
 
@@ -423,14 +422,16 @@ def compile_words(arity: int, lhs_words, rhs_words) -> _Schedule:
 # Staged evaluation of multilinear words at basis tuples
 # ---------------------------------------------------------------------------
 
-def _integer_columns(columns: Sequence[Element]) -> tuple[tuple, int]:
-    """Sparse ``(k, c)`` columns times the lcm ``E`` of their denominators, and ``E``."""
+def _integer_columns(columns: Sequence[Element]) -> tuple[tuple, int, int]:
+    """Sparse ``(k, c)`` columns times the lcm ``E`` of their denominators, ``E``,
+    and the largest l1 norm of a scaled column."""
     denom = lcm(*(v.denominator for col in columns for v in col.coords))
-    scaled = tuple(
-        tuple((k, v.numerator * (denom // v.denominator)) for k, v in enumerate(col.coords) if v)
-        for col in columns
-    )
-    return scaled, denom
+    scaled, norm = [], 0
+    for col in columns:
+        scaled.append(tuple((k, v.numerator * (denom // v.denominator))
+                            for k, v in enumerate(col.coords) if v))
+        norm = max(norm, sum(abs(c) for _, c in scaled[-1]))
+    return tuple(scaled), denom, norm
 
 
 def _weighted(sched: _Schedule, denom: int, rdenom: int = 1, params: Mapping = {}):
@@ -496,24 +497,23 @@ def _failure(indices, inputs, lhs, rhs, vals, dim: int, scale: int) -> Verdict:
     return Verdict.fail(Witness(indices, inputs, *sides))
 
 
-def _field_width(a: Algebra, sched: _Schedule, rows, signed) -> int:
-    """Bits per packed field: 2^(width - 1) exceeds every coordinate of the
-    ``signed`` roots at any basis tuple, by the bound of the module docstring;
-    R's columns are the cells ``rows[x][dim]``."""
-    cmax = a.integer_cell_norm
-    if sched.phantom is not None:
-        cmax = max(cmax, *(sum(abs(v) for _, v in row[a.dim]) for row in rows))
-    bound = sum(abs(w) * k * cmax**e for (w, _), (k, e) in zip(signed, sched.norms))
+def _field_width(sched: _Schedule, signed, cmax: int) -> int:
+    """Bits per packed field: 2^(width - 1) exceeds every coordinate of the ``signed``
+    roots at any basis tuple (module docstring), cmax bounding each cell's l1 norm."""
+    roots = sched.lhs + sched.rhs
+    bound = sum(abs(w) * k * cmax ** (p + q)
+                for (w, _), k, (_, _, p, q) in zip(signed, sched.counts, roots))
     return bound.bit_length() + 1
 
 
-def _basis_verdict(a: Algebra, sched: _Schedule, rows, lhs, rhs, scale: int,
+def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scale: int,
                    group: Sequence[tuple] = ()) -> Verdict:
     """Check the weighted roots on basis tuples, stopping at the first failure.
 
     Tuples run in lexicographic order, non-decreasing within each symmetry
     group of slots.  ``rows`` are the int structure constants, each row
-    extended by R's column when the words apply R.
+    extended by R's column when the words apply R; ``cmax`` is the largest
+    l1 norm of a cell of ``rows``, R's columns included.
 
     ``group`` lists the non-identity elements of a group G of basis
     permutations that preserve the constants; only the lex-min tuple of each
@@ -568,7 +568,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, lhs, rhs, scale: int,
         order = sorted(live)
     at = order if len(order) == dim else {i: p for p, i in enumerate(order)}
     last = len(tied) - 1
-    width = _field_width(a, sched, rows, signed)
+    width = _field_width(sched, signed, cmax)
     start = [0] * len(tied)  # first slot of each slot's group
     for d in range(1, len(tied)):
         start[d] = start[d - 1] if tied[d] else d
@@ -614,10 +614,9 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, lhs, rhs, scale: int,
         vals[last] = {i: 1 << width * p for p, i in enumerate(live)}
         _products(rows, sched.steps[last], vals)
         bits = reduce(or_, _signed_sum(signed, vals).values(), 0)
-        if not bits:
-            return False
-        tup[last] = live[((bits & -bits).bit_length() - 1) // width]
-        return True
+        if bits:
+            tup[last] = live[((bits & -bits).bit_length() - 1) // width]
+        return bool(bits)
 
     def loop(d: int, alive) -> bool:
         """Run slot ``d`` and the slots after it; True at the first failure."""
@@ -674,7 +673,7 @@ def check_identity(a: Algebra, name: str) -> Verdict:
     tuples = prod(comb(n + d - 1, d) for d in plan.identity.multidegree)
     size = n + a.nonzero_constants
     group = a.automorphisms.elements(tuples) if tuples > _TUPLES_PER_UNIT * size else ()
-    return _basis_verdict(a, sched, rows, *_weighted(sched, denom), group)
+    return _basis_verdict(a, sched, rows, a.integer_cell_norm, *_weighted(sched, denom), group)
 
 
 def check_words(
@@ -688,9 +687,10 @@ def check_words(
     side is a bare leaf.
     """
     rows, denom = a.integer_rows
-    cols, rdenom = _integer_columns(columns)
+    cols, rdenom, rnorm = _integer_columns(columns)
     rows = tuple(row + (col,) for row, col in zip(rows, cols))
-    return _basis_verdict(a, sched, rows, *_weighted(sched, denom, rdenom, params))
+    cmax = max(a.integer_cell_norm, rnorm)
+    return _basis_verdict(a, sched, rows, cmax, *_weighted(sched, denom, rdenom, params))
 
 
 # ---------------------------------------------------------------------------

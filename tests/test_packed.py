@@ -49,25 +49,31 @@ def mixed(seed, dim):
 
 
 def identity_signed(a, name):
-    """The schedule, int rows and signed weighted roots ``check_identity`` uses."""
+    """The schedule, int rows, signed weighted roots and cell norm ``check_identity`` uses."""
     sched = identities._plan_schedule(name)
     rows, denom = a.integer_rows
     lhs, rhs, _ = identities._weighted(sched, denom)
-    return sched, rows, lhs + tuple((-w, n) for w, n in rhs)
+    return sched, rows, lhs + tuple((-w, n) for w, n in rhs), a.integer_cell_norm
 
 
 def operator_signed(a, r, prop):
-    """The schedule, int rows (R's column appended) and signed roots of ``check_words``."""
+    """The schedule, int rows (R's column appended), signed roots and cell norm
+    of ``check_words``."""
     sched = _SCHEDULES[prop.kind]
     params = {name: getattr(prop, name) for name in PROPERTY_KINDS[prop.kind].params}
-    cols, rdenom = identities._integer_columns(r.columns)
+    cols, rdenom, rnorm = identities._integer_columns(r.columns)
     rows, denom = a.integer_rows
     rows = tuple(row + (col,) for row, col in zip(rows, cols))
     lhs, rhs, _ = identities._weighted(sched, denom, rdenom, params)
-    return sched, rows, lhs + tuple((-w, n) for w, n in rhs)
+    return sched, rows, lhs + tuple((-w, n) for w, n in rhs), max(a.integer_cell_norm, rnorm)
 
 
-def largest_coordinate(a, sched, rows, signed):
+def field_width(sched, rows, signed, cmax):
+    """``_field_width`` of one of the tuples above."""
+    return identities._field_width(sched, signed, cmax)
+
+
+def largest_coordinate(a, sched, rows, signed, _cmax):
     """The largest |coordinate| of the signed sum and of each weighted root, over
     every basis tuple, each evaluated alone with the unpacked kernel."""
     slots = len(sched.tied)
@@ -117,7 +123,7 @@ def test_fields_past_64_bits_match_the_plain_loop():
     for a in (scaled(shuffled_matrix_algebra(3, 2), 10**6),
               scaled(commutator(shuffled_matrix_algebra(3, 4)), -10**6),
               scaled(mixed(5, 3), 10**6)):
-        assert identities._field_width(a, *identity_signed(a, "jordan_main")) > 64
+        assert field_width(*identity_signed(a, "jordan_main")) > 64
         for name in IDENTITY_NAMES:
             verdict = check_identity(a, name)
             assert repr(verdict) == repr(plain_verdict(a, name)), name
@@ -164,8 +170,9 @@ def test_a_tied_last_slot_matches_the_plain_loop(words):
         rows, denom = a.integer_rows
         weighted = identities._weighted(sched, denom)
         oracle = plain_words_verdict(a, degrees, lhs, rhs)
-        assert repr(identities._basis_verdict(a, sched, rows, *weighted)) == repr(oracle)
-        verdict = identities._basis_verdict(a, sched, rows, *weighted, group_of(a)[1:])
+        cmax = a.integer_cell_norm
+        assert repr(identities._basis_verdict(a, sched, rows, cmax, *weighted)) == repr(oracle)
+        verdict = identities._basis_verdict(a, sched, rows, cmax, *weighted, group_of(a)[1:])
         assert repr(verdict) == repr(oracle)
         failed += not oracle.passed
     assert failed >= 1
@@ -192,23 +199,34 @@ def test_large_operator_columns_match_the_oracle(seed):
         assert repr(verdict) == repr(oracle_verdict(a, r, prop)), prop
         failed += not verdict.passed
     assert failed >= 20
-    assert identities._field_width(a, *operator_signed(a, r, OperatorProperty("endomorphism"))) > 64
+    assert field_width(*operator_signed(a, r, OperatorProperty("endomorphism"))) > 64
 
 
-def test_field_width_bounds_every_coordinate():
+def test_field_width_bounds_every_coordinate(monkeypatch):
     """2^(width - 1) exceeds every coordinate the unpacked kernel reaches, for
     identities on M3, a scaled commutator and a rational algebra, and for
-    operator words with large columns."""
+    operator words with large columns; the width is the one the check packs
+    with, so ``check_words`` must count R's columns in ``cmax``."""
+    widths = []
+    original = identities._field_width
+
+    def record(*args):
+        widths.append(original(*args))
+        return widths[-1]
+
+    monkeypatch.setattr(identities, "_field_width", record)
     for a in (shuffled_matrix_algebra(3, 1),
               scaled(commutator(shuffled_matrix_algebra(3, 2)), 10**6), mixed(7, 3)):
         for name in IDENTITY_NAMES:
-            signed = identity_signed(a, name)
-            top = largest_coordinate(a, *signed)
-            assert top < 2 ** (identities._field_width(a, *signed) - 1), name
+            widths.clear()
+            check_identity(a, name)
+            top = largest_coordinate(a, *identity_signed(a, name))
+            assert widths and top < 2 ** (widths[0] - 1), name
     rng = random.Random(9)
     a = mixed(300, 3)
     r = large_operator(a, rng)
     for prop in every_property((1, Fraction(-1, 2))):
-        signed = operator_signed(a, r, prop)
-        top = largest_coordinate(a, *signed)
-        assert 0 < top < 2 ** (identities._field_width(a, *signed) - 1), prop
+        widths.clear()
+        check_operator_property(a, r, prop)
+        top = largest_coordinate(a, *operator_signed(a, r, prop))
+        assert widths and 0 < top < 2 ** (widths[0] - 1), prop

@@ -125,20 +125,29 @@ def always_use_group(monkeypatch):
 @pytest.fixture
 def visited(monkeypatch):
     """Records, in ``tuples``, each basis tuple of ``slots`` indices at which the
-    loop compares the two sides, in order: the loop compares a packed block at
-    once, the prefix's indices followed by each key of the last slot's leaf."""
-    seen = {"slots": 0, "tuples": []}
-    original = identities._signed_sum
+    loop compares the two sides, in order, repeats kept: the loop compares a
+    packed block at once, the prefix's indices followed by each key of the
+    last slot's leaf.  The witness's sides, summed again inside ``_failure``,
+    are not a comparison and are not recorded."""
+    seen = {"slots": 0, "tuples": [], "witness": False}
+    original_sum, original_failure = identities._signed_sum, identities._failure
 
     def record(roots, vals):
-        last = seen["slots"] - 1
-        prefix = tuple(next(iter(vals[s])) for s in range(last))
-        for i in vals[last]:
-            if prefix + (i,) not in seen["tuples"]:  # a witness's sides sum again
-                seen["tuples"].append(prefix + (i,))
-        return original(roots, vals)
+        if not seen["witness"]:
+            last = seen["slots"] - 1
+            prefix = tuple(next(iter(vals[s])) for s in range(last))
+            seen["tuples"] += [prefix + (i,) for i in vals[last]]
+        return original_sum(roots, vals)
+
+    def failure(*args):
+        seen["witness"] = True
+        try:
+            return original_failure(*args)
+        finally:
+            seen["witness"] = False
 
     monkeypatch.setattr(identities, "_signed_sum", record)
+    monkeypatch.setattr(identities, "_failure", failure)
     return seen
 
 
@@ -273,9 +282,11 @@ def test_tied_slots_after_a_closed_group_visit_the_lex_min_representatives(visit
     rows, denom = a.integer_rows
     weighted = identities._weighted(sched, denom)
     visited["slots"] = sum(degrees)
-    verdict = identities._basis_verdict(a, sched, rows, *weighted, group_of(a)[1:])
+    verdict = identities._basis_verdict(
+        a, sched, rows, a.integer_cell_norm, *weighted, group_of(a)[1:])
     assert_visited_representatives(visited["tuples"], lex_min_representatives(a, degrees), verdict)
-    assert repr(verdict) == repr(identities._basis_verdict(a, sched, rows, *weighted))
+    plain = identities._basis_verdict(a, sched, rows, a.integer_cell_norm, *weighted)
+    assert repr(verdict) == repr(plain)
 
 
 def _witness_algebras(all_materialized):
