@@ -13,6 +13,15 @@ neither side):
     python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --out BENCH_x.json
 
 Both trees need ``perfbench/run.py``; nothing is imported from it.
+
+The record also holds ``suites``: the full identity suite on algebras larger
+than any workload's (M6 to M10, ``hadamard_algebra(n, n)`` for n = 5 to 8,
+and a null algebra of dim 10^4), run after the workloads for three rounds,
+the side that goes first alternating.  Each entry runs alone in a child
+process with the tree's ``src`` on its path, a 2 GiB address-space limit
+and a 120 s timeout.  It records the CPU seconds of building the algebra
+and of the suite, the peak RSS and a digest of the verdicts' ``repr``s, or
+"timeout" or "MemoryError".
 """
 from __future__ import annotations
 
@@ -20,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -30,6 +40,35 @@ from pathlib import Path
 SEED = 1
 PAIRS = 10
 COMMAND = "python3 perfbench/run.py --workload W --seed {seed} --seconds {seconds} --trace 0"
+ROUNDS = 3
+SUITE_LIMIT_BYTES = 2 << 30
+SUITE_TIMEOUT_S = 120
+SUITES = {f"M{n}": f"matrix_algebra({n})" for n in range(6, 11)}
+SUITES.update({f"H{n}": f"hadamard_algebra({n}, {n})" for n in range(5, 9)})
+SUITES["null10000"] = "make_algebra(10**4, [])"
+# Runs in a child: argv[1] is an entry of SUITES; prints one JSON line.
+SUITE_CHILD = """
+import hashlib, json, resource, sys, time
+from nonassoc.algebra import make_algebra, matrix_algebra
+from nonassoc.constructions import hadamard_algebra
+from nonassoc.identities import IDENTITY_NAMES, check_identity
+try:
+    start = time.process_time()
+    a = eval(sys.argv[1])
+    built = time.process_time()
+    verdicts = [check_identity(a, name) for name in IDENTITY_NAMES]
+    done = time.process_time()
+except MemoryError:
+    print(json.dumps("MemoryError"))
+else:
+    print(json.dumps({
+        "build_s": round(built - start, 3),
+        "suite_s": round(done - built, 3),
+        "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "passed": sum(v.passed for v in verdicts),
+        "digest": hashlib.sha256("\\n".join(map(repr, verdicts)).encode()).hexdigest()[:16],
+    }))
+"""
 
 
 def describe(tree: Path) -> str:
@@ -57,6 +96,70 @@ def run_once(tree: Path, workload: str, seconds: float) -> dict:
     out = {"attempted": result["attempted"], "failed": result["failed"]}
     out.update({name: m["value"] for name, m in result["metrics"].items()})
     return out
+
+
+def limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (SUITE_LIMIT_BYTES, SUITE_LIMIT_BYTES))
+
+
+def run_suite(tree: Path, expr: str):
+    """The identity suite on ``expr``'s algebra in a child process: its entry."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", SUITE_CHILD, expr], env=env, capture_output=True, text=True,
+            timeout=SUITE_TIMEOUT_S, preexec_fn=limit_address_space,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    if proc.returncode != 0:
+        return "MemoryError" if "MemoryError" in proc.stderr else f"exit {proc.returncode}"
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_suites(trees: dict) -> dict:
+    """``ROUNDS`` alternating rounds of every entry of ``SUITES`` on both sides."""
+    runs: dict = {"parent": [], "change": []}
+    for r in range(1, ROUNDS + 1):
+        for side in ("parent", "change") if r % 2 else ("change", "parent"):
+            runs[side].append({label: run_suite(trees[side], expr) for label, expr in SUITES.items()})
+            print("suites", r, side, {k: v if isinstance(v, str) else v["suite_s"]
+                                      for k, v in runs[side][-1].items()}, flush=True)
+    return {
+        "what": "CPU seconds of building each algebra and of check_identity over every "
+                "catalog identity on it, peak RSS and a digest of the verdicts, per side and round",
+        "algebras": SUITES,
+        "limits": {"address_space_bytes": SUITE_LIMIT_BYTES, "timeout_s": SUITE_TIMEOUT_S},
+        "pairing": f"{ROUNDS} rounds; round i runs the parent first when i is odd; one child "
+                   "process per entry, one at a time",
+        "runs": runs,
+        "summary": summarize_suites(runs),
+    }
+
+
+def summarize_suites(runs: dict) -> dict:
+    """Per entry and side: the median and range of the suite's CPU seconds and
+    the median peak RSS over the finished rounds, the ways the others ended,
+    and whether every finished round of both sides gave one verdict digest."""
+    summary = {}
+    for label in runs["parent"][0]:
+        out: dict = {}
+        digests = set()
+        for side, side_runs in runs.items():
+            got = [run[label] for run in side_runs]
+            done = [e for e in got if isinstance(e, dict)]
+            times = [e["suite_s"] for e in done]
+            digests.update(e["digest"] for e in done)
+            out[side] = {
+                "suite_s_median": statistics.median(times) if done else None,
+                "suite_s_range": [min(times), max(times)] if done else None,
+                "peak_rss_mib_median":
+                    statistics.median(e["peak_rss_mib"] for e in done) if done else None,
+                "unfinished": sorted({e for e in got if isinstance(e, str)}),
+            }
+        out["digests_match"] = len(digests) <= 1
+        summary[label] = out
+    return summary
 
 
 def summarize(workload: str, pairs: list, metrics: list) -> dict:
@@ -110,6 +213,8 @@ def main() -> int:
         record["runs"].append({"workload": w["name"], "seed": SEED, "pairs": pairs})
         record["summary"].append(summarize(w["name"], pairs, bench["end_to_end"]))
         args.out.write_text(json.dumps(record, indent=1) + "\n")
+    record["suites"] = run_suites(trees)
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

@@ -20,9 +20,9 @@ Random corroboration runs the raw words through the same int kernel at
 elements kept doubled, so both sides carry 2^m D^(m-1), compared exactly.
 
 The innermost slot runs all at once, by Kronecker substitution: its leaf
-holds index live[p] of the slot's run as the int 2^(w p).  Every word is
-linear in that slot (a product has it in one operand, a sum's terms all
-hold it), so each node at that depth is sum_p 2^(w p) (its value at live[p])
+holds index run[p] of the slot's whole run as the int 2^(w p).  Every word
+is linear in that slot (a product has it in one operand, a sum's terms all
+hold it), so each node at that depth is sum_p 2^(w p) (its value at run[p])
 exactly.  With cmax the largest l1 norm of a cell of the int constants or
 of R's columns, a word of p products and q R nodes has coordinates at most
 cmax^(p+q) at basis vectors, and a signed root, summing at most the k words
@@ -41,12 +41,14 @@ no later than itself, and that representative fails, so the first failing
 representative is the lexicographically first failing tuple and witnesses
 are unchanged.  Only a g that sends some index of a slot group's run to its
 first index can give an image that is not larger (Linton's minimal-image
-idea), so only those g sort an image.  The group is searched for once per
-algebra, and used for a plan only when its tuple count prod C(n+d-1, d)
-exceeds ``_TUPLES_PER_UNIT`` times (n + the number of nonzero constants),
-the measured point past which the search pays for itself, and only when the
-group has no more elements than the plan has tuples.  Operator words keep
-the plain loop, since an automorphism need not commute with R.
+idea), so only those g sort an image.  Only prefixes are pruned: the packed
+innermost slot checks its whole run, still exactly (``_basis_verdict``).
+The group is searched for once per algebra, and used for a plan only when
+its tuple count prod C(n+d-1, d) exceeds ``_TUPLES_PER_UNIT`` times (n + the
+number of nonzero constants), the measured point past which the search pays
+for itself, and only when the group has no more elements than the plan has
+tuples.  Operator words keep the plain loop, since an automorphism need not
+commute with R.
 
 Null indices are skipped.  An index i is null when row i and column i of the
 constants are empty, so e_i x = x e_i = 0 for every x; ``Algebra.active``
@@ -422,18 +424,6 @@ def compile_words(arity: int, lhs_words, rhs_words) -> _Schedule:
 # Staged evaluation of multilinear words at basis tuples
 # ---------------------------------------------------------------------------
 
-def _integer_columns(columns: Sequence[Element]) -> tuple[tuple, int, int]:
-    """Sparse ``(k, c)`` columns times the lcm ``E`` of their denominators, ``E``,
-    and the largest l1 norm of a scaled column."""
-    denom = lcm(*(v.denominator for col in columns for v in col.coords))
-    scaled, norm = [], 0
-    for col in columns:
-        scaled.append(tuple((k, v.numerator * (denom // v.denominator))
-                            for k, v in enumerate(col.coords) if v))
-        norm = max(norm, sum(abs(c) for _, c in scaled[-1]))
-    return tuple(scaled), denom, norm
-
-
 def _weighted(sched: _Schedule, denom: int, rdenom: int = 1, params: Mapping = {}):
     """The roots as ``(weight, node)`` and their common scale ``L·D^P·E^Q``.
 
@@ -517,7 +507,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
 
     ``group`` lists the non-identity elements of a group G of basis
     permutations that preserve the constants; only the lex-min tuple of each
-    orbit of G x (slot symmetry) is checked.  Orbit argument: an automorphism
+    orbit of G x (slot symmetry) need be checked.  Orbit argument: an automorphism
     g maps the words' value at t to their value at g(t), and the polarized
     form is symmetric within each slot group, so t passes iff sort(g(t))
     does, sort ordering each slot group; a pass on every representative is a
@@ -533,7 +523,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     image.  Kept alive below a prefix are the g whose sorted image equals it
     on every completed slot group, since a larger image there stays larger
     below.  Inside an unfinished slot group a larger sorted image can still
-    become smaller, so there no g is dropped.  At a full tuple the alive g
+    become smaller, so there no g is dropped.  At each prefix the alive g
     are then exactly the ones that could map it lower, and the test is exact.
     With G trivial (``group`` empty) this is the plain loop.
 
@@ -543,9 +533,13 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     least image of y.  At a later x, low[x] < a prunes; a g in no hits[y],
     y in r, maps r above a, so it neither prunes nor stays: only hits sort.
 
-    Packing (module docstring): the last slot's run less the indices
-    ``survivors`` prunes is one leaf {live[p]: 2^(width p)}, checked in one
-    pass; the first failing p's tuple is evaluated alone for the witness.
+    Packing (module docstring): the last slot's whole run is one leaf
+    {run[p]: 2^(width p)}, checked in one pass; the first failing p's tuple is
+    evaluated alone for the witness.  It is exact though the block holds
+    non-representatives: each representative's prefixes survive, so it is
+    checked; and as earlier blocks passed, the first failing tuple t of a
+    block has a failing representative r <= t, which lies in no earlier block
+    and so in this one at or after its first failing field: r = t, as without G.
 
     Null-index pruning: when ``sched.covered`` (no side is a bare leaf),
     every slot runs over the live indices only: the ``Algebra.active`` ones
@@ -580,7 +574,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
 
     def survivors(d: int, alive):
         """The elements alive below the prefix ``tup[:d + 1]``, or None to prune it."""
-        s, closed = start[d], d == last or not tied[d + 1]
+        s, closed = start[d], not tied[d + 1]
         a = tup[s]
         if s == d:  # a run's first index: compare g[a] with a, sort nothing
             kept, hits[d] = [], {}
@@ -604,27 +598,18 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
                     kept.append(g)
         return kept if closed else alive
 
-    def block(run, alive) -> bool:
-        """Check the last slot over ``run`` at once; True at a failure, set in ``tup``."""
-        live = []
-        for i in run:
-            tup[last] = i
-            if not alive or survivors(last, alive) is not None:
-                live.append(i)
-        vals[last] = {i: 1 << width * p for p, i in enumerate(live)}
-        _products(rows, sched.steps[last], vals)
-        bits = reduce(or_, _signed_sum(signed, vals).values(), 0)
-        if bits:
-            tup[last] = live[((bits & -bits).bit_length() - 1) // width]
-        return bool(bits)
-
     def loop(d: int, alive) -> bool:
         """Run slot ``d`` and the slots after it; True at the first failure."""
         if alive and not tied[d] and d < last and tied[d + 1]:
             low[d] = [min(c) for c in zip(*alive)]
         run = order[at[tup[d - 1]]:] if tied[d] else order
-        if d == last:
-            return block(run, alive)
+        if d == last:  # the whole run at once, the first failing index set in tup
+            vals[d] = {i: 1 << width * p for p, i in enumerate(run)}
+            _products(rows, sched.steps[d], vals)
+            bits = reduce(or_, _signed_sum(signed, vals).values(), 0)
+            if bits:
+                tup[d] = run[((bits & -bits).bit_length() - 1) // width]
+            return bool(bits)
         for i in run:
             tup[d] = i
             below = alive and survivors(d, alive)
@@ -677,9 +662,9 @@ def check_identity(a: Algebra, name: str) -> Verdict:
 
 
 def check_words(
-    a: Algebra, columns: Sequence[Element], sched: _Schedule, params: Mapping
+    a: Algebra, integer_columns: tuple[tuple, int, int], sched: _Schedule, params: Mapping
 ) -> Verdict:
-    """Exact verdict for the compiled words, R being the matrix with ``columns``.
+    """Exact verdict for the compiled words, R given by its ``integer_columns``.
 
     ``params`` gives the coefficients named in the words.  A failing verdict
     carries the lexicographically first failing basis tuple.  Tuples holding
@@ -687,7 +672,7 @@ def check_words(
     side is a bare leaf.
     """
     rows, denom = a.integer_rows
-    cols, rdenom, rnorm = _integer_columns(columns)
+    cols, rdenom, rnorm = integer_columns
     rows = tuple(row + (col,) for row, col in zip(rows, cols))
     cmax = max(a.integer_cell_norm, rnorm)
     return _basis_verdict(a, sched, rows, cmax, *_weighted(sched, denom, rdenom, params))

@@ -17,6 +17,8 @@ module).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, Element, Embedding
@@ -55,6 +57,15 @@ class LinearOperator:
                 if col[k] != 0:
                     acc[k] = acc[k] + c * col[k]
         return Element(tuple(a if type(a) is int else canonical(a) for a in acc))
+
+    @cached_property
+    def integer_columns(self) -> tuple[tuple, int, int]:
+        """Sparse ``(k, c)`` columns times the lcm ``E`` of their denominators, ``E``,
+        and the largest l1 norm of a scaled column."""
+        denom = lcm(*(v.denominator for col in self.columns for v in col.coords))
+        scaled = tuple(tuple((k, v.numerator * (denom // v.denominator))
+                             for k, v in enumerate(col.coords) if v) for col in self.columns)
+        return scaled, denom, max(sum(abs(c) for _, c in col) for col in scaled)
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         if self.dim != other.dim:
@@ -223,4 +234,4 @@ def check_operator_property(
     if r.dim != a.dim:
         raise DimensionMismatchError("operator dimension differs from algebra")
     params = {name: getattr(prop, name) for name in PROPERTY_KINDS[prop.kind].params}
-    return check_words(a, r.columns, _SCHEDULES[prop.kind], params)
+    return check_words(a, r.integer_columns, _SCHEDULES[prop.kind], params)

@@ -45,13 +45,14 @@ def as_scalar(value) -> Scalar:
 
 
 def bind(kind: str, names: Sequence[str], args: Sequence) -> dict:
-    """``args`` keyed by ``names``: positional, or ``k=v`` pairs that give
-    each name once."""
-    pairs = [str(arg).partition("=") for arg in args]
+    """``args`` keyed by ``names``: positional, or ``k=v`` strings that give
+    each name once.  Only a string can be a ``k=v`` pair."""
+    pairs = [arg.partition("=") if isinstance(arg, str) else (arg, "", "") for arg in args]
     if any(sep for _, sep, _ in pairs):
-        keyed = {k.strip(): v.strip() for k, _, v in pairs}
+        keyed = {k.strip(): v.strip() for k, sep, v in pairs if sep}
         if len(keyed) != len(args) or set(keyed) != set(names):
-            raise MalformedPropertyError(f"{kind} has parameters {list(names)}, got {list(args)}")
+            got = [a if isinstance(a, str) else format_scalar(a) for a in args]
+            raise MalformedPropertyError(f"{kind} has parameters {list(names)}, got {got}")
         args = [keyed[name] for name in names]
     if len(args) != len(names):
         raise MalformedPropertyError(f"{kind} takes {len(names)} argument(s), got {len(args)}")

@@ -200,6 +200,17 @@ def test_certify_row_binds_param_arguments_at_each_point(monkeypatch, label, cls
     }
 
 
+@pytest.mark.parametrize("label", [
+    "operator[A]:rota_baxter_weighted(@lam,@beta)",
+    "element:rb_weighted(@lam,@beta)",
+])
+def test_a_param_value_past_the_int_text_limit_binds(label):
+    """A bound value is not read as text: lam = 2^14300 (4,305 digits, past
+    CPython's int-to-text limit) certifies like any other value."""
+    v = certify_row("F11", label, {"lam": [2**14300, 1, 2, 3]})
+    assert v.passed and v.points_checked == 400
+
+
 @pytest.mark.parametrize("label,message", [
     ("bogus label", "malformed check label 'bogus label'"),
     ("operator[A]:endomorphism(", "malformed check label 'operator[A]:endomorphism('"),

@@ -9,12 +9,13 @@ through ``repr``, with the plain rational loops of ``test_symmetry`` and
 kernel reaches at any basis tuple.
 """
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from nonassoc import identities
+from nonassoc import identities, operators
 from nonassoc.algebra import make_algebra
 from nonassoc.identities import IDENTITY_NAMES, check_identity
 from nonassoc.operators import (
@@ -61,7 +62,7 @@ def operator_signed(a, r, prop):
     of ``check_words``."""
     sched = _SCHEDULES[prop.kind]
     params = {name: getattr(prop, name) for name in PROPERTY_KINDS[prop.kind].params}
-    cols, rdenom, rnorm = identities._integer_columns(r.columns)
+    cols, rdenom, rnorm = r.integer_columns
     rows, denom = a.integer_rows
     rows = tuple(row + (col,) for row, col in zip(rows, cols))
     lhs, rhs, _ = identities._weighted(sched, denom, rdenom, params)
@@ -230,3 +231,16 @@ def test_field_width_bounds_every_coordinate(monkeypatch):
         check_operator_property(a, r, prop)
         top = largest_coordinate(a, *operator_signed(a, r, prop))
         assert widths and 0 < top < 2 ** (widths[0] - 1), prop
+
+
+def test_an_operators_columns_are_scaled_once(monkeypatch):
+    """Two property checks on one operator scale its columns once (one lcm of
+    their denominators), and the second check, reading the cached columns,
+    gives the oracle's verdict."""
+    a = mixed(400, 3)
+    r = large_operator(a, random.Random(4))
+    calls = []
+    monkeypatch.setattr(operators, "lcm", lambda *ds: calls.append(1) or math.lcm(*ds))
+    for prop in (OperatorProperty("endomorphism"), OperatorProperty("derivation")):
+        assert repr(check_operator_property(a, r, prop)) == repr(oracle_verdict(a, r, prop))
+    assert calls == [1]

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nonassoc.errors import MalformedPropertyError
 from nonassoc.scalars import (
     Poly,
     as_scalar,
+    bind,
     canonical,
     exact_div,
     format_scalar,
@@ -68,6 +70,16 @@ def test_format_prints_integers_past_the_str_limit():
     assert format_scalar(Fraction(10**5000 - 1, 7)) == "9" * 5000 + "/7"
     assert format_scalar(Fraction(-3, 10**5000 + 1)) == "-3/1" + "0" * 4999 + "1"
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_bind_reads_only_strings_as_pairs():
+    """A non-string argument is positional and never turned into text."""
+    big = 2**14300  # past CPython's int-to-text limit
+    assert bind("k", ("lam", "beta"), [big, Fraction(1, 2)]) == {"lam": big, "beta": Fraction(1, 2)}
+    assert bind("k", ("lam", "beta"), ["beta = 2", "lam=1"]) == {"lam": "1", "beta": "2"}
+    for args in ([big, "beta=2"], ["lam=1", 2], ["lam=1", "lam=2"]):
+        with pytest.raises(MalformedPropertyError):
+            bind("k", ("lam", "beta"), args)
 
 
 def test_exact_div():

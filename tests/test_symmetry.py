@@ -1,8 +1,9 @@
 """Basis-permutation automorphisms and the orbit-reduced basis-tuple loop.
 
 Every permutation the search returns is checked against the dense ``sc``
-view by brute force; the loop's visited tuples are checked against the
-brute-force lex-min orbit representatives; and its verdicts and witnesses
+view by brute force; the loop's visited tuples against the packed blocks of
+the prefixes a brute-force minimal-image test keeps, which must hold every
+brute-force lex-min orbit representative; and its verdicts and witnesses
 against a plain loop over all non-decreasing basis tuples, evaluated in
 rationals.
 """
@@ -74,15 +75,33 @@ def lex_min_representatives(a, degrees):
     return reps
 
 
-def assert_visited_representatives(visited, reps, verdict):
-    """The loop compared the sides at the representatives, cut at the end of
-    the witness's block: the representatives that share all but its last index."""
-    if verdict.passed:
-        assert visited == reps
-    else:
+def surviving_prefixes(a, degrees):
+    """Oracle: the prefixes (every slot but the last), non-decreasing within
+    each slot group, in lex order, each of whose initial segments is lex-min
+    among its images under G, each slot group sorted as far as the segment
+    reaches."""
+    group = group_of(a)
+    prefixes = dict.fromkeys(t[:-1] for t in canonical_tuples(a.dim, degrees))
+    return [p for p in prefixes if all(
+        sorted_image(g, p[:k], degrees) >= p[:k] for k in range(1, len(p) + 1) for g in group)]
+
+
+def assert_visited_representatives(visited, a, degrees, verdict):
+    """The loop compared each surviving prefix followed by every index of its
+    last slot's run (from the prefix's last index when the last slot is tied
+    to it), cut at the end of the witness's block.  Those tuples hold every
+    representative, and the witness is one."""
+    assert len(a.active) == a.dim  # no null index: every slot runs over range(dim)
+    tied = degrees[-1] > 1
+    expected = [p + (i,) for p in surviving_prefixes(a, degrees)
+                for i in range(p[-1] if tied else 0, a.dim)]
+    reps = lex_min_representatives(a, degrees)
+    assert set(reps) <= set(expected)
+    if not verdict.passed:
         w = verdict.witness.indices
-        end = max(k for k, t in enumerate(reps) if t[:-1] == w[:-1])
-        assert w in reps and visited == reps[:end + 1]
+        assert w in reps
+        expected = expected[:max(k for k, t in enumerate(expected) if t[:-1] == w[:-1]) + 1]
+    assert visited == expected
 
 
 def plain_verdict(a, name):
@@ -249,9 +268,8 @@ def test_visited_tuples_are_the_lex_min_representatives(always_use_group, visite
     if label == "commutator(M3)":
         a = commutator(a)
     degrees = identities.get_identity(name).multidegree
-    reps = lex_min_representatives(a, degrees)
     visited["slots"] = sum(degrees)
-    assert_visited_representatives(visited["tuples"], reps, check_identity(a, name))
+    assert_visited_representatives(visited["tuples"], a, degrees, check_identity(a, name))
 
 
 # Words whose repeated variable follows a single one, or a second repeated
@@ -284,7 +302,7 @@ def test_tied_slots_after_a_closed_group_visit_the_lex_min_representatives(visit
     visited["slots"] = sum(degrees)
     verdict = identities._basis_verdict(
         a, sched, rows, a.integer_cell_norm, *weighted, group_of(a)[1:])
-    assert_visited_representatives(visited["tuples"], lex_min_representatives(a, degrees), verdict)
+    assert_visited_representatives(visited["tuples"], a, degrees, verdict)
     plain = identities._basis_verdict(a, sched, rows, a.integer_cell_norm, *weighted)
     assert repr(verdict) == repr(plain)
 
