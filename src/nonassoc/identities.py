@@ -34,20 +34,22 @@ Symmetry cuts the loop.  A basis permutation g with c[g i][g j][g k] =
 c[i][j][k] is an automorphism, so the polarized form vanishes at a tuple t
 iff it vanishes at g(t), and, being symmetric within each group of slots
 split from one variable, iff it vanishes at sort(g(t)), each group sorted.
-The loop therefore checks only the lex-min tuple of each orbit of
-G x (slot symmetry), G the group of ``symmetry``: a pass on every
-representative is a proof.  Every failing tuple's orbit has a representative
-no later than itself, and that representative fails, so the first failing
-representative is the lexicographically first failing tuple and witnesses
-are unchanged.  Only a g that sends some index of a slot group's run to its
-first index can give an image that is not larger (Linton's minimal-image
-idea), so only those g sort an image.  Only prefixes are pruned: the packed
-innermost slot checks its whole run, still exactly (``_basis_verdict``).
-The group is searched for once per algebra, and used for a plan only when
-its tuple count prod C(n+d-1, d) exceeds ``_TUPLES_PER_UNIT`` times (n + the
-number of nonzero constants), the measured point past which the search pays
-for itself, and only when the group has no more elements than the plan has
-tuples.  Operator words keep the plain loop, since an automorphism need not
+Let G be the group of ``symmetry`` and call the lex-min tuple of each orbit
+of G x (slot symmetry) its representative: a pass on every representative
+is a proof.  The loop prunes a prefix only when a listed automorphism maps
+it lower, so, given any subset of G, it checks a superset of the
+representatives, in lex order.  A failing tuple's representative fails,
+comes no later and is checked, so the first failing tuple checked is the
+lexicographically first and witnesses are unchanged; the list
+``Automorphisms.elements`` can therefore stop at the input's size.  Only a
+g that sends some index of a slot group's run to its first index can give
+an image that is not larger (Linton's minimal-image idea), so only those g
+sort an image.  Only prefixes are pruned: the packed innermost slot checks
+its whole run, still exactly (``_basis_verdict``).  The group is searched
+for once per algebra, and used for a plan only when its tuple count
+prod C(n+d-1, d) exceeds ``_TUPLES_PER_UNIT`` times (n + the number of
+nonzero constants), the measured point past which the search pays for
+itself.  Operator words keep the plain loop, since an automorphism need not
 commute with R.
 
 Null indices are skipped.  An index i is null when row i and column i of the
@@ -505,18 +507,20 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     extended by R's column when the words apply R; ``cmax`` is the largest
     l1 norm of a cell of ``rows``, R's columns included.
 
-    ``group`` lists the non-identity elements of a group G of basis
-    permutations that preserve the constants; only the lex-min tuple of each
-    orbit of G x (slot symmetry) need be checked.  Orbit argument: an automorphism
-    g maps the words' value at t to their value at g(t), and the polarized
-    form is symmetric within each slot group, so t passes iff sort(g(t))
-    does, sort ordering each slot group; a pass on every representative is a
-    proof.  Witness argument: a failing tuple's representative fails and
-    comes no later, so the first failing representative is the first failing
-    tuple, as without G.  Cost rule: ``check_identity`` passes G only for a
-    plan with more than ``_TUPLES_PER_UNIT`` tuples per basis index or
-    nonzero constant, and no more elements than tuples; ``check_words``
-    never does, as an automorphism need not commute with R.
+    ``group`` lists non-identity elements of the group G of basis
+    permutations that preserve the constants, any subset of G.  Orbit
+    argument: an automorphism g maps the words' value at t to their value at
+    g(t), and the polarized form is symmetric within each slot group, so t
+    passes iff sort(g(t)) does, sort ordering each slot group; a pass on the
+    lex-min tuple of each orbit of G x (slot symmetry), its representative,
+    is a proof.  Only a listed g prunes, below a prefix it maps lower, so
+    every representative is checked.  Witness argument: a failing tuple's
+    representative fails and comes no later, so the first failing tuple
+    checked is the first failing tuple, as without G.  Cost rule:
+    ``check_identity`` passes ``Automorphisms.elements`` only for a plan
+    with more than ``_TUPLES_PER_UNIT`` tuples per basis index or nonzero
+    constant; ``check_words`` never does, as an automorphism need not
+    commute with R.
 
     A prefix is pruned when some alive g maps it, sorted within its slot
     groups, to a lex-smaller prefix: every tuple below it then has a smaller
@@ -524,8 +528,8 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     on every completed slot group, since a larger image there stays larger
     below.  Inside an unfinished slot group a larger sorted image can still
     become smaller, so there no g is dropped.  At each prefix the alive g
-    are then exactly the ones that could map it lower, and the test is exact.
-    With G trivial (``group`` empty) this is the plain loop.
+    are then exactly the listed ones that could map it lower.  With
+    ``group`` empty this is the plain loop.
 
     The alive g fix every completed slot group, so the current run r =
     (a, ..., x) decides.  At a's slot g[a] < a prunes; g[a] = a keeps g if
@@ -648,8 +652,8 @@ def check_identity(a: Algebra, name: str) -> Verdict:
     within each symmetry group, where the polarized form is symmetric.
     Tuples holding a null index are skipped, as they pass.  A plan with more
     than ``_TUPLES_PER_UNIT`` tuples per active index or nonzero constant
-    checks one tuple per orbit of the constants' automorphisms (see
-    ``_basis_verdict``).
+    skips the prefixes that a listed automorphism of the constants maps lower
+    (see ``_basis_verdict``).
     """
     plan = polarized_plan(name)
     sched = _plan_schedule(name)
@@ -657,7 +661,7 @@ def check_identity(a: Algebra, name: str) -> Verdict:
     n = len(a.active) if sched.covered else a.dim  # the indices the loop runs over
     tuples = prod(comb(n + d - 1, d) for d in plan.identity.multidegree)
     size = n + a.nonzero_constants
-    group = a.automorphisms.elements(tuples) if tuples > _TUPLES_PER_UNIT * size else ()
+    group = a.automorphisms.elements if tuples > _TUPLES_PER_UNIT * size else ()
     return _basis_verdict(a, sched, rows, a.integer_cell_norm, *_weighted(sched, denom), group)
 
 

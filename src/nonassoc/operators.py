@@ -186,42 +186,6 @@ class OperatorProperty(NamedKind):
     beta: Optional[Scalar] = None
 
 
-def endomorphism() -> OperatorProperty:
-    return OperatorProperty("endomorphism")
-
-
-def idempotent_op() -> OperatorProperty:
-    return OperatorProperty("idempotent_op")
-
-
-def involution_op() -> OperatorProperty:
-    return OperatorProperty("involution_op")
-
-
-def scaled_idempotent_op(alpha) -> OperatorProperty:
-    return OperatorProperty("scaled_idempotent_op", alpha=alpha)
-
-
-def scaled_involution_op(alpha) -> OperatorProperty:
-    return OperatorProperty("scaled_involution_op", alpha=alpha)
-
-
-def derivation() -> OperatorProperty:
-    return OperatorProperty("derivation")
-
-
-def left_averaging() -> OperatorProperty:
-    return OperatorProperty("left_averaging")
-
-
-def rota_baxter(lam) -> OperatorProperty:
-    return OperatorProperty("rota_baxter", lam=lam)
-
-
-def rota_baxter_weighted(lam, beta) -> OperatorProperty:
-    return OperatorProperty("rota_baxter_weighted", lam=lam, beta=beta)
-
-
 def check_operator_property(
     a: Algebra, r: LinearOperator, prop: OperatorProperty
 ) -> Verdict:

@@ -12,13 +12,17 @@ generator kept is an automorphism and a search that stops early only finds a
 smaller group.  Only the indices that some constant mentions are searched;
 any permutation of the others is an automorphism too, but every generator
 fixes them, so a block of null indices never enters the search.  The
-generators are closed to an element list on demand, never past a caller's
-limit.
+element list is the first elements breadth first from the generators, at
+most as many as the input has mentioned indices and nonzero constants: the
+orbit-reduced loop of ``identities`` is exact for any set of automorphisms,
+so a list cut short prunes less but never wrongly, and memory stays
+proportional to the input even where G is huge (S_n on M_n, S_dim on a
+Hadamard algebra).
 """
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
+from functools import cached_property
 
 
 def _refine(colour: list, incident: list) -> list:
@@ -133,17 +137,17 @@ def find_generators(dim: int, rows) -> tuple[tuple, int]:
     return tuple(gens), order
 
 
-def close(gens: list, dim: int, limit: int) -> Optional[tuple]:
-    """The non-identity elements of the group ``gens`` generate, or None as soon
-    as it would hold more than ``limit`` elements."""
+def close(gens: list, dim: int, limit: int) -> tuple:
+    """The first ``limit`` non-identity elements of the group ``gens`` generate,
+    breadth first from the generators (all of them when there are fewer)."""
     identity = tuple(range(dim))
     seen, queue = {identity}, [identity]
     for e in queue:
         for g in gens:
             h = tuple(g[x] for x in e)
             if h not in seen:
-                if len(seen) >= limit:
-                    return None
+                if len(queue) > limit:
+                    return tuple(queue[1:])
                 seen.add(h)
                 queue.append(h)
     return tuple(queue[1:])
@@ -153,8 +157,7 @@ class Automorphisms:
     """The verified basis-permutation automorphisms of one algebra's constants.
 
     The generators are searched for once, on construction, over the indices
-    that some constant mentions; they fix every other index.  The element
-    list is closed on demand and kept.
+    that some constant mentions; they fix every other index.
     """
 
     def __init__(self, dim: int, rows):
@@ -169,15 +172,10 @@ class Automorphisms:
         self.generators = tuple(
             tuple(mentioned[g[at[x]]] if x in at else x for x in range(dim)) for g in gens
         )
-        self._elements: Optional[tuple] = None
-        self._exceeded = self.order_bound - 1  # a limit the group is known to exceed
+        self.size = len(mentioned) + sum(len(e) for row in rows for e in row)
 
-    def elements(self, limit: int) -> tuple:
-        """The group's non-identity elements, or () when it has more than ``limit``."""
-        if self._elements is None and limit > self._exceeded:
-            self._elements = close(self.generators, self.dim, limit)
-            if self._elements is None:
-                self._exceeded = limit
-        if self._elements is None or len(self._elements) >= limit:
-            return ()
-        return self._elements
+    @cached_property
+    def elements(self) -> tuple:
+        """Non-identity elements of the group, at most ``size`` of them: the
+        mentioned indices plus the nonzero constants."""
+        return close(self.generators, self.dim, self.size)

@@ -32,16 +32,7 @@ from nonassoc.identities import (
     check_identity,
     check_identity_random,
 )
-from nonassoc.operators import (
-    check_operator_property,
-    derivation,
-    endomorphism,
-    idempotent_op,
-    left_averaging,
-    rota_baxter,
-    rota_baxter_weighted,
-    scaled_involution_op,
-)
+from nonassoc.operators import OperatorProperty, check_operator_property
 from nonassoc.search import QuadraticConstraint, LinearConstraint, verify_element
 
 from genalgebras import (
@@ -104,8 +95,8 @@ def test_acceptance_2a_lie_chain():
     seen_dims = set()
     for i, a, r in _endo_idem_cases():
         assert is_associative(a).passed
-        assert check_operator_property(a, r, endomorphism()).passed
-        assert check_operator_property(a, r, idempotent_op()).passed
+        assert check_operator_property(a, r, OperatorProperty("endomorphism")).passed
+        assert check_operator_property(a, r, OperatorProperty("idempotent_op")).passed
         lie = derive(a, r, construction("lie_endo"))
         assert check_identity(lie, "antisymmetry").passed, f"case {i}"
         assert check_identity(lie, "jacobi").passed, f"case {i}"
@@ -133,8 +124,8 @@ def test_acceptance_2c_prelie_endo_chain():
         n = DIM_CYCLE[i % len(DIM_CYCLE)]
         a, r = entrywise_algebra_with_retraction(rng, n)
         assert is_associative(a).passed and is_commutative(a).passed
-        assert check_operator_property(a, r, endomorphism()).passed
-        assert check_operator_property(a, r, idempotent_op()).passed
+        assert check_operator_property(a, r, OperatorProperty("endomorphism")).passed
+        assert check_operator_property(a, r, OperatorProperty("idempotent_op")).passed
         for name in ("prelie_endo", "prelie_endo_alt"):
             p = derive(a, r, construction(name))
             assert check_identity(p, "left_prelie").passed, f"case {i} {name}"
@@ -156,8 +147,9 @@ def test_acceptance_2d_derivation_chain():
             n = (2, 4, 6)[i % 3]
             a, d, alpha = null_algebra_with_root_operator(rng, n)
         assert is_associative(a).passed and is_commutative(a).passed
-        assert check_operator_property(a, d, derivation()).passed
-        assert check_operator_property(a, d, scaled_involution_op(alpha)).passed
+        assert check_operator_property(a, d, OperatorProperty("derivation")).passed
+        root = OperatorProperty("scaled_involution_op", alpha=alpha)
+        assert check_operator_property(a, d, root).passed
         p = derive(a, d, construction("prelie_diff"))
         assert check_identity(p, "left_prelie").passed, f"case {i}"
         from genalgebras import rand_scalar
@@ -177,9 +169,9 @@ def test_acceptance_2e_flexible_chain():
         n = DIM_CYCLE[i % len(DIM_CYCLE)]
         a, r = entrywise_with_averaging(rng, n)
         assert check_identity(a, "flexible").passed
-        assert check_operator_property(a, r, idempotent_op()).passed
-        assert check_operator_property(a, r, left_averaging()).passed
-        assert check_operator_property(a, r, endomorphism()).passed
+        assert check_operator_property(a, r, OperatorProperty("idempotent_op")).passed
+        assert check_operator_property(a, r, OperatorProperty("left_averaging")).passed
+        assert check_operator_property(a, r, OperatorProperty("endomorphism")).passed
         f = derive(a, r, construction("flexible_avg"))
         assert check_identity(f, "flexible").passed, f"case {i}"
         seen_dims.add(a.dim)
@@ -191,9 +183,10 @@ def test_acceptance_2f_rota_baxter_chain():
     cases_per_weight = (CASES + 2) // 3
     seen_dims = set()
     for weight, prop_of in (
-        ("one", lambda lam, beta: rota_baxter(1)),
-        ("zero", lambda lam, beta: rota_baxter(0)),
-        ("weighted", rota_baxter_weighted),
+        ("one", lambda lam, beta: OperatorProperty("rota_baxter", lam=1)),
+        ("zero", lambda lam, beta: OperatorProperty("rota_baxter", lam=0)),
+        ("weighted",
+         lambda lam, beta: OperatorProperty("rota_baxter_weighted", lam=lam, beta=beta)),
     ):
         for i in range(cases_per_weight):
             rng = random.Random(6000 + i + {"one": 0, "zero": 10000, "weighted": 20000}[weight])

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from nonassoc.algebra import matrix_algebra
 from nonassoc.cli import main
 from nonassoc.identities import IDENTITY_NAMES
+from nonassoc.serial import algebra_to_dict
 
 DATA = Path(__file__).parent.parent / "src" / "nonassoc" / "data"
 
@@ -337,6 +339,27 @@ def test_null_dim_200_passes_every_identity_in_bounded_memory(tmp_path, random_t
         )
         assert done.returncode == 0, (name, done.stderr)
         assert "result: PASS" in done.stdout
+
+
+def test_matrix_algebra_dim_100_checks_jordan_in_bounded_memory(tmp_path):
+    """M10 (dim 100, a file of about 20 kB), whose automorphism group S_10 has
+    3,628,800 elements: ``jordan_main`` exits 0 with PASS in a child process
+    whose address space is capped at 512 MiB."""
+    resource = pytest.importorskip("resource")
+    limit = 512 * 2**20
+    (tmp_path / "m10.json").write_text(json.dumps(algebra_to_dict(matrix_algebra(10))))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(DATA.parent.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "nonassoc", "check", "--algebra", "m10.json",
+         "--identity", "jordan_main"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 0, done.stderr
+    assert "result: PASS" in done.stdout
 
 
 def test_unknown_identity_exits_2(capsys):

@@ -29,7 +29,7 @@ from nonassoc.constructions import (
 )
 from nonassoc.errors import MalformedPropertyError
 from nonassoc.identities import IDENTITY_NAMES, check_identity
-from nonassoc.operators import LinearOperator, make_operator
+from nonassoc.operators import LinearOperator, OperatorProperty, make_operator
 from nonassoc.scalars import canonical
 from nonassoc.serial import algebra_content_hash, operator_content_hash
 
@@ -171,7 +171,7 @@ def test_jordan_chain_from_operator_on_associative_source():
 
     from genalgebras import entrywise_algebra_with_retraction, row_algebra_with_projection
     from nonassoc.algebra import is_associative
-    from nonassoc.operators import check_operator_property, endomorphism, idempotent_op
+    from nonassoc.operators import OperatorProperty, check_operator_property
 
     for i in range(20):
         rng = random.Random(900 + i)
@@ -181,8 +181,8 @@ def test_jordan_chain_from_operator_on_associative_source():
         else:
             a, r = entrywise_algebra_with_retraction(rng, n)
         assert is_associative(a).passed
-        assert check_operator_property(a, r, endomorphism()).passed
-        assert check_operator_property(a, r, idempotent_op()).passed
+        assert check_operator_property(a, r, OperatorProperty("endomorphism")).passed
+        assert check_operator_property(a, r, OperatorProperty("idempotent_op")).passed
         # symmetrization of an associative product is always Jordan
         plus = derive(a, None, construction("jordan_plus"))
         assert check_identity(plus, "jordan_main").passed
@@ -209,7 +209,7 @@ def test_jordan_hypothesis_alone_is_not_enough():
     from genalgebras import row_algebra_with_projection
     from nonassoc.algebra import is_associative
     from nonassoc.identities import check_identity_random
-    from nonassoc.operators import check_operator_property, endomorphism, idempotent_op
+    from nonassoc.operators import OperatorProperty, check_operator_property
 
     rng = random.Random(800)
     a, r = row_algebra_with_projection(rng, 2)
@@ -217,8 +217,8 @@ def test_jordan_hypothesis_alone_is_not_enough():
     assert check_identity(plus, "jordan_main").passed
     assert check_identity(plus, "jordan_flex").passed
     assert not is_associative(plus).passed
-    assert check_operator_property(plus, r, endomorphism()).passed
-    assert check_operator_property(plus, r, idempotent_op()).passed
+    assert check_operator_property(plus, r, OperatorProperty("endomorphism")).passed
+    assert check_operator_property(plus, r, OperatorProperty("idempotent_op")).passed
 
     twisted = derive(plus, r, construction("jordan_endo_left"))
     verdict = check_identity(twisted, "jordan_main")

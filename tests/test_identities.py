@@ -433,13 +433,14 @@ def test_checks_leave_no_reference_cycles(m3):
     """A passing and a failing check (one on the orbit-reduced loop) and an
     operator check through ``check_words`` leave nothing to the cyclic collector."""
     from nonassoc.fixtures import load_fixture, materialize
-    from nonassoc.operators import check_operator_property, derivation
+    from nonassoc.operators import OperatorProperty, check_operator_property
 
     m = materialize(load_fixture("F1"))
 
     def checks():
+        derivation = OperatorProperty("derivation")
         return (check_identity(m3, "jordan_main"), check_identity(m3, "jacobi"),
-                check_operator_property(m.algebras["A"], m.operator, derivation()))
+                check_operator_property(m.algebras["A"], m.operator, derivation))
 
     checks()  # build the caches and the automorphism group first
     gc.collect()

@@ -25,16 +25,8 @@ from nonassoc.operators import (
     OperatorProperty,
     PROPERTY_KINDS,
     check_operator_property,
-    derivation,
-    endomorphism,
-    idempotent_op,
-    involution_op,
     left_multiplication_operator,
     make_operator,
-    rota_baxter,
-    rota_baxter_weighted,
-    scaled_idempotent_op,
-    scaled_involution_op,
 )
 from nonassoc.scalars import canonical
 from nonassoc.verdicts import Verdict, Witness
@@ -50,11 +42,11 @@ def row_span_embedding():
 def test_make_operator_identity_and_zero(null2):
     sub, _ = row_span_embedding()
     ident = make_operator(sub, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert check_operator_property(sub, ident, endomorphism()).passed
-    assert check_operator_property(sub, ident, idempotent_op()).passed
+    assert check_operator_property(sub, ident, OperatorProperty("endomorphism")).passed
+    assert check_operator_property(sub, ident, OperatorProperty("idempotent_op")).passed
 
     zero = make_operator(null2, [[0, 0], [0, 0]])
-    assert check_operator_property(null2, zero, derivation()).passed
+    assert check_operator_property(null2, zero, OperatorProperty("derivation")).passed
 
 
 def test_make_operator_dimension_check(null2):
@@ -96,7 +88,7 @@ def test_left_mult_operator_row_swap():
     perm = {0: 0, 1: 1, 2: 4, 3: 5, 4: 2, 5: 3}
     for j, target in perm.items():
         assert r.columns[j] == Element.basis_vector(6, target)
-    assert check_operator_property(sub, r, involution_op()).passed
+    assert check_operator_property(sub, r, OperatorProperty("involution_op")).passed
 
 
 def test_left_mult_operator_stays_defined_for_left_ideal():
@@ -147,8 +139,8 @@ def test_right_identity_idempotent_chain():
         amb = emb.ambient
         assert amb.product(u, u) == u  # u^2 = u in the ambient
         r = left_multiplication_operator(emb, u)
-        assert check_operator_property(sub, r, endomorphism()).passed
-        assert check_operator_property(sub, r, idempotent_op()).passed
+        assert check_operator_property(sub, r, OperatorProperty("endomorphism")).passed
+        assert check_operator_property(sub, r, OperatorProperty("idempotent_op")).passed
 
 
 def test_property_param_validation():
@@ -162,13 +154,15 @@ def test_property_param_validation():
         with pytest.raises(MalformedPropertyError):
             OperatorProperty("rota_baxter", lam=bad)
         with pytest.raises(MalformedPropertyError):
-            rota_baxter_weighted(1, bad)
+            OperatorProperty("rota_baxter_weighted", lam=1, beta=bad)
     half = OperatorProperty("rota_baxter", lam="1/2")
     assert half.lam == Fraction(1, 2) and type(half.lam) is Fraction
-    assert half.label() == rota_baxter(Fraction(1, 2)).label() == "rota_baxter(1/2)"
-    assert rota_baxter(1).label() == "rota_baxter(1)"
-    assert rota_baxter_weighted(1, Fraction(1, 2)).label() == "rota_baxter_weighted(1,1/2)"
-    assert scaled_idempotent_op(6).label() == "scaled_idempotent_op(6)"
+    assert half.label() == "rota_baxter(1/2)"
+    assert half == OperatorProperty("rota_baxter", lam=Fraction(1, 2))
+    assert OperatorProperty("rota_baxter", lam=1).label() == "rota_baxter(1)"
+    weighted = OperatorProperty("rota_baxter_weighted", lam=1, beta=Fraction(1, 2))
+    assert weighted.label() == "rota_baxter_weighted(1,1/2)"
+    assert OperatorProperty("scaled_idempotent_op", alpha=6).label() == "scaled_idempotent_op(6)"
 
 
 def test_rb_weight0_example_and_perturbation():
@@ -177,10 +171,10 @@ def test_rb_weight0_example_and_perturbation():
     u = element_from_matrix([[1, -1], [1, -1]])
     assert ambient.product(u, u).is_zero()  # u^2 = 0
     r = left_multiplication_operator(emb, u)
-    assert check_operator_property(sub, r, rota_baxter(0)).passed
+    assert check_operator_property(sub, r, OperatorProperty("rota_baxter", lam=0)).passed
 
     bumped = r + LinearOperator.identity(2)
-    verdict = check_operator_property(sub, bumped, rota_baxter(0))
+    verdict = check_operator_property(sub, bumped, OperatorProperty("rota_baxter", lam=0))
     assert not verdict.passed
     # the witness reproduces the inequality when re-evaluated
     i, j = verdict.witness.indices
@@ -197,10 +191,12 @@ def test_scaled_variants_distinguish():
     # with their own constants and fail with swapped ones
     a = make_algebra(2, [])
     r = make_operator(a, [[2, 0], [0, 2]])
-    assert check_operator_property(a, r, scaled_idempotent_op(2)).passed
-    assert check_operator_property(a, r, scaled_involution_op(4)).passed
-    assert not check_operator_property(a, r, scaled_idempotent_op(4)).passed
-    assert not check_operator_property(a, r, scaled_involution_op(2)).passed
+
+    def holds(kind, alpha):
+        return check_operator_property(a, r, OperatorProperty(kind, alpha=alpha)).passed
+
+    assert holds("scaled_idempotent_op", 2) and holds("scaled_involution_op", 4)
+    assert not holds("scaled_idempotent_op", 4) and not holds("scaled_involution_op", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +255,12 @@ def every_property(values):
 
 
 @pytest.mark.parametrize("prop", [
-    endomorphism(), idempotent_op(), involution_op(), derivation(),
-    scaled_idempotent_op(1), scaled_involution_op(1),
-    rota_baxter(0), rota_baxter(1), rota_baxter_weighted(1, 2),
+    OperatorProperty("endomorphism"), OperatorProperty("idempotent_op"),
+    OperatorProperty("involution_op"), OperatorProperty("derivation"),
+    OperatorProperty("scaled_idempotent_op", alpha=1),
+    OperatorProperty("scaled_involution_op", alpha=1),
+    OperatorProperty("rota_baxter", lam=0), OperatorProperty("rota_baxter", lam=1),
+    OperatorProperty("rota_baxter_weighted", lam=1, beta=2),
     OperatorProperty("left_averaging"),
 ])
 def test_basis_verdict_agrees_with_random_pairs(prop):

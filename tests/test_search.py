@@ -13,9 +13,8 @@ from nonassoc.algebra import (
 )
 from nonassoc.errors import MalformedPropertyError, SearchStrategyError
 from nonassoc.operators import (
+    OperatorProperty,
     check_operator_property,
-    endomorphism,
-    idempotent_op,
     left_multiplication_operator,
 )
 from nonassoc.search import (
@@ -262,5 +261,5 @@ def test_found_elements_pass_verify_and_chain(row_span):
         rows = verify_element(emb, u, lin, QuadraticConstraint("idempotent"))
         assert all(v.passed for _, v in rows)
         r = left_multiplication_operator(emb, u)
-        assert check_operator_property(sub, r, endomorphism()).passed
-        assert check_operator_property(sub, r, idempotent_op()).passed
+        assert check_operator_property(sub, r, OperatorProperty("endomorphism")).passed
+        assert check_operator_property(sub, r, OperatorProperty("idempotent_op")).passed

@@ -2,10 +2,11 @@
 
 Every permutation the search returns is checked against the dense ``sc``
 view by brute force; the loop's visited tuples against the packed blocks of
-the prefixes a brute-force minimal-image test keeps, which must hold every
-brute-force lex-min orbit representative; and its verdicts and witnesses
-against a plain loop over all non-decreasing basis tuples, evaluated in
-rationals.
+the prefixes a brute-force minimal-image test keeps under the listed
+automorphisms (the whole group, or any subset of it), which must hold every
+brute-force lex-min orbit representative of the whole group; and its
+verdicts and witnesses against a plain loop over all non-decreasing basis
+tuples, evaluated in rationals.
 """
 import itertools
 import math
@@ -44,7 +45,15 @@ def is_automorphism(a, g):
 
 def group_of(a):
     """The identity and every element of the group the search found."""
-    return (tuple(range(a.dim)),) + a.automorphisms.elements(math.factorial(a.dim))
+    gens = a.automorphisms.generators
+    return (tuple(range(a.dim)),) + symmetry.close(gens, a.dim, math.factorial(a.dim))
+
+
+def input_size(a):
+    """The indices some constant mentions plus the nonzero constants."""
+    mentioned = {x for i, row in enumerate(a.sparse_rows) for j, e in enumerate(row)
+                 for k, _ in e for x in (i, j, k)}
+    return len(mentioned) + a.nonzero_constants
 
 
 def canonical_tuples(dim, degrees):
@@ -75,25 +84,26 @@ def lex_min_representatives(a, degrees):
     return reps
 
 
-def surviving_prefixes(a, degrees):
+def surviving_prefixes(a, degrees, group):
     """Oracle: the prefixes (every slot but the last), non-decreasing within
     each slot group, in lex order, each of whose initial segments is lex-min
-    among its images under G, each slot group sorted as far as the segment
-    reaches."""
-    group = group_of(a)
+    among its images under ``group``, each slot group sorted as far as the
+    segment reaches."""
     prefixes = dict.fromkeys(t[:-1] for t in canonical_tuples(a.dim, degrees))
     return [p for p in prefixes if all(
         sorted_image(g, p[:k], degrees) >= p[:k] for k in range(1, len(p) + 1) for g in group)]
 
 
-def assert_visited_representatives(visited, a, degrees, verdict):
-    """The loop compared each surviving prefix followed by every index of its
+def assert_visited_representatives(visited, a, degrees, verdict, group=None):
+    """The loop, given the non-identity elements ``group`` (all of G when
+    None), compared each prefix surviving them followed by every index of its
     last slot's run (from the prefix's last index when the last slot is tied
     to it), cut at the end of the witness's block.  Those tuples hold every
-    representative, and the witness is one."""
+    representative of G, and the witness is one."""
     assert len(a.active) == a.dim  # no null index: every slot runs over range(dim)
+    group = group_of(a) if group is None else group
     tied = degrees[-1] > 1
-    expected = [p + (i,) for p in surviving_prefixes(a, degrees)
+    expected = [p + (i,) for p in surviving_prefixes(a, degrees, group)
                 for i in range(p[-1] if tied else 0, a.dim)]
     reps = lex_min_representatives(a, degrees)
     assert set(reps) <= set(expected)
@@ -133,6 +143,14 @@ def plain_verdict(a, name):
             lhs, rhs = polarized_sides(a, name, t)
             return Verdict.fail(Witness(t, tuple(a.basis_vector(i) for i in t), lhs, rhs))
     return Verdict.ok()
+
+
+def packed_plain_verdict(a, name):
+    """The packed loop of ``_basis_verdict`` with no automorphism listed."""
+    sched = identities._plan_schedule(name)
+    rows, denom = a.integer_rows
+    return identities._basis_verdict(
+        a, sched, rows, a.integer_cell_norm, *identities._weighted(sched, denom))
 
 
 @pytest.fixture
@@ -197,44 +215,45 @@ def test_every_found_permutation_is_an_automorphism(all_materialized):
             assert is_automorphism(a, g)
 
 
-def test_close_stops_at_its_limit():
-    gens = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]  # S_5
-    assert len(symmetry.close(gens, 5, 120)) == 119
-    assert symmetry.close(gens, 5, 119) is None
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 7, 23, 24, 100])
+def test_close_is_a_breadth_first_prefix(limit):
+    """M4's S_4 (23 non-identity elements): the first ``limit`` of them in
+    breadth-first order from the generators, each an automorphism."""
+    a = shuffled_matrix_algebra(4, 3)
+    gens = a.automorphisms.generators
+    whole = symmetry.close(gens, a.dim, math.factorial(a.dim))
+    out = symmetry.close(gens, a.dim, limit)
+    assert out == whole[:limit]
+    assert all(is_automorphism(a, g) for g in out)
+    assert out[:len(gens)] == gens[:limit]
+    length = {tuple(range(a.dim)): 0}  # breadth first: shortest words in the generators first
+    for h in whole:
+        length[h] = 1 + min(length[e] for e in length for g in gens if tuple(g[x] for x in e) == h)
+    assert list(length.values()) == sorted(length.values())
 
 
-@pytest.mark.parametrize("make", [
-    lambda: make_algebra(25, []),
-    lambda: hadamard_algebra(3, 3),
-    lambda: hadamard_algebra(5, 5),
-], ids=["null25", "hadamard33", "hadamard55"])
-def test_symmetric_group_of_the_basis_is_never_materialized(monkeypatch, make):
-    """G is the symmetric group of the indices some constant mentions (all of
-    them here, or none in the null algebra, whose search fixes every index):
-    it is never closed, and the verdicts are the plain ones."""
-    closed = []
-    original = symmetry.close
+_BOUNDED = {f"M{n}": (lambda n=n: matrix_algebra(n)) for n in range(2, 7)}
+_BOUNDED.update({f"hadamard{n}{n}": (lambda n=n: hadamard_algebra(n, n)) for n in range(2, 6)})
+_BOUNDED.update({"null25": lambda: make_algebra(25, []), "null3": lambda: make_algebra(3, [])})
 
-    def bounded(gens, dim, limit):
-        out = original(gens, dim, limit)
-        closed.append((limit, out))
-        return out
 
-    monkeypatch.setattr(symmetry, "close", bounded)
-    a = make()
-    # a null algebra passes everything; Hadamard is commutative and associative
-    fails = ("antisymmetry", "jacobi", "left_leibniz") if a.sparse_rows[0][0] else ()
+@pytest.mark.parametrize("label", _BOUNDED)
+def test_the_element_list_is_bounded_by_the_input(label):
+    """The list holds at most the mentioned indices plus the nonzero
+    constants, however large G is (S_n on M_n, S_dim on a Hadamard algebra),
+    and the verdicts are the plain ones."""
+    a = _BOUNDED[label]()
+    elements = a.automorphisms.elements
+    assert len(elements) <= input_size(a)
+    assert len(set(elements)) == len(elements) and tuple(range(a.dim)) not in elements
+    if a.dim <= 16:
+        assert all(is_automorphism(a, g) for g in elements)
     for name in IDENTITY_NAMES:
         verdict = check_identity(a, name)
-        if a.dim <= 9 or name in fails:
-            assert repr(verdict) == repr(plain_verdict(a, name))
-        else:  # the plain oracle would take minutes here
-            assert verdict.passed
-    mentioned = {x for i, row in enumerate(a.sparse_rows) for j, e in enumerate(row)
-                 for k, _ in e for x in (i, j, k)}
-    assert a.automorphisms.order_bound == math.factorial(len(mentioned))
-    assert all(out is None or len(out) < limit for limit, out in closed)
-    assert a.automorphisms._elements is None
+        # past dim 9 the rational oracle would take minutes; the packed plain
+        # loop, itself checked against it on small algebras, stands in
+        plain = plain_verdict if a.dim <= 9 else packed_plain_verdict
+        assert repr(verdict) == repr(plain(a, name)), name
 
 
 def test_a_null_block_never_enters_the_search(monkeypatch):
@@ -262,14 +281,52 @@ _VISITED_CASES = [(name, label) for label in ("M3", "commutator(M3)") for name i
 _VISITED_CASES += [(name, "M4") for name in ("flexible", "jordan_flex", "jordan_main")]
 
 
+def visited_algebra(label):
+    a = shuffled_matrix_algebra(4 if label == "M4" else 3, 7)
+    return commutator(a) if label == "commutator(M3)" else a
+
+
 @pytest.mark.parametrize("name, label", _VISITED_CASES, ids=[f"{n}-{l}" for n, l in _VISITED_CASES])
 def test_visited_tuples_are_the_lex_min_representatives(always_use_group, visited, label, name):
-    a = shuffled_matrix_algebra(4 if label == "M4" else 3, 7)
-    if label == "commutator(M3)":
-        a = commutator(a)
+    a = visited_algebra(label)
     degrees = identities.get_identity(name).multidegree
     visited["slots"] = sum(degrees)
     assert_visited_representatives(visited["tuples"], a, degrees, check_identity(a, name))
+
+
+@pytest.mark.parametrize("subset", ["generators", "three"])
+@pytest.mark.parametrize("name, label", _VISITED_CASES, ids=[f"{n}-{l}" for n, l in _VISITED_CASES])
+def test_a_subset_of_the_group_visits_the_blocks_it_leaves(visited, label, name, subset):
+    """Given only some automorphisms (the generators, or the last three
+    elements of G), the loop compares the blocks of the prefixes they leave,
+    which hold every representative of G, and its verdict is the plain one."""
+    a = visited_algebra(label)
+    group = a.automorphisms.generators if subset == "generators" else group_of(a)[-3:]
+    assert 0 < len(group) < len(group_of(a)) - 1
+    degrees = identities.get_identity(name).multidegree
+    sched = identities._plan_schedule(name)
+    rows, denom = a.integer_rows
+    visited["slots"] = sum(degrees)
+    verdict = identities._basis_verdict(
+        a, sched, rows, a.integer_cell_norm, *identities._weighted(sched, denom), group)
+    assert_visited_representatives(visited["tuples"], a, degrees, verdict, group)
+    assert repr(verdict) == repr(plain_verdict(a, name))
+
+
+@pytest.mark.parametrize("name", IDENTITY_NAMES)
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3)], ids=["hadamard22", "hadamard23"])
+def test_a_truncated_element_list_visits_the_blocks_it_leaves(always_use_group, visited,
+                                                              shape, name):
+    """S_4 and S_6 have more elements than the input's size, so the list is cut
+    short; the loop still visits every representative of G."""
+    a = hadamard_algebra(*shape)
+    group = a.automorphisms.elements
+    assert len(group) == input_size(a) < math.factorial(a.dim) - 1
+    degrees = identities.get_identity(name).multidegree
+    visited["slots"] = sum(degrees)
+    verdict = check_identity(a, name)
+    assert_visited_representatives(visited["tuples"], a, degrees, verdict, group)
+    assert repr(verdict) == repr(plain_verdict(a, name))
 
 
 # Words whose repeated variable follows a single one, or a second repeated
