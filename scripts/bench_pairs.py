@@ -22,9 +22,11 @@ process with the tree's ``src`` on its path, a 2 GiB address-space limit
 and a 120 s timeout.  The child builds a fresh algebra and runs the suite
 again until it has spent 1 s of CPU, so short entries are timed more than
 once.  It records the least CPU seconds of building the algebra and of the
-suite over those repeats, their number, the peak RSS and a digest of the
-verdicts' ``repr``s, or "timeout", "MemoryError" or "digests differ" when
-two repeats disagree.
+suite over those repeats, their number, the peak RSS over them (each repeat
+drops the last one's algebra first, so it is one run's peak) and a digest of
+the verdicts' ``repr``s, or "timeout", "MemoryError" or "digests differ" when
+two repeats disagree.  A MemoryError after some repeats keeps their entry,
+marked ``"then": "MemoryError"``.
 """
 from __future__ import annotations
 
@@ -57,26 +59,32 @@ import hashlib, json, resource, sys, time
 from nonassoc.algebra import make_algebra, matrix_algebra
 from nonassoc.constructions import hadamard_algebra
 from nonassoc.identities import IDENTITY_NAMES, check_identity
-builds, suites, digests = [], [], set()
-try:
-    while sum(builds) + sum(suites) < float(sys.argv[2]) or not suites:
-        start = time.process_time()
+builds, suites, digests, ended = [], [], set(), None
+while sum(builds) + sum(suites) < float(sys.argv[2]) or not suites:
+    start = time.process_time()
+    try:
         a = eval(sys.argv[1])
         built = time.process_time()
         verdicts = [check_identity(a, name) for name in IDENTITY_NAMES]
-        suites.append(time.process_time() - built)
-        builds.append(built - start)
-        digests.add(hashlib.sha256("\\n".join(map(repr, verdicts)).encode()).hexdigest()[:16])
-except MemoryError:
-    print(json.dumps("MemoryError"))
+    except MemoryError:
+        ended = "MemoryError"
+        break
+    suites.append(time.process_time() - built)
+    builds.append(built - start)
+    passed = sum(v.passed for v in verdicts)
+    digests.add(hashlib.sha256("\\n".join(map(repr, verdicts)).encode()).hexdigest()[:16])
+    del a, verdicts  # so the next build does not sit beside this algebra
+if not suites or len(digests) > 1:
+    print(json.dumps("digests differ" if len(digests) > 1 else ended))
 else:
-    print(json.dumps("digests differ" if len(digests) > 1 else {
+    print(json.dumps({
         "build_s": round(min(builds), 3),
         "suite_s": round(min(suites), 3),
         "repeats": len(suites),
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        "passed": sum(v.passed for v in verdicts),
+        "passed": passed,
         "digest": digests.pop(),
+        **({"then": ended} if ended else {}),
     }))
 """
 
@@ -140,7 +148,8 @@ def run_suites(trees: dict) -> dict:
         "what": "least CPU seconds, over repeats in one child until "
                 f"{SUITE_REPEAT_CPU_S} s of CPU is spent, of building each algebra afresh and "
                 "of check_identity over every catalog identity on it; the repeats, peak RSS "
-                "and a digest of the verdicts, per side and round",
+                "(one run's: each repeat drops the last algebra first) and a digest of the "
+                "verdicts, per side and round",
         "algebras": SUITES,
         "limits": {"address_space_bytes": SUITE_LIMIT_BYTES, "timeout_s": SUITE_TIMEOUT_S},
         "pairing": f"{ROUNDS} rounds; round i runs the parent first when i is odd; one child "

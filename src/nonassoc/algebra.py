@@ -138,7 +138,7 @@ class Algebra:
     @cached_property
     def automorphisms(self) -> Automorphisms:
         """The basis permutations that preserve the constants, searched for once."""
-        return Automorphisms(self.dim, self.sparse_rows)
+        return Automorphisms(self.dim, self.sparse_rows, self.nonzero_constants)
 
     @cached_property
     def integer_rows(self) -> tuple[tuple, int]:

@@ -157,10 +157,11 @@ class Automorphisms:
     """The verified basis-permutation automorphisms of one algebra's constants.
 
     The generators are searched for once, on construction, over the indices
-    that some constant mentions; they fix every other index.
+    that some constant mentions; they fix every other index.  ``constants``
+    is the number of nonzero constants in ``rows``.
     """
 
-    def __init__(self, dim: int, rows):
+    def __init__(self, dim: int, rows, constants: int):
         self.dim = dim
         mentioned = sorted({x for i, row in enumerate(rows) for j, e in enumerate(row)
                             for k, _ in e for x in (i, j, k)})
@@ -172,7 +173,9 @@ class Automorphisms:
         self.generators = tuple(
             tuple(mentioned[g[at[x]]] if x in at else x for x in range(dim)) for g in gens
         )
-        self.size = len(mentioned) + sum(len(e) for row in rows for e in row)
+        # m + c <= 4c: fewer than the _TUPLES_PER_UNIT * (n + c) tuples of any
+        # plan that check_identity hands the list to
+        self.size = len(mentioned) + constants
 
     @cached_property
     def elements(self) -> tuple:
