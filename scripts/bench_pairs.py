@@ -26,7 +26,17 @@ suite over those repeats, their number, the peak RSS over them (each repeat
 drops the last one's algebra first, so it is one run's peak) and a digest of
 the verdicts' ``repr``s, or "timeout", "MemoryError" or "digests differ" when
 two repeats disagree.  A MemoryError after some repeats keeps their entry,
-marked ``"then": "MemoryError"``.
+marked ``"then": "MemoryError"``.  The entries also hold ``commutator(M6)``.
+
+And the record holds ``rss``: peak RSS after ``RSS_PASSES`` passes of each
+workload's tasks, per side, for three rounds, the side that goes first
+alternating.  Each run is a child process with the tree's ``src`` and
+``perfbench`` on its path that builds ``workloads.WORKLOADS[w](1)``, notes
+its RSS after set-up, runs every task ``RSS_PASSES`` times, keeping no
+result, and notes ``ru_maxrss``.  The same pass count on both sides
+separates what the program keeps from ``perfbench/run.py``'s own
+per-verdict samples, which grow with the number of passes a run fits in
+its time.
 """
 from __future__ import annotations
 
@@ -51,13 +61,14 @@ SUITE_TIMEOUT_S = 120
 SUITE_REPEAT_CPU_S = 1.0
 SUITES = {f"M{n}": f"matrix_algebra({n})" for n in range(6, 11)}
 SUITES.update({f"H{n}": f"hadamard_algebra({n}, {n})" for n in range(5, 9)})
+SUITES["commutator(M6)"] = 'derive(matrix_algebra(6), None, construction("commutator"))'
 SUITES["null10000"] = "make_algebra(10**4, [])"
 # Runs in a child: argv[1] is an entry of SUITES, argv[2] the CPU seconds to
 # repeat it for; prints one JSON line.
 SUITE_CHILD = """
 import hashlib, json, resource, sys, time
 from nonassoc.algebra import make_algebra, matrix_algebra
-from nonassoc.constructions import hadamard_algebra
+from nonassoc.constructions import construction, derive, hadamard_algebra
 from nonassoc.identities import IDENTITY_NAMES, check_identity
 builds, suites, digests, ended = [], [], set(), None
 while sum(builds) + sum(suites) < float(sys.argv[2]) or not suites:
@@ -86,6 +97,26 @@ else:
         "digest": digests.pop(),
         **({"then": ended} if ended else {}),
     }))
+"""
+
+RSS_PASSES = 20
+# Runs in a child: argv[1] is a workload, argv[2] the pass count; prints one
+# JSON line.  Each result is judged and dropped at once, so nothing piles up.
+RSS_CHILD = """
+import json, resource, sys
+from workloads import WORKLOADS
+tasks = WORKLOADS[sys.argv[1]](1)
+setup = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+wrong = 0
+for _ in range(int(sys.argv[2])):
+    for task in tasks:
+        wrong += not task.check(task.run())
+print(json.dumps({
+    "setup_rss_mib": round(setup / 1024, 2),
+    "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
+    "verdicts": len(tasks) * int(sys.argv[2]),
+    "wrong": wrong,
+}))
 """
 
 
@@ -156,6 +187,43 @@ def run_suites(trees: dict) -> dict:
                    "process per entry, one at a time",
         "runs": runs,
         "summary": summarize_suites(runs),
+    }
+
+
+def run_rss(tree: Path, workload: str) -> dict:
+    """Peak RSS of ``RSS_PASSES`` passes of ``workload`` in a child process."""
+    path = os.pathsep.join(str(tree / d) for d in ("src", "perfbench"))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", RSS_CHILD, workload, str(RSS_PASSES)],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree} {workload}: exit {proc.returncode}\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_rss_rounds(trees: dict, workloads: list) -> dict:
+    """``ROUNDS`` alternating rounds of ``run_rss`` for every workload on both sides."""
+    runs: dict = {"parent": [], "change": []}
+    for r in range(1, ROUNDS + 1):
+        for side in ("parent", "change") if r % 2 else ("change", "parent"):
+            runs[side].append({w: run_rss(trees[side], w) for w in workloads})
+            print("rss", r, side, {w: e["peak_rss_mib"] for w, e in runs[side][-1].items()},
+                  flush=True)
+    summary = {
+        w: {side: {key: statistics.median(run[w][key] for run in side_runs)
+                   for key in ("setup_rss_mib", "peak_rss_mib")}
+            for side, side_runs in runs.items()}
+        for w in workloads
+    }
+    return {
+        "what": f"peak RSS (ru_maxrss) after set-up and after {RSS_PASSES} passes of every "
+                "task of workloads.WORKLOADS[w](1), each result judged and dropped, per side "
+                "and round; the summary holds the medians over rounds",
+        "passes": RSS_PASSES,
+        "pairing": f"{ROUNDS} rounds; round i runs the parent first when i is odd; one child "
+                   "process per workload, one at a time",
+        "runs": runs,
+        "summary": summary,
     }
 
 
@@ -235,6 +303,8 @@ def main() -> int:
         record["runs"].append({"workload": w["name"], "seed": SEED, "pairs": pairs})
         record["summary"].append(summarize(w["name"], pairs, bench["end_to_end"]))
         args.out.write_text(json.dumps(record, indent=1) + "\n")
+    record["rss"] = run_rss_rounds(trees, [w["name"] for w in bench["workloads"]])
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
     record["suites"] = run_suites(trees)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

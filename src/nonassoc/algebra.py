@@ -326,10 +326,12 @@ def make_algebra(
     """Build an algebra from a sparse list of (i, j, k, scalar) entries.
 
     Unlisted triples are zero; duplicate (i, j, k) entries are rejected.
+    The nonzero entries are collected per (i, j), and every row with none
+    is one shared tuple of empty cells, so an empty row costs no cells.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    cells = [[[] for _ in range(dim)] for _ in range(dim)]
+    cells: dict = {}
     seen = set()
     for i, j, k, value in sc_entries:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
@@ -339,8 +341,13 @@ def make_algebra(
         seen.add((i, j, k))
         v = as_scalar(value)
         if v != 0:
-            cells[i][j].append((k, v))
-    rows = tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells)
+            cells.setdefault((i, j), []).append((k, v))
+    empty = ((),) * dim
+    full = {i for i, _ in cells}
+    rows = tuple(
+        tuple(tuple(sorted(cells.get((i, j), ()))) for j in range(dim)) if i in full else empty
+        for i in range(dim)
+    )
     return Algebra(dim, rows, tuple(basis_labels), meta or {})
 
 

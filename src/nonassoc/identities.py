@@ -29,6 +29,13 @@ cmax^(p+q) at basis vectors, and a signed root, summing at most the k words
 of its (coef, p, q) group, at most |weight| k cmax^(p+q); B is their sum.
 With 2^(w-1) > B a packed coordinate is 0 iff each field is, and the lowest
 set bit of all coordinates, over w, is the slot's first failing index.
+Without the automorphism list, once a block has passed, the last two slots
+run at once, by bivariate Kronecker substitution: index run[p1] of slot
+last - 1 is 2^(w n2 p1) and index order[p2] of the last slot 2^(w p2), n2
+being the length of ``order``, the indices the last slot may take.  The
+words are bilinear in the two slots, so field n2 p1 + p2 holds the value at
+(run[p1], order[p2]), w still bounds it, and the lowest failing field
+decodes as (p1, p2) = divmod(field, n2).
 
 Symmetry cuts the loop.  A basis permutation g with c[g i][g j][g k] =
 c[i][j][k] is an automorphism, so the polarized form vanishes at a tuple t
@@ -545,6 +552,20 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     block has a failing representative r <= t, which lies in no earlier block
     and so in this one at or after its first failing field: r = t, as without G.
 
+    Pairs: with ``group`` empty, once the loop's first block has passed,
+    slot last - 1's whole run is packed with the last slot's, one block per
+    prefix of the slots before them.  Only the plan (no group) and that pass
+    decide it: a verdict that fails in its first block pays for no square,
+    and a plan that prunes prefixes keeps slot last - 1's pruning.  The last
+    slot runs over all of ``order``, also when tied to slot last - 1, so the
+    square holds tuples that are not sorted within their slot group.  The
+    lowest failing field is still the first failing tuple.  Without G every
+    sorted tuple before the square was checked, and the square holds every
+    sorted tuple of its prefix and run.  Let t fail in the square, unsorted.
+    Its sorted twin s fails too, and s < t, so s lies in a passed block or
+    lower in this square, as its fields run in lex order.  So the lowest
+    failing field is sorted, and every sorted tuple before it passed.
+
     Null-index pruning: when ``sched.covered`` (no side is a bare leaf),
     every slot runs over the live indices only: the ``Algebra.active`` ones
     and, when the words apply R, those whose R column is nonzero.  A tuple
@@ -575,6 +596,28 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
         vals[sched.phantom] = {dim: 1}
     tup = [0] * len(tied)
     low, hits = [None] * len(tied), [None] * len(tied)  # kept at each run's first slot
+    n2 = len(order)
+    pair_leaf = {i: 1 << width * p for p, i in enumerate(order)}
+    pair = False  # set once a block has passed, when no automorphism is listed
+
+    def block(d: int, run) -> bool:
+        """Check slot ``d``'s ``run`` in one pass, and with it the last slot's
+        whole ``order`` when d = last - 1; True at the first failure, its
+        indices set in ``tup``."""
+        stride = width * n2 if d < last else width
+        vals[d] = {i: 1 << stride * p for p, i in enumerate(run)}
+        _products(rows, sched.steps[d], vals)
+        if d < last:
+            vals[last] = pair_leaf
+            _products(rows, sched.steps[last], vals)
+        bits = reduce(or_, _signed_sum(signed, vals).values(), 0)
+        if bits:
+            field = ((bits & -bits).bit_length() - 1) // width
+            if d < last:
+                field, q = divmod(field, n2)
+                tup[last] = order[q]
+            tup[d] = run[field]
+        return bool(bits)
 
     def survivors(d: int, alive):
         """The elements alive below the prefix ``tup[:d + 1]``, or None to prune it."""
@@ -604,16 +647,12 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
 
     def loop(d: int, alive) -> bool:
         """Run slot ``d`` and the slots after it; True at the first failure."""
+        nonlocal pair
         if alive and not tied[d] and d < last and tied[d + 1]:
             low[d] = [min(c) for c in zip(*alive)]
         run = order[at[tup[d - 1]]:] if tied[d] else order
-        if d == last:  # the whole run at once, the first failing index set in tup
-            vals[d] = {i: 1 << width * p for p, i in enumerate(run)}
-            _products(rows, sched.steps[d], vals)
-            bits = reduce(or_, _signed_sum(signed, vals).values(), 0)
-            if bits:
-                tup[d] = run[((bits & -bits).bit_length() - 1) // width]
-            return bool(bits)
+        if d == last or pair and d == last - 1:
+            return block(d, run)
         for i in run:
             tup[d] = i
             below = alive and survivors(d, alive)
@@ -623,14 +662,18 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
             _products(rows, sched.steps[d], vals)
             if loop(d + 1, below):
                 return True
+            if not group and d == last - 1:  # the first block passed: pair the rest
+                pair = True
+                return block(d, run[1:])
         return False
 
     failed = loop(0, tuple(group))
     del loop  # empties the closure cell through which loop calls itself: no cycle
     if not failed:
         return Verdict.ok()
-    vals[last] = {tup[last]: 1}  # the witness, evaluated alone
-    _products(rows, sched.steps[last], vals)
+    for d in range(max(last - 1, 0), last + 1):  # the witness, evaluated alone
+        vals[d] = {tup[d]: 1}
+        _products(rows, sched.steps[d], vals)
     inputs = tuple(a.basis_vector(i) for i in tup)
     return _failure(tuple(tup), inputs, lhs, rhs, vals, dim, scale)
 

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +108,31 @@ def test_make_algebra_rejects_bad_entries():
         make_algebra(2, [(0, 2, 0, 0)])
     with pytest.raises(ValueError):
         make_algebra(0, [])
+
+
+def test_make_algebra_shares_one_tuple_among_empty_rows():
+    a = make_algebra(5, [(1, 3, 2, 1), (3, 0, 0, Fraction(1, 2))])
+    assert a.sparse_rows[0] is a.sparse_rows[2] is a.sparse_rows[4] == ((),) * 5
+    assert a.sparse_rows[1] == ((), (), (), ((2, 1),), ())
+    assert a.sparse_rows[3] == (((0, Fraction(1, 2)),), (), (), (), ())
+
+
+def test_make_algebra_of_dim_10000_builds_in_bounded_memory():
+    """The null algebra of dim 10^4 (10^8 cells) builds in a child process
+    whose address space is capped at 512 MiB."""
+    resource = pytest.importorskip("resource")
+    limit = 512 * 2**20
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("from nonassoc.algebra import make_algebra\n"
+             "a = make_algebra(10**4, [])\n"
+             "print(a.dim, len(a.sparse_rows), a.sparse_rows[-1] == ((),) * 10**4)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["10000", "10000", "True"]
 
 
 def _stored_form_cases():

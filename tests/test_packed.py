@@ -1,9 +1,12 @@
-"""The packed last slot of the basis-tuple loop.
+"""The packed last slots of the basis-tuple loop.
 
 ``_basis_verdict`` checks every index of the innermost slot at once, each in
-its own field of one int.  These cases push the packing where it could break:
-fields past 64 bits, negative coordinates, a failure inside a block, a tied
-last slot and large operator columns.  Verdicts and witnesses are compared,
+its own field of one int, and, when no automorphism is listed, the last two
+slots at once, after the first block: a square of fields, slot last - 1 at a
+stride of the last slot's run.  These cases push the packing where it could
+break: fields past 64 bits, negative coordinates, a failure inside a block or
+in a square's first row, a tied last pair, large operator columns and the
+``genalgebras`` families.  Verdicts and witnesses are compared,
 through ``repr``, with the plain rational loops of ``test_symmetry`` and
 ``test_operators``, and the field width with every coordinate the unpacked
 kernel reaches at any basis tuple.
@@ -132,6 +135,54 @@ def test_fields_past_64_bits_match_the_plain_loop():
     assert failed >= 10
 
 
+def last_two_leaves(monkeypatch, slots):
+    """Records, at each comparison, the leaves of the last two slots as lists
+    of their field exponents (bit positions), in key order."""
+    seen = []
+    original = identities._signed_sum
+
+    def record(roots, vals):
+        seen.append([[v.bit_length() - 1 for v in vals[s].values()] for s in (slots - 2, slots - 1)])
+        return original(roots, vals)
+
+    monkeypatch.setattr(identities, "_signed_sum", record)
+    return seen
+
+
+@pytest.mark.parametrize("name, entries, witness", [
+    # e0 e0 = e0, e1 e2 = e3: block (0, *) passes, and the pair of slot 0's
+    # run 1..3 with slot 1's fails at (1, 2)
+    ("commutativity", [(0, 0, 0, 1), (1, 2, 3, 1)], (1, 2)),
+    # (e1 e0) e3 = e2 e3 = e3 but e1 (e0 e3) = 0: the squares below x = 0 pass,
+    # and the square below x = 1 fails in its first row, y = 0
+    ("associativity", [(1, 0, 2, 1), (2, 3, 3, 1)], (1, 0, 3)),
+])
+def test_a_failure_in_a_squares_first_row_is_decoded(monkeypatch, name, entries, witness):
+    a = make_algebra(4, entries)
+    leaves = last_two_leaves(monkeypatch, len(witness))
+    verdict = check_identity(a, name)
+    assert verdict.witness.indices == witness
+    *_, (pair, last), _, _ = leaves  # the witness's two sides are summed last
+    assert len(pair) > 1 and pair[0] == 0 and pair[1] == len(last) * last[1]
+    monkeypatch.undo()
+    assert repr(verdict) == repr(plain_verdict(a, name))
+
+
+def test_a_tied_pair_decodes_its_canonical_field_first():
+    """x y.y = x.y y fails at (0, 1, 2) and, the form being symmetric in the
+    two y slots, at (0, 2, 1).  In the pair of slot 1's run 1..2 with slot 2's
+    whole run, (0, 1, 2) is field 0·3 + 2 and (0, 2, 1) field 1·3 + 1; a decode
+    with p2 major would meet (0, 2, 1) first, which is not sorted."""
+    degrees, lhs, rhs = _TIED_AFTER_CLOSED["xy.y=x.yy"]
+    sched = tied_schedule(degrees, lhs, rhs)
+    a = make_algebra(3, [(0, 1, 2, 1), (2, 2, 2, 1)])  # e0 e1 = e2, e2 e2 = e2
+    rows, denom = a.integer_rows
+    verdict = identities._basis_verdict(
+        a, sched, rows, a.integer_cell_norm, *identities._weighted(sched, denom))
+    assert verdict.witness.indices == (0, 1, 2)
+    assert repr(verdict) == repr(plain_words_verdict(a, degrees, lhs, rhs))
+
+
 def test_the_first_failing_field_of_a_block_is_decoded():
     """e3 e4 = -e0 and e3 e5 = e0: in the block of prefix (3,) the fields of 4
     and 5 fail with opposite signs in one coordinate, after four passing ones."""
@@ -152,18 +203,24 @@ def test_negative_coordinates_match_the_plain_loop(seed):
             assert repr(check_identity(b, name)) == repr(plain_verdict(b, name)), name
 
 
-@pytest.mark.parametrize("words", _TIED_AFTER_CLOSED)
-def test_a_tied_last_slot_matches_the_plain_loop(words):
-    """The last slot runs from the index before it, with and without the group."""
-    degrees, lhs, rhs = _TIED_AFTER_CLOSED[words]
+def tied_schedule(degrees, lhs, rhs):
+    """The schedule of words in variables of ``degrees``, polarized, each
+    repeated variable's slots one symmetry group."""
     offsets = [sum(degrees[:v]) for v in range(len(degrees))]
     groups = tuple(tuple(range(o, o + d)) for o, d in zip(offsets, degrees) if d > 1)
-    sched = identities._schedule(
+    return identities._schedule(
         sum(degrees),
         identities._polarize_words(lhs, degrees, offsets),
         identities._polarize_words(rhs, degrees, offsets),
         groups,
     )
+
+
+@pytest.mark.parametrize("words", _TIED_AFTER_CLOSED)
+def test_a_tied_last_slot_matches_the_plain_loop(words):
+    """The last slot runs from the index before it, with and without the group."""
+    degrees, lhs, rhs = _TIED_AFTER_CLOSED[words]
+    sched = tied_schedule(degrees, lhs, rhs)
     assert sched.tied[-1]
     failed = 0
     for a in (shuffled_matrix_algebra(2, 3), shuffled_matrix_algebra(3, 6),
@@ -179,12 +236,13 @@ def test_a_tied_last_slot_matches_the_plain_loop(words):
     assert failed >= 1
 
 
-def large_operator(a, rng):
-    """An operator whose entries are about 10^7, some with denominator 7, one column zero."""
+def large_operator(a, rng, zero=None):
+    """An operator whose entries are about 10^7, some with denominator 7, one
+    column zero (``zero``, or one at random)."""
     def entry():
         return Fraction(rng.randint(-9, 9) * 10**6 + rng.randint(-5, 5), rng.choice((1, 1, 7)))
 
-    zero = rng.randrange(a.dim)
+    zero = rng.randrange(a.dim) if zero is None else zero
     return make_operator(a, [[0 if j == zero else entry() for _ in range(a.dim)]
                              for j in range(a.dim)])
 
@@ -207,30 +265,50 @@ def test_field_width_bounds_every_coordinate(monkeypatch):
     """2^(width - 1) exceeds every coordinate the unpacked kernel reaches, for
     identities on M3, a scaled commutator and a rational algebra, and for
     operator words with large columns; the width is the one the check packs
-    with, so ``check_words`` must count R's columns in ``cmax``."""
-    widths = []
-    original = identities._field_width
+    with, so ``check_words`` must count R's columns in ``cmax``.  Read off the
+    leaves of each comparison, the last slot's fields are that width apart
+    and, in a pair, slot last - 1's fields the width times the last slot's
+    run: each field, of a pair too, holds one tuple's value."""
+    widths, strides = [], []
+    original_width, original_sum = identities._field_width, identities._signed_sum
 
-    def record(*args):
-        widths.append(original(*args))
+    def record_width(*args):
+        widths.append(original_width(*args))
         return widths[-1]
 
-    monkeypatch.setattr(identities, "_field_width", record)
+    def record_leaves(roots, vals):
+        pair, last = ([v.bit_length() - 1 for v in vals[s].values()] if s >= 0 else [0]
+                      for s in (slots - 2, slots - 1))
+        strides.append(pair == [widths[0] * len(last) * p for p in range(len(pair))]
+                       and last == [widths[0] * q for q in range(len(last))] and len(pair))
+        return original_sum(roots, vals)
+
+    monkeypatch.setattr(identities, "_field_width", record_width)
+    monkeypatch.setattr(identities, "_signed_sum", record_leaves)
     for a in (shuffled_matrix_algebra(3, 1),
               scaled(commutator(shuffled_matrix_algebra(3, 2)), 10**6), mixed(7, 3)):
         for name in IDENTITY_NAMES:
             widths.clear()
+            slots = identities.polarized_plan(name).slots
             check_identity(a, name)
             top = largest_coordinate(a, *identity_signed(a, name))
             assert widths and top < 2 ** (widths[0] - 1), name
+    assert all(strides) and max(strides) > 1  # some comparisons were pairs
+    strides.clear()
     rng = random.Random(9)
-    a = mixed(300, 3)
-    r = large_operator(a, rng)
+    # e0 x = 0 and R(e0) = 0, so the first block passes for the endomorphism,
+    # derivation and Rota-Baxter words, and pairs follow
+    a = make_algebra(3, [(i, j, k, c) for i, row in enumerate(mixed(300, 3).sparse_rows) if i
+                         for j, e in enumerate(row) for k, c in e])
+    assert a.active == (0, 1, 2)
+    r = large_operator(a, rng, zero=0)
     for prop in every_property((1, Fraction(-1, 2))):
         widths.clear()
+        slots = len(_SCHEDULES[prop.kind].tied)
         check_operator_property(a, r, prop)
         top = largest_coordinate(a, *operator_signed(a, r, prop))
         assert widths and 0 < top < 2 ** (widths[0] - 1), prop
+    assert all(strides) and max(strides) > 1
 
 
 def test_an_operators_columns_are_scaled_once(monkeypatch):
@@ -244,3 +322,42 @@ def test_an_operators_columns_are_scaled_once(monkeypatch):
     for prop in (OperatorProperty("endomorphism"), OperatorProperty("derivation")):
         assert repr(check_operator_property(a, r, prop)) == repr(oracle_verdict(a, r, prop))
     assert calls == [1]
+
+
+def _family_cases():
+    """(label, algebra, operator) from each generator of ``genalgebras``."""
+    from genalgebras import (
+        entrywise_algebra_with_retraction,
+        entrywise_with_averaging,
+        null_algebra_with_root_operator,
+        rota_baxter_setup,
+        row_algebra_with_projection,
+        truncated_poly_with_derivation,
+    )
+
+    out = []
+    for seed in range(3):
+        rng = random.Random(500 + seed)
+        out.append((f"row{seed}", *row_algebra_with_projection(rng, 3)))
+        out.append((f"retraction{seed}", *entrywise_algebra_with_retraction(rng, 4)))
+        out.append((f"poly{seed}", *truncated_poly_with_derivation(rng, 4)[:2]))
+        out.append((f"null_root{seed}", *null_algebra_with_root_operator(rng, 4)[:2]))
+        out.append((f"averaging{seed}", *entrywise_with_averaging(rng, 3)))
+        for weight in ("one", "zero", "weighted"):
+            _, sub, _, _, r, _, _ = rota_baxter_setup(rng, weight)
+            out.append((f"rota_baxter_{weight}{seed}", sub, r))
+    return out
+
+
+_FAMILIES = _family_cases()
+
+
+@pytest.mark.parametrize("label, a, r", _FAMILIES, ids=[c[0] for c in _FAMILIES])
+def test_the_genalgebras_families_match_the_oracles(label, a, r):
+    """Every identity against the rational plain loop and every operator
+    property against the basis-pair oracle, on each family's algebra and
+    operator."""
+    for name in IDENTITY_NAMES:
+        assert repr(check_identity(a, name)) == repr(plain_verdict(a, name)), name
+    for prop in every_property((0, 1, -1, Fraction(1, 2))):
+        assert repr(check_operator_property(a, r, prop)) == repr(oracle_verdict(a, r, prop)), prop

@@ -3,8 +3,9 @@
 Every permutation the search returns is checked against the dense ``sc``
 view by brute force; the loop's visited tuples against the packed blocks of
 the prefixes a brute-force minimal-image test keeps under the listed
-automorphisms (the whole group, or any subset of it), which must hold every
-brute-force lex-min orbit representative of the whole group; and its
+automorphisms (the whole group, or any subset of it), or, given none, the
+pair blocks of the last two slots, which must hold every brute-force lex-min
+orbit representative of the whole group; and its
 verdicts and witnesses against a plain loop over all non-decreasing basis
 tuples, evaluated in rationals.
 """
@@ -98,24 +99,41 @@ def surviving_prefixes(a, degrees, group):
         sorted_image(g, p[:k], degrees) >= p[:k] for k in range(1, len(p) + 1) for g in group)]
 
 
+def expected_blocks(a, degrees, group):
+    """The blocks the loop compares, each a list of tuples in field order.
+
+    Given automorphisms, each surviving prefix (every slot but the last) is
+    followed by every index of its last slot's run (from the prefix's last
+    index when the last slot is tied to it).  Given none, the first prefix is
+    so followed, and after it the loop packs slot last - 1's run, below each
+    prefix of the slots before it, with every index of the last slot: the
+    full square, tied or not."""
+    tied = degrees[-1] > 1
+    prefixes = surviving_prefixes(a, degrees, group)
+    if group:
+        return [[p + (i,) for i in range(p[-1] if tied else 0, a.dim)] for p in prefixes]
+    first = prefixes[0]
+    blocks = [[first + (i,) for i in range(first[-1] if tied else 0, a.dim)]]
+    for _, below in itertools.groupby(prefixes[1:], key=lambda p: p[:-1]):
+        blocks.append([p + (i,) for p in below for i in range(a.dim)])
+    return blocks
+
+
 def assert_visited_representatives(visited, a, degrees, verdict, group=None):
     """The loop, given the non-identity elements ``group`` (all of G when
-    None), compared each prefix surviving them followed by every index of its
-    last slot's run (from the prefix's last index when the last slot is tied
-    to it), cut at the end of the witness's block.  Those tuples hold every
-    representative of G, and the witness is one."""
+    None), compared the ``expected_blocks``, cut at the end of the witness's
+    block.  Those tuples hold every representative of G, and the witness is
+    one."""
     assert len(a.active) == a.dim  # no null index: every slot runs over range(dim)
     group = group_of(a) if group is None else group
-    tied = degrees[-1] > 1
-    expected = [p + (i,) for p in surviving_prefixes(a, degrees, group)
-                for i in range(p[-1] if tied else 0, a.dim)]
+    blocks = expected_blocks(a, degrees, group)
     reps = lex_min_representatives(a, degrees)
-    assert set(reps) <= set(expected)
+    assert set(reps) <= {t for b in blocks for t in b}
     if not verdict.passed:
         w = verdict.witness.indices
         assert w in reps
-        expected = expected[:max(k for k, t in enumerate(expected) if t[:-1] == w[:-1]) + 1]
-    assert visited == expected
+        blocks = blocks[:next(k for k, b in enumerate(blocks) if w in b) + 1]
+    assert visited == [t for b in blocks for t in b]
 
 
 def plain_verdict(a, name):
@@ -167,17 +185,18 @@ def always_use_group(monkeypatch):
 def visited(monkeypatch):
     """Records, in ``tuples``, each basis tuple of ``slots`` indices at which the
     loop compares the two sides, in order, repeats kept: the loop compares a
-    packed block at once, the prefix's indices followed by each key of the
-    last slot's leaf.  The witness's sides, summed again inside ``_failure``,
-    are not a comparison and are not recorded."""
+    packed block at once: the prefix's indices followed by each key of slot
+    last - 1's leaf, one unless it is packed with the last slot, and each key
+    of the last slot's leaf, in field order.  The witness's sides, summed
+    again inside ``_failure``, are not a comparison and are not recorded."""
     seen = {"slots": 0, "tuples": [], "witness": False}
     original_sum, original_failure = identities._signed_sum, identities._failure
 
     def record(roots, vals):
         if not seen["witness"]:
             last = seen["slots"] - 1
-            prefix = tuple(next(iter(vals[s])) for s in range(last))
-            seen["tuples"] += [prefix + (i,) for i in vals[last]]
+            prefix = tuple(next(iter(vals[s])) for s in range(last - 1))
+            seen["tuples"] += [prefix + (i, j) for i in vals[last - 1] for j in vals[last]]
         return original_sum(roots, vals)
 
     def failure(*args):
@@ -301,15 +320,17 @@ def test_visited_tuples_are_the_lex_min_representatives(always_use_group, visite
     assert_visited_representatives(visited["tuples"], a, degrees, check_identity(a, name))
 
 
-@pytest.mark.parametrize("subset", ["generators", "three"])
+@pytest.mark.parametrize("subset", ["none", "generators", "three"])
 @pytest.mark.parametrize("name, label", _VISITED_CASES, ids=[f"{n}-{l}" for n, l in _VISITED_CASES])
 def test_a_subset_of_the_group_visits_the_blocks_it_leaves(visited, label, name, subset):
-    """Given only some automorphisms (the generators, or the last three
+    """Given only some automorphisms (none, the generators, or the last three
     elements of G), the loop compares the blocks of the prefixes they leave,
-    which hold every representative of G, and its verdict is the plain one."""
+    pair blocks when none is given, which hold every representative of G,
+    and its verdict is the plain one."""
     a = visited_algebra(label)
-    group = a.automorphisms.generators if subset == "generators" else group_of(a)[-3:]
-    assert 0 < len(group) < len(group_of(a)) - 1
+    group = {"none": (), "generators": a.automorphisms.generators,
+             "three": group_of(a)[-3:]}[subset]
+    assert (subset == "none") == (not group) and len(group) < len(group_of(a)) - 1
     degrees = identities.get_identity(name).multidegree
     sched = identities._plan_schedule(name)
     rows, denom = a.integer_rows
@@ -346,9 +367,14 @@ _TIED_AFTER_CLOSED = {
 }
 
 
+@pytest.mark.parametrize("listed", ["group", "none"])
 @pytest.mark.parametrize("words", _TIED_AFTER_CLOSED)
 @pytest.mark.parametrize("label", ["M2", "M3", "commutator(M3)"])
-def test_tied_slots_after_a_closed_group_visit_the_lex_min_representatives(visited, label, words):
+def test_tied_slots_after_a_closed_group_visit_the_lex_min_representatives(visited, label, words,
+                                                                          listed):
+    """Given G, the loop prunes inside the tied group; given nothing, it packs
+    the tied last pair as a full square.  Both visit every representative of
+    G and give one verdict."""
     a = shuffled_matrix_algebra(3 if label != "M2" else 2, 12)
     if label == "commutator(M3)":
         a = commutator(a)
@@ -364,11 +390,13 @@ def test_tied_slots_after_a_closed_group_visit_the_lex_min_representatives(visit
     rows, denom = a.integer_rows
     weighted = identities._weighted(sched, denom)
     visited["slots"] = sum(degrees)
-    verdict = identities._basis_verdict(
-        a, sched, rows, a.integer_cell_norm, *weighted, group_of(a)[1:])
-    assert_visited_representatives(visited["tuples"], a, degrees, verdict)
-    plain = identities._basis_verdict(a, sched, rows, a.integer_cell_norm, *weighted)
-    assert repr(verdict) == repr(plain)
+    group = group_of(a)[1:] if listed == "group" else ()
+    other = identities._basis_verdict(
+        a, sched, rows, a.integer_cell_norm, *weighted, group_of(a)[1:] if not group else ())
+    visited["tuples"].clear()
+    verdict = identities._basis_verdict(a, sched, rows, a.integer_cell_norm, *weighted, group)
+    assert_visited_representatives(visited["tuples"], a, degrees, verdict, group)
+    assert repr(verdict) == repr(other)
 
 
 def _witness_algebras(all_materialized):
