@@ -597,8 +597,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     tup = [0] * len(tied)
     low, hits = [None] * len(tied), [None] * len(tied)  # kept at each run's first slot
     n2 = len(order)
-    pair_leaf = {i: 1 << width * p for p, i in enumerate(order)}
-    pair = False  # set once a block has passed, when no automorphism is listed
+    pair = None  # the last slot's leaf in a pair, set once a block has passed without G
 
     def block(d: int, run) -> bool:
         """Check slot ``d``'s ``run`` in one pass, and with it the last slot's
@@ -608,7 +607,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
         vals[d] = {i: 1 << stride * p for p, i in enumerate(run)}
         _products(rows, sched.steps[d], vals)
         if d < last:
-            vals[last] = pair_leaf
+            vals[last] = pair
             _products(rows, sched.steps[last], vals)
         bits = reduce(or_, _signed_sum(signed, vals).values(), 0)
         if bits:
@@ -663,7 +662,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
             if loop(d + 1, below):
                 return True
             if not group and d == last - 1:  # the first block passed: pair the rest
-                pair = True
+                pair = {i: 1 << width * p for p, i in enumerate(order)}
                 return block(d, run[1:])
         return False
 
