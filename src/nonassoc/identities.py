@@ -35,7 +35,12 @@ last - 1 is 2^(w n2 p1) and index order[p2] of the last slot 2^(w p2), n2
 being the length of ``order``, the indices the last slot may take.  The
 words are bilinear in the two slots, so field n2 p1 + p2 holds the value at
 (run[p1], order[p2]), w still bounds it, and the lowest failing field
-decodes as (p1, p2) = divmod(field, n2).
+decodes as (p1, p2) = divmod(field, n2).  The last slot's leaf L =
+sum_p 2^(w p) e_order[p] is then one value for the whole verdict, so the
+rows e_x L and L e_y are memoized within the call, from their second
+request: a product u L with u = sum_x u_x e_x is sum_x u_x (e_x L), where
+the direct loop sums every u_x 2^(w p) C[x][order[p]].  Each row is the
+integer that loop sums, so packed values, witnesses and w are unchanged.
 
 Symmetry cuts the loop.  A basis permutation g with c[g i][g j][g k] =
 c[i][j][k] is an automorphism, so the polarized form vanishes at a tuple t
@@ -461,9 +466,48 @@ def _signed_sum(roots, vals) -> dict:
     return acc
 
 
-def _products(rows, steps, vals) -> None:
+class _PairLeaf:
+    """The last slot's leaf in a pair, L = {order[p]: 2^(w p)}, fixed for one
+    ``_basis_verdict`` call, with memos of its product rows.
+
+    ``right[x]`` is e_x L = {k: sum_p C[x][order[p]][k] 2^(w p)} and
+    ``left[y]`` is L e_y; with R's column appended to ``rows``, ``left[dim]``
+    is R(L).  A row is filled at its second request; the first goes to the
+    direct loop, so a row used once costs what it did.  Each row is the
+    integer the direct loop sums, so a product by L is bit-identical.
+    """
+
+    def __init__(self, node: int, order: Sequence[int], width: int, rows) -> None:
+        self.node, self.rows = node, rows
+        self.value = {i: 1 << width * p for p, i in enumerate(order)}
+        self.right: dict = {}  # x -> e_x L, None after its first request
+        self.left: dict = {}  # y -> L e_y, likewise
+
+    def times(self, lv: dict, rv: dict, right: bool, out: dict) -> tuple[dict, dict]:
+        """Add into ``out`` the terms of ``lv rv`` that filled rows give, L being
+        ``rv`` when ``right``, else ``lv``; return the operands of the rest,
+        L and the coordinates of the other asked for the first time."""
+        memo, rows, value = self.right if right else self.left, self.rows, self.value
+        first: dict = {}
+        for i, u in (lv if right else rv).items():
+            row = memo.get(i)
+            if row is None:
+                if i not in memo:
+                    memo[i], first[i] = None, u
+                    continue
+                row = memo[i] = {}
+                for j, uj in value.items():
+                    for k, v in rows[i][j] if right else rows[j][i]:
+                        row[k] = row.get(k, 0) + uj * v
+            for k, v in row.items():
+                out[k] = out.get(k, 0) + u * v
+        return (first, rv) if right else (lv, first)
+
+
+def _products(rows, steps, vals, leaf: Optional[_PairLeaf] = None) -> None:
     """Set ``vals[n]`` to the sparse int product of its children, or to the
-    sum of its terms (zeros dropped), for each step."""
+    sum of its terms (zeros dropped), for each step.  A product by ``leaf``'s
+    node takes what it can from the leaf's rows (``_PairLeaf.times``)."""
     for n, left, right in steps:
         out: dict = {}
         if left is None:
@@ -474,6 +518,8 @@ def _products(rows, steps, vals) -> None:
             continue
         lv, rv = vals[left], vals[right]
         if lv and rv:
+            if leaf is not None and leaf.node in (left, right):
+                lv, rv = leaf.times(lv, rv, right == leaf.node, out)
             rv = rv.items()
             for x, ux in lv.items():
                 row = rows[x]
@@ -566,6 +612,12 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     lower in this square, as its fields run in lex order.  So the lowest
     failing field is sorted, and every sorted tuple before it passed.
 
+    The pair's last-slot leaf is a ``_PairLeaf``, made once per call: a
+    product by it reads the rows e_x L and L e_y (R(L) at the phantom index)
+    it memoized from their second request, each the integer the direct loop
+    sums, so every packed value, and the verdict, is bit-identical.  The
+    memo dies with the call, as w and R's column change between checks.
+
     Null-index pruning: when ``sched.covered`` (no side is a bare leaf),
     every slot runs over the live indices only: the ``Algebra.active`` ones
     and, when the words apply R, those whose R column is nonzero.  A tuple
@@ -607,8 +659,8 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
         vals[d] = {i: 1 << stride * p for p, i in enumerate(run)}
         _products(rows, sched.steps[d], vals)
         if d < last:
-            vals[last] = pair
-            _products(rows, sched.steps[last], vals)
+            vals[last] = pair.value
+            _products(rows, sched.steps[last], vals, pair)
         bits = reduce(or_, _signed_sum(signed, vals).values(), 0)
         if bits:
             field = ((bits & -bits).bit_length() - 1) // width
@@ -662,7 +714,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
             if loop(d + 1, below):
                 return True
             if not group and d == last - 1:  # the first block passed: pair the rest
-                pair = {i: 1 << width * p for p, i in enumerate(order)}
+                pair = _PairLeaf(last, order, width, rows)
                 return block(d, run[1:])
         return False
 

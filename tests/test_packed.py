@@ -6,15 +6,20 @@ slots at once, after the first block: a square of fields, slot last - 1 at a
 stride of the last slot's run.  These cases push the packing where it could
 break: fields past 64 bits, negative coordinates, a failure inside a block or
 in a square's first row, a tied last pair, large operator columns and the
-``genalgebras`` families.  Verdicts and witnesses are compared,
+``genalgebras`` families; products by the pair's last-slot leaf, read from
+rows memoized within one check, are compared with the plain kernel's.
+Verdicts and witnesses are compared,
 through ``repr``, with the plain rational loops of ``test_symmetry`` and
 ``test_operators``, and the field width with every coordinate the unpacked
 kernel reaches at any basis tuple.
 """
+import collections
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -361,3 +366,96 @@ def test_the_genalgebras_families_match_the_oracles(label, a, r):
         assert repr(check_identity(a, name)) == repr(plain_verdict(a, name)), name
     for prop in every_property((0, 1, -1, Fraction(1, 2))):
         assert repr(check_operator_property(a, r, prop)) == repr(oracle_verdict(a, r, prop)), prop
+
+
+def dense_m3():
+    """The benchmark's dense rational basis of M3 at seed 1 (``perfbench/workloads.py``)."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.append(perfbench)
+    import workloads
+
+    (_, a, _), = workloads.dense_algebras(1)
+    return a
+
+
+def inner_derivation(a, m):
+    """x -> m x - x m, a derivation of the associative algebra ``a``."""
+    return make_operator(a, [(a.product(m, e) - a.product(e, m)).coords
+                             for e in map(a.basis_vector, range(a.dim))])
+
+
+@pytest.fixture
+def pair_steps(monkeypatch):
+    """Checks every ``_products`` call given a pair leaf against the plain kernel
+    on a copy of ``vals``, each node with ``==``.  Counts, per kind of product
+    by the leaf L (its right operand, its left operand, or an R step's child),
+    those that read a memoized row: a coordinate of the other operand was
+    asked for before."""
+    seen = collections.Counter()
+    products, times = identities._products, identities._PairLeaf.times
+
+    def checked(rows, steps, vals, leaf=None):
+        if leaf is not None:
+            plain = list(vals)
+            products(rows, steps, plain)
+            products(rows, steps, vals, leaf)
+            for n, _, _ in steps:
+                assert vals[n] == plain[n]
+        else:
+            products(rows, steps, vals)
+
+    def counted(leaf, lv, rv, right, out):
+        memo, other = (leaf.right, lv) if right else (leaf.left, rv)
+        kind = "right" if right else "R" if rv == {len(leaf.rows): 1} else "left"
+        seen[kind] += not memo.keys().isdisjoint(other)
+        return times(leaf, lv, rv, right, out)
+
+    monkeypatch.setattr(identities, "_products", checked)
+    monkeypatch.setattr(identities._PairLeaf, "times", counted)
+    return seen
+
+
+# (x y) R(z) = x (y R(z)): linear in three slots, so an R step whose child
+# is the pair's leaf comes back in every square; it holds in an associative
+# algebra for any R
+_ASSOCIATIVE_R = ((1, ((0, 1), identities.R(2))),), ((1, (0, (1, identities.R(2)))),)
+
+
+def test_the_memoized_pair_rows_equal_the_plain_products(pair_steps):
+    """On every ``genalgebras`` family and on the dense M3 basis, each product
+    by the pair's leaf equals the plain kernel's; filled rows are read by
+    right-leaf and left-leaf steps of identities and by R steps of operator
+    words, and verdicts match the oracles."""
+    sched = identities.compile_words(3, *_ASSOCIATIVE_R)
+    dense = dense_m3()
+    for cases in (_FAMILIES, [("dense M3", dense, large_operator(dense, random.Random(3)))]):
+        for label, a, r in cases:
+            for name in IDENTITY_NAMES:
+                assert repr(check_identity(a, name)) == repr(plain_verdict(a, name)), (label, name)
+            for prop in every_property((1, Fraction(-1, 2))):
+                verdict = check_operator_property(a, r, prop)
+                assert repr(verdict) == repr(oracle_verdict(a, r, prop)), (label, prop)
+            verdict = identities.check_words(a, r.integer_columns, sched, {})
+            assert verdict.passed or a is not dense
+        assert all(pair_steps[kind] for kind in ("right", "left", "R")), (label, pair_steps)
+        pair_steps.clear()
+
+
+def test_checks_of_two_widths_on_one_algebra_share_no_rows(monkeypatch, pair_steps):
+    """An identity and then an operator property on the dense M3, with
+    different field widths and R's column only in the second: both fill and
+    read rows, and each matches its oracle, so no row outlives its check."""
+    a = dense_m3()
+    r = inner_derivation(a, a.basis_vector(0) + a.basis_vector(4))
+    widths = []
+    original = identities._field_width
+    monkeypatch.setattr(identities, "_field_width",
+                        lambda *args: widths.append(original(*args)) or widths[-1])
+    assert repr(check_identity(a, "flexible")) == repr(plain_verdict(a, "flexible"))
+    assert pair_steps["right"] and pair_steps["left"]
+    pair_steps.clear()
+    prop = OperatorProperty("derivation")
+    verdict = check_operator_property(a, r, prop)
+    assert verdict.passed and repr(verdict) == repr(oracle_verdict(a, r, prop))
+    assert pair_steps["right"] and len(set(widths)) == 2
