@@ -36,11 +36,11 @@ being the length of ``order``, the indices the last slot may take.  The
 words are bilinear in the two slots, so field n2 p1 + p2 holds the value at
 (run[p1], order[p2]), w still bounds it, and the lowest failing field
 decodes as (p1, p2) = divmod(field, n2).  The last slot's leaf L =
-sum_p 2^(w p) e_order[p] is then one value for the whole verdict, so the
-rows e_x L and L e_y are memoized within the call, from their second
-request: a product u L with u = sum_x u_x e_x is sum_x u_x (e_x L), where
-the direct loop sums every u_x 2^(w p) C[x][order[p]].  Each row is the
-integer that loop sums, so packed values, witnesses and w are unchanged.
+sum_p 2^(w p) e_order[p] is then one value for the whole verdict, so from
+its second square on the rows e_x L and L e_y are memoized within the call:
+a product u L with u = sum_x u_x e_x is sum_x u_x (e_x L), where the direct
+loop sums every u_x 2^(w p) C[x][order[p]].  Each row is the integer that
+loop sums, so packed values, witnesses and w are unchanged.
 
 Symmetry cuts the loop.  A basis permutation g with c[g i][g j][g k] =
 c[i][j][k] is an automorphism, so the polarized form vanishes at a tuple t
@@ -468,46 +468,39 @@ def _signed_sum(roots, vals) -> dict:
 
 class _PairLeaf:
     """The last slot's leaf in a pair, L = {order[p]: 2^(w p)}, fixed for one
-    ``_basis_verdict`` call, with memos of its product rows.
+    ``_basis_verdict`` call, with its product rows memoized.
 
     ``right[x]`` is e_x L = {k: sum_p C[x][order[p]][k] 2^(w p)} and
     ``left[y]`` is L e_y; with R's column appended to ``rows``, ``left[dim]``
-    is R(L).  A row is filled at its second request; the first goes to the
-    direct loop, so a row used once costs what it did.  Each row is the
-    integer the direct loop sums, so a product by L is bit-identical.
+    is R(L).  Each row is the integer the direct loop sums, so a product by
+    L through the rows is bit-identical to one through ``_products``.
     """
 
     def __init__(self, node: int, order: Sequence[int], width: int, rows) -> None:
         self.node, self.rows = node, rows
         self.value = {i: 1 << width * p for p, i in enumerate(order)}
-        self.right: dict = {}  # x -> e_x L, None after its first request
-        self.left: dict = {}  # y -> L e_y, likewise
+        self.right: dict = {}  # x -> e_x L
+        self.left: dict = {}  # y -> L e_y
 
-    def times(self, lv: dict, rv: dict, right: bool, out: dict) -> tuple[dict, dict]:
-        """Add into ``out`` the terms of ``lv rv`` that filled rows give, L being
-        ``rv`` when ``right``, else ``lv``; return the operands of the rest,
-        L and the coordinates of the other asked for the first time."""
+    def times(self, other: dict, right: bool, out: dict) -> None:
+        """Add ``other`` L into ``out`` when ``right``, else L ``other``,
+        filling the rows not yet memoized."""
         memo, rows, value = self.right if right else self.left, self.rows, self.value
-        first: dict = {}
-        for i, u in (lv if right else rv).items():
+        for i, u in other.items():
             row = memo.get(i)
             if row is None:
-                if i not in memo:
-                    memo[i], first[i] = None, u
-                    continue
                 row = memo[i] = {}
                 for j, uj in value.items():
                     for k, v in rows[i][j] if right else rows[j][i]:
                         row[k] = row.get(k, 0) + uj * v
             for k, v in row.items():
                 out[k] = out.get(k, 0) + u * v
-        return (first, rv) if right else (lv, first)
 
 
 def _products(rows, steps, vals, leaf: Optional[_PairLeaf] = None) -> None:
     """Set ``vals[n]`` to the sparse int product of its children, or to the
     sum of its terms (zeros dropped), for each step.  A product by ``leaf``'s
-    node takes what it can from the leaf's rows (``_PairLeaf.times``)."""
+    node reads the leaf's memoized rows (``_PairLeaf.times``)."""
     for n, left, right in steps:
         out: dict = {}
         if left is None:
@@ -519,14 +512,15 @@ def _products(rows, steps, vals, leaf: Optional[_PairLeaf] = None) -> None:
         lv, rv = vals[left], vals[right]
         if lv and rv:
             if leaf is not None and leaf.node in (left, right):
-                lv, rv = leaf.times(lv, rv, right == leaf.node, out)
-            rv = rv.items()
-            for x, ux in lv.items():
-                row = rows[x]
-                for y, uy in rv:
-                    c = ux * uy
-                    for k, v in row[y]:
-                        out[k] = out.get(k, 0) + c * v
+                leaf.times(lv if right == leaf.node else rv, right == leaf.node, out)
+            else:
+                rv = rv.items()
+                for x, ux in lv.items():
+                    row = rows[x]
+                    for y, uy in rv:
+                        c = ux * uy
+                        for k, v in row[y]:
+                            out[k] = out.get(k, 0) + c * v
         vals[n] = out
 
 
@@ -612,11 +606,13 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     lower in this square, as its fields run in lex order.  So the lowest
     failing field is sorted, and every sorted tuple before it passed.
 
-    The pair's last-slot leaf is a ``_PairLeaf``, made once per call: a
-    product by it reads the rows e_x L and L e_y (R(L) at the phantom index)
-    it memoized from their second request, each the integer the direct loop
-    sums, so every packed value, and the verdict, is bit-identical.  The
-    memo dies with the call, as w and R's column change between checks.
+    The pair's last-slot leaf is a ``_PairLeaf``, made once per call.  The
+    first square multiplies by it directly; each later one reads its rows
+    e_x L and L e_y (R(L) at the phantom index), filling those it lacks.  A
+    row is the integer the direct loop sums, so every packed value, and the
+    verdict, is bit-identical.  A plan of two slots has one square, so it,
+    and a verdict that fails in its first square, fills no row.  The memo
+    dies with the call, as w and R's column change between checks.
 
     Null-index pruning: when ``sched.covered`` (no side is a bare leaf),
     every slot runs over the live indices only: the ``Algebra.active`` ones
@@ -651,16 +647,17 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     n2 = len(order)
     pair = None  # the last slot's leaf in a pair, set once a block has passed without G
 
-    def block(d: int, run) -> bool:
+    def block(d: int, run, memo: Optional[_PairLeaf] = None) -> bool:
         """Check slot ``d``'s ``run`` in one pass, and with it the last slot's
-        whole ``order`` when d = last - 1; True at the first failure, its
-        indices set in ``tup``."""
+        whole ``order`` when d = last - 1, multiplying by that leaf through
+        ``memo``'s rows when given; True at the first failure, its indices
+        set in ``tup``."""
         stride = width * n2 if d < last else width
         vals[d] = {i: 1 << stride * p for p, i in enumerate(run)}
         _products(rows, sched.steps[d], vals)
         if d < last:
             vals[last] = pair.value
-            _products(rows, sched.steps[last], vals, pair)
+            _products(rows, sched.steps[last], vals, memo)
         bits = reduce(or_, _signed_sum(signed, vals).values(), 0)
         if bits:
             field = ((bits & -bits).bit_length() - 1) // width
@@ -703,7 +700,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
             low[d] = [min(c) for c in zip(*alive)]
         run = order[at[tup[d - 1]]:] if tied[d] else order
         if d == last or pair and d == last - 1:
-            return block(d, run)
+            return block(d, run, pair)  # a square after the first reads the rows
         for i in run:
             tup[d] = i
             below = alive and survivors(d, alive)

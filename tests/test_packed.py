@@ -390,8 +390,7 @@ def pair_steps(monkeypatch):
     """Checks every ``_products`` call given a pair leaf against the plain kernel
     on a copy of ``vals``, each node with ``==``.  Counts, per kind of product
     by the leaf L (its right operand, its left operand, or an R step's child),
-    those that read a memoized row: a coordinate of the other operand was
-    asked for before."""
+    those that read a row filled before them."""
     seen = collections.Counter()
     products, times = identities._products, identities._PairLeaf.times
 
@@ -405,11 +404,11 @@ def pair_steps(monkeypatch):
         else:
             products(rows, steps, vals)
 
-    def counted(leaf, lv, rv, right, out):
-        memo, other = (leaf.right, lv) if right else (leaf.left, rv)
-        kind = "right" if right else "R" if rv == {len(leaf.rows): 1} else "left"
+    def counted(leaf, other, right, out):
+        memo = leaf.right if right else leaf.left
+        kind = "right" if right else "R" if other == {len(leaf.rows): 1} else "left"
         seen[kind] += not memo.keys().isdisjoint(other)
-        return times(leaf, lv, rv, right, out)
+        return times(leaf, other, right, out)
 
     monkeypatch.setattr(identities, "_products", checked)
     monkeypatch.setattr(identities._PairLeaf, "times", counted)
@@ -443,9 +442,10 @@ def test_the_memoized_pair_rows_equal_the_plain_products(pair_steps):
 
 
 def test_checks_of_two_widths_on_one_algebra_share_no_rows(monkeypatch, pair_steps):
-    """An identity and then an operator property on the dense M3, with
-    different field widths and R's column only in the second: both fill and
-    read rows, and each matches its oracle, so no row outlives its check."""
+    """On the dense M3: an identity, an operator property, then operator words
+    of three slots, each with its own field width, R's column only in the
+    last two.  The first and the last fill and read rows, and each matches
+    its oracle or the plain kernel, so no row outlives its check."""
     a = dense_m3()
     r = inner_derivation(a, a.basis_vector(0) + a.basis_vector(4))
     widths = []
@@ -454,8 +454,10 @@ def test_checks_of_two_widths_on_one_algebra_share_no_rows(monkeypatch, pair_ste
                         lambda *args: widths.append(original(*args)) or widths[-1])
     assert repr(check_identity(a, "flexible")) == repr(plain_verdict(a, "flexible"))
     assert pair_steps["right"] and pair_steps["left"]
-    pair_steps.clear()
     prop = OperatorProperty("derivation")
     verdict = check_operator_property(a, r, prop)
     assert verdict.passed and repr(verdict) == repr(oracle_verdict(a, r, prop))
-    assert pair_steps["right"] and len(set(widths)) == 2
+    pair_steps.clear()
+    sched = identities.compile_words(3, *_ASSOCIATIVE_R)
+    assert identities.check_words(a, r.integer_columns, sched, {}).passed
+    assert pair_steps["R"] and len(set(widths)) == 3
