@@ -467,8 +467,8 @@ def _signed_sum(roots, vals) -> dict:
 
 
 class _PairLeaf:
-    """The last slot's leaf in a pair, L = {order[p]: 2^(w p)}, fixed for one
-    ``_basis_verdict`` call, with its product rows memoized.
+    """The last slot's leaf in a pair, L = ``value`` = {order[p]: 2^(w p)},
+    fixed for one ``_basis_verdict`` call, with its product rows memoized.
 
     ``right[x]`` is e_x L = {k: sum_p C[x][order[p]][k] 2^(w p)} and
     ``left[y]`` is L e_y; with R's column appended to ``rows``, ``left[dim]``
@@ -476,9 +476,8 @@ class _PairLeaf:
     L through the rows is bit-identical to one through ``_products``.
     """
 
-    def __init__(self, node: int, order: Sequence[int], width: int, rows) -> None:
-        self.node, self.rows = node, rows
-        self.value = {i: 1 << width * p for p, i in enumerate(order)}
+    def __init__(self, node: int, value: dict, rows) -> None:
+        self.node, self.value, self.rows = node, value, rows
         self.right: dict = {}  # x -> e_x L
         self.left: dict = {}  # y -> L e_y
 
@@ -606,13 +605,14 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     lower in this square, as its fields run in lex order.  So the lowest
     failing field is sorted, and every sorted tuple before it passed.
 
-    The pair's last-slot leaf is a ``_PairLeaf``, made once per call.  The
-    first square multiplies by it directly; each later one reads its rows
-    e_x L and L e_y (R(L) at the phantom index), filling those it lacks.  A
-    row is the integer the direct loop sums, so every packed value, and the
-    verdict, is bit-identical.  A plan of two slots has one square, so it,
-    and a verdict that fails in its first square, fills no row.  The memo
-    dies with the call, as w and R's column change between checks.
+    The first square multiplies by the pair's last-slot leaf L directly.
+    When a second square starts, ``memo`` becomes a ``_PairLeaf`` of L, and
+    each square from then on reads its rows e_x L and L e_y (R(L) at the
+    phantom index), filling those it lacks.  A row is the integer the direct
+    loop sums, so every packed value, and the verdict, is bit-identical.  A
+    plan of two slots has one square, so it, and a verdict that fails in its
+    first square, makes no memo.  The memo dies with the call, as w and R's
+    column change between checks.
 
     Null-index pruning: when ``sched.covered`` (no side is a bare leaf),
     every slot runs over the live indices only: the ``Algebra.active`` ones
@@ -646,17 +646,17 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     low, hits = [None] * len(tied), [None] * len(tied)  # kept at each run's first slot
     n2 = len(order)
     pair = None  # the last slot's leaf in a pair, set once a block has passed without G
+    memo = None  # a _PairLeaf of ``pair``, made when a second square starts
 
-    def block(d: int, run, memo: Optional[_PairLeaf] = None) -> bool:
+    def block(d: int, run) -> bool:
         """Check slot ``d``'s ``run`` in one pass, and with it the last slot's
-        whole ``order`` when d = last - 1, multiplying by that leaf through
-        ``memo``'s rows when given; True at the first failure, its indices
-        set in ``tup``."""
+        whole ``order`` when d = last - 1; True at the first failure, its
+        indices set in ``tup``."""
         stride = width * n2 if d < last else width
         vals[d] = {i: 1 << stride * p for p, i in enumerate(run)}
         _products(rows, sched.steps[d], vals)
         if d < last:
-            vals[last] = pair.value
+            vals[last] = pair
             _products(rows, sched.steps[last], vals, memo)
         bits = reduce(or_, _signed_sum(signed, vals).values(), 0)
         if bits:
@@ -695,12 +695,14 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
 
     def loop(d: int, alive) -> bool:
         """Run slot ``d`` and the slots after it; True at the first failure."""
-        nonlocal pair
+        nonlocal pair, memo
         if alive and not tied[d] and d < last and tied[d + 1]:
             low[d] = [min(c) for c in zip(*alive)]
         run = order[at[tup[d - 1]]:] if tied[d] else order
         if d == last or pair and d == last - 1:
-            return block(d, run, pair)  # a square after the first reads the rows
+            if d < last and memo is None:  # a second square: rows pay from here on
+                memo = _PairLeaf(last, pair, rows)
+            return block(d, run)
         for i in run:
             tup[d] = i
             below = alive and survivors(d, alive)
@@ -711,7 +713,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
             if loop(d + 1, below):
                 return True
             if not group and d == last - 1:  # the first block passed: pair the rest
-                pair = _PairLeaf(last, order, width, rows)
+                pair = {i: 1 << width * p for p, i in enumerate(order)}
                 return block(d, run[1:])
         return False
 
