@@ -357,17 +357,6 @@ def _family_cases():
 _FAMILIES = _family_cases()
 
 
-@pytest.mark.parametrize("label, a, r", _FAMILIES, ids=[c[0] for c in _FAMILIES])
-def test_the_genalgebras_families_match_the_oracles(label, a, r):
-    """Every identity against the rational plain loop and every operator
-    property against the basis-pair oracle, on each family's algebra and
-    operator."""
-    for name in IDENTITY_NAMES:
-        assert repr(check_identity(a, name)) == repr(plain_verdict(a, name)), name
-    for prop in every_property((0, 1, -1, Fraction(1, 2))):
-        assert repr(check_operator_property(a, r, prop)) == repr(oracle_verdict(a, r, prop)), prop
-
-
 def dense_m3():
     """The benchmark's dense rational basis of M3 at seed 1 (``perfbench/workloads.py``)."""
     perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
@@ -421,24 +410,33 @@ def pair_steps(monkeypatch):
 _ASSOCIATIVE_R = ((1, ((0, 1), identities.R(2))),), ((1, (0, (1, identities.R(2)))),)
 
 
+@pytest.mark.parametrize("label, a, r", _FAMILIES, ids=[c[0] for c in _FAMILIES])
+def test_the_genalgebras_families_match_the_oracles(label, a, r, pair_steps):
+    """Every identity against the rational plain loop and every operator
+    property against the basis-pair oracle, on each family's algebra and
+    operator; with the three-slot R words, every product by a pair's leaf
+    equals the plain kernel's (``pair_steps``)."""
+    for name in IDENTITY_NAMES:
+        assert repr(check_identity(a, name)) == repr(plain_verdict(a, name)), name
+    for prop in every_property((0, 1, -1, Fraction(1, 2))):
+        assert repr(check_operator_property(a, r, prop)) == repr(oracle_verdict(a, r, prop)), prop
+    identities.check_words(a, r.integer_columns, identities.compile_words(3, *_ASSOCIATIVE_R), {})
+
+
 def test_the_memoized_pair_rows_equal_the_plain_products(pair_steps):
-    """On every ``genalgebras`` family and on the dense M3 basis, each product
-    by the pair's leaf equals the plain kernel's; filled rows are read by
-    right-leaf and left-leaf steps of identities and by R steps of operator
-    words, and verdicts match the oracles."""
+    """On the dense M3 basis, each product by the pair's leaf equals the plain
+    kernel's, filled rows are read by right-leaf and left-leaf steps of the
+    identities and by the R step of the three-slot R words, and verdicts
+    match the oracles."""
+    a = dense_m3()
+    r = large_operator(a, random.Random(3))
+    for name in IDENTITY_NAMES:
+        assert repr(check_identity(a, name)) == repr(plain_verdict(a, name)), name
+    for prop in every_property((1, Fraction(-1, 2))):
+        assert repr(check_operator_property(a, r, prop)) == repr(oracle_verdict(a, r, prop)), prop
     sched = identities.compile_words(3, *_ASSOCIATIVE_R)
-    dense = dense_m3()
-    for cases in (_FAMILIES, [("dense M3", dense, large_operator(dense, random.Random(3)))]):
-        for label, a, r in cases:
-            for name in IDENTITY_NAMES:
-                assert repr(check_identity(a, name)) == repr(plain_verdict(a, name)), (label, name)
-            for prop in every_property((1, Fraction(-1, 2))):
-                verdict = check_operator_property(a, r, prop)
-                assert repr(verdict) == repr(oracle_verdict(a, r, prop)), (label, prop)
-            verdict = identities.check_words(a, r.integer_columns, sched, {})
-            assert verdict.passed or a is not dense
-        assert all(pair_steps[kind] for kind in ("right", "left", "R")), (label, pair_steps)
-        pair_steps.clear()
+    assert identities.check_words(a, r.integer_columns, sched, {}).passed
+    assert all(pair_steps[kind] for kind in ("right", "left", "R")), pair_steps
 
 
 def test_checks_of_two_widths_on_one_algebra_share_no_rows(monkeypatch, pair_steps):
