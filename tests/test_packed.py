@@ -404,10 +404,11 @@ def pair_steps(monkeypatch):
     return seen
 
 
-# (x y) R(z) = x (y R(z)): linear in three slots, so an R step whose child
-# is the pair's leaf comes back in every square; it holds in an associative
-# algebra for any R
-_ASSOCIATIVE_R = ((1, ((0, 1), identities.R(2))),), ((1, (0, (1, identities.R(2)))),)
+# (x y) R(z) = x (y R(z)), compiled: linear in three slots, so an R step
+# whose child is the pair's leaf comes back in every square; it holds in an
+# associative algebra for any R
+_ASSOCIATIVE_R = identities.compile_words(
+    3, ((1, ((0, 1), identities.R(2))),), ((1, (0, (1, identities.R(2)))),))
 
 
 @pytest.mark.parametrize("label, a, r", _FAMILIES, ids=[c[0] for c in _FAMILIES])
@@ -420,7 +421,7 @@ def test_the_genalgebras_families_match_the_oracles(label, a, r, pair_steps):
         assert repr(check_identity(a, name)) == repr(plain_verdict(a, name)), name
     for prop in every_property((0, 1, -1, Fraction(1, 2))):
         assert repr(check_operator_property(a, r, prop)) == repr(oracle_verdict(a, r, prop)), prop
-    identities.check_words(a, r.integer_columns, identities.compile_words(3, *_ASSOCIATIVE_R), {})
+    identities.check_words(a, r.integer_columns, _ASSOCIATIVE_R, {})
 
 
 def test_the_memoized_pair_rows_equal_the_plain_products(pair_steps):
@@ -434,8 +435,7 @@ def test_the_memoized_pair_rows_equal_the_plain_products(pair_steps):
         assert repr(check_identity(a, name)) == repr(plain_verdict(a, name)), name
     for prop in every_property((1, Fraction(-1, 2))):
         assert repr(check_operator_property(a, r, prop)) == repr(oracle_verdict(a, r, prop)), prop
-    sched = identities.compile_words(3, *_ASSOCIATIVE_R)
-    assert identities.check_words(a, r.integer_columns, sched, {}).passed
+    assert identities.check_words(a, r.integer_columns, _ASSOCIATIVE_R, {}).passed
     assert all(pair_steps[kind] for kind in ("right", "left", "R")), pair_steps
 
 
@@ -456,6 +456,5 @@ def test_checks_of_two_widths_on_one_algebra_share_no_rows(monkeypatch, pair_ste
     verdict = check_operator_property(a, r, prop)
     assert verdict.passed and repr(verdict) == repr(oracle_verdict(a, r, prop))
     pair_steps.clear()
-    sched = identities.compile_words(3, *_ASSOCIATIVE_R)
-    assert identities.check_words(a, r.integer_columns, sched, {}).passed
+    assert identities.check_words(a, r.integer_columns, _ASSOCIATIVE_R, {}).passed
     assert pair_steps["R"] and len(set(widths)) == 3
