@@ -37,10 +37,9 @@ words are bilinear in the two slots, so field n2 p1 + p2 holds the value at
 (run[p1], order[p2]), w still bounds it, and the lowest failing field
 decodes as (p1, p2) = divmod(field, n2).  The last slot's leaf L =
 sum_p 2^(w p) e_order[p] is then one value for the whole verdict, so from
-its second square on the rows e_x L and L e_y are memoized within the call:
-a product u L with u = sum_x u_x e_x is sum_x u_x (e_x L), where the direct
-loop sums every u_x 2^(w p) C[x][order[p]].  Each row is the integer that
-loop sums, so packed values, witnesses and w are unchanged.
+its second square on it is a phantom basis index, as R is (below), whose
+cells e_x L and L e_y are the integers the direct loop sums: packed values,
+witnesses and w are unchanged.
 
 Symmetry cuts the loop.  A basis permutation g with c[g i][g j][g k] =
 c[i][j][k] is an automorphism, so the polarized form vanishes at a tuple t
@@ -466,40 +465,31 @@ def _signed_sum(roots, vals) -> dict:
     return acc
 
 
-class _PairLeaf:
-    """The last slot's leaf in a pair, L = ``value`` = {order[p]: 2^(w p)},
-    fixed for one ``_basis_verdict`` call, with its product rows memoized.
-
-    ``right[x]`` is e_x L = {k: sum_p C[x][order[p]][k] 2^(w p)} and
-    ``left[y]`` is L e_y; with R's column appended to ``rows``, ``left[dim]``
-    is R(L).  Each row is the integer the direct loop sums, so a product by
-    L through the rows is bit-identical to one through ``_products``.
-    """
-
-    def __init__(self, node: int, value: dict, rows) -> None:
-        self.node, self.value, self.rows = node, value, rows
-        self.right: dict = {}  # x -> e_x L
-        self.left: dict = {}  # y -> L e_y
-
-    def times(self, other: dict, right: bool, out: dict) -> None:
-        """Add ``other`` L into ``out`` when ``right``, else L ``other``,
-        filling the rows not yet memoized."""
-        memo, rows, value = self.right if right else self.left, self.rows, self.value
-        for i, u in other.items():
-            row = memo.get(i)
-            if row is None:
-                row = memo[i] = {}
-                for j, uj in value.items():
-                    for k, v in rows[i][j] if right else rows[j][i]:
-                        row[k] = row.get(k, 0) + uj * v
-            for k, v in row.items():
-                out[k] = out.get(k, 0) + u * v
+def _with_phantom(rows, right, left=None) -> tuple:
+    """``rows`` with one more basis index n = ``len(rows[0])``: cell (x, n) is
+    ``right[x]`` and, given ``left``, row n is ``left``, any row between empty."""
+    rows = tuple(row + (cell,) for row, cell in zip(rows, right))
+    return rows if left is None else (*rows, *[()] * (len(rows[0]) - 1 - len(rows)), left)
 
 
-def _products(rows, steps, vals, leaf: Optional[_PairLeaf] = None) -> None:
+def _leaf_rows(rows, leaf: dict) -> tuple[dict, tuple]:
+    """The phantom leaf {n: 1} standing for the packed ``leaf`` L, and ``rows``
+    with its index n = ``len(rows[0])``: cell (x, n) is e_x L and row n holds
+    L e_y for y < n, so R(L) at R's index; each is the kernel's product."""
+    def times(u: dict, v: dict) -> tuple:
+        vals = [u, v, None]
+        _products(rows, ((2, 0, 1),), vals)
+        return tuple(vals[2].items())
+
+    n = len(rows[0])
+    return {n: 1}, _with_phantom(rows, [times({x: 1}, leaf) for x in range(len(rows))],
+                                 tuple(times(leaf, {y: 1}) for y in range(n)))
+
+
+def _products(rows, steps, vals) -> None:
     """Set ``vals[n]`` to the sparse int product of its children, or to the
-    sum of its terms (zeros dropped), for each step.  A product by ``leaf``'s
-    node reads the leaf's memoized rows (``_PairLeaf.times``)."""
+    sum of its terms (zeros dropped), for each step.  A phantom index of
+    ``rows`` (R's, or the pair's last-slot leaf's) is multiplied as any other."""
     for n, left, right in steps:
         out: dict = {}
         if left is None:
@@ -510,16 +500,13 @@ def _products(rows, steps, vals, leaf: Optional[_PairLeaf] = None) -> None:
             continue
         lv, rv = vals[left], vals[right]
         if lv and rv:
-            if leaf is not None and leaf.node in (left, right):
-                leaf.times(lv if right == leaf.node else rv, right == leaf.node, out)
-            else:
-                rv = rv.items()
-                for x, ux in lv.items():
-                    row = rows[x]
-                    for y, uy in rv:
-                        c = ux * uy
-                        for k, v in row[y]:
-                            out[k] = out.get(k, 0) + c * v
+            rv = rv.items()
+            for x, ux in lv.items():
+                row = rows[x]
+                for y, uy in rv:
+                    c = ux * uy
+                    for k, v in row[y]:
+                        out[k] = out.get(k, 0) + c * v
         vals[n] = out
 
 
@@ -606,12 +593,14 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     failing field is sorted, and every sorted tuple before it passed.
 
     The first square multiplies by the pair's last-slot leaf L directly.
-    When a second square starts, ``memo`` becomes a ``_PairLeaf`` of L, and
-    each square from then on reads its rows e_x L and L e_y (R(L) at the
-    phantom index), filling those it lacks.  A row is the integer the direct
-    loop sums, so every packed value, and the verdict, is bit-identical.  A
-    plan of two slots has one square, so it, and a verdict that fails in its
-    first square, makes no memo.  The memo dies with the call, as w and R's
+    When a second square starts, ``_leaf_rows`` adds a phantom index n =
+    len(rows[0]) for L, after R's: cell (x, n) is e_x L and row n holds L e_y,
+    so L e_dim is R(L); R's row at dim stays empty, never a left operand.
+    From then on the leaf is {n: 1}, multiplied as any basis vector, and each
+    cell, zeros kept, is the integer the direct loop sums: packed values and
+    the verdict are bit-identical.  A two-slot plan, or a verdict failing in
+    its first square, builds no phantom; built at the first square it read
+    slower on ``fixture-catalog``.  The rows die with the call, as w and R's
     column change between checks.
 
     Null-index pruning: when ``sched.covered`` (no side is a bare leaf),
@@ -646,7 +635,6 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     low, hits = [None] * len(tied), [None] * len(tied)  # kept at each run's first slot
     n2 = len(order)
     pair = None  # the last slot's leaf in a pair, set once a block has passed without G
-    memo = None  # a _PairLeaf of ``pair``, made when a second square starts
 
     def block(d: int, run) -> bool:
         """Check slot ``d``'s ``run`` in one pass, and with it the last slot's
@@ -657,7 +645,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
         _products(rows, sched.steps[d], vals)
         if d < last:
             vals[last] = pair
-            _products(rows, sched.steps[last], vals, memo)
+            _products(rows, sched.steps[last], vals)
         bits = reduce(or_, _signed_sum(signed, vals).values(), 0)
         if bits:
             field = ((bits & -bits).bit_length() - 1) // width
@@ -695,13 +683,13 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
 
     def loop(d: int, alive) -> bool:
         """Run slot ``d`` and the slots after it; True at the first failure."""
-        nonlocal pair, memo
+        nonlocal pair, rows
         if alive and not tied[d] and d < last and tied[d + 1]:
             low[d] = [min(c) for c in zip(*alive)]
         run = order[at[tup[d - 1]]:] if tied[d] else order
         if d == last or pair and d == last - 1:
-            if d < last and memo is None:  # a second square: rows pay from here on
-                memo = _PairLeaf(last, pair, rows)
+            if d < last and len(rows) == dim:  # a second square: L's rows pay from here on
+                pair, rows = _leaf_rows(rows, pair)
             return block(d, run)
         for i in run:
             tup[d] = i
@@ -770,7 +758,7 @@ def check_words(
     """
     rows, denom = a.integer_rows
     cols, rdenom, rnorm = integer_columns
-    rows = tuple(row + (col,) for row, col in zip(rows, cols))
+    rows = _with_phantom(rows, cols)
     cmax = max(a.integer_cell_norm, rnorm)
     return _basis_verdict(a, sched, rows, cmax, *_weighted(sched, denom, rdenom, params))
 

@@ -6,12 +6,12 @@ slots at once, after the first block: a square of fields, slot last - 1 at a
 stride of the last slot's run.  These cases push the packing where it could
 break: fields past 64 bits, negative coordinates, a failure inside a block or
 in a square's first row, a tied last pair, large operator columns and the
-``genalgebras`` families; products by the pair's last-slot leaf, read from
-rows memoized within one check, are compared with the plain kernel's.
-Verdicts and witnesses are compared,
-through ``repr``, with the plain rational loops of ``test_symmetry`` and
-``test_operators``, and the field width with every coordinate the unpacked
-kernel reaches at any basis tuple.
+``genalgebras`` families.  From a check's second square on, the pair's
+last-slot leaf L is a phantom basis index of the rows, as R is; each product
+by it is compared with the plain kernel's product by L itself.  Verdicts and
+witnesses are compared, through ``repr``, with the plain rational loops of
+``test_symmetry`` and ``test_operators``, and the field width with every
+coordinate the unpacked kernel reaches at any basis tuple.
 """
 import collections
 import itertools
@@ -37,6 +37,7 @@ from nonassoc.verdicts import Verdict, Witness
 from test_operators import every_property, oracle_verdict
 from test_symmetry import (
     _TIED_AFTER_CLOSED,
+    PhantomLeaves,
     canonical_tuples,
     commutator,
     group_of,
@@ -142,12 +143,15 @@ def test_fields_past_64_bits_match_the_plain_loop():
 
 def last_two_leaves(monkeypatch, slots):
     """Records, at each comparison, the leaves of the last two slots as lists
-    of their field exponents (bit positions), in key order."""
+    of their field exponents (bit positions), in key order, a phantom leaf
+    read as its L."""
     seen = []
     original = identities._signed_sum
+    phantom = PhantomLeaves(monkeypatch)
 
     def record(roots, vals):
-        seen.append([[v.bit_length() - 1 for v in vals[s].values()] for s in (slots - 2, slots - 1)])
+        seen.append([[v.bit_length() - 1 for v in phantom.read(vals[s]).values()]
+                     for s in (slots - 2, slots - 1)])
         return original(roots, vals)
 
     monkeypatch.setattr(identities, "_signed_sum", record)
@@ -273,16 +277,19 @@ def test_field_width_bounds_every_coordinate(monkeypatch):
     with, so ``check_words`` must count R's columns in ``cmax``.  Read off the
     leaves of each comparison, the last slot's fields are that width apart
     and, in a pair, slot last - 1's fields the width times the last slot's
-    run: each field, of a pair too, holds one tuple's value."""
+    run: each field, of a pair too, holds one tuple's value, a phantom leaf
+    read as its L."""
     widths, strides = [], []
     original_width, original_sum = identities._field_width, identities._signed_sum
+    phantom = PhantomLeaves(monkeypatch)
 
     def record_width(*args):
         widths.append(original_width(*args))
         return widths[-1]
 
     def record_leaves(roots, vals):
-        pair, last = ([v.bit_length() - 1 for v in vals[s].values()] if s >= 0 else [0]
+        pair, last = ([v.bit_length() - 1 for v in phantom.read(vals[s]).values()]
+                      if s >= 0 else [0]
                       for s in (slots - 2, slots - 1))
         strides.append(pair == [widths[0] * len(last) * p for p in range(len(pair))]
                        and last == [widths[0] * q for q in range(len(last))] and len(pair))
@@ -376,31 +383,31 @@ def inner_derivation(a, m):
 
 @pytest.fixture
 def pair_steps(monkeypatch):
-    """Checks every ``_products`` call given a pair leaf against the plain kernel
-    on a copy of ``vals``, each node with ``==``.  Counts, per kind of product
-    by the leaf L (its right operand, its left operand, or an R step's child),
-    those that read a row filled before them."""
+    """Checks every ``_products`` call on rows with the pair leaf's phantom index
+    against the plain kernel on the rows without it and a copy of ``vals``
+    holding L for the phantom leaf, each node with ``==``.  Counts, per kind of
+    product by the leaf L (its right operand, its left operand, or an R step's
+    child), those that read a phantom row, the other operand nonzero."""
     seen = collections.Counter()
-    products, times = identities._products, identities._PairLeaf.times
+    products, phantom = identities._products, PhantomLeaves(monkeypatch)
 
-    def checked(rows, steps, vals, leaf=None):
-        if leaf is not None:
-            plain = list(vals)
-            products(rows, steps, plain)
-            products(rows, steps, vals, leaf)
-            for n, _, _ in steps:
-                assert vals[n] == plain[n]
-        else:
-            products(rows, steps, vals)
-
-    def counted(leaf, other, right, out):
-        memo = leaf.right if right else leaf.left
-        kind = "right" if right else "R" if other == {len(leaf.rows): 1} else "left"
-        seen[kind] += not memo.keys().isdisjoint(other)
-        return times(leaf, other, right, out)
+    def checked(rows, steps, vals):
+        products(rows, steps, vals)
+        if rows is not phantom.rows:
+            return
+        plain = [phantom.read(v) for v in vals]
+        products(phantom.plain_rows, steps, plain)
+        for n, left, right in steps:
+            assert vals[n] == plain[n]
+            if left is None:
+                continue
+            if vals[right] is phantom.pair:
+                seen["right"] += bool(vals[left])
+            elif vals[left] is phantom.pair:
+                other = vals[right]
+                seen["R" if other == {len(phantom.plain_rows): 1} else "left"] += bool(other)
 
     monkeypatch.setattr(identities, "_products", checked)
-    monkeypatch.setattr(identities._PairLeaf, "times", counted)
     return seen
 
 
@@ -424,9 +431,9 @@ def test_the_genalgebras_families_match_the_oracles(label, a, r, pair_steps):
     identities.check_words(a, r.integer_columns, _ASSOCIATIVE_R, {})
 
 
-def test_the_memoized_pair_rows_equal_the_plain_products(pair_steps):
+def test_the_phantom_leaf_rows_equal_the_plain_products(pair_steps):
     """On the dense M3 basis, each product by the pair's leaf equals the plain
-    kernel's, filled rows are read by right-leaf and left-leaf steps of the
+    kernel's, phantom rows are read by right-leaf and left-leaf steps of the
     identities and by the R step of the three-slot R words, and verdicts
     match the oracles."""
     a = dense_m3()
@@ -442,8 +449,8 @@ def test_the_memoized_pair_rows_equal_the_plain_products(pair_steps):
 def test_checks_of_two_widths_on_one_algebra_share_no_rows(monkeypatch, pair_steps):
     """On the dense M3: an identity, an operator property, then operator words
     of three slots, each with its own field width, R's column only in the
-    last two.  The first and the last fill and read rows, and each matches
-    its oracle or the plain kernel, so no row outlives its check."""
+    last two.  The first and the last build and read phantom rows, and each
+    matches its oracle or the plain kernel, so no row outlives its check."""
     a = dense_m3()
     r = inner_derivation(a, a.basis_vector(0) + a.basis_vector(4))
     widths = []

@@ -181,22 +181,45 @@ def always_use_group(monkeypatch):
     monkeypatch.setattr(identities, "_TUPLES_PER_UNIT", 0)
 
 
+class PhantomLeaves:
+    """Records the latest ``_leaf_rows`` call: the phantom leaf {n: 1} it made,
+    the packed leaf L it stands for, and the rows without and with index n.
+    ``read`` gives that phantom leaf back as its L, any other value as it is."""
+
+    def __init__(self, monkeypatch):
+        self.pair = self.leaf = self.plain_rows = self.rows = None
+        original = identities._leaf_rows
+
+        def record(rows, leaf):
+            self.leaf, self.plain_rows = leaf, rows
+            self.pair, self.rows = original(rows, leaf)
+            return self.pair, self.rows
+
+        monkeypatch.setattr(identities, "_leaf_rows", record)
+
+    def read(self, value):
+        return self.leaf if value is self.pair else value
+
+
 @pytest.fixture
 def visited(monkeypatch):
     """Records, in ``tuples``, each basis tuple of ``slots`` indices at which the
     loop compares the two sides, in order, repeats kept: the loop compares a
     packed block at once: the prefix's indices followed by each key of slot
     last - 1's leaf, one unless it is packed with the last slot, and each key
-    of the last slot's leaf, in field order.  The witness's sides, summed
-    again inside ``_failure``, are not a comparison and are not recorded."""
+    of the last slot's leaf, in field order, a phantom leaf read as its L.
+    The witness's sides, summed again inside ``_failure``, are not a
+    comparison and are not recorded."""
     seen = {"slots": 0, "tuples": [], "witness": False}
     original_sum, original_failure = identities._signed_sum, identities._failure
+    phantom = PhantomLeaves(monkeypatch)
 
     def record(roots, vals):
         if not seen["witness"]:
             last = seen["slots"] - 1
             prefix = tuple(next(iter(vals[s])) for s in range(last - 1))
-            seen["tuples"] += [prefix + (i, j) for i in vals[last - 1] for j in vals[last]]
+            seen["tuples"] += [prefix + (i, j) for i in vals[last - 1]
+                               for j in phantom.read(vals[last])]
         return original_sum(roots, vals)
 
     def failure(*args):
