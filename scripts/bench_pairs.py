@@ -38,12 +38,9 @@ separates what the program keeps from ``perfbench/run.py``'s own
 per-verdict samples, which grow with the number of passes a run fits in
 its time.
 
-And ``labels``: each task label's median CPU milliseconds per verdict over
-``LABEL_PASSES`` passes of each workload's tasks, built like ``rss`` (the
-same child set-up and alternating rounds), so that a moved ``verdict_p50_ms``
-can be traced to the rows that moved it.  The summary holds, per workload
-and label, each side's median over rounds and the change's ratio to the
-parent's.
+Per-label latencies are timed in one process, the sides alternating per
+call, by ``scripts/ab.py``, which resolves shifts that cross-process runs
+cannot.
 """
 from __future__ import annotations
 
@@ -126,23 +123,6 @@ print(json.dumps({
 }))
 """
 
-LABEL_PASSES = 10
-# Runs in a child: argv[1] is a workload, argv[2] the pass count; prints one
-# JSON line, each label's median CPU milliseconds per verdict.
-LABELS_CHILD = """
-import json, statistics, sys, time
-from workloads import WORKLOADS
-tasks = WORKLOADS[sys.argv[1]](1)
-times = {}
-for _ in range(int(sys.argv[2])):
-    for task in tasks:
-        start = time.process_time()
-        task.run()
-        times.setdefault(task.label, []).append(time.process_time() - start)
-print(json.dumps({label: round(statistics.median(t) * 1e3, 4) for label, t in times.items()}))
-"""
-
-
 def describe(tree: Path) -> str:
     """The tree's last commit as 'hash (subject)', or its directory name."""
     out = subprocess.run(
@@ -213,33 +193,26 @@ def run_suites(trees: dict) -> dict:
     }
 
 
-def run_child(tree: Path, code: str, workload: str, passes: int) -> dict:
-    """The JSON line that ``code`` prints for ``workload`` and ``passes`` in a child
-    process with the tree's ``src`` and ``perfbench`` on its path."""
+def run_rss_child(tree: Path, workload: str) -> dict:
+    """``RSS_CHILD``'s JSON line for ``workload`` in a child process with the
+    tree's ``src`` and ``perfbench`` on its path."""
     path = os.pathsep.join(str(tree / d) for d in ("src", "perfbench"))
     env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-c", code, workload, str(passes)],
+    proc = subprocess.run([sys.executable, "-c", RSS_CHILD, workload, str(RSS_PASSES)],
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{tree} {workload}: exit {proc.returncode}\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_rounds(trees: dict, workloads: list, code: str, passes: int, name: str, show) -> dict:
-    """``ROUNDS`` alternating rounds of ``run_child`` for every workload on both
-    sides; ``show`` gives the progress line of one entry."""
+def run_rss_rounds(trees: dict, workloads: list) -> dict:
+    """Peak RSS after ``RSS_PASSES`` passes of every workload, per side and round."""
     runs: dict = {"parent": [], "change": []}
     for r in range(1, ROUNDS + 1):
         for side in ("parent", "change") if r % 2 else ("change", "parent"):
-            runs[side].append({w: run_child(trees[side], code, w, passes) for w in workloads})
-            print(name, r, side, {w: show(e) for w, e in runs[side][-1].items()}, flush=True)
-    return runs
-
-
-def run_rss_rounds(trees: dict, workloads: list) -> dict:
-    """Peak RSS after ``RSS_PASSES`` passes of every workload, per side and round."""
-    runs = run_rounds(trees, workloads, RSS_CHILD, RSS_PASSES, "rss",
-                      lambda e: e["peak_rss_mib"])
+            runs[side].append({w: run_rss_child(trees[side], w) for w in workloads})
+            print("rss", r, side, {w: e["peak_rss_mib"] for w, e in runs[side][-1].items()},
+                  flush=True)
     summary = {
         w: {side: {key: statistics.median(run[w][key] for run in side_runs)
                    for key in ("setup_rss_mib", "peak_rss_mib")}
@@ -251,30 +224,6 @@ def run_rss_rounds(trees: dict, workloads: list) -> dict:
                 "task of workloads.WORKLOADS[w](1), each result judged and dropped, per side "
                 "and round; the summary holds the medians over rounds",
         "passes": RSS_PASSES,
-        "pairing": f"{ROUNDS} rounds; round i runs the parent first when i is odd; one child "
-                   "process per workload, one at a time",
-        "runs": runs,
-        "summary": summary,
-    }
-
-
-def run_label_rounds(trees: dict, workloads: list) -> dict:
-    """Each task label's median latency over ``LABEL_PASSES`` passes, per side and round."""
-    runs = run_rounds(trees, workloads, LABELS_CHILD, LABEL_PASSES, "labels",
-                      lambda e: round(sum(e.values()), 2))
-    summary = {}
-    for w in workloads:
-        summary[w] = {}
-        for label in runs["parent"][0][w]:
-            parent, change = (statistics.median(run[w][label] for run in runs[side])
-                              for side in ("parent", "change"))
-            summary[w][label] = {"parent_ms": parent, "change_ms": change,
-                                 "ratio": round(change / parent, 3) if parent else None}
-    return {
-        "what": f"median CPU milliseconds per verdict of each task label over {LABEL_PASSES} "
-                "passes of every task of workloads.WORKLOADS[w](1), per side and round; the "
-                "summary holds each side's median over rounds and the change's ratio",
-        "passes": LABEL_PASSES,
         "pairing": f"{ROUNDS} rounds; round i runs the parent first when i is odd; one child "
                    "process per workload, one at a time",
         "runs": runs,
@@ -360,8 +309,6 @@ def main() -> int:
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     names = [w["name"] for w in bench["workloads"]]
     record["rss"] = run_rss_rounds(trees, names)
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
-    record["labels"] = run_label_rounds(trees, names)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     record["suites"] = run_suites(trees)
     args.out.write_text(json.dumps(record, indent=1) + "\n")

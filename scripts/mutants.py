@@ -48,28 +48,44 @@ class Mutant(NamedTuple):
 IDENTITIES = "src/nonassoc/identities.py"
 
 MUTANTS = (
-    # The pair's last-slot leaf as a phantom basis index.
+    # The last slot's leaf as a phantom basis index, its cells filled as read.
     Mutant("phantom-cell-transposed", IDENTITIES,
-           "[times({x: 1}, leaf) for x in range(len(rows))]",
-           "[times(leaf, {x: 1}) for x in range(len(rows))]",
+           "out[x] += (_times(rows, {x: 1}, leaf),)",
+           "out[x] += (_times(rows, leaf, {x: 1}),)",
            ("tests/test_packed.py",),
            "cell (x, n) holds L e_x, summed from rows[j][x], where e_x L is meant"),
     Mutant("phantom-row-without-R", IDENTITIES,
-           "tuple(times(leaf, {y: 1}) for y in range(n))",
-           "tuple(times(leaf, {y: 1}) for y in range(len(rows)))",
+           "[*rows, *[()] * (n - len(rows)), [None] * n]",
+           "[*rows, *[()] * (n - len(rows)), [None] * len(rows)]",
            ("tests/test_packed.py",),
-           "row n runs over the basis only, so it lacks R(L) at R's index"),
+           "row n runs over the basis only, so it has no cell for R(L) at R's index"),
     Mutant("phantom-leaf-over-run", IDENTITIES,
-           "pair, rows = _leaf_rows(rows, pair)",
-           "pair, rows = _leaf_rows(rows, {i: 1 << width * p for p, i in enumerate(run)})",
+           "phantom, rows, fill = _phantom_leaf(rows, leaf, sched.beside_last)",
+           "phantom, rows, fill = _phantom_leaf(\n"
+           "                    rows, {i: 1 << width * p for p, i in enumerate(run)}, sched.beside_last)",
            ("tests/test_packed.py::test_the_genalgebras_families_match_the_oracles",
             "tests/test_null_indices.py"),
-           "the phantom stands for slot last - 1's run, not the last slot's order"),
+           "the phantom's cells stand for slot last - 1's run, not the last slot's order"),
     Mutant("phantom-index-at-dim", IDENTITIES,
-           "    n = len(rows[0])\n    return {n: 1}",
-           "    n = len(rows)\n    return {n: 1}",
+           "    n = len(rows[0])\n    out = ",
+           "    n = len(rows)\n    out = ",
            ("tests/test_packed.py",),
            "the phantom leaf takes index dim, R's phantom, when the words apply R"),
+    Mutant("row-n-never-filled", IDENTITIES,
+           "        for v in rights:",
+           "        for v in ():",
+           ("tests/test_packed.py",),
+           "no cell of row n is filled, so a product by L on its left reads none"),
+    Mutant("beside-last-sides-swapped", IDENTITIES,
+           "for side in (2, 1))",
+           "for side in (1, 2))",
+           ("tests/test_packed.py",),
+           "the schedule names L's right operands as its left ones, so fills miss the cells read"),
+    Mutant("phantom-for-tied-last-slot", IDENTITIES,
+           "if d == last and tied[d]:",
+           "if d == last and tied[d] and not group:",
+           ("tests/test_symmetry.py", "tests/test_packed.py"),
+           "under G a tied last slot multiplies by L, then its phantom, not by its own run"),
     # Packing, scaling, null pruning and the orbit test.
     Mutant("width-one-bit-short", IDENTITIES,
            "return bound.bit_length() + 1",

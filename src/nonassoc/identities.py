@@ -36,10 +36,11 @@ being the length of ``order``, the indices the last slot may take.  The
 words are bilinear in the two slots, so field n2 p1 + p2 holds the value at
 (run[p1], order[p2]), w still bounds it, and the lowest failing field
 decodes as (p1, p2) = divmod(field, n2).  The last slot's leaf L =
-sum_p 2^(w p) e_order[p] is then one value for the whole verdict, so from
-its second square on it is a phantom basis index, as R is (below), whose
-cells e_x L and L e_y are the integers the direct loop sums: packed values,
-witnesses and w are unchanged.
+sum_p 2^(w p) e_order[p] of a square, or of a block when the last slot is
+untied, is one value for the whole verdict, so from the second block at one
+depth on it is a phantom basis index, as R is (below).  Its cells e_x L and
+L e_y are filled when a block first reads them, each the integer the direct
+loop sums: packed values, witnesses and w are unchanged.
 
 Symmetry cuts the loop.  A basis permutation g with c[g i][g j][g k] =
 c[i][j][k] is an automorphism, so the polarized form vanishes at a tuple t
@@ -337,7 +338,12 @@ class _Schedule(NamedTuple):
     int or a parameter name) and its numbers of products and of R nodes.
     ``tied[d]``: slot ``d`` follows slot ``d - 1`` in one symmetry group.
     ``covered``: no unfactored word is a bare leaf, so every leaf sits under
-    a product or an R node (see ``_basis_verdict``).
+    a product or an R node (see ``_basis_verdict``).  ``beside_last`` lists
+    the nodes that the last slot's leaf multiplies at its depth: those on its
+    left, then those on its right (R's phantom for an R step whose child it
+    is).  The words are linear in that slot, so each is computed at a smaller
+    depth, and no sum holds the leaf: a sum's terms share one other operand,
+    so they hold the same slots.
 
     A root stands for the words of one (coef, p, q) group of a side, factored
     by ``_factor``; the roots of a group sum to its words exactly.  ``counts``
@@ -352,6 +358,7 @@ class _Schedule(NamedTuple):
     phantom: Optional[int]
     covered: bool
     counts: tuple[int, ...]
+    beside_last: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _factor(words: list) -> list:
@@ -417,9 +424,11 @@ def _schedule(slots: int, lhs_words, rhs_words, groups=()) -> _Schedule:
 
     lhs, rhs = roots(lhs_words), roots(rhs_words)
     tied = tuple(any(s in g[1:] for g in groups) for s in range(slots))
-    return _Schedule(
-        tuple(map(tuple, steps)), lhs, rhs, tied, len(depth), ids.get("R"), covered, tuple(counts)
-    )
+    last = slots - 1
+    beside = tuple(tuple(dict.fromkeys(step[3 - side] for step in steps[last] if step[side] == last))
+                   for side in (2, 1))
+    return _Schedule(tuple(map(tuple, steps)), lhs, rhs, tied, len(depth), ids.get("R"), covered,
+                     tuple(counts), beside)
 
 
 def compile_words(arity: int, lhs_words, rhs_words) -> _Schedule:
@@ -465,31 +474,44 @@ def _signed_sum(roots, vals) -> dict:
     return acc
 
 
-def _with_phantom(rows, right, left=None) -> tuple:
-    """``rows`` with one more basis index n = ``len(rows[0])``: cell (x, n) is
-    ``right[x]`` and, given ``left``, row n is ``left``, any row between empty."""
-    rows = tuple(row + (cell,) for row, cell in zip(rows, right))
-    return rows if left is None else (*rows, *[()] * (len(rows[0]) - 1 - len(rows)), left)
+def _times(rows, u: dict, v: dict) -> tuple:
+    """The kernel's product u v on ``rows``, as a cell: its (index, int) pairs, zeros kept."""
+    vals = [u, v, None]
+    _products(rows, ((2, 0, 1),), vals)
+    return tuple(vals[2].items())
 
 
-def _leaf_rows(rows, leaf: dict) -> tuple[dict, tuple]:
-    """The phantom leaf {n: 1} standing for the packed ``leaf`` L, and ``rows``
-    with its index n = ``len(rows[0])``: cell (x, n) is e_x L and row n holds
-    L e_y for y < n, so R(L) at R's index; each is the kernel's product."""
-    def times(u: dict, v: dict) -> tuple:
-        vals = [u, v, None]
-        _products(rows, ((2, 0, 1),), vals)
-        return tuple(vals[2].items())
-
+def _phantom_leaf(rows, leaf: dict, beside) -> tuple[dict, list, Callable]:
+    """The phantom leaf {n: 1} standing for the packed ``leaf`` L, n =
+    ``len(rows[0])``; a list of ``rows`` that shares them, with a row n, any
+    row between empty; and ``fill(vals)``, which adds the cells that products
+    by L read at ``vals``: e_x L for x in the support of a node on L's left in
+    ``beside``, as row x's last cell, and L e_y for y in that of a node on its
+    right, as cell y of row n (R(L) at R's index).  Each is the kernel's
+    product on ``rows``; a cell never filled raises when read."""
     n = len(rows[0])
-    return {n: 1}, _with_phantom(rows, [times({x: 1}, leaf) for x in range(len(rows))],
-                                 tuple(times(leaf, {y: 1}) for y in range(n)))
+    out = [*rows, *[()] * (n - len(rows)), [None] * n]
+    lefts, rights = beside
+    row_n = out[n]
+
+    def fill(vals) -> None:
+        for u in lefts:
+            for x in vals[u]:
+                if len(out[x]) == n:
+                    out[x] += (_times(rows, {x: 1}, leaf),)
+        for v in rights:
+            for y in vals[v]:
+                if row_n[y] is None:
+                    row_n[y] = _times(rows, leaf, {y: 1})
+
+    return {n: 1}, out, fill
 
 
 def _products(rows, steps, vals) -> None:
     """Set ``vals[n]`` to the sparse int product of its children, or to the
     sum of its terms (zeros dropped), for each step.  A phantom index of
-    ``rows`` (R's, or the pair's last-slot leaf's) is multiplied as any other."""
+    ``rows`` (R's, or the last slot's leaf's once a block repeats, whose cells
+    are filled before they are read) is multiplied as any other."""
     for n, left, right in steps:
         out: dict = {}
         if left is None:
@@ -592,16 +614,20 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     lower in this square, as its fields run in lex order.  So the lowest
     failing field is sorted, and every sorted tuple before it passed.
 
-    The first square multiplies by the pair's last-slot leaf L directly.
-    When a second square starts, ``_leaf_rows`` adds a phantom index n =
-    len(rows[0]) for L, after R's: cell (x, n) is e_x L and row n holds L e_y,
-    so L e_dim is R(L); R's row at dim stays empty, never a left operand.
-    From then on the leaf is {n: 1}, multiplied as any basis vector, and each
-    cell, zeros kept, is the integer the direct loop sums: packed values and
-    the verdict are bit-identical.  A two-slot plan, or a verdict failing in
-    its first square, builds no phantom; built at the first square it read
-    slower on ``fixture-catalog``.  The rows die with the call, as w and R's
-    column change between checks.
+    The last slot's leaf L = {order[p]: 2^(width p)} is one value for the
+    whole verdict in a square, and in a block at the last slot unless that
+    slot is tied (its run then starts at slot last - 1's index).  The first
+    block at a depth multiplies by L itself; from the second on the leaf is
+    {n: 1}, a phantom index n = len(rows[0]) that ``_phantom_leaf`` adds
+    after R's.  Cell (x, n) is e_x L and row n holds L e_y, so L e_dim is
+    R(L); R's row at dim stays empty.  Before a block's last-depth steps run,
+    ``fill`` adds just the cells they read, from the nodes ``beside_last``
+    names: associativity never reads row n.  Each cell, zeros kept, is the
+    integer the direct loop sums, so packed values and the verdict are
+    bit-identical, and one never filled raises when read.  Counting single
+    blocks and squares together, so that the first square used the phantom,
+    read slower on ``fixture-catalog``.  The rows die with the call, as w
+    and R's column change between checks.
 
     Null-index pruning: when ``sched.covered`` (no side is a bare leaf),
     every slot runs over the live indices only: the ``Algebra.active`` ones
@@ -634,18 +660,30 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     tup = [0] * len(tied)
     low, hits = [None] * len(tied), [None] * len(tied)  # kept at each run's first slot
     n2 = len(order)
-    pair = None  # the last slot's leaf in a pair, set once a block has passed without G
+    pair = False  # set once a block has passed without G
+    leaf = phantom = fill = None  # L, then its phantom leaf once a block repeats
+    prior = None  # the depth of the last block that multiplied by L
 
     def block(d: int, run) -> bool:
         """Check slot ``d``'s ``run`` in one pass, and with it the last slot's
         whole ``order`` when d = last - 1; True at the first failure, its
         indices set in ``tup``."""
-        stride = width * n2 if d < last else width
-        vals[d] = {i: 1 << stride * p for p, i in enumerate(run)}
-        _products(rows, sched.steps[d], vals)
+        nonlocal rows, leaf, phantom, fill, prior
         if d < last:
-            vals[last] = pair
-            _products(rows, sched.steps[last], vals)
+            vals[d] = {i: 1 << width * n2 * p for p, i in enumerate(run)}
+            _products(rows, sched.steps[d], vals)
+        if d == last and tied[d]:  # this block's own run, from slot last - 1's index
+            vals[d] = {i: 1 << width * p for p, i in enumerate(run)}
+        elif d != prior:  # a first block at its depth multiplies by L itself
+            if leaf is None:
+                leaf = {i: 1 << width * p for p, i in enumerate(order)}
+            vals[last], prior = leaf, d
+        else:
+            if phantom is None:
+                phantom, rows, fill = _phantom_leaf(rows, leaf, sched.beside_last)
+            fill(vals)
+            vals[last] = phantom
+        _products(rows, sched.steps[last], vals)
         bits = reduce(or_, _signed_sum(signed, vals).values(), 0)
         if bits:
             field = ((bits & -bits).bit_length() - 1) // width
@@ -683,13 +721,11 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
 
     def loop(d: int, alive) -> bool:
         """Run slot ``d`` and the slots after it; True at the first failure."""
-        nonlocal pair, rows
+        nonlocal pair
         if alive and not tied[d] and d < last and tied[d + 1]:
             low[d] = [min(c) for c in zip(*alive)]
         run = order[at[tup[d - 1]]:] if tied[d] else order
         if d == last or pair and d == last - 1:
-            if d < last and len(rows) == dim:  # a second square: L's rows pay from here on
-                pair, rows = _leaf_rows(rows, pair)
             return block(d, run)
         for i in run:
             tup[d] = i
@@ -701,7 +737,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
             if loop(d + 1, below):
                 return True
             if not group and d == last - 1:  # the first block passed: pair the rest
-                pair = {i: 1 << width * p for p, i in enumerate(order)}
+                pair = True
                 return block(d, run[1:])
         return False
 
@@ -758,7 +794,7 @@ def check_words(
     """
     rows, denom = a.integer_rows
     cols, rdenom, rnorm = integer_columns
-    rows = _with_phantom(rows, cols)
+    rows = tuple(row + (col,) for row, col in zip(rows, cols))
     cmax = max(a.integer_cell_norm, rnorm)
     return _basis_verdict(a, sched, rows, cmax, *_weighted(sched, denom, rdenom, params))
 

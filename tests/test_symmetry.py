@@ -182,20 +182,21 @@ def always_use_group(monkeypatch):
 
 
 class PhantomLeaves:
-    """Records the latest ``_leaf_rows`` call: the phantom leaf {n: 1} it made,
-    the packed leaf L it stands for, and the rows without and with index n.
+    """Records the latest ``_phantom_leaf`` call: the phantom leaf {n: 1} it made,
+    the packed leaf L it stands for, the rows without index n and the list of
+    rows with it, whose cells of index n are filled as products read them.
     ``read`` gives that phantom leaf back as its L, any other value as it is."""
 
     def __init__(self, monkeypatch):
         self.pair = self.leaf = self.plain_rows = self.rows = None
-        original = identities._leaf_rows
+        original = identities._phantom_leaf
 
-        def record(rows, leaf):
+        def record(rows, leaf, beside):
             self.leaf, self.plain_rows = leaf, rows
-            self.pair, self.rows = original(rows, leaf)
-            return self.pair, self.rows
+            self.pair, self.rows, fill = original(rows, leaf, beside)
+            return self.pair, self.rows, fill
 
-        monkeypatch.setattr(identities, "_leaf_rows", record)
+        monkeypatch.setattr(identities, "_phantom_leaf", record)
 
     def read(self, value):
         return self.leaf if value is self.pair else value
