@@ -61,8 +61,8 @@ MUTANTS = (
            "row n runs over the basis only, so it has no cell for R(L) at R's index"),
     Mutant("phantom-leaf-over-run", IDENTITIES,
            "phantom, rows, fill = _phantom_leaf(rows, leaf, sched.beside_last)",
-           "phantom, rows, fill = _phantom_leaf(\n"
-           "                    rows, {i: 1 << width * p for p, i in enumerate(run)}, sched.beside_last)",
+           "phantom, rows, fill = _phantom_leaf(\n                    rows, "
+           "{i: 1 << width * p for p, i in enumerate(run)}, sched.beside_last)",
            ("tests/test_packed.py::test_the_genalgebras_families_match_the_oracles",
             "tests/test_null_indices.py"),
            "the phantom's cells stand for slot last - 1's run, not the last slot's order"),

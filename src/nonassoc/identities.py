@@ -425,7 +425,7 @@ def _schedule(slots: int, lhs_words, rhs_words, groups=()) -> _Schedule:
     lhs, rhs = roots(lhs_words), roots(rhs_words)
     tied = tuple(any(s in g[1:] for g in groups) for s in range(slots))
     last = slots - 1
-    beside = tuple(tuple(dict.fromkeys(step[3 - side] for step in steps[last] if step[side] == last))
+    beside = tuple(tuple(dict.fromkeys(s[3 - side] for s in steps[last] if s[side] == last))
                    for side in (2, 1))
     return _Schedule(tuple(map(tuple, steps)), lhs, rhs, tied, len(depth), ids.get("R"), covered,
                      tuple(counts), beside)

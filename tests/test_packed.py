@@ -6,9 +6,12 @@ slots at once, after the first block: a square of fields, slot last - 1 at a
 stride of the last slot's run.  These cases push the packing where it could
 break: fields past 64 bits, negative coordinates, a failure inside a block or
 in a square's first row, a tied last pair, large operator columns and the
-``genalgebras`` families.  From a check's second square on, the pair's
-last-slot leaf L is a phantom basis index of the rows, as R is; each product
-by it is compared with the plain kernel's product by L itself.  Verdicts and
+``genalgebras`` families.  From the second block at one depth on (a
+square, or a block at an untied last slot under the automorphism list), the
+last slot's leaf L is a phantom basis index of the rows, as R is, whose
+cells are filled as blocks first read them; each product by it is compared
+with the plain kernel's product by L itself, and a cell never filled would
+raise.  A tied last slot under the list uses no phantom.  Verdicts and
 witnesses are compared, through ``repr``, with the plain rational loops of
 ``test_symmetry`` and ``test_operators``, and the field width with every
 coordinate the unpacked kernel reaches at any basis tuple.
@@ -38,6 +41,7 @@ from test_operators import every_property, oracle_verdict
 from test_symmetry import (
     _TIED_AFTER_CLOSED,
     PhantomLeaves,
+    always_use_group,  # noqa: F401 (a fixture)
     canonical_tuples,
     commutator,
     group_of,
@@ -383,11 +387,12 @@ def inner_derivation(a, m):
 
 @pytest.fixture
 def pair_steps(monkeypatch):
-    """Checks every ``_products`` call on rows with the pair leaf's phantom index
-    against the plain kernel on the rows without it and a copy of ``vals``
-    holding L for the phantom leaf, each node with ``==``.  Counts, per kind of
-    product by the leaf L (its right operand, its left operand, or an R step's
-    child), those that read a phantom row, the other operand nonzero."""
+    """Checks every ``_products`` call on rows with the last-slot leaf's phantom
+    index, in a square or a single block, against the plain kernel on the rows
+    without it and a copy of ``vals`` holding L for the phantom leaf, each
+    node with ``==``.  Counts, per kind of product by the leaf L (its right
+    operand, its left operand, or an R step's child), those that read a
+    phantom cell, the other operand nonzero."""
     seen = collections.Counter()
     products, phantom = identities._products, PhantomLeaves(monkeypatch)
 
@@ -412,7 +417,7 @@ def pair_steps(monkeypatch):
 
 
 # (x y) R(z) = x (y R(z)), compiled: linear in three slots, so an R step
-# whose child is the pair's leaf comes back in every square; it holds in an
+# whose child is the last slot's leaf comes back in every block; it holds in an
 # associative algebra for any R
 _ASSOCIATIVE_R = identities.compile_words(
     3, ((1, ((0, 1), identities.R(2))),), ((1, (0, (1, identities.R(2)))),))
@@ -422,7 +427,7 @@ _ASSOCIATIVE_R = identities.compile_words(
 def test_the_genalgebras_families_match_the_oracles(label, a, r, pair_steps):
     """Every identity against the rational plain loop and every operator
     property against the basis-pair oracle, on each family's algebra and
-    operator; with the three-slot R words, every product by a pair's leaf
+    operator; with the three-slot R words, every product by the last slot's leaf
     equals the plain kernel's (``pair_steps``)."""
     for name in IDENTITY_NAMES:
         assert repr(check_identity(a, name)) == repr(plain_verdict(a, name)), name
@@ -432,7 +437,7 @@ def test_the_genalgebras_families_match_the_oracles(label, a, r, pair_steps):
 
 
 def test_the_phantom_leaf_rows_equal_the_plain_products(pair_steps):
-    """On the dense M3 basis, each product by the pair's leaf equals the plain
+    """On the dense M3 basis, each product by a square's last leaf equals the plain
     kernel's, phantom rows are read by right-leaf and left-leaf steps of the
     identities and by the R step of the three-slot R words, and verdicts
     match the oracles."""
@@ -465,3 +470,51 @@ def test_checks_of_two_widths_on_one_algebra_share_no_rows(monkeypatch, pair_ste
     pair_steps.clear()
     assert identities.check_words(a, r.integer_columns, _ASSOCIATIVE_R, {}).passed
     assert pair_steps["R"] and len(set(widths)) == 3
+
+
+def test_the_phantom_leaf_of_single_blocks_equals_the_plain_products(always_use_group,
+                                                                    pair_steps):
+    """Under the automorphism list every block after the first multiplies by
+    the phantom leaf: on M3, M4 and commutator(M3), each product by it equals
+    the plain kernel's, right-leaf and left-leaf cells are read, and verdicts
+    match the oracle; the three-slot R words, run under the list too, read
+    R(L).  The R words hold for any R in an associative algebra."""
+    m3 = shuffled_matrix_algebra(3, 5)
+    for a in (m3, shuffled_matrix_algebra(4, 5), commutator(m3)):
+        for name in IDENTITY_NAMES:
+            assert repr(check_identity(a, name)) == repr(plain_verdict(a, name)), name
+    assert pair_steps["right"] and pair_steps["left"], pair_steps
+    rng = random.Random(6)
+    for a in (m3, shuffled_matrix_algebra(4, 6)):
+        r = large_operator(a, rng)
+        rows, denom = a.integer_rows
+        cols, rdenom, rnorm = r.integer_columns
+        rows = tuple(row + (col,) for row, col in zip(rows, cols))
+        sched = _ASSOCIATIVE_R
+        assert identities._basis_verdict(
+            a, sched, rows, max(a.integer_cell_norm, rnorm),
+            *identities._weighted(sched, denom, rdenom), a.automorphisms.elements).passed
+    assert pair_steps["R"], pair_steps
+
+
+@pytest.mark.parametrize("words", _TIED_AFTER_CLOSED)
+def test_a_tied_last_slot_under_the_group_uses_no_phantom(monkeypatch, words):
+    """Under the automorphism list a tied last slot runs from slot last - 1's
+    index, so its leaf changes from block to block and no phantom may stand
+    for it: none is made, and the verdict is the plain loop's."""
+    degrees, lhs, rhs = _TIED_AFTER_CLOSED[words]
+    sched = tied_schedule(degrees, lhs, rhs)
+    phantom = PhantomLeaves(monkeypatch)
+    runs, original = set(), identities._signed_sum
+
+    def record(roots, vals):
+        runs.add(tuple(vals[len(sched.tied) - 1]))
+        return original(roots, vals)
+
+    monkeypatch.setattr(identities, "_signed_sum", record)
+    for a in (shuffled_matrix_algebra(3, 6), commutator(shuffled_matrix_algebra(3, 8))):
+        rows, denom = a.integer_rows
+        verdict = identities._basis_verdict(a, sched, rows, a.integer_cell_norm,
+                                            *identities._weighted(sched, denom), group_of(a)[1:])
+        assert repr(verdict) == repr(plain_words_verdict(a, degrees, lhs, rhs))
+    assert len(runs) > 2 and phantom.pair is None
