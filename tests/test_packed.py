@@ -484,13 +484,12 @@ def test_the_phantom_leaf_of_single_blocks_equals_the_plain_products(always_use_
         for name in IDENTITY_NAMES:
             assert repr(check_identity(a, name)) == repr(plain_verdict(a, name)), name
     assert pair_steps["right"] and pair_steps["left"], pair_steps
-    rng = random.Random(6)
+    rng, sched = random.Random(6), _ASSOCIATIVE_R
     for a in (m3, shuffled_matrix_algebra(4, 6)):
         r = large_operator(a, rng)
         rows, denom = a.integer_rows
         cols, rdenom, rnorm = r.integer_columns
         rows = tuple(row + (col,) for row, col in zip(rows, cols))
-        sched = _ASSOCIATIVE_R
         assert identities._basis_verdict(
             a, sched, rows, max(a.integer_cell_norm, rnorm),
             *identities._weighted(sched, denom, rdenom), a.automorphisms.elements).passed
