@@ -122,6 +122,23 @@ MUTANTS = (
            "live.update(())",
            ("tests/test_null_indices.py",),
            "a null index whose R column is nonzero is skipped, though R(e_i) != 0"),
+    # The random trials' generated product and their witnesses.
+    Mutant("generated-term-transposed", "src/nonassoc/algebra.py",
+           "l{x}*r{y}\"",
+           "l{y}*r{x}\"",
+           ("tests/test_identities.py::test_integer_random_path_matches_rational_oracle",),
+           "each generated term reads l[y]*r[x], so the random trials multiply y x"),
+    Mutant("last-piece-dropped", "src/nonassoc/algebra.py",
+           "for f in parts]",
+           "for f in parts[:-1]]",
+           ("tests/test_identities.py::"
+            "test_random_trials_compile_a_dense_dim_60_product_in_bounded_memory",),
+           "a product compiled in several pieces loses the last piece's terms"),
+    Mutant("witness-side-from-lhs", IDENTITIES,
+           "for side in sides)",
+           "for side in sides[:1] * 2)",
+           ("tests/test_identities.py",),
+           "a random witness reports the lhs roots' sum as its rhs too"),
     Mutant("mirror-sign-dropped", "src/nonassoc/constructions.py",
            "else tuple((k, -c) for k, c in rows[j][i])",
            "else rows[j][i]",

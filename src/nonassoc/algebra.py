@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     DependentBasisError,
@@ -94,6 +94,71 @@ class Element:
         return tuple((k, c) for k, c in enumerate(self.coords) if c)
 
 
+# Bounds on the code ``_compile_product`` generates: terms per expression
+# (CPython's compiler recurses once per ``+``, so a chain of a few thousand
+# terms overflows it) and per separately compiled function (compiling one
+# function holds its whole syntax tree).
+_EXPR_TERMS = 200
+_PIECE_TERMS = 5000
+
+
+def _sum_source(terms) -> str:
+    """``c*lx*ry + ...`` for the (c, x, y) of ``terms``, in order."""
+    text = "".join(f" {'-' if c < 0 else '+'} {'' if abs(c) == 1 else f'{abs(c)}*'}l{x}*r{y}"
+                   for c, x, y in terms)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _loads(name: str, used: set, size: int) -> str:
+    """Lines binding ``name`` + p to ``name[p]`` for each position p in ``used``."""
+    if used and len(used) == size:
+        return f"    {', '.join(f'{name}{p}' for p in range(size))}, = {name}\n"
+    return "".join(f"    {name}{p} = {name}[{p}]\n" for p in sorted(used))
+
+
+def _compile_piece(sums: dict, size: int) -> Callable:
+    """``piece(l, r)``: the list whose entry p is the sum of the terms ``sums[p]``, else 0."""
+    source = ("def piece(l, r):\n"
+              + _loads("l", {x for ts in sums.values() for _, x, _ in ts}, size)
+              + _loads("r", {y for ts in sums.values() for _, _, y in ts}, size)
+              + f"    return [{', '.join(_sum_source(sums[p]) if p in sums else '0' for p in range(size))}]\n")
+    names: dict = {}
+    exec(compile(source, "<integer product>", "exec"), names)
+    return names.pop("piece")
+
+
+def _compile_product(terms: list) -> Callable:
+    """``prod(l, r)``: the list whose entry p sums c*l[x]*r[y] over the
+    (c, x, y) of ``terms[p]``, written out as straight-line code.
+
+    An entry's terms are cut into runs of at most ``_EXPR_TERMS``, each one
+    expression, and the runs dealt (the first run of every entry, then the
+    second, ...) into pieces of at most ``_PIECE_TERMS`` terms and one run
+    per entry, each compiled apart.  One piece is the product; more are
+    summed entrywise.
+    """
+    pieces: list[dict] = [{}]
+    count = 0
+    for i in range(0, max(map(len, terms), default=0), _EXPR_TERMS):
+        for p, ts in enumerate(terms):
+            run = ts[i:i + _EXPR_TERMS]
+            if not run:
+                continue
+            if p in pieces[-1] or count + len(run) > _PIECE_TERMS:
+                pieces.append({})
+                count = 0
+            pieces[-1][p] = run
+            count += len(run)
+    parts = tuple(_compile_piece(sums, len(terms)) for sums in pieces)
+    if len(parts) == 1:
+        return parts[0]
+
+    def prod(l, r) -> list:
+        return list(map(sum, zip(*[f(l, r) for f in parts])))
+
+    return prod
+
+
 @dataclass(frozen=True, eq=False)
 class Algebra:
     """dim, the sparse structure constants and basis labels.
@@ -152,6 +217,22 @@ class Algebra:
             for row in rows
         )
         return scaled, denom
+
+    @cached_property
+    def integer_product(self) -> tuple[tuple[int, ...], Callable]:
+        """The support, the indices that some nonzero constant names, ascending,
+        and ``prod(l, r)``: for int coordinate lists ``l``, ``r`` over the
+        support, the list of those of l r on ``integer_rows`` (D times the
+        product).  Compiled once into straight-line code, see ``_compile_product``."""
+        rows, _ = self.integer_rows
+        cells = [(i, j, e) for i, row in enumerate(rows) if any(row) for j, e in enumerate(row) if e]
+        support = sorted({t for i, j, e in cells for t in (i, j, *(k for k, _ in e))})
+        at = {t: p for p, t in enumerate(support)}
+        terms: list[list] = [[] for _ in support]
+        for i, j, e in cells:
+            for k, v in e:
+                terms[at[k]].append((v, at[i], at[j]))
+        return tuple(support), _compile_product(terms)
 
     @cached_property
     def integer_cell_norm(self) -> int:

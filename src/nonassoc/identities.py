@@ -871,39 +871,59 @@ def check_identity_random(a: Algebra, name: str, trials: int, seed: int) -> Verd
     constants scaled by their lcm D, so both sides (m leaves, m - 1 products)
     carry 2^m D^(m-1) and compare exactly in int; a witness is scaled back.
 
-    Every leaf of a catalog word sits under a product, so x y = x_a y_a,
-    x_a the projection of x to the active indices: the words run on each
-    draw's projection, and a witness's inputs are the full draws.  With no
-    active index no trial can fail, and nothing is drawn.
+    The draws are dense, so the words run on ``Algebra.integer_product``, a
+    product compiled per algebra that sums every term of its support; the
+    polarized engine's leaves are basis vectors, one or a packed few, and
+    its ``_products`` visits only their nonzero cells.  Every leaf of a
+    catalog word sits under a product, so the words read a draw only on the
+    support, the indices that some nonzero constant names, and a side is zero
+    off it; a witness's inputs are the full draws.  With an empty support no
+    trial can fail, and nothing is drawn.
     """
     if trials < 1:
         raise NonassocError("trials must be >= 1")
+    if seed < 0:
+        raise NonassocError("seed must be >= 0")
     ident = get_identity(name)
     arity = len(ident.variables)
     sched = _raw_schedule(name)
-    dim = a.dim
-    live = frozenset(a.active) if sched.covered and len(a.active) < dim else None
-    if live is not None and not live:
+    support, prod = a.integer_product
+    if not support:
         return Verdict.ok()
     steps = sum(sched.steps, ())
-    rows, denom = a.integer_rows
-    lhs, rhs, scale = _weighted(sched, denom)
-    signed = lhs + tuple((-w, n) for w, n in rhs)
+    lhs, rhs, scale = _weighted(sched, a.integer_rows[1])
     vals: list = [None] * sched.size
     drawn: list = [None] * arity
+    zeros = [0] * len(support)
     rng = random.Random(seed)
     for _ in range(trials):
         for s in range(arity):
-            drawn[s] = vals[s] = _doubled_coords(dim, rng)
-            if live is not None:
-                vals[s] = {k: v for k, v in drawn[s].items() if k in live}
-        _products(rows, steps, vals)
-        if any(_signed_sum(signed, vals).values()):
+            x = drawn[s] = _doubled_coords(a.dim, rng)
+            vals[s] = list(map(x.get, support, zeros))
+        for n, left, right in steps:
+            if left is None:
+                vals[n] = [sum(c) for c in zip(*(vals[t] for t in right))]
+            else:
+                vals[n] = prod(vals[left], vals[right])
+        sides = [_weighted_list(roots, vals, len(support)) for roots in (lhs, rhs)]
+        if sides[0] != sides[1]:
             # each of the m doubled leaves carries a factor 2
             scale <<= sum(ident.multidegree)
-            inputs = tuple(_unscaled(x, dim, 2) for x in drawn)
-            return _failure((), inputs, lhs, rhs, vals, dim, scale)
+            inputs = tuple(_unscaled(x, a.dim, 2) for x in drawn)
+            lhs_e, rhs_e = (_unscaled(dict(zip(support, side)), a.dim, scale) for side in sides)
+            return Verdict.fail(Witness((), inputs, lhs_e, rhs_e))
     return Verdict.ok()
+
+
+def _weighted_list(roots, vals, size: int) -> list:
+    """The sum of weight times ``vals[node]`` over the weighted ``roots``, entrywise."""
+    if not roots:
+        return [0] * size
+    (w, n), *rest = roots
+    out = vals[n] if w == 1 else [w * v for v in vals[n]]
+    for w, n in rest:
+        out = [u + w * v for u, v in zip(out, vals[n])]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,9 @@ _SEARCH_F9 = (
     ("derive", "--algebra", str(DATA / "fixtures" / "F7.algebra.json"),
      "--operator", str(DATA / "fixtures" / "F7.operator.json"),
      "--construction", "novikov_affine", "--param", "a=1e99999999", "--out", "unwritten.json"),
+    # random.Random(-3) would seed as 3 and report seed 3's trials as seed -3's
+    ("check", "--algebra", str(DATA / "examples" / "null2.json"),
+     "--identity", "jacobi", "--random", "trials=5,seed=-3"),
 ])
 def test_bad_spec_value_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)

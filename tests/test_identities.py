@@ -1,8 +1,12 @@
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -398,6 +402,36 @@ def test_integer_random_path_matches_rational_oracle(dim, alg_seed, denominators
     assert passed >= 3 * 3 * 3
 
 
+_DENSE_DIM60_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from nonassoc.algebra import make_algebra
+from nonassoc.identities import check_identity_random
+from test_identities import oracle_random_verdict
+n = 60
+a = make_algebra(n, [(i, j, k, 1) for i in range(n) for j in range(n) for k in range(n)])
+for name in ("associativity", "antisymmetry"):
+    verdict = check_identity_random(a, name, 2, 1)
+    assert repr(verdict) == repr(oracle_random_verdict(a, name, 2, 1)), name
+    print(name, verdict.passed)
+"""
+
+
+def test_random_trials_compile_a_dense_dim_60_product_in_bounded_memory():
+    """Every constant of a dim-60 algebra is 1: its generated product sums
+    3,600 terms per coordinate, 216,000 in all.  Compiled in bounded pieces,
+    it runs under a 512 MiB address-space cap, and both verdicts (one pass,
+    one witness) are the rational oracle's."""
+    resource = pytest.importorskip("resource")
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    done = subprocess.run([sys.executable, "-c", _DENSE_DIM60_CHILD], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["associativity", "True", "antisymmetry", "False"]
+
+
 def test_random_element_stream_is_pinned(m3):
     """The first two draws of seed 1 on M3, as recorded, coordinate types included."""
     rng = random.Random(1)
@@ -478,6 +512,8 @@ def test_random_checker_seed_determinism(m3):
 def test_random_checker_trial_validation(m3):
     with pytest.raises(NonassocError):
         check_identity_random(m3, "jacobi", 0, 1)
+    with pytest.raises(NonassocError):  # random.Random(-1) would seed as 1
+        check_identity_random(m3, "jacobi", 5, -1)
 
 
 def test_soundness_pass_implies_random_pass(all_materialized):
