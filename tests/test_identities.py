@@ -422,7 +422,7 @@ def test_random_trials_compile_a_dense_dim_60_product_in_bounded_memory():
     3,600 terms per coordinate, 216,000 in all.  Compiled in bounded pieces,
     it runs under a 512 MiB address-space cap, and both verdicts (one pass,
     one witness) are the rational oracle's."""
-    resource = pytest.importorskip("resource")
+    pytest.importorskip("resource")
     tests = Path(__file__).resolve().parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
