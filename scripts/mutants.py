@@ -134,6 +134,25 @@ MUTANTS = (
            ("tests/test_identities.py::"
             "test_random_trials_compile_a_dense_dim_60_product_in_bounded_memory",),
            "a product compiled in several pieces loses the last piece's terms"),
+    # The random trials' bulk draws, read as randint(-6, 6) and randrange(4) read them.
+    Mutant("drawer-tail-dropped", IDENTITIES,
+           "_COORD.split(self._tail + top",
+           "_COORD.split(top",
+           ("tests/test_identities.py::test_a_later_trial_fails_as_the_oracle_says",
+            "tests/test_identities.py::test_drawer_takes_continue_the_randint_stream"),
+           "a read drops the nibbles after its last whole coordinate, so a later take skips a num"),
+    Mutant("quarter-halves-below-0x40", IDENTITIES,
+           "(num if c < 0x20 and num % 2",
+           "(num if c < 0x40 and num % 2",
+           ("tests/test_identities.py::test_random_element_stream_is_pinned",
+            "tests/test_identities.py::test_drawer_takes_continue_the_randint_stream"),
+           "randrange(4) giving 1 halves an odd num too, as if it gave 0"),
+    Mutant("num-rejected-from-0xE0", IDENTITIES,
+           "_NEVER_TAKEN = bytes(range(0xD0, 0x100))",
+           "_NEVER_TAKEN = bytes(range(0xE0, 0x100))",
+           ("tests/test_identities.py::test_random_element_stream_is_pinned",
+            "tests/test_identities.py::test_drawer_takes_continue_the_randint_stream"),
+           "a num word whose top byte is in [0xD0, 0xE0) is kept, not rejected"),
     Mutant("witness-side-from-lhs", IDENTITIES,
            "for side in sides)",
            "for side in sides[:1] * 2)",

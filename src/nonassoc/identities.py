@@ -16,8 +16,9 @@ children's current values.  The arithmetic is integer: the structure
 constants are scaled by the lcm D of their denominators, and every identity
 is homogeneous, so both sides (words of m leaves, m - 1 products) scale by
 the same D^(m-1) and equality is unchanged; a witness is scaled back.
-Random corroboration runs the raw words through the same int kernel at
-elements kept doubled, so both sides carry 2^m D^(m-1), compared exactly.
+Random corroboration runs the raw words on ``Algebra.integer_product``, the
+scaled constants compiled per algebra, at elements kept doubled, so both
+sides carry 2^m D^(m-1), compared exactly.
 
 The innermost slot runs all at once, by Kronecker substitution: its leaf
 holds index run[p] of the slot's whole run as the int 2^(w p).  Every word
@@ -72,8 +73,11 @@ sits under a product or an R node, so a tuple holding a null index i gives
 each slot over the other indices only, in the same order; every skipped
 tuple passes, so the first failing tuple and its witness are unchanged.  A
 bare leaf (the x of R(R(x)) = x) is e_i itself, and then every index runs.
-Random trials run on each draw's projection to the active indices, exact as
-x y = x_a y_a, and a null algebra passes with nothing drawn.
+Random trials read each draw on the support instead, the indices that some
+nonzero constant names, exact as x y = x_s y_s with the product in the
+support too.  The support is not ``active``: in ``make_algebra(2, [(0, 0,
+1, 1)])`` e_1 is null, yet e_0 e_0 = e_1.  An algebra with an empty support
+passes with nothing drawn.
 
 Words may also apply a linear operator: the node ``("R", w)`` is R(w).  The
 operator identities of ``operators`` (derivation, Rota-Baxter, ...) are
@@ -112,9 +116,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from math import comb, lcm, prod
 from operator import or_
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
@@ -839,37 +844,87 @@ def _eval_word_elements(a: Algebra, sched: _Schedule, elems: Sequence[Element],
     return acc
 
 
-def _doubled_coords(dim: int, rng: random.Random) -> dict:
-    """Twice a random element's coordinates, as a sparse ``{k: int}``: each is in
-    [-6, 6], halved when odd and ``randrange(4)`` (drawn every time) gives 0.
+# A coordinate is drawn as CPython's randint(-6, 6) and randrange(4) draw it:
+# getrandbits(4) until it is below 13, then getrandbits(3) until it is below
+# 4.  Each call reads one 32-bit word of MT19937 and keeps its top bits, so a
+# word's top byte decides what it gives.  No draw takes a byte from 0xD0 on:
+# those are dropped, and a kept byte is read by its top nibble v.  A num word
+# takes any v and gives v - 6; a quarter word takes v < 8, and it is 0,
+# halving an odd num, when its byte is below 0x20.
+_NEVER_TAKEN = bytes(range(0xD0, 0x100))
+_TOP_NIBBLE = bytes(b >> 4 for b in range(256))
+_COORD = re.compile(rb"([\x00-\x0c])[\x08-\x0c]*([\x00-\x07])")
+# the doubled coordinate of the code n | q << 4 of a num nibble n and a
+# quarter nibble q (the code is below 0x20 when the quarter's byte is), as a
+# signed byte
+_DOUBLED = bytes((num if c < 0x20 and num % 2 else 2 * num) & 0xFF
+                 for c in range(256) for num in [(c & 15) - 6])
+# the coordinate h / 2 of a doubled one, an int where integral
+_HALVES = {h: Fraction(h, 2) if h % 2 else h // 2 for h in range(-12, 13)}
+# the most coordinates that a chunk of trials, or one read of the generator, is for
+_CHUNK_COORDS = 1 << 12
 
-    ``getrandbits`` takes the rejection steps of CPython's ``randint(-6, 6)``
-    and ``randrange(4)``, so the stream equals theirs at a third of the cost;
-    ``test_doubled_coords_match_randint_stream`` and
-    ``test_random_element_stream_is_pinned`` pin it.
+
+class _Drawer:
+    """Doubled random coordinates, in [-6, 6] and halved when odd and
+    ``randrange(4)`` (drawn every time) gives 0, read from ``rng`` in bulk.
+
+    One ``getrandbits(32 k)`` gives k words, word i being bits 32 i to
+    32 i + 31, so the top bytes of its ``to_bytes`` are every fourth byte.
+    Their nibbles, the bytes no draw takes dropped, are split by ``_COORD``
+    into a num and a quarter nibble per coordinate, the rejected quarter
+    words between them dropped too.  The nibbles after the last whole
+    coordinate, and the coordinates past a take, wait for the next take, so
+    successive takes read the stream of ``randint``/``randrange`` exactly
+    (``test_drawer_takes_continue_the_randint_stream`` and
+    ``test_random_element_stream_is_pinned`` pin it).  A read may run past
+    the last coordinate taken: the drawer leaves ``rng`` anywhere.
     """
-    getrandbits = rng.getrandbits
-    out = {}
-    for k in range(dim):
-        num = getrandbits(4)
-        while num >= 13:
-            num = getrandbits(4)
-        num -= 6
-        quarter = getrandbits(3)
-        while quarter >= 4:
-            quarter = getrandbits(3)
-        h = num if quarter == 0 and num % 2 else 2 * num
-        if h:
-            out[k] = h
-    return out
+
+    __slots__ = ("_getrandbits", "_tail", "_coords")
+
+    def __init__(self, rng: random.Random):
+        self._getrandbits = rng.getrandbits
+        self._tail = b""
+        self._coords: list = []
+
+    def take(self, n: int) -> list:
+        """The next ``n`` doubled coordinates, as ints."""
+        coords = self._coords
+        while len(coords) < n:
+            # a coordinate takes 16/13 + 2 words on average: one read mostly does
+            words = min(n - len(coords), _CHUNK_COORDS) * 7 // 2 + 8
+            top = self._getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+            parts = _COORD.split(self._tail + top.translate(_TOP_NIBBLE, _NEVER_TAKEN))
+            self._tail = parts.pop()
+            # the pairs' nibbles n, q in turn, and n | q << 4 in every other byte
+            pairs = int.from_bytes(b"".join(parts), "little")
+            codes = (pairs | pairs >> 4).to_bytes(len(parts) // 3 * 2, "little")[::2]
+            coords += memoryview(codes.translate(_DOUBLED)).cast("b").tolist()
+        self._coords = coords[n:]
+        del coords[n:]
+        return coords
+
+
+@lru_cache(maxsize=256)
+def _raw_weighted(name: str, denom: int):
+    """``_weighted`` for the raw identity's words, constants scaled by ``denom``."""
+    return _weighted(_raw_schedule(name), denom)
 
 
 def check_identity_random(a: Algebra, name: str, trials: int, seed: int) -> Verdict:
     """Evaluate the raw identity at pseudo-random elements; deterministic per seed.
 
-    The elements of ``_doubled_coords`` are kept doubled and the structure
-    constants scaled by their lcm D, so both sides (m leaves, m - 1 products)
-    carry 2^m D^(m-1) and compare exactly in int; a witness is scaled back.
+    The elements are the drawer's doubled coordinates, and the structure
+    constants are scaled by their lcm D, so both sides (m leaves, m - 1
+    products) carry 2^m D^(m-1) and compare exactly in int; a witness is
+    scaled back.  A ``_Drawer`` of ``random.Random(seed)`` gives the trials'
+    coordinates, those of ``randint``/``randrange``, a chunk of trials at a
+    time: 1 trial, then 4, 16, ..., up to the whole trials that
+    ``_CHUNK_COORDS`` coordinates hold (one at least).  A verdict that fails
+    at its first trial takes that trial's draws only, and any trial count
+    runs in bounded memory, as the drawer reads the words of at most
+    ``_CHUNK_COORDS`` coordinates at once.
 
     The draws are dense, so the words run on ``Algebra.integer_product``, a
     product compiled per algebra that sums every term of its support; the
@@ -891,27 +946,34 @@ def check_identity_random(a: Algebra, name: str, trials: int, seed: int) -> Verd
     if not support:
         return Verdict.ok()
     steps = sum(sched.steps, ())
-    lhs, rhs, scale = _weighted(sched, a.integer_rows[1])
+    lhs, rhs, scale = _raw_weighted(name, a.integer_rows[1])
+    dim = a.dim
+    whole = len(support) == dim
+    width = arity * dim  # coordinates per trial
     vals: list = [None] * sched.size
-    drawn: list = [None] * arity
-    zeros = [0] * len(support)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        for s in range(arity):
-            x = drawn[s] = _doubled_coords(a.dim, rng)
-            vals[s] = list(map(x.get, support, zeros))
-        for n, left, right in steps:
-            if left is None:
-                vals[n] = [sum(c) for c in zip(*(vals[t] for t in right))]
-            else:
-                vals[n] = prod(vals[left], vals[right])
-        sides = [_weighted_list(roots, vals, len(support)) for roots in (lhs, rhs)]
-        if sides[0] != sides[1]:
-            # each of the m doubled leaves carries a factor 2
-            scale <<= sum(ident.multidegree)
-            inputs = tuple(_unscaled(x, a.dim, 2) for x in drawn)
-            lhs_e, rhs_e = (_unscaled(dict(zip(support, side)), a.dim, scale) for side in sides)
-            return Verdict.fail(Witness((), inputs, lhs_e, rhs_e))
+    drawer = _Drawer(random.Random(seed))
+    remaining, chunk = trials, 1
+    while remaining:
+        count = min(chunk, remaining)
+        remaining -= count
+        chunk = min(4 * chunk, max(1, _CHUNK_COORDS // width))
+        coords = drawer.take(count * width)
+        for start in range(0, count * width, width):
+            for s, o in enumerate(range(start, start + width, dim)):
+                vals[s] = coords[o:o + dim] if whole else [coords[o + k] for k in support]
+            for n, left, right in steps:
+                if left is None:
+                    vals[n] = [sum(c) for c in zip(*(vals[t] for t in right))]
+                else:
+                    vals[n] = prod(vals[left], vals[right])
+            sides = [_weighted_list(roots, vals, len(support)) for roots in (lhs, rhs)]
+            if sides[0] != sides[1]:
+                # each of the m doubled leaves carries a factor 2
+                scale <<= sum(ident.multidegree)
+                inputs = tuple(Element(tuple(map(_HALVES.__getitem__, coords[o:o + dim])))
+                               for o in range(start, start + width, dim))
+                lhs_e, rhs_e = (_unscaled(dict(zip(support, side)), dim, scale) for side in sides)
+                return Verdict.fail(Witness((), inputs, lhs_e, rhs_e))
     return Verdict.ok()
 
 

@@ -20,7 +20,8 @@ from nonassoc.identities import (
     certify_parametric,
     check_identity,
     check_identity_random,
-    _doubled_coords,
+    _CHUNK_COORDS,
+    _Drawer,
     _plan_schedule,
     _raw_schedule,
     _unscaled,
@@ -29,10 +30,10 @@ from nonassoc.identities import (
 from nonassoc.verdicts import Verdict, Witness
 
 
-def random_element(a, rng):
-    """An element as ``check_identity_random`` draws it: small rational
-    coordinates, mostly integers, some halves."""
-    return _unscaled(_doubled_coords(a.dim, rng), a.dim, 2)
+def random_element(a, drawer):
+    """An element as ``check_identity_random`` draws it from ``drawer``, one
+    ``_Drawer`` per rng: small rational coordinates, mostly integers, some halves."""
+    return _unscaled(dict(enumerate(drawer.take(a.dim))), a.dim, 2)
 
 
 def test_catalog_names_and_multidegrees():
@@ -402,6 +403,82 @@ def test_integer_random_path_matches_rational_oracle(dim, alg_seed, denominators
     assert passed >= 3 * 3 * 3
 
 
+# The trials run in chunks of 1, 4, 16 and 64 trials, so chunks end after
+# trials 1, 5, 21 and 85.
+_CHUNK_EDGES = (1, 2, 5, 6, 21, 22, 85, 86)
+
+
+@pytest.mark.parametrize("denominators", [(1, 2, 3, 7, 12), _BIG], ids=["small", "big"])
+def test_random_verdicts_across_chunk_boundaries_match_the_oracle(denominators):
+    """Both ``mixed_denominator_algebra`` families of
+    ``test_integer_random_path_matches_rational_oracle``, at trial counts on
+    either side of each chunk boundary: verdicts, witness inputs and sides
+    are the rational oracle's."""
+    from genalgebras import mixed_denominator_algebra
+
+    passed = 0
+    for dim, alg_seed in ((1, 1 if denominators[0] == 1 else 4), (2, 0), (3, 0)):
+        a = mixed_denominator_algebra(random.Random(alg_seed), dim, denominators)
+        for alg in (a, derive(a, None, construction("jordan_plus"))):
+            for name in IDENTITY_NAMES:
+                for trials in _CHUNK_EDGES:
+                    verdict = check_identity_random(alg, name, trials, 3)
+                    assert repr(verdict) == repr(oracle_random_verdict(alg, name, trials, 3)), (
+                        dim, name, trials)
+                    passed += verdict.passed
+    assert passed >= 3 * len(_CHUNK_EDGES)
+
+
+@pytest.mark.parametrize("seed, first_failing", [(1, 1), (7, 2), (0, 3), (159, 4), (482, 5),
+                                                 (250, 6), (12726, 7)])
+def test_a_later_trial_fails_as_the_oracle_says(seed, first_failing):
+    """On a one-dimensional commutative algebra, jacobi is 3 x y z, so a trial
+    passes when a coordinate drawn is 0, and these seeds first fail at each
+    trial from 1 to 7, within a chunk and just past its end alike."""
+    from nonassoc.algebra import make_algebra
+
+    a = make_algebra(1, [(0, 0, 0, 1)])
+    if first_failing > 1:
+        assert oracle_random_verdict(a, "jacobi", first_failing - 1, seed).passed
+    for trials in (first_failing, 22):
+        verdict = check_identity_random(a, "jacobi", trials, seed)
+        assert not verdict.passed
+        assert repr(verdict) == repr(oracle_random_verdict(a, "jacobi", trials, seed))
+
+
+def test_a_huge_trial_count_reads_the_generator_in_bounded_chunks(monkeypatch):
+    """``trials=10**9`` on a passing verdict: the first read is for the first
+    trial's 6 coordinates, and the reads grow to the chunk bound and stay
+    under it, at most 4 words per coordinate of ``_CHUNK_COORDS``.  The
+    generator stops the verdict after 40 reads."""
+    from nonassoc import identities
+    from nonassoc.algebra import make_algebra
+
+    class Enough(Exception):
+        pass
+
+    sizes = []
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def getrandbits(self, k):
+            sizes.append(k)
+            if len(sizes) == 40:
+                raise Enough
+            return self.rng.getrandbits(k)
+
+    drawer = identities._Drawer
+    monkeypatch.setattr(identities, "_Drawer", lambda rng: drawer(Recording(rng)))
+    a = make_algebra(2, [(0, 0, 0, 1), (1, 1, 1, 1)])  # associative: every trial passes
+    with pytest.raises(Enough):
+        check_identity_random(a, "associativity", 10**9, 5)
+    assert sizes[0] <= 32 * 5 * 6
+    assert max(sizes) <= 32 * 4 * _CHUNK_COORDS
+    assert sum(k >= 32 * 3 * _CHUNK_COORDS for k in sizes) >= 20
+
+
 _DENSE_DIM60_CHILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
@@ -434,8 +511,8 @@ def test_random_trials_compile_a_dense_dim_60_product_in_bounded_memory():
 
 def test_random_element_stream_is_pinned(m3):
     """The first two draws of seed 1 on M3, as recorded, coordinate types included."""
-    rng = random.Random(1)
-    first, second = random_element(m3, rng), random_element(m3, rng)
+    drawer = _Drawer(random.Random(1))
+    first, second = random_element(m3, drawer), random_element(m3, drawer)
     assert repr(first) == "Element(coords=(-4, -2, 1, 1, 6, -5, -6, 0, 5))"
     assert repr(second) == (
         "Element(coords=(-2, Fraction(3, 2), Fraction(-1, 2), -6, 4, 0, 0, 2, 6))"
@@ -443,7 +520,7 @@ def test_random_element_stream_is_pinned(m3):
 
 
 def randint_doubled_coords(dim, rng):
-    """Reference draw of ``_doubled_coords`` through ``randint``/``randrange``."""
+    """Reference draw of ``dim`` doubled coordinates through ``randint``/``randrange``."""
     out = {}
     for k in range(dim):
         num = rng.randint(-6, 6)
@@ -453,14 +530,26 @@ def randint_doubled_coords(dim, rng):
     return out
 
 
-def test_doubled_coords_match_randint_stream():
-    """The ``getrandbits`` draws give the reference's coordinates and leave the
-    generator where the reference leaves it."""
+def test_drawer_takes_continue_the_randint_stream():
+    """Successive takes of a drawer continue the reference's coordinates
+    exactly, the reference drawing ``dim`` at a time.  A bulk read ends
+    anywhere, so some takes leave the drawer between a coordinate's num word
+    and its quarter word, the num's nibble in its tail; others leave whole
+    coordinates over for the next take."""
+    mid_coordinate = surplus = 0
     for seed in range(200):
         for dim in (1, 3, 9, 25):
-            fast, ref = random.Random(seed), random.Random(seed)
-            assert _doubled_coords(dim, fast) == randint_doubled_coords(dim, ref)
-            assert fast.random() == ref.random()
+            drawer, ref = _Drawer(random.Random(seed)), random.Random(seed)
+            expected = []
+            for size in (1, 2, 3, 5, 7, 50, dim, dim):
+                while len(expected) < size:
+                    coords = randint_doubled_coords(dim, ref)
+                    expected += (coords.get(k, 0) for k in range(dim))
+                assert drawer.take(size) == expected[:size], (seed, dim, size)
+                del expected[:size]
+                mid_coordinate += bool(drawer._tail)
+                surplus += bool(drawer._coords)
+    assert mid_coordinate > 1000 and surplus > 1000
 
 
 def test_checks_leave_no_reference_cycles(m3):
@@ -525,8 +614,7 @@ def test_soundness_pass_implies_random_pass(all_materialized):
 
 
 def test_random_elements_are_small_exact(m3):
-    rng = random.Random(1)
-    e = random_element(m3, rng)
+    e = random_element(m3, _Drawer(random.Random(1)))
     assert len(e.coords) == 9
     for v in e.coords:
         assert Fraction(v).denominator in (1, 2)

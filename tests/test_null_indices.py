@@ -168,7 +168,7 @@ def test_a_null_algebra_passes_without_a_tuple_or_a_draw(monkeypatch):
     """No index is live: no tuple is compared and no element is drawn."""
     seen = []
     monkeypatch.setattr(identities, "_signed_sum", lambda roots, vals: seen.append(1))
-    monkeypatch.setattr(identities, "_doubled_coords", lambda dim, rng: seen.append(2))
+    monkeypatch.setattr(identities, "_Drawer", lambda rng: seen.append(2))
     a = make_algebra(200, [])
     for name in IDENTITY_NAMES:
         assert check_identity(a, name).passed
