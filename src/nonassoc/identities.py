@@ -897,7 +897,8 @@ class _Drawer:
             top = self._getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
             parts = _COORD.split(self._tail + top.translate(_TOP_NIBBLE, _NEVER_TAKEN))
             self._tail = parts.pop()
-            # the pairs' nibbles n, q in turn, and n | q << 4 in every other byte
+            # matches abut, as any kept nibble is a num, so the parts join into the
+            # pairs' nibbles n, q in turn; n | q << 4 lands in every other byte
             pairs = int.from_bytes(b"".join(parts), "little")
             codes = (pairs | pairs >> 4).to_bytes(len(parts) // 3 * 2, "little")[::2]
             coords += memoryview(codes.translate(_DOUBLED)).cast("b").tolist()
