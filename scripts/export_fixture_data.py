@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the JSON data files shipped inside the package.
 
-Per fixture: an expectations file plus, at the sample point, the check
-algebra, the induced operator, the embedding, and u as an element file.
+Per fixture, at the sample point: the check algebra, the ambient algebra,
+the induced operator, the embedding, and u as an element file.
 Also writes the small example inputs referenced by the README.
 
 Run from the repository root after changing the fixture catalog:
@@ -31,15 +31,7 @@ def build() -> dict[str, dict]:
     """Every shipped data file, as {path relative to DATA: JSON object}."""
     out: dict[str, dict] = {}
     for name in fx.list_fixtures():
-        bundle = fx.load_fixture(name)
-        m = fx.materialize(bundle)
-        out[f"fixtures/{name}.expectations.json"] = {
-            "fixture": name,
-            "rows": [
-                {"check": r.check, "expect": "pass" if r.expect else "fail"}
-                for r in bundle.rows
-            ],
-        }
+        m = fx.materialize(fx.load_fixture(name))
         out[f"fixtures/{name}.algebra.json"] = algebra_to_dict(m.algebras["A"])
         out[f"fixtures/{name}.ambient.json"] = algebra_to_dict(m.ambient)
         out[f"fixtures/{name}.operator.json"] = operator_to_dict(m.operator)

@@ -81,11 +81,6 @@ MUTANTS = (
            "for side in (1, 2))",
            ("tests/test_packed.py",),
            "the schedule names L's right operands as its left ones, so fills miss the cells read"),
-    Mutant("phantom-for-tied-last-slot", IDENTITIES,
-           "if d == last and tied[d]:",
-           "if d == last and tied[d] and not group:",
-           ("tests/test_symmetry.py", "tests/test_packed.py"),
-           "under G a tied last slot multiplies by L, then its phantom, not by its own run"),
     # Packing, scaling, null pruning and the orbit test.
     Mutant("width-one-bit-short", IDENTITIES,
            "return bound.bit_length() + 1",
@@ -163,6 +158,38 @@ MUTANTS = (
            "else rows[j][i]",
            ("tests/test_constructions.py",),
            "an antisymmetric product copies x∘y into y∘x instead of negating it"),
+    # The support, the automorphism search, the catalogs and the grid's degree check.
+    Mutant("support-without-outputs", "src/nonassoc/algebra.py",
+           "for k, _ in e for x in (i, j, k)}",
+           "for k, _ in e for x in (i, j)}",
+           ("tests/test_symmetry.py::test_every_found_permutation_is_an_automorphism",),
+           "the support misses an index that is only a product's output, as e_1 in e_0 e_0 = e_1"),
+    Mutant("refine-one-round", "src/nonassoc/symmetry.py",
+           "        if len(rank) == cells:\n            return colour\n",
+           "        return colour\n",
+           ("tests/test_symmetry.py::test_refinement_stops_at_a_stable_colouring",),
+           "colour refinement stops after one round, before the colouring is stable"),
+    Mutant("derivation-sign", "src/nonassoc/operators.py",
+           "((1, (R(X), Y)), (1, (X, R(Y))))",
+           "((1, (R(X), Y)), (-1, (X, R(Y))))",
+           ("tests/test_operators.py",),
+           "the derivation words read R(x) y - x R(y) = R(x y), not the Leibniz rule"),
+    Mutant("right-identity-side", "src/nonassoc/search.py",
+           "(amb.product(emb.basis[j], u), emb.basis[j])",
+           "(amb.product(u, emb.basis[j]), emb.basis[j])",
+           ("tests/test_search.py", "tests/test_search_conditions.py"),
+           "right_identity solves u x = x, a left identity, in place of x u = x"),
+    Mutant("grid-degree-off-by-one", IDENTITIES,
+           "if len(distinct) < p.degree + 1:",
+           "if len(distinct) < p.degree:",
+           ("tests/test_identities.py::test_certify_parametric_grid_too_small",
+            "tests/test_fixtures.py::test_certify_row_too_small_grid"),
+           "a grid of d distinct values certifies a parameter of degree d, one point short"),
+    Mutant("error-exits-1", "src/nonassoc/cli.py",
+           "        print(f\"error: {exc}\", file=sys.stderr)\n        return 2\n    except MemoryError",
+           "        print(f\"error: {exc}\", file=sys.stderr)\n        return 1\n    except MemoryError",
+           ("tests/test_cli.py::test_verify_fixture_unknown",),
+           "an input error exits 1, which a caller reads as a refutation"),
 )
 
 

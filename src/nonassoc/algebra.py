@@ -201,9 +201,15 @@ class Algebra:
         )
 
     @cached_property
+    def support(self) -> tuple[int, ...]:
+        """The indices that some nonzero constant names, ascending."""
+        return tuple(sorted({x for i, row in enumerate(self.sparse_rows) if any(row)
+                             for j, e in enumerate(row) for k, _ in e for x in (i, j, k)}))
+
+    @cached_property
     def automorphisms(self) -> Automorphisms:
         """The basis permutations that preserve the constants, searched for once."""
-        return Automorphisms(self.dim, self.sparse_rows, self.nonzero_constants)
+        return Automorphisms(self.dim, self.sparse_rows, self.support, self.nonzero_constants)
 
     @cached_property
     def integer_rows(self) -> tuple[tuple, int]:
@@ -219,20 +225,19 @@ class Algebra:
         return scaled, denom
 
     @cached_property
-    def integer_product(self) -> tuple[tuple[int, ...], Callable]:
-        """The support, the indices that some nonzero constant names, ascending,
-        and ``prod(l, r)``: for int coordinate lists ``l``, ``r`` over the
-        support, the list of those of l r on ``integer_rows`` (D times the
-        product).  Compiled once into straight-line code, see ``_compile_product``."""
+    def integer_product(self) -> Callable:
+        """``prod(l, r)``: for int coordinate lists ``l``, ``r`` over ``support``,
+        the list of those of l r on ``integer_rows`` (D times the product).
+        Compiled once into straight-line code, see ``_compile_product``."""
         rows, _ = self.integer_rows
-        cells = [(i, j, e) for i, row in enumerate(rows) if any(row) for j, e in enumerate(row) if e]
-        support = sorted({t for i, j, e in cells for t in (i, j, *(k for k, _ in e))})
-        at = {t: p for p, t in enumerate(support)}
-        terms: list[list] = [[] for _ in support]
-        for i, j, e in cells:
-            for k, v in e:
-                terms[at[k]].append((v, at[i], at[j]))
-        return tuple(support), _compile_product(terms)
+        at = {t: p for p, t in enumerate(self.support)}
+        terms: list[list] = [[] for _ in at]
+        for i, row in enumerate(rows):
+            if any(row):
+                for j, e in enumerate(row):
+                    for k, v in e:
+                        terms[at[k]].append((v, at[i], at[j]))
+        return _compile_product(terms)
 
     @cached_property
     def integer_cell_norm(self) -> int:

@@ -67,6 +67,8 @@ CATALOG: dict[str, Construction] = {
         ("prelie_endo_alt", (), _RX_Y_MINUS_RY_RX),
         ("prelie_diff", (), _RX_Y),
         ("novikov_affine", ("a",), ((1, (X, R(Y))), ("a", (X, Y)))),
+        # left pre-Lie for a Rota-Baxter R of weight -1, R(x)R(y) = R(R(x)y +
+        # xR(y) - xy), not of weight 1: u = -E11 on span{E11, E12} in M2 fails
         ("prelie_rb1", (), ((1, (R(X), Y)), (-1, (Y, R(X))), (-1, (X, Y)))),
         ("flexible_avg", (), ((1, R((X, Y))),)),
     )

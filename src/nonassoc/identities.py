@@ -36,12 +36,12 @@ last - 1 is 2^(w n2 p1) and index order[p2] of the last slot 2^(w p2), n2
 being the length of ``order``, the indices the last slot may take.  The
 words are bilinear in the two slots, so field n2 p1 + p2 holds the value at
 (run[p1], order[p2]), w still bounds it, and the lowest failing field
-decodes as (p1, p2) = divmod(field, n2).  The last slot's leaf L =
-sum_p 2^(w p) e_order[p] of a square, or of a block when the last slot is
-untied, is one value for the whole verdict, so from the second block at one
-depth on it is a phantom basis index, as R is (below).  Its cells e_x L and
-L e_y are filled when a block first reads them, each the integer the direct
-loop sums: packed values, witnesses and w are unchanged.
+decodes as (p1, p2) = divmod(field, n2).  The last slot, a variable of
+degree one, has one leaf L = sum_p 2^(w p) e_order[p] for the whole verdict,
+so from the second block at one depth on it is a phantom basis index, as R
+is (below).  Its cells e_x L and L e_y are filled when a block first reads
+them, each the integer the direct loop sums: packed values, witnesses and w
+are unchanged.
 
 Symmetry cuts the loop.  A basis permutation g with c[g i][g j][g k] =
 c[i][j][k] is an automorphism, so the polarized form vanishes at a tuple t
@@ -73,11 +73,11 @@ sits under a product or an R node, so a tuple holding a null index i gives
 each slot over the other indices only, in the same order; every skipped
 tuple passes, so the first failing tuple and its witness are unchanged.  A
 bare leaf (the x of R(R(x)) = x) is e_i itself, and then every index runs.
-Random trials read each draw on the support instead, the indices that some
-nonzero constant names, exact as x y = x_s y_s with the product in the
-support too.  The support is not ``active``: in ``make_algebra(2, [(0, 0,
-1, 1)])`` e_1 is null, yet e_0 e_0 = e_1.  An algebra with an empty support
-passes with nothing drawn.
+Random trials read each draw on ``Algebra.support`` instead, the indices
+that some nonzero constant names, exact as x y = x_s y_s with the product
+in the support too.  The support is not ``active``: in ``make_algebra(2,
+[(0, 0, 1, 1)])`` e_1 is null, yet e_0 e_0 = e_1.  An algebra with an empty
+support passes with nothing drawn.
 
 Words may also apply a linear operator: the node ``("R", w)`` is R(w).  The
 operator identities of ``operators`` (derivation, Rota-Baxter, ...) are
@@ -341,7 +341,7 @@ class _Schedule(NamedTuple):
     nodes ``terms``, computed at the depth of its deepest term.  ``lhs``/
     ``rhs`` list each root as ``(coef, node, p, q)``: its coefficient (an
     int or a parameter name) and its numbers of products and of R nodes.
-    ``tied[d]``: slot ``d`` follows slot ``d - 1`` in one symmetry group.
+    ``tied[d]``: slot ``d`` (never the last) follows slot ``d - 1`` in one group.
     ``covered``: no unfactored word is a bare leaf, so every leaf sits under
     a product or an R node (see ``_basis_verdict``).  ``beside_last`` lists
     the nodes that the last slot's leaf multiplies at its depth: those on its
@@ -429,6 +429,8 @@ def _schedule(slots: int, lhs_words, rhs_words, groups=()) -> _Schedule:
 
     lhs, rhs = roots(lhs_words), roots(rhs_words)
     tied = tuple(any(s in g[1:] for g in groups) for s in range(slots))
+    if tied[-1]:
+        raise AssertionError("the last slot must be a variable of degree one")
     last = slots - 1
     beside = tuple(tuple(dict.fromkeys(s[3 - side] for s in steps[last] if s[side] == last))
                    for side in (2, 1))
@@ -610,18 +612,12 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     prefix of the slots before them.  Only the plan (no group) and that pass
     decide it: a verdict that fails in its first block pays for no square,
     and a plan that prunes prefixes keeps slot last - 1's pruning.  The last
-    slot runs over all of ``order``, also when tied to slot last - 1, so the
-    square holds tuples that are not sorted within their slot group.  The
-    lowest failing field is still the first failing tuple.  Without G every
-    sorted tuple before the square was checked, and the square holds every
-    sorted tuple of its prefix and run.  Let t fail in the square, unsorted.
-    Its sorted twin s fails too, and s < t, so s lies in a passed block or
-    lower in this square, as its fields run in lex order.  So the lowest
-    failing field is sorted, and every sorted tuple before it passed.
+    slot is tied to no other and runs over all of ``order``, so a square
+    holds exactly the sorted tuples of its prefix and run, its fields in lex
+    order: the lowest failing field is the first failing tuple.
 
     The last slot's leaf L = {order[p]: 2^(width p)} is one value for the
-    whole verdict in a square, and in a block at the last slot unless that
-    slot is tied (its run then starts at slot last - 1's index).  The first
+    whole verdict, in a square and in a block at the last slot.  The first
     block at a depth multiplies by L itself; from the second on the leaf is
     {n: 1}, a phantom index n = len(rows[0]) that ``_phantom_leaf`` adds
     after R's.  Cell (x, n) is e_x L and row n holds L e_y, so L e_dim is
@@ -677,9 +673,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
         if d < last:
             vals[d] = {i: 1 << width * n2 * p for p, i in enumerate(run)}
             _products(rows, sched.steps[d], vals)
-        if d == last and tied[d]:  # this block's own run, from slot last - 1's index
-            vals[d] = {i: 1 << width * p for p, i in enumerate(run)}
-        elif d != prior:  # a first block at its depth multiplies by L itself
+        if d != prior:  # a first block at its depth multiplies by L itself
             if leaf is None:
                 leaf = {i: 1 << width * p for p, i in enumerate(order)}
             vals[last], prior = leaf, d
@@ -780,7 +774,7 @@ def check_identity(a: Algebra, name: str) -> Verdict:
     plan = polarized_plan(name)
     sched = _plan_schedule(name)
     rows, denom = a.integer_rows
-    n = len(a.active) if sched.covered else a.dim  # the indices the loop runs over
+    n = len(a.active)  # the indices the loop runs over: no identity word is a bare leaf
     tuples = prod(comb(n + d - 1, d) for d in plan.identity.multidegree)
     size = n + a.nonzero_constants
     group = a.automorphisms.elements if tuples > _TUPLES_PER_UNIT * size else ()
@@ -943,9 +937,10 @@ def check_identity_random(a: Algebra, name: str, trials: int, seed: int) -> Verd
     ident = get_identity(name)
     arity = len(ident.variables)
     sched = _raw_schedule(name)
-    support, prod = a.integer_product
+    support = a.support
     if not support:
         return Verdict.ok()
+    prod = a.integer_product
     steps = sum(sched.steps, ())
     lhs, rhs, scale = _raw_weighted(name, a.integer_rows[1])
     dim = a.dim

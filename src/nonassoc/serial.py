@@ -13,9 +13,6 @@ Formats (all UTF-8 JSON):
 - element:   {"dim": n, "coords": ["p/q", ...]}
 - embedding: {"ambient": <algebra object or file path>, "basis": [[...], ...]}
 - grid:      {"points": [["p/q", ...], ...]}
-- expectations: {"fixture": name, "rows": [{"check": label, "expect": "pass"}, ...]}
-             written only by ``scripts/export_fixture_data.py``; no loader
-             reads it (a test compares the shipped files with the catalog).
 """
 from __future__ import annotations
 

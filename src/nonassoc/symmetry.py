@@ -157,14 +157,12 @@ class Automorphisms:
     """The verified basis-permutation automorphisms of one algebra's constants.
 
     The generators are searched for once, on construction, over the indices
-    that some constant mentions; they fix every other index.  ``constants``
-    is the number of nonzero constants in ``rows``.
+    that some constant mentions, ``mentioned`` (ascending); they fix every
+    other index.  ``constants`` is the number of nonzero constants in ``rows``.
     """
 
-    def __init__(self, dim: int, rows, constants: int):
+    def __init__(self, dim: int, rows, mentioned: tuple, constants: int):
         self.dim = dim
-        mentioned = sorted({x for i, row in enumerate(rows) for j, e in enumerate(row)
-                            for k, _ in e for x in (i, j, k)})
         at = {x: p for p, x in enumerate(mentioned)}
         if len(mentioned) < dim:  # the constants, renumbered over the mentioned indices
             rows = tuple(tuple(tuple((at[k], v) for k, v in rows[i][j]) for j in mentioned)

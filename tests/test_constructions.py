@@ -29,7 +29,13 @@ from nonassoc.constructions import (
 )
 from nonassoc.errors import MalformedPropertyError
 from nonassoc.identities import IDENTITY_NAMES, check_identity
-from nonassoc.operators import LinearOperator, OperatorProperty, make_operator
+from nonassoc.operators import (
+    LinearOperator,
+    OperatorProperty,
+    check_operator_property,
+    left_multiplication_operator,
+    make_operator,
+)
 from nonassoc.scalars import canonical
 from nonassoc.serial import algebra_content_hash, operator_content_hash
 
@@ -120,6 +126,21 @@ def test_prelie_rb1_with_zero_operator_is_negated_product():
             assert twisted.basis_product(i, j) == -m2.basis_product(i, j)
     # the negation of an associative product is left pre-Lie
     assert check_identity(twisted, "left_prelie").passed
+
+
+def test_prelie_rb1_is_left_prelie_at_weight_minus_one():
+    """R(x) = u x on A = span{E11, E12} in M2: u = E11 is Rota-Baxter of weight
+    -1, and the derived product is nonzero and left pre-Lie; u = -E11 is of
+    weight 1, and left_prelie fails at basis tuple (0, 1, 0)."""
+    a, emb = induce_subalgebra(matrix_algebra(2), [matrix_unit(2, 0, 0), matrix_unit(2, 0, 1)])
+    for lam in (-1, 1):
+        r = left_multiplication_operator(emb, -lam * matrix_unit(2, 0, 0))
+        assert check_operator_property(a, r, OperatorProperty("rota_baxter", lam=lam)).passed
+        assert not check_operator_property(a, r, OperatorProperty("rota_baxter", lam=-lam)).passed
+        twisted = derive(a, r, construction("prelie_rb1"))
+        assert twisted.nonzero_constants
+        verdict = check_identity(twisted, "left_prelie")
+        assert verdict.passed if lam == -1 else verdict.witness.indices == (0, 1, 0)
 
 
 def test_novikov_affine_requires_param_and_uses_it():

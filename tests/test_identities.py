@@ -641,8 +641,11 @@ def test_certify_parametric_finds_failure_point():
 
 
 def test_certify_parametric_grid_too_small():
-    with pytest.raises(GridError):
-        certify_parametric(_SQUARE, lambda pt: Verdict.ok(), axes={"t": [1]})
+    """Degree 2 needs 3 distinct values: 1 or 2 are too few, and 3 certify."""
+    for axis in ([1], [0, 1]):
+        with pytest.raises(GridError, match=f"has {len(axis)} distinct values"):
+            certify_parametric(_SQUARE, lambda pt: Verdict.ok(), axes={"t": axis})
+    assert certify_parametric(_SQUARE, lambda pt: Verdict.ok(), axes={"t": [0, 1, 5]}).passed
 
 
 def test_certify_parametric_rejects_excluded_values():

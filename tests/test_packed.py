@@ -5,16 +5,16 @@ its own field of one int, and, when no automorphism is listed, the last two
 slots at once, after the first block: a square of fields, slot last - 1 at a
 stride of the last slot's run.  These cases push the packing where it could
 break: fields past 64 bits, negative coordinates, a failure inside a block or
-in a square's first row, a tied last pair, large operator columns and the
-``genalgebras`` families.  From the second block at one depth on (a
-square, or a block at an untied last slot under the automorphism list), the
-last slot's leaf L is a phantom basis index of the rows, as R is, whose
-cells are filled as blocks first read them; each product by it is compared
-with the plain kernel's product by L itself, and a cell never filled would
-raise.  A tied last slot under the list uses no phantom.  Verdicts and
-witnesses are compared, through ``repr``, with the plain rational loops of
-``test_symmetry`` and ``test_operators``, and the field width with every
-coordinate the unpacked kernel reaches at any basis tuple.
+in a square's first row, large operator columns and the ``genalgebras``
+families.  From the second block at one depth on (a square, or a block under
+the automorphism list), the last slot's leaf L is a phantom basis index of
+the rows, as R is, whose cells are filled as blocks first read them; each
+product by it is compared with the plain kernel's product by L itself, and
+a cell never filled would raise.  The last slot is never tied to the one
+before it.  Verdicts and witnesses are compared, through ``repr``, with the
+plain rational loops of ``test_symmetry`` and ``test_operators``, and the
+field width with every coordinate the unpacked kernel reaches at any basis
+tuple.
 """
 import collections
 import itertools
@@ -36,15 +36,11 @@ from nonassoc.operators import (
     check_operator_property,
     make_operator,
 )
-from nonassoc.verdicts import Verdict, Witness
 from test_operators import every_property, oracle_verdict
 from test_symmetry import (
-    _TIED_AFTER_CLOSED,
     PhantomLeaves,
     always_use_group,  # noqa: F401 (a fixture)
-    canonical_tuples,
     commutator,
-    group_of,
     plain_verdict,
     shuffled_matrix_algebra,
 )
@@ -106,31 +102,6 @@ def largest_coordinate(a, sched, rows, signed, _cmax):
     return top
 
 
-def plain_words_verdict(a, degrees, lhs, rhs):
-    """Oracle: words in variables of ``degrees``, polarized, at every tuple
-    non-decreasing within each slot group, in lex order, with ``Algebra.product``."""
-    offsets = [sum(degrees[:v]) for v in range(len(degrees))]
-    lhs = identities._polarize_words(lhs, degrees, offsets)
-    rhs = identities._polarize_words(rhs, degrees, offsets)
-
-    def side(words, t):
-        def value(word):
-            if isinstance(word, int):
-                return a.basis_vector(t[word])
-            return a.product(value(word[0]), value(word[1]))
-
-        acc = a.zero()
-        for sign, word in words:
-            acc = acc + sign * value(word)
-        return acc
-
-    for t in canonical_tuples(a.dim, degrees):
-        sides = side(lhs, t), side(rhs, t)
-        if sides[0] != sides[1]:
-            return Verdict.fail(Witness(t, tuple(a.basis_vector(i) for i in t), *sides))
-    return Verdict.ok()
-
-
 def test_fields_past_64_bits_match_the_plain_loop():
     """Constants scaled by 10^6 need fields of more than 64 bits for jordan_main."""
     failed = 0
@@ -181,21 +152,6 @@ def test_a_failure_in_a_squares_first_row_is_decoded(monkeypatch, name, entries,
     assert repr(verdict) == repr(plain_verdict(a, name))
 
 
-def test_a_tied_pair_decodes_its_canonical_field_first():
-    """x y.y = x.y y fails at (0, 1, 2) and, the form being symmetric in the
-    two y slots, at (0, 2, 1).  In the pair of slot 1's run 1..2 with slot 2's
-    whole run, (0, 1, 2) is field 0·3 + 2 and (0, 2, 1) field 1·3 + 1; a decode
-    with p2 major would meet (0, 2, 1) first, which is not sorted."""
-    degrees, lhs, rhs = _TIED_AFTER_CLOSED["xy.y=x.yy"]
-    sched = tied_schedule(degrees, lhs, rhs)
-    a = make_algebra(3, [(0, 1, 2, 1), (2, 2, 2, 1)])  # e0 e1 = e2, e2 e2 = e2
-    rows, denom = a.integer_rows
-    verdict = identities._basis_verdict(
-        a, sched, rows, a.integer_cell_norm, *identities._weighted(sched, denom))
-    assert verdict.witness.indices == (0, 1, 2)
-    assert repr(verdict) == repr(plain_words_verdict(a, degrees, lhs, rhs))
-
-
 def test_the_first_failing_field_of_a_block_is_decoded():
     """e3 e4 = -e0 and e3 e5 = e0: in the block of prefix (3,) the fields of 4
     and 5 fail with opposite signs in one coordinate, after four passing ones."""
@@ -216,37 +172,13 @@ def test_negative_coordinates_match_the_plain_loop(seed):
             assert repr(check_identity(b, name)) == repr(plain_verdict(b, name)), name
 
 
-def tied_schedule(degrees, lhs, rhs):
-    """The schedule of words in variables of ``degrees``, polarized, each
-    repeated variable's slots one symmetry group."""
-    offsets = [sum(degrees[:v]) for v in range(len(degrees))]
-    groups = tuple(tuple(range(o, o + d)) for o, d in zip(offsets, degrees) if d > 1)
-    return identities._schedule(
-        sum(degrees),
-        identities._polarize_words(lhs, degrees, offsets),
-        identities._polarize_words(rhs, degrees, offsets),
-        groups,
-    )
-
-
-@pytest.mark.parametrize("words", _TIED_AFTER_CLOSED)
-def test_a_tied_last_slot_matches_the_plain_loop(words):
-    """The last slot runs from the index before it, with and without the group."""
-    degrees, lhs, rhs = _TIED_AFTER_CLOSED[words]
-    sched = tied_schedule(degrees, lhs, rhs)
-    assert sched.tied[-1]
-    failed = 0
-    for a in (shuffled_matrix_algebra(2, 3), shuffled_matrix_algebra(3, 6),
-              scaled(commutator(shuffled_matrix_algebra(3, 8)), -10**6)):
-        rows, denom = a.integer_rows
-        weighted = identities._weighted(sched, denom)
-        oracle = plain_words_verdict(a, degrees, lhs, rhs)
-        cmax = a.integer_cell_norm
-        assert repr(identities._basis_verdict(a, sched, rows, cmax, *weighted)) == repr(oracle)
-        verdict = identities._basis_verdict(a, sched, rows, cmax, *weighted, group_of(a)[1:])
-        assert repr(verdict) == repr(oracle)
-        failed += not oracle.passed
-    assert failed >= 1
+def test_a_tied_last_slot_is_refused():
+    """The last variable of every identity has degree one, so the loop never
+    meets a last slot tied to the one before it; a schedule with one is
+    refused."""
+    assert not any(identities._plan_schedule(name).tied[-1] for name in IDENTITY_NAMES)
+    with pytest.raises(AssertionError, match="last slot"):
+        identities._schedule(2, ((1, (0, 1)),), ((1, (1, 0)),), ((0, 1),))
 
 
 def large_operator(a, rng, zero=None):
@@ -494,26 +426,3 @@ def test_the_phantom_leaf_of_single_blocks_equals_the_plain_products(always_use_
             a, sched, rows, max(a.integer_cell_norm, rnorm),
             *identities._weighted(sched, denom, rdenom), a.automorphisms.elements).passed
     assert pair_steps["R"], pair_steps
-
-
-@pytest.mark.parametrize("words", _TIED_AFTER_CLOSED)
-def test_a_tied_last_slot_under_the_group_uses_no_phantom(monkeypatch, words):
-    """Under the automorphism list a tied last slot runs from slot last - 1's
-    index, so its leaf changes from block to block and no phantom may stand
-    for it: none is made, and the verdict is the plain loop's."""
-    degrees, lhs, rhs = _TIED_AFTER_CLOSED[words]
-    sched = tied_schedule(degrees, lhs, rhs)
-    phantom = PhantomLeaves(monkeypatch)
-    runs, original = set(), identities._signed_sum
-
-    def record(roots, vals):
-        runs.add(tuple(vals[len(sched.tied) - 1]))
-        return original(roots, vals)
-
-    monkeypatch.setattr(identities, "_signed_sum", record)
-    for a in (shuffled_matrix_algebra(3, 6), commutator(shuffled_matrix_algebra(3, 8))):
-        rows, denom = a.integer_rows
-        verdict = identities._basis_verdict(a, sched, rows, a.integer_cell_norm,
-                                            *identities._weighted(sched, denom), group_of(a)[1:])
-        assert repr(verdict) == repr(plain_words_verdict(a, degrees, lhs, rhs))
-    assert len(runs) > 2 and phantom.pair is None

@@ -9,6 +9,7 @@ orbit representative of the whole group; and its
 verdicts and witnesses against a plain loop over all non-decreasing basis
 tuples, evaluated in rationals.
 """
+import functools
 import itertools
 import math
 import random
@@ -75,18 +76,19 @@ def sorted_image(g, t, degrees):
     return tuple(out)
 
 
+@functools.cache
 def lex_min_representatives(a, degrees):
     """Oracle: the lex-min tuple of each orbit of G x (slot symmetry), in lex
-    order, found by brute force; the orbits must partition all tuples."""
+    order, found by brute force; the orbits must partition all tuples.  It
+    depends on the constants alone, so equal algebras share one answer."""
     group = group_of(a)
     reps, total = [], 0
     for t in canonical_tuples(a.dim, degrees):
-        images = {sorted_image(g, t, degrees) for g in group}
-        if min(images) == t:
+        if all(sorted_image(g, t, degrees) >= t for g in group):
             reps.append(t)
-            total += len(images)
+            total += len({sorted_image(g, t, degrees) for g in group})
     assert total == math.prod(math.comb(a.dim + d - 1, d) for d in degrees)
-    return reps
+    return tuple(reps)
 
 
 def surviving_prefixes(a, degrees, group):
@@ -103,17 +105,14 @@ def expected_blocks(a, degrees, group):
     """The blocks the loop compares, each a list of tuples in field order.
 
     Given automorphisms, each surviving prefix (every slot but the last) is
-    followed by every index of its last slot's run (from the prefix's last
-    index when the last slot is tied to it).  Given none, the first prefix is
-    so followed, and after it the loop packs slot last - 1's run, below each
-    prefix of the slots before it, with every index of the last slot: the
-    full square, tied or not."""
-    tied = degrees[-1] > 1
+    followed by every index of the last slot.  Given none, the first prefix
+    is so followed, and after it the loop packs slot last - 1's run, below
+    each prefix of the slots before it, with every index of the last slot:
+    the full square."""
     prefixes = surviving_prefixes(a, degrees, group)
     if group:
-        return [[p + (i,) for i in range(p[-1] if tied else 0, a.dim)] for p in prefixes]
-    first = prefixes[0]
-    blocks = [[first + (i,) for i in range(first[-1] if tied else 0, a.dim)]]
+        return [[p + (i,) for i in range(a.dim)] for p in prefixes]
+    blocks = [[prefixes[0] + (i,) for i in range(a.dim)]]
     for _, below in itertools.groupby(prefixes[1:], key=lambda p: p[:-1]):
         blocks.append([p + (i,) for p in below for i in range(a.dim)])
     return blocks
@@ -251,13 +250,16 @@ def test_commutator_m3_has_symmetric_group():
 
 
 def test_every_found_permutation_is_an_automorphism(all_materialized):
-    """Any group found is sound, also where it is trivial or partial."""
+    """Any group found is sound, also where it is trivial or partial, and the
+    search ran over ``Algebra.support``, the mentioned indices."""
     from genalgebras import mixed_denominator_algebra
 
     algebras = [a for m in all_materialized.values() for a in m.algebras.values()]
     algebras += [mixed_denominator_algebra(random.Random(s), 3, (1, 2, 3)) for s in range(4)]
-    algebras += [make_algebra(4, []), hadamard_algebra(2, 2), commutator(matrix_algebra(2))]
+    algebras += [make_algebra(4, []), hadamard_algebra(2, 2), commutator(matrix_algebra(2)),
+                 make_algebra(3, [(0, 0, 2, 1)])]
     for a in algebras:
+        assert a.support == tuple(sorted(mentioned(a)))
         for g in a.automorphisms.generators + group_of(a):
             assert is_automorphism(a, g)
 
@@ -304,6 +306,33 @@ def test_the_element_list_is_bounded_by_the_input(label):
         # checked against the oracle on small algebras, stands in
         plain = plain_verdict if a.dim <= 9 or not verdict.passed else packed_plain_verdict
         assert repr(verdict) == repr(plain(a, name)), name
+
+
+def incident(a):
+    """The entries around each index, as ``find_generators`` hands them to ``_refine``."""
+    out = [[] for _ in range(a.dim)]
+    for i, row in enumerate(a.sparse_rows):
+        for j, e in enumerate(row):
+            for k, v in e:
+                for x in {i, j, k}:
+                    out[x].append(tuple(a.dim if y == x else y for y in (i, j, k)) + (v,))
+    return out
+
+
+def test_refinement_stops_at_a_stable_colouring():
+    """Indices of one colour take part in alike entries, read through the
+    colours.  Along the chain e_i e_i = e_(i+1) a round tells apart one more
+    index from each end, so only a refinement run to the end makes its 7
+    indices distinct, as its trivial group allows."""
+    chain = make_algebra(7, [(i, i, i + 1, 1) for i in range(6)])
+    for a in (chain, matrix_algebra(3), hadamard_algebra(2, 2), commutator(matrix_algebra(2))):
+        entries = incident(a)
+        colour = symmetry._refine([0] * a.dim, entries)
+        c = colour + [-1]
+        around = [sorted((c[i], c[j], c[k], v) for i, j, k, v in e) for e in entries]
+        for x, y in itertools.combinations(range(a.dim), 2):
+            assert colour[x] != colour[y] or around[x] == around[y]
+    assert len(set(symmetry._refine([0] * 7, incident(chain)))) == 7
 
 
 def test_a_null_block_never_enters_the_search(monkeypatch):
@@ -383,11 +412,12 @@ def test_a_truncated_element_list_visits_the_blocks_it_leaves(always_use_group, 
 
 # Words whose repeated variable follows a single one, or a second repeated
 # one, so the loop prunes inside a slot group whose alive elements are a
-# proper stabilizer: multidegree and (lhs, rhs) in x, y, z = 0, 1, 2.
+# proper stabilizer, and then a variable w of degree one, as every
+# identity's last variable is: multidegree and (lhs, rhs) in x, y, w = 0, 1, 2.
 _TIED_AFTER_CLOSED = {
-    "xy.y=x.yy": ((1, 2), ((1, ((0, 1), 1)),), ((1, (0, (1, 1))),)),
-    "xy.xy=xx.yy": ((2, 2), ((1, ((0, 1), (0, 1))),), ((1, ((0, 0), (1, 1))),)),
-    "xz.yz=xy.zz": ((1, 1, 2), ((1, ((0, 2), (1, 2))),), ((1, ((0, 1), (2, 2))),)),
+    "xy.y.w=x.yy.w": ((1, 2, 1), ((1, (((0, 1), 1), 2)),), ((1, ((0, (1, 1)), 2)),)),
+    "xy.xy.w=xx.yy.w": ((2, 2, 1), ((1, (((0, 1), (0, 1)), 2)),),
+                        ((1, (((0, 0), (1, 1)), 2)),)),
 }
 
 
@@ -397,8 +427,8 @@ _TIED_AFTER_CLOSED = {
 def test_tied_slots_after_a_closed_group_visit_the_lex_min_representatives(visited, label, words,
                                                                           listed):
     """Given G, the loop prunes inside the tied group; given nothing, it packs
-    the tied last pair as a full square.  Both visit every representative of
-    G and give one verdict."""
+    the last pair as a full square.  Both visit every representative of G
+    and give one verdict."""
     a = shuffled_matrix_algebra(3 if label != "M2" else 2, 12)
     if label == "commutator(M3)":
         a = commutator(a)
