@@ -172,13 +172,37 @@ def test_negative_coordinates_match_the_plain_loop(seed):
             assert repr(check_identity(b, name)) == repr(plain_verdict(b, name)), name
 
 
-def test_a_tied_last_slot_is_refused():
-    """The last variable of every identity has degree one, so the loop never
-    meets a last slot tied to the one before it; a schedule with one is
-    refused."""
-    assert not any(identities._plan_schedule(name).tied[-1] for name in IDENTITY_NAMES)
+@pytest.mark.parametrize("name", IDENTITY_NAMES)
+def test_every_identity_ends_in_an_untied_degree_one_slot(name):
+    """The last variable of every identity has degree one, so neither its
+    polarized plan nor its raw words give the loop a last slot tied to the
+    one before it, and no word is a bare leaf."""
+    assert identities.get_identity(name).multidegree[-1] == 1
+    for sched in (identities._plan_schedule(name), identities._raw_schedule(name)):
+        assert not sched.tied[-1] and sched.covered
+
+
+# Words whose last variable is repeated, so its slots close a symmetry group:
+# multidegree and (lhs, rhs) in x, y, z = 0, 1, 2.
+_TIED_LAST = {
+    "x.x=x.x": ((2,), ((1, (0, 0)),), ((1, (0, 0)),)),
+    "xy.y=x.yy": ((1, 2), ((1, ((0, 1), 1)),), ((1, (0, (1, 1))),)),
+    "xy.xy=xx.yy": ((2, 2), ((1, ((0, 1), (0, 1))),), ((1, ((0, 0), (1, 1))),)),
+    "xz.yz=xy.zz": ((1, 1, 2), ((1, ((0, 2), (1, 2))),), ((1, ((0, 1), (2, 2))),)),
+}
+
+
+@pytest.mark.parametrize("words", _TIED_LAST)
+def test_a_tied_last_slot_is_refused(words):
+    """A schedule whose last slot is tied to the one before it is refused."""
+    degrees, lhs, rhs = _TIED_LAST[words]
+    offsets = [sum(degrees[:v]) for v in range(len(degrees))]
+    groups = tuple(tuple(range(o, o + d)) for o, d in zip(offsets, degrees) if d > 1)
+    lhs = identities._polarize_words(lhs, degrees, offsets)
+    rhs = identities._polarize_words(rhs, degrees, offsets)
+    identities._schedule(sum(degrees), lhs, rhs, groups[:-1])
     with pytest.raises(AssertionError, match="last slot"):
-        identities._schedule(2, ((1, (0, 1)),), ((1, (1, 0)),), ((0, 1),))
+        identities._schedule(sum(degrees), lhs, rhs, groups)
 
 
 def large_operator(a, rng, zero=None):
