@@ -158,7 +158,7 @@ MUTANTS = (
            "else rows[j][i]",
            ("tests/test_constructions.py",),
            "an antisymmetric product copies x∘y into y∘x instead of negating it"),
-    # The support, the automorphism search, the catalogs and the grid's degree check.
+    # The support, the automorphism search, the catalogs and the grid's checks.
     Mutant("support-without-outputs", "src/nonassoc/algebra.py",
            "for k, _ in e for x in (i, j, k)}",
            "for k, _ in e for x in (i, j)}",
@@ -180,11 +180,32 @@ MUTANTS = (
            ("tests/test_search.py", "tests/test_search_conditions.py"),
            "right_identity solves u x = x, a left identity, in place of x u = x"),
     Mutant("grid-degree-off-by-one", IDENTITIES,
-           "if len(distinct) < p.degree + 1:",
-           "if len(distinct) < p.degree:",
+           "if len(distinct) < self.degree + 1:",
+           "if len(distinct) < self.degree:",
            ("tests/test_identities.py::test_certify_parametric_grid_too_small",
             "tests/test_fixtures.py::test_certify_row_too_small_grid"),
            "a grid of d distinct values certifies a parameter of degree d, one point short"),
+    Mutant("grid-repeat-let-through", IDENTITIES,
+           "if len(distinct) < len(axis):",
+           "if len(distinct) < len(axis) - 1:",
+           ("tests/test_fixtures.py::test_certify_row_rejects_repeated_axis_values",),
+           "an axis that repeats one value is walked, that value checked and counted twice"),
+    Mutant("grid-exclusion-unchecked", IDENTITIES,
+           "bad = distinct.intersection(self.exclude)",
+           "bad = distinct.intersection(())",
+           ("tests/test_identities.py::test_certify_parametric_rejects_excluded_values",),
+           "an axis that holds an excluded value is accepted, a point where the family is undefined"),
+    # The sum steps of factored words, which no catalogued word list compiles to.
+    Mutant("element-sum-term-dropped", IDENTITIES,
+           "vals[n] = sum((vals[t] for t in right[1:]), vals[right[0]])",
+           "vals[n] = sum((vals[t] for t in right[2:]), vals[right[0]])",
+           ("tests/test_constructions.py::test_derive_sums_factored_words",),
+           "derive's sum node drops its second term, so R(xy + yx) reads R(xy)"),
+    Mutant("trial-sum-term-dropped", IDENTITIES,
+           "vals[n] = [sum(c) for c in zip(*(vals[t] for t in right))]",
+           "vals[n] = [sum(c) for c in zip(*(vals[t] for t in right[1:]))]",
+           ("tests/test_identities.py::test_random_trials_sum_factored_words",),
+           "a random trial's sum node drops its first term, so x(yz + zy) reads x(zy)"),
     Mutant("error-exits-1", "src/nonassoc/cli.py",
            "        print(f\"error: {exc}\", file=sys.stderr)\n        return 2\n    except MemoryError",
            "        print(f\"error: {exc}\", file=sys.stderr)\n        return 1\n    except MemoryError",

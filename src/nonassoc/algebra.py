@@ -472,9 +472,7 @@ def matrix_identity_element(n: int) -> Element:
     return element_from_matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
-def induce_subalgebra(
-    ambient: Algebra, basis: Sequence[Element], basis_labels: Sequence[str] = ()
-) -> tuple[Algebra, Embedding]:
+def induce_subalgebra(ambient: Algebra, basis: Sequence[Element]) -> tuple[Algebra, Embedding]:
     """Structure constants of the span of ``basis`` inside ``ambient``.
 
     Each ``sparse_rows`` entry holds the nonzero ``to_sub`` coordinates of
@@ -494,7 +492,7 @@ def induce_subalgebra(
             row.append(coords.sparse())
         rows.append(tuple(row))
     meta = {"kind": "subalgebra", "ambient_dim": ambient.dim}
-    return Algebra(emb.sub_dim, tuple(rows), tuple(basis_labels), meta), emb
+    return Algebra(emb.sub_dim, tuple(rows), (), meta), emb
 
 
 def is_associative(a: Algebra) -> Verdict:

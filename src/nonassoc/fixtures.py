@@ -36,8 +36,8 @@ parametric certification can vary them together with u.
 A row declared with the ``_CERTIFIED`` flag is certified for all rational
 parameter values: ``certify_row`` runs it at every point of the bundle's
 grid, which has more distinct values per parameter than that parameter's
-declared degree (Schwartz-Zippel).  ``FixtureBundle.certified_rows`` lists
-the flagged labels in row order.
+declared degree (Alon, Combinatorial Nullstellensatz, Lemma 2.1).
+``FixtureBundle.certified_rows`` lists the flagged labels in row order.
 """
 from __future__ import annotations
 
@@ -70,7 +70,7 @@ from .operators import (
     check_operator_property,
     left_multiplication_operator,
 )
-from .scalars import Poly, Scalar, as_scalar, exact_div
+from .scalars import Poly, as_scalar, exact_div
 from .search import (
     LINEAR_KINDS,
     QUAD_KINDS,
@@ -864,12 +864,11 @@ def run_row(m: Materialized, label: str) -> Verdict:
     return bind_row(m.bundle, label)(m)
 
 
-def verify_fixture(name: str, expectations: Optional[Sequence[ExpectedRow]] = None) -> Report:
+def verify_fixture(name: str) -> Report:
     """Run every expected-verdict row of a fixture; mismatches are reported, not thrown."""
     bundle = load_fixture(name)
     m = materialize(bundle)
-    rows = tuple(expectations) if expectations is not None else bundle.rows
-    results = tuple(RowResult(r.check, r.expect, run_row(m, r.check)) for r in rows)
+    results = tuple(RowResult(r.check, r.expect, run_row(m, r.check)) for r in bundle.rows)
     return Report(name, results)
 
 
@@ -877,23 +876,20 @@ def verify_fixture(name: str, expectations: Optional[Sequence[ExpectedRow]] = No
 # Parametric certification and negative controls
 # ---------------------------------------------------------------------------
 
-def certify_row(
-    name: str,
-    label: str,
-    axes: Optional[Mapping[str, Sequence[Scalar]]] = None,
-) -> ParametricVerdict:
-    """Certify one fixture row over the (default or given) parameter grid.
+def certify_row(name: str, label: str) -> ParametricVerdict:
+    """Certify one fixture row over the product of its parameters' declared axes.
 
     A pass certifies the row for all rational parameter values away from
-    the excluded ones, by polynomial identity testing against the declared
-    degree bounds.  Every grid point is materialized and counted; the label
-    is bound once (``bind_row``), for all of them and only for this call.
+    the excluded ones, provided each ``ParamSpec.degree`` bounds the row's
+    degree in that parameter (``certify_parametric``).  Every grid point is
+    materialized and counted; the label is bound once (``bind_row``), for
+    all of them and only for this call.
     """
     bundle = load_fixture(name)
     if label not in {r.check for r in bundle.rows}:
         raise NonassocError(f"fixture {name} has no row {label!r}")
     check = bind_row(bundle, label)
-    return certify_parametric(bundle.params, lambda pt: check(materialize(bundle, pt)), axes)
+    return certify_parametric(bundle.params, lambda pt: check(materialize(bundle, pt)))
 
 
 def check_negative_control(name: str) -> NegativeControlResult:

@@ -810,7 +810,7 @@ def _raw_schedule(name: str) -> _Schedule:
 
 
 def _eval_word_elements(a: Algebra, sched: _Schedule, elems: Sequence[Element],
-                        apply: Optional[Callable] = None, params: Mapping = {}) -> Element:
+                        apply: Optional[Callable], params: Mapping) -> Element:
     """The signed sum of the compiled words at ``elems``, R being ``apply``.
 
     The words are the schedule's lhs, as ``compile_words(arity, words, ())``
@@ -995,13 +995,39 @@ class ParamSpec:
     ``degree`` is the maximum degree of any certified check in this
     parameter (after clearing denominators), declared by the family;
     ``exclude`` lists values where the family is undefined; ``axis`` is the
-    default certification axis.
+    certification axis.  Making a spec reads the axis through ``as_scalar``,
+    so ``"1"`` and ``"2/2"`` are one value, and raises ``GridError`` unless it
+    has more than ``degree`` distinct values, none repeated and none excluded.
     """
 
     name: str
     degree: int
     axis: tuple[Scalar, ...]
     exclude: tuple[Scalar, ...] = ()
+
+    def __post_init__(self):
+        try:
+            axis = tuple(map(as_scalar, self.axis))
+        except (TypeError, ValueError) as exc:
+            raise GridError(f"grid for parameter {self.name}: {exc}") from None
+        distinct = set(axis)
+        if len(distinct) < self.degree + 1:
+            raise GridError(
+                f"grid for parameter {self.name} has {len(distinct)} distinct values; "
+                f"declared degree {self.degree} needs at least {self.degree + 1}"
+            )
+        if len(distinct) < len(axis):
+            repeated = next(v for i, v in enumerate(axis) if v in axis[:i])
+            raise GridError(
+                f"grid for parameter {self.name} repeats the value {format_scalar(repeated)}"
+            )
+        bad = distinct.intersection(self.exclude)
+        if bad:
+            raise GridError(
+                f"grid for parameter {self.name} contains excluded values "
+                f"{sorted(format_scalar(b) for b in bad)}"
+            )
+        object.__setattr__(self, "axis", axis)
 
 
 @dataclass(frozen=True)
@@ -1018,56 +1044,21 @@ class ParametricVerdict:
 
 
 def certify_parametric(
-    params: Sequence[ParamSpec],
-    check: Callable[[dict], Verdict],
-    axes: Optional[Mapping[str, Sequence[Scalar]]] = None,
+    params: Sequence[ParamSpec], check: Callable[[dict], Verdict]
 ) -> ParametricVerdict:
     """Certify a polynomial check over all rational parameter values.
 
     ``check`` maps a point, a dict from each name in ``params`` to a value,
-    to a Verdict.  It is run at every point of the product grid ``axes``
-    (a parameter's declared axis where ``axes`` names none); since a
-    polynomial of degree d vanishing at d+1 distinct points in each
-    variable separately vanishes identically, a grid with more than
-    ``degree`` distinct values per parameter certifies the check for all
-    rational parameter values (off the excluded ones).  Axis values are
-    read through ``as_scalar``, so ``"1"`` and ``"2/2"`` are one value; an
-    axis that repeats a value, or names no parameter, is an error.
+    to a Verdict.  It is run at every point of the product of the declared
+    axes.  A polynomial of degree at most d in each variable that vanishes
+    on a grid of d+1 distinct values per variable vanishes identically
+    (Alon, Combinatorial Nullstellensatz, Lemma 2.1), and each axis has
+    more than its ``degree`` distinct values (checked when its spec was
+    made), so a pass certifies the check for all rational parameter values
+    off the excluded ones.
     """
-    axes = dict(axes or {})
-    names = {p.name for p in params}
-    unknown = [name for name in axes if name not in names]
-    if unknown:
-        raise GridError(f"grid names axes {unknown} that are not parameters of the family")
-    axis_values: list[list[Scalar]] = []
-    for p in params:
-        axis = axes.get(p.name, p.axis)
-        if not isinstance(axis, (list, tuple)):  # a string would be read by character
-            raise GridError(f"grid for parameter {p.name} must be a list, got {axis!r:.40}")
-        try:
-            axis = [as_scalar(v) for v in axis]
-        except (TypeError, ValueError) as exc:
-            raise GridError(f"grid for parameter {p.name}: {exc}") from None
-        distinct = set(axis)
-        if len(distinct) < p.degree + 1:
-            raise GridError(
-                f"grid for parameter {p.name} has {len(distinct)} distinct values; "
-                f"declared degree {p.degree} needs at least {p.degree + 1}"
-            )
-        if len(distinct) < len(axis):
-            repeated = next(v for i, v in enumerate(axis) if v in axis[:i])
-            raise GridError(
-                f"grid for parameter {p.name} repeats the value {format_scalar(repeated)}"
-            )
-        bad = distinct.intersection(p.exclude)
-        if bad:
-            raise GridError(
-                f"grid for parameter {p.name} contains excluded values "
-                f"{sorted(format_scalar(b) for b in bad)}"
-            )
-        axis_values.append(axis)
     count = 0
-    for combo in itertools.product(*axis_values):
+    for combo in itertools.product(*(p.axis for p in params)):
         point = {p.name: v for p, v in zip(params, combo)}
         verdict = check(point)
         count += 1

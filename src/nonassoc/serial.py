@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
 
 from .algebra import Algebra, Element, Embedding, make_algebra
 from .errors import FileFormatError
@@ -133,10 +132,9 @@ def element_from_dict(d: dict) -> Element:
     return e
 
 
-def embedding_to_dict(emb: Embedding, ambient_path: str | None = None) -> dict:
-    ambient: Any = ambient_path if ambient_path else algebra_to_dict(emb.ambient)
+def embedding_to_dict(emb: Embedding) -> dict:
     return {
-        "ambient": ambient,
+        "ambient": algebra_to_dict(emb.ambient),
         "basis": [[format_scalar(v) for v in b.coords] for b in emb.basis],
     }
 
@@ -215,10 +213,6 @@ def load_element(path) -> Element:
 def load_embedding(path) -> Embedding:
     p = Path(path)
     return embedding_from_dict(_load_json(p), p.parent)
-
-
-def save_embedding(emb: Embedding, path, ambient_path: str | None = None) -> None:
-    _dump_json(embedding_to_dict(emb, ambient_path), path)
 
 
 def load_grid(path) -> list[tuple]:

@@ -352,6 +352,30 @@ def test_derive_applies_r_once_per_distinct_element(monkeypatch, all_materialize
         assert set(calls) == (products if name == "flexible_avg" else set(a.basis())), name
 
 
+def test_derive_sums_factored_words(monkeypatch):
+    """R(x·y) + R(y·x) compiles to R(x·y + y·x), a sum node, which no
+    catalogued construction has: ``derive`` gives the unfactored sum."""
+    from genalgebras import mixed_denominator_algebra
+    from nonassoc import constructions
+    from nonassoc.identities import R, X, Y, compile_words
+
+    words = ((1, R((X, Y))), (1, R((Y, X))))
+    sched = compile_words(2, words, ())
+    sums = [right for step in sched.steps for _, left, right in step if left is None]
+    assert len(sums) == 1 and len(sums[0]) == 2
+    monkeypatch.setitem(CATALOG, "r_jordan", constructions._construction((), words))
+    monkeypatch.setitem(constructions._SCHEDULES, "r_jordan", sched)
+    rng = random.Random(7)
+    for dim in (1, 2, 3):
+        a = mixed_denominator_algebra(rng, dim, (1, 2, 3))
+        r = make_operator(a, [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                               for _ in range(dim)] for _ in range(dim)])
+        got = derive(a, r, construction("r_jordan"))
+        for x in a.basis():
+            for y in a.basis():
+                assert got.product(x, y) == r.apply(a.product(x, y)) + r.apply(a.product(y, x))
+
+
 def test_parity_table():
     """y∘x = parity·(x∘y), read off the words; every other construction is 0."""
     assert {name: c.parity for name, c in CATALOG.items() if c.parity} == {

@@ -73,11 +73,12 @@ def test_fixture_reports_pass(name):
     assert report.passed, f"{name} mismatched rows: {failing}"
 
 
-def test_verify_fixture_detects_corrupted_expectations():
+def test_verify_fixture_detects_corrupted_expectations(monkeypatch):
     bundle = load_fixture("F9")
     corrupted = list(bundle.rows)
     corrupted[0] = ExpectedRow(corrupted[0].check, not corrupted[0].expect)
-    report = verify_fixture("F9", expectations=corrupted)
+    monkeypatch.setitem(fixtures._CATALOG, "T9", replace(bundle, name="T9", rows=tuple(corrupted)))
+    report = verify_fixture("T9")
     assert not report.passed
     bad = [r for r in report.rows if not r.matched]
     assert len(bad) == 1 and bad[0].check == corrupted[0].check
@@ -132,11 +133,9 @@ def test_run_row_wrong_argument_count(label):
 ])
 def test_run_row_algebra_outside_plan(label):
     """A label naming an algebra outside the plan (or none) is a library error
-    that names the label, directly and through caller-given expectations."""
+    that names the label."""
     with pytest.raises(NonassocError, match=re.escape(repr(label))):
         run_row(materialize(load_fixture("F9")), label)
-    with pytest.raises(NonassocError, match=re.escape(repr(label))):
-        verify_fixture("F9", expectations=[ExpectedRow(label, True)])
 
 
 @pytest.mark.parametrize("label", [
@@ -206,9 +205,8 @@ def test_certify_row_binds_param_arguments_at_each_point(monkeypatch, label, cls
 ])
 def test_a_param_value_past_the_int_text_limit_binds(label):
     """A bound value is not read as text: lam = 2^14300 (4,305 digits, past
-    CPython's int-to-text limit) certifies like any other value."""
-    v = certify_row("F11", label, {"lam": [2**14300, 1, 2, 3]})
-    assert v.passed and v.points_checked == 400
+    CPython's int-to-text limit) binds like any other value."""
+    assert run_row(materialize(load_fixture("F11"), {"lam": 2**14300}), label).passed
 
 
 @pytest.mark.parametrize("label,message", [
@@ -333,40 +331,34 @@ def test_certify_row_unknown_label():
 
 
 def test_certify_row_too_small_grid():
-    with pytest.raises(GridError):
-        certify_row("F1b", "identity[lie]:jacobi", axes={"b": [0, 1]})
+    """F1b's b has declared degree 2: a spec with two values is refused when it is made."""
+    with pytest.raises(GridError, match="parameter b has 2 distinct values"):
+        replace(load_fixture("F1b").params[0], axis=(0, 1))
 
 
-def test_certify_row_counts_distinct_scalars_not_strings():
+def test_certify_row_counts_distinct_scalars_not_strings(monkeypatch):
     """"1", "1/1" and "2/2" are one rational: a one-point grid, too small."""
+    f1b = load_fixture("F1b")
     with pytest.raises(GridError, match="1 distinct"):
-        certify_row("F1b", "identity[lie]:jacobi", axes={"b": ["1", "1/1", "2/2"]})
+        replace(f1b.params[0], axis=("1", "1/1", "2/2"))
     with pytest.raises(GridError):
-        certify_row("F1b", "identity[lie]:jacobi", axes={"b": ["x", 1, 2]})
-    v = certify_row("F1b", "identity[lie]:jacobi", axes={"b": ["1/2", "2/3", "3"]})
+        replace(f1b.params[0], axis=("x", 1, 2))
+    spec = replace(f1b.params[0], axis=("1/2", "2/3", "3"))
+    assert spec.axis == (Fraction(1, 2), Fraction(2, 3), 3)
+    monkeypatch.setitem(fixtures._CATALOG, "T1b", replace(f1b, name="T1b", params=(spec,)))
+    v = certify_row("T1b", "identity[lie]:jacobi")
     assert v.passed and v.points_checked == 3
 
 
 def test_certify_row_rejects_repeated_axis_values():
     """A repeated value would be checked and counted twice."""
+    b = load_fixture("F1b").params[0]
     with pytest.raises(GridError, match=r"parameter b repeats the value 2$"):
-        certify_row("F1b", "element:idempotent", {"b": [0, 1, 2, 2, "2/1", 3]})
+        replace(b, axis=(0, 1, 2, 2, "2/1", 3))
     with pytest.raises(GridError, match=r"parameter b repeats the value 1/2$"):
-        certify_row("F1b", "element:idempotent", {"b": ["1/2", 0, 1, "2/4"]})
-
-
-def test_certify_row_rejects_a_string_axis():
-    """A string axis would be read as one value per character."""
-    with pytest.raises(GridError, match="parameter b must be a list"):
-        certify_row("F1b", "element:idempotent", {"b": "01234567"})
-    assert certify_row("F1b", "element:idempotent", {"b": list("01234567")}).points_checked == 8
-
-
-def test_certify_row_rejects_unknown_axes():
-    with pytest.raises(GridError, match="'bb'"):
-        certify_row("F1b", "identity[lie]:jacobi", axes={"bb": [0, 1]})
-    with pytest.raises(GridError, match="'z'"):
-        certify_row("F1b", "identity[lie]:jacobi", axes={"b": [0, 1, 2], "z": [0]})
+        replace(b, axis=("1/2", 0, 1, "2/4"))
+    with pytest.raises(GridError, match=r"parameter t repeats the value 1$"):
+        ParamSpec("t", 2, (0, 1, 1, 2))
 
 
 _IDENTITY_ROWS = [(name, r.check) for name in ALL_NAMES
@@ -681,9 +673,10 @@ def test_bad_point_value_is_a_grid_error(value):
 def test_induced_cache_is_bounded():
     """A basis that varies with beta gives each beta its own subalgebra."""
     fixtures._induced.cache_clear()
-    v = certify_row("F7", "element:stabilize", {"beta": list(range(100)), "lam": [0, 1, 2, 3]})
+    f7 = load_fixture("F7")
+    for beta in range(100):
+        assert run_row(materialize(f7, {"beta": beta}), "element:stabilize").passed
     info = fixtures._induced.cache_info()
-    assert v.passed and v.points_checked == 400
     assert info.misses == 100 and info.currsize == info.maxsize < 100
 
 

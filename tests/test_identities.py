@@ -620,6 +620,35 @@ def test_random_elements_are_small_exact(m3):
         assert Fraction(v).denominator in (1, 2)
 
 
+def test_random_trials_sum_factored_words(monkeypatch):
+    """x(yz) + x(zy) = 2 x(yz) compiles its lhs to x(yz + zy), a sum node,
+    which no catalogued identity has; it holds on a commutative algebra only,
+    and the random trials match the rational oracle on both."""
+    from genalgebras import mixed_denominator_algebra
+    from nonassoc import identities
+
+    name = "factored_lhs"
+    monkeypatch.setitem(IDENTITIES, name, identities.Identity(
+        name, ("x", "y", "z"), (1, 1, 1),
+        ((1, (0, (1, 2))), (1, (0, (2, 1)))), ((2, (0, (1, 2))),)))
+    _raw_schedule.cache_clear()
+    identities._raw_weighted.cache_clear()
+    try:
+        steps = _raw_schedule(name).steps
+        sums = [right for step in steps for _, left, right in step if left is None]
+        assert len(sums) == 1 and len(sums[0]) == 2
+        a = mixed_denominator_algebra(random.Random(0), 3, (1, 2, 3))
+        plus = derive(a, None, construction("jordan_plus"))
+        for alg, passes in ((a, False), (plus, True)):
+            for seed in (0, 1):
+                verdict = check_identity_random(alg, name, 20, seed)
+                assert verdict.passed == passes
+                assert repr(verdict) == repr(oracle_random_verdict(alg, name, 20, seed))
+    finally:
+        _raw_schedule.cache_clear()
+        identities._raw_weighted.cache_clear()
+
+
 # Toy parametrized check: passes iff t^2 - t vanishes, degree 2 in t.
 _SQUARE = (ParamSpec("t", 2, (0, 1, 2)),)
 
@@ -641,14 +670,16 @@ def test_certify_parametric_finds_failure_point():
 
 
 def test_certify_parametric_grid_too_small():
-    """Degree 2 needs 3 distinct values: 1 or 2 are too few, and 3 certify."""
-    for axis in ([1], [0, 1]):
+    """Degree 2 needs 3 distinct values: a spec with 1 or 2 is refused when
+    it is made, and 3 certify."""
+    for axis in ((1,), (0, 1)):
         with pytest.raises(GridError, match=f"has {len(axis)} distinct values"):
-            certify_parametric(_SQUARE, lambda pt: Verdict.ok(), axes={"t": axis})
-    assert certify_parametric(_SQUARE, lambda pt: Verdict.ok(), axes={"t": [0, 1, 5]}).passed
+            ParamSpec("t", 2, axis)
+    assert certify_parametric((ParamSpec("t", 2, (0, 1, 5)),), lambda pt: Verdict.ok()).passed
 
 
 def test_certify_parametric_rejects_excluded_values():
+    with pytest.raises(GridError, match=r"parameter t contains excluded values \['0'\]$"):
+        ParamSpec("t", 1, (0, 1), exclude=(0,))
     guarded = (ParamSpec("t", 1, (1, 2), exclude=(0,)),)
-    with pytest.raises(GridError):
-        certify_parametric(guarded, lambda pt: Verdict.ok(), axes={"t": [0, 1]})
+    assert certify_parametric(guarded, lambda pt: Verdict.ok()).points_checked == 2
