@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 
 IDENTITIES = "src/nonassoc/identities.py"
+_SUMMARIES = "tests/test_null_indices.py::test_the_summaries_of_the_constants_read_every_nonempty_row"
 
 MUTANTS = (
     # The last slot's leaf as a phantom basis index, its cells filled as read.
@@ -112,11 +113,38 @@ MUTANTS = (
            "if g[a] > a:",
            ("tests/test_symmetry.py",),
            "a run's first index is pruned when g maps it higher, not lower"),
-    Mutant("no-live-index-from-R", IDENTITIES,
-           "live.update(i for i, row in enumerate(rows) if row[dim])",
-           "live.update(())",
-           ("tests/test_null_indices.py",),
-           "a null index whose R column is nonzero is skipped, though R(e_i) != 0"),
+    # Null indices: identity loops run over the support, operator loops over every index.
+    Mutant("identity-loop-drops-an-index", IDENTITIES,
+           "rows, a.support, a.integer_cell_norm,",
+           "rows, a.support[1:], a.integer_cell_norm,",
+           ("tests/test_null_indices.py::test_check_identity_equals_every_index_active",),
+           "the identity loop skips the support's first index, though tuples holding it can fail"),
+    Mutant("operator-loop-over-support", IDENTITIES,
+           "rows, range(a.dim), cmax,",
+           "rows, a.support, cmax,",
+           ("tests/test_null_indices.py::test_check_operator_property_equals_every_index_active",
+            "tests/test_null_indices.py::test_a_bare_leaf_keeps_every_index"),
+           "operator words skip a null index, though R(e_i) or a bare leaf e_i need not vanish"),
+    Mutant("bare-leaf-accepted", IDENTITIES,
+           "        if isinstance(word, int):\n            raise AssertionError(",
+           "        if False:\n            raise AssertionError(",
+           ("tests/test_null_indices.py::test_an_identity_with_a_bare_leaf_is_refused",),
+           "an identity word may be a bare leaf, which a null index of the support does not zero"),
+    Mutant("cell-norm-over-wrong-rows", "src/nonassoc/algebra.py",
+           "for row in self.integer_rows[0] if any(row)",
+           "for row in self.integer_rows[0] if row[0]",
+           (_SUMMARIES,),
+           "the cell norm skips rows whose first cell is empty, so a packed field can overflow"),
+    Mutant("lcm-over-wrong-rows", "src/nonassoc/algebra.py",
+           "for row in rows if any(row) for e in row",
+           "for row in rows if row[0] for e in row",
+           (_SUMMARIES,),
+           "the lcm skips rows whose first cell is empty, so a scaled constant is truncated"),
+    Mutant("constants-over-wrong-rows", "src/nonassoc/algebra.py",
+           "for row in self.sparse_rows if any(row) for e in row",
+           "for row in self.sparse_rows if row[0] for e in row",
+           (_SUMMARIES,),
+           "the constant count skips rows whose first cell is empty, so the cost rule misreads"),
     # The random trials' generated product and their witnesses.
     Mutant("generated-term-transposed", "src/nonassoc/algebra.py",
            "l{x}*r{y}\"",

@@ -4,9 +4,10 @@ An algebra of dimension n is given by its structure constants c[i][j][k]
 with e_i * e_j = sum_k c[i][j][k] e_k; products of arbitrary elements extend
 bilinearly.  The constants are stored sparse, and only in that form:
 ``sparse_rows[i][j]`` holds the (k, c[i][j][k]) pairs with c nonzero, k
-ascending.  The dense tensor ``sc`` is a view built on each access.  An
-index whose row and column are both empty is null (e_i x = x e_i = 0);
-``active`` lists the others.  No axiom (associativity, commutativity, ...)
+ascending.  The dense tensor ``sc`` is a view built on each access.
+``support`` lists the indices that some nonzero constant names; every other
+index is null (e_i x = x e_i = 0, and no product has a coordinate there),
+and the summaries of the constants skip empty rows.  No axiom (associativity, commutativity, ...)
 is assumed at construction; ``is_associative``/``is_commutative`` verify
 the two axioms exactly, through the identity engine.
 
@@ -215,12 +216,12 @@ class Algebra:
     def integer_rows(self) -> tuple[tuple, int]:
         """``sparse_rows`` times the lcm ``D`` of their denominators, and ``D``."""
         rows = self.sparse_rows
-        denom = lcm(*(v.denominator for row in rows for e in row for _, v in e))
+        denom = lcm(*(v.denominator for row in rows if any(row) for e in row for _, v in e))
         if denom == 1:
             return rows, 1
         scaled = tuple(
             tuple(tuple((k, v.numerator * (denom // v.denominator)) for k, v in e) for e in row)
-            for row in rows
+            if any(row) else row for row in rows
         )
         return scaled, denom
 
@@ -242,18 +243,8 @@ class Algebra:
     @cached_property
     def integer_cell_norm(self) -> int:
         """The largest l1 norm of a cell ``integer_rows[0][i][j]``."""
-        return max(sum(abs(v) for _, v in e) for row in self.integer_rows[0] for e in row)
-
-    @cached_property
-    def active(self) -> tuple[int, ...]:
-        """The indices i with row i or column i of ``sparse_rows`` nonempty, ascending.
-
-        Every other index is null: e_i x = x e_i = 0 for every x.
-        """
-        rows = self.sparse_rows
-        live = {i for i, row in enumerate(rows) if any(row)}
-        live.update(j for row in rows for j, e in enumerate(row) if e)
-        return tuple(sorted(live))
+        return max((sum(abs(v) for _, v in e) for row in self.integer_rows[0] if any(row)
+                    for e in row), default=0)
 
     @cached_property
     def content_hash(self) -> str:
@@ -265,7 +256,7 @@ class Algebra:
     @cached_property
     def nonzero_constants(self) -> int:
         """The number of nonzero structure constants, counted once."""
-        return sum(len(e) for row in self.sparse_rows for e in row)
+        return sum(len(e) for row in self.sparse_rows if any(row) for e in row)
 
     def basis_product(self, i: int, j: int) -> Element:
         coords = [0] * self.dim

@@ -60,24 +60,22 @@ an image that is not larger (Linton's minimal-image idea), so only those g
 sort an image.  Only prefixes are pruned: the packed innermost slot checks
 its whole run, still exactly (``_basis_verdict``).  The group is searched
 for once per algebra, and used for a plan only when its tuple count
-prod C(n+d-1, d) exceeds ``_TUPLES_PER_UNIT`` times (n + the number of
-nonzero constants), the measured point past which the search pays for
-itself.  Operator words keep the plain loop, since an automorphism need not
+prod C(n+d-1, d), n the size of the support (below), exceeds
+``_TUPLES_PER_UNIT`` times (n + the number of nonzero constants), the
+measured point past which the search pays for itself.  Operator words keep the plain loop, since an automorphism need not
 commute with R.
 
-Null indices are skipped.  An index i is null when row i and column i of the
-constants are empty, so e_i x = x e_i = 0 for every x; ``Algebra.active``
-lists the others.  When no side of an identity is a bare leaf, every leaf
-sits under a product or an R node, so a tuple holding a null index i gives
-0 on both sides, provided R(e_i) = 0 when the words apply R.  The loop runs
-each slot over the other indices only, in the same order; every skipped
-tuple passes, so the first failing tuple and its witness are unchanged.  A
-bare leaf (the x of R(R(x)) = x) is e_i itself, and then every index runs.
-Random trials read each draw on ``Algebra.support`` instead, the indices
-that some nonzero constant names, exact as x y = x_s y_s with the product
-in the support too.  The support is not ``active``: in ``make_algebra(2,
-[(0, 0, 1, 1)])`` e_1 is null, yet e_0 e_0 = e_1.  An algebra with an empty
-support passes with nothing drawn.
+Null indices are skipped.  ``Algebra.support`` lists the indices that some
+nonzero constant names; any other index i is null: row i and column i of the
+constants are empty, so e_i x = x e_i = 0 for every x.  No identity word is
+a bare leaf (``_register`` refuses one), so every leaf sits under a product,
+and a tuple holding a null index gives 0 on both sides.  The identity loop
+runs each slot over the support only, in the same order; every skipped tuple
+passes, so the first failing tuple and its witness are unchanged.  Random
+trials read each draw on the support too, exact as x y = x_s y_s with the
+product in the support.  An algebra with an empty support passes with
+nothing drawn.  Operator words run every index: R need not vanish off the
+support, and a side may be a bare leaf (the x of R(R(x)) = x).
 
 Words may also apply a linear operator: the node ``("R", w)`` is R(w).  The
 operator identities of ``operators`` (derivation, Rota-Baxter, ...) are
@@ -186,6 +184,8 @@ def _register(name, variables, multidegree, lhs, rhs):
     for sign, word in ident.lhs + ident.rhs:
         if _word_var_counts(word, arity) != list(multidegree):
             raise AssertionError(f"identity {name} is not homogeneous")
+        if isinstance(word, int):
+            raise AssertionError(f"identity {name} has a bare leaf, which no null index zeroes")
     IDENTITIES[name] = ident
 
 
@@ -342,13 +342,11 @@ class _Schedule(NamedTuple):
     ``rhs`` list each root as ``(coef, node, p, q)``: its coefficient (an
     int or a parameter name) and its numbers of products and of R nodes.
     ``tied[d]``: slot ``d`` (never the last) follows slot ``d - 1`` in one group.
-    ``covered``: no unfactored word is a bare leaf, so every leaf sits under
-    a product or an R node (see ``_basis_verdict``).  ``beside_last`` lists
-    the nodes that the last slot's leaf multiplies at its depth: those on its
-    left, then those on its right (R's phantom for an R step whose child it
-    is).  The words are linear in that slot, so each is computed at a smaller
-    depth, and no sum holds the leaf: a sum's terms share one other operand,
-    so they hold the same slots.
+    ``beside_last`` lists the nodes that the last slot's leaf multiplies at its
+    depth: those on its left, then those on its right (R's phantom for an R
+    step whose child it is).  The words are linear in that slot, so each is
+    computed at a smaller depth, and no sum holds the leaf: a sum's terms
+    share one other operand, so they hold the same slots.
 
     A root stands for the words of one (coef, p, q) group of a side, factored
     by ``_factor``; the roots of a group sum to its words exactly.  ``counts``
@@ -361,7 +359,6 @@ class _Schedule(NamedTuple):
     tied: tuple[bool, ...]
     size: int
     phantom: Optional[int]
-    covered: bool
     counts: tuple[int, ...]
     beside_last: tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -395,7 +392,6 @@ def _factor(words: list) -> list:
 
 
 def _schedule(slots: int, lhs_words, rhs_words, groups=()) -> _Schedule:
-    covered = not any(isinstance(w, int) for _, w in (*lhs_words, *rhs_words))
     ids: dict = {s: s for s in range(slots)}
     depth = list(range(slots))
     steps: list[list] = [[] for _ in range(slots)]
@@ -434,7 +430,7 @@ def _schedule(slots: int, lhs_words, rhs_words, groups=()) -> _Schedule:
     last = slots - 1
     beside = tuple(tuple(dict.fromkeys(s[3 - side] for s in steps[last] if s[side] == last))
                    for side in (2, 1))
-    return _Schedule(tuple(map(tuple, steps)), lhs, rhs, tied, len(depth), ids.get("R"), covered,
+    return _Schedule(tuple(map(tuple, steps)), lhs, rhs, tied, len(depth), ids.get("R"),
                      tuple(counts), beside)
 
 
@@ -560,14 +556,18 @@ def _field_width(sched: _Schedule, signed, cmax: int) -> int:
     return bound.bit_length() + 1
 
 
-def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scale: int,
-                   group: Sequence[tuple] = ()) -> Verdict:
-    """Check the weighted roots on basis tuples, stopping at the first failure.
+def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cmax: int,
+                   lhs, rhs, scale: int, group: Sequence[tuple] = ()) -> Verdict:
+    """Check the weighted roots on basis tuples over ``order``, stopping at
+    the first failure.
 
-    Tuples run in lexicographic order, non-decreasing within each symmetry
-    group of slots.  ``rows`` are the int structure constants, each row
-    extended by R's column when the words apply R; ``cmax`` is the largest
-    l1 norm of a cell of ``rows``, R's columns included.
+    Every slot runs over ``order``, ascending indices, and tuples run in
+    lexicographic order, non-decreasing within each symmetry group of slots.
+    ``rows`` are the int structure constants, each row extended by R's
+    column when the words apply R; ``cmax`` is the largest l1 norm of a cell
+    of ``rows``, R's columns included.  ``check_identity`` passes the
+    support, as a tuple holding a null index passes (module docstring), and
+    ``check_words`` every index.
 
     ``group`` lists non-identity elements of the group G of basis
     permutations that preserve the constants, any subset of G.  Orbit
@@ -580,8 +580,8 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     representative fails and comes no later, so the first failing tuple
     checked is the first failing tuple, as without G.  Cost rule:
     ``check_identity`` passes ``Automorphisms.elements`` only for a plan
-    with more than ``_TUPLES_PER_UNIT`` tuples per basis index or nonzero
-    constant; ``check_words`` never does, as an automorphism need not
+    with more than ``_TUPLES_PER_UNIT`` tuples per index of the support or
+    nonzero constant; ``check_words`` never does, as an automorphism need not
     commute with R.
 
     A prefix is pruned when some alive g maps it, sorted within its slot
@@ -630,25 +630,12 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, cmax: int, lhs, rhs, scal
     read slower on ``fixture-catalog``.  The rows die with the call, as w
     and R's column change between checks.
 
-    Null-index pruning: when ``sched.covered`` (no side is a bare leaf),
-    every slot runs over the live indices only: the ``Algebra.active`` ones
-    and, when the words apply R, those whose R column is nonzero.  A tuple
-    holding any other index i gives 0 on both sides, since e_i is null and
-    R(e_i) = 0, so the leaf's parent, a product or an R node, is 0 and so is
-    every word.  Each skipped tuple passes, so the first failing tuple is
-    unchanged.  Automorphisms map null indices to null indices, so the lex-min
-    tuple of an orbit of live tuples is live and the orbit argument holds
-    as before.  A bare leaf, as the x of ``involution_op``'s R(R(x)) = x, is
-    e_i itself, so then every index runs.
+    Pruning null indices keeps the orbit argument: automorphisms map the
+    support to itself, so the lex-min tuple of an orbit of tuples over the
+    support lies over it.
     """
     signed = lhs + tuple((-w, n) for w, n in rhs)
     dim, tied = a.dim, sched.tied
-    order = range(dim)  # the live indices, in lex order
-    if sched.covered and len(a.active) < dim:
-        live = set(a.active)
-        if sched.phantom is not None:
-            live.update(i for i, row in enumerate(rows) if row[dim])
-        order = sorted(live)
     at = order if len(order) == dim else {i: p for p, i in enumerate(order)}
     last = len(tied) - 1
     width = _field_width(sched, signed, cmax)
@@ -766,19 +753,20 @@ def check_identity(a: Algebra, name: str) -> Verdict:
     through their polarized multilinear form.  A failing verdict carries
     the lexicographically first failing basis tuple: tuples run non-decreasing
     within each symmetry group, where the polarized form is symmetric.
-    Tuples holding a null index are skipped, as they pass.  A plan with more
-    than ``_TUPLES_PER_UNIT`` tuples per active index or nonzero constant
-    skips the prefixes that a listed automorphism of the constants maps lower
-    (see ``_basis_verdict``).
+    Every slot runs over ``Algebra.support``: a tuple holding a null index
+    passes.  A plan with more than ``_TUPLES_PER_UNIT`` tuples per index of
+    the support or nonzero constant skips the prefixes that a listed
+    automorphism of the constants maps lower (see ``_basis_verdict``).
     """
     plan = polarized_plan(name)
     sched = _plan_schedule(name)
     rows, denom = a.integer_rows
-    n = len(a.active)  # the indices the loop runs over: no identity word is a bare leaf
+    n = len(a.support)
     tuples = prod(comb(n + d - 1, d) for d in plan.identity.multidegree)
     size = n + a.nonzero_constants
     group = a.automorphisms.elements if tuples > _TUPLES_PER_UNIT * size else ()
-    return _basis_verdict(a, sched, rows, a.integer_cell_norm, *_weighted(sched, denom), group)
+    return _basis_verdict(a, sched, rows, a.support, a.integer_cell_norm,
+                          *_weighted(sched, denom), group)
 
 
 def check_words(
@@ -787,15 +775,16 @@ def check_words(
     """Exact verdict for the compiled words, R given by its ``integer_columns``.
 
     ``params`` gives the coefficients named in the words.  A failing verdict
-    carries the lexicographically first failing basis tuple.  Tuples holding
-    a null index whose R column is zero are skipped, as they pass, unless a
-    side is a bare leaf.
+    carries the lexicographically first failing basis tuple.  Every slot runs
+    over every index: R need not vanish off the support, and a side may be a
+    bare leaf.
     """
     rows, denom = a.integer_rows
     cols, rdenom, rnorm = integer_columns
     rows = tuple(row + (col,) for row, col in zip(rows, cols))
     cmax = max(a.integer_cell_norm, rnorm)
-    return _basis_verdict(a, sched, rows, cmax, *_weighted(sched, denom, rdenom, params))
+    return _basis_verdict(a, sched, rows, range(a.dim), cmax,
+                          *_weighted(sched, denom, rdenom, params))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Null-index pruning against the same calls made with every index active.
+"""Null-index pruning against oracles that run every index.
 
-An index is null when its row and its column of the structure constants are
-empty.  The identity loop, the operator loop and the random trials skip
-null indices; the oracle is the same call with ``Algebra.active`` patched to
-every index, which runs the plain loop.  Verdicts and witnesses must be
+An index is null when no nonzero structure constant names it.  The identity
+loop and the random trials run over ``Algebra.support`` and skip the null
+indices; the operator loop runs every index.  Each is compared with a
+rational oracle that reads no support and evaluates every index:
+``test_symmetry.plain_verdict``, ``test_operators.oracle_verdict`` and
+``test_identities.oracle_random_verdict``.  Verdicts and witnesses must be
 ``repr``-equal, failing ones included.
 """
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +23,7 @@ from genalgebras import (
     truncated_poly_with_derivation,
 )
 from nonassoc import identities
-from nonassoc.algebra import Algebra, Element, make_algebra, matrix_algebra
+from nonassoc.algebra import Element, make_algebra, matrix_algebra
 from nonassoc.identities import IDENTITY_NAMES, check_identity, check_identity_random
 from nonassoc.operators import (
     PROPERTY_KINDS,
@@ -28,22 +31,15 @@ from nonassoc.operators import (
     OperatorProperty,
     check_operator_property,
 )
-
-
-@pytest.fixture
-def every_index_active(monkeypatch):
-    """Runs a call with ``Algebra.active`` listing every index: the plain loop."""
-    def run(call):
-        with monkeypatch.context() as m:
-            m.setattr(Algebra, "active", property(lambda self: tuple(range(self.dim))))
-            return call()
-    return run
+from test_operators import oracle_verdict
+from test_symmetry import plain_verdict
 
 
 def with_null_block(a, k, seed):
     """``a`` direct-summed with ``k`` null indices at seeded positions, and the
     positions of ``a``'s indices.  One null index is hit by a constant:
-    e_0 e_0 gains it with coefficient 1 (its row and column stay empty)."""
+    e_0 e_0 gains it with coefficient 1 (its row and column stay empty), so
+    it is the one index of the block in the support."""
     rng = random.Random(seed)
     n = a.dim + k
     slots = sorted(rng.sample(range(n), a.dim))
@@ -52,9 +48,10 @@ def with_null_block(a, k, seed):
         (slots[i], slots[j], slots[c], v)
         for i, row in enumerate(a.sparse_rows) for j, e in enumerate(row) for c, v in e
     ]
-    entries.append((slots[0], slots[0], rng.choice(nulls), 1))
+    hit = rng.choice(nulls)
+    entries.append((slots[0], slots[0], hit, 1))
     b = make_algebra(n, entries)
-    assert not set(nulls) & set(b.active)
+    assert set(nulls) & set(b.support) == {hit}
     return b, slots
 
 
@@ -84,8 +81,8 @@ _NULL_BLOCKS = [(k, seed) for k in (1, 2, 3) for seed in (k, 10 + k)]
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["cost_rule", "always_group"])
-def test_check_identity_equals_every_index_active(monkeypatch, every_index_active, forced):
-    if forced:  # the orbit-reduced loop, over the live indices
+def test_check_identity_equals_every_index_active(monkeypatch, forced):
+    if forced:  # the orbit-reduced loop, over the support
         monkeypatch.setattr(identities, "_TUPLES_PER_UNIT", 0)
     failures = 0
     for label, a in _algebra_cases():
@@ -93,8 +90,7 @@ def test_check_identity_equals_every_index_active(monkeypatch, every_index_activ
             b, _ = with_null_block(a, k, seed)
             for name in IDENTITY_NAMES:
                 pruned = check_identity(b, name)
-                plain = every_index_active(lambda: check_identity(b, name))
-                assert repr(pruned) == repr(plain), (label, k, seed, name)
+                assert repr(pruned) == repr(plain_verdict(b, name)), (label, k, seed, name)
                 failures += not pruned.passed
     assert failures > 100  # the witnesses compared are many
 
@@ -124,26 +120,26 @@ def every_property(values):
 
 
 @pytest.mark.parametrize("mode", ["zero", "nonzero", "into"])
-def test_check_operator_property_equals_every_index_active(every_index_active, mode):
+def test_check_operator_property_equals_every_index_active(mode):
     kinds, failures = set(), 0
     for label, a, r in _operator_cases():
         for k, seed in _NULL_BLOCKS:
             b, slots = with_null_block(a, k, seed)
             rb = lift_operator(r, slots, b.dim, mode, seed)
             for prop in every_property((1, -1, Fraction(1, 2))):
-                pruned = check_operator_property(b, rb, prop)
-                plain = every_index_active(lambda: check_operator_property(b, rb, prop))
-                assert repr(pruned) == repr(plain), (label, k, seed, prop)
+                verdict = check_operator_property(b, rb, prop)
+                assert repr(verdict) == repr(oracle_verdict(b, rb, prop)), (label, k, seed, prop)
                 kinds.add(prop.kind)
-                failures += not pruned.passed
+                failures += not verdict.passed
     assert {"involution_op", "scaled_involution_op"} <= kinds == set(PROPERTY_KINDS)
     assert failures > 100
 
 
-def test_check_identity_random_equals_every_index_active(every_index_active):
-    """The random trials read no ``active``; they must also equal the rational
-    oracle, which evaluates every index.  In ``square_to_null`` e_1 is null,
-    though e_0 e_0 = e_1: a product lands on an index that no product reads."""
+def test_check_identity_random_equals_every_index_active():
+    """The random trials, read on the support, equal the rational oracle,
+    which evaluates every index.  In ``square_to_null`` e_1 is in the support
+    though its row and column are empty: a product lands on an index that no
+    product reads."""
     from test_identities import oracle_random_verdict
 
     failures = 0
@@ -155,13 +151,34 @@ def test_check_identity_random_equals_every_index_active(every_index_active):
             for name in IDENTITY_NAMES:
                 for trial_seed in (0, 7, 2024):
                     pruned = check_identity_random(b, name, 20, trial_seed)
-                    plain = every_index_active(
-                        lambda: check_identity_random(b, name, 20, trial_seed))
                     oracle = oracle_random_verdict(b, name, 20, trial_seed)
-                    assert repr(pruned) == repr(plain) == repr(oracle), (
-                        label, k, seed, name, trial_seed)
+                    assert repr(pruned) == repr(oracle), (label, k, seed, name, trial_seed)
                     failures += not pruned.passed
     assert failures > 50
+
+
+def test_the_summaries_of_the_constants_read_every_nonempty_row():
+    """``nonzero_constants``, ``integer_rows`` and ``integer_cell_norm`` skip
+    empty rows only: each equals its definition over the dense view, on
+    algebras whose null indices fall anywhere, the first included."""
+    cases = [(label, with_null_block(a, k, seed)[0])
+             for label, a in _algebra_cases() for k, seed in _NULL_BLOCKS[::2]]
+    cases += [("null4", make_algebra(4, [])), ("square_to_null", make_algebra(2, [(0, 0, 1, 1)]))]
+    first_null = fractional = 0
+    for label, b in cases:
+        cells = [[[(k, c) for k, c in enumerate(cell) if c] for cell in row] for row in b.sc]
+        values = [c for row in cells for cell in row for _, c in cell]
+        denom = math.lcm(*(Fraction(c).denominator for c in values))
+        rows, scale = b.integer_rows
+        assert b.nonzero_constants == len(values), label
+        assert scale == denom, label
+        assert [[list(cell) for cell in row] for row in rows] == [
+            [[(k, int(c * denom)) for k, c in cell] for cell in row] for row in cells], label
+        assert b.integer_cell_norm == max(
+            (sum(abs(c * denom) for _, c in cell) for row in cells for cell in row), default=0), label
+        first_null += 0 not in b.support
+        fractional += denom > 1
+    assert first_null and fractional
 
 
 def test_a_null_algebra_passes_without_a_tuple_or_a_draw(monkeypatch):
@@ -186,3 +203,12 @@ def test_a_bare_leaf_keeps_every_index():
     r = LinearOperator(3, (Element((1, 0, 0)), Element((0, 0, 0)), Element((0, 0, 0))))
     verdict = check_operator_property(a, r, OperatorProperty("involution_op"))
     assert verdict.witness.indices == (1,)
+
+
+def test_an_identity_with_a_bare_leaf_is_refused(monkeypatch):
+    """A bare leaf is e_i itself at a null index, so no identity may have one:
+    the identity loop's pruning over the support rests on it."""
+    monkeypatch.setattr(identities, "IDENTITIES", dict(identities.IDENTITIES))
+    with pytest.raises(AssertionError, match="bare leaf"):
+        identities._register("bare", ("x",), (1,), lhs=[(1, 0)], rhs=[(-1, 0)])
+    assert "bare" not in identities.IDENTITIES

@@ -177,9 +177,12 @@ def test_every_identity_ends_in_an_untied_degree_one_slot(name):
     """The last variable of every identity has degree one, so neither its
     polarized plan nor its raw words give the loop a last slot tied to the
     one before it, and no word is a bare leaf."""
-    assert identities.get_identity(name).multidegree[-1] == 1
+    plan = identities.polarized_plan(name)
+    assert plan.identity.multidegree[-1] == 1
     for sched in (identities._plan_schedule(name), identities._raw_schedule(name)):
-        assert not sched.tied[-1] and sched.covered
+        assert not sched.tied[-1]
+    words = plan.identity.lhs + plan.identity.rhs + plan.lhs + plan.rhs
+    assert not any(isinstance(w, int) for _, w in words)
 
 
 # Words whose last variable is repeated, so its slots close a symmetry group:
@@ -272,7 +275,7 @@ def test_field_width_bounds_every_coordinate(monkeypatch):
     # derivation and Rota-Baxter words, and pairs follow
     a = make_algebra(3, [(i, j, k, c) for i, row in enumerate(mixed(300, 3).sparse_rows) if i
                          for j, e in enumerate(row) for k, c in e])
-    assert a.active == (0, 1, 2)
+    assert a.support == (0, 1, 2)
     r = large_operator(a, rng, zero=0)
     for prop in every_property((1, Fraction(-1, 2))):
         widths.clear()
@@ -447,6 +450,6 @@ def test_the_phantom_leaf_of_single_blocks_equals_the_plain_products(always_use_
         cols, rdenom, rnorm = r.integer_columns
         rows = tuple(row + (col,) for row, col in zip(rows, cols))
         assert identities._basis_verdict(
-            a, sched, rows, max(a.integer_cell_norm, rnorm),
+            a, sched, rows, range(a.dim), max(a.integer_cell_norm, rnorm),
             *identities._weighted(sched, denom, rdenom), a.automorphisms.elements).passed
     assert pair_steps["R"], pair_steps

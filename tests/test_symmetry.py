@@ -123,7 +123,7 @@ def assert_visited_representatives(visited, a, degrees, verdict, group=None):
     None), compared the ``expected_blocks``, cut at the end of the witness's
     block.  Those tuples hold every representative of G, and the witness is
     one."""
-    assert len(a.active) == a.dim  # no null index: every slot runs over range(dim)
+    assert a.support == tuple(range(a.dim))  # no null index: every slot runs over range(dim)
     group = group_of(a) if group is None else group
     blocks = expected_blocks(a, degrees, group)
     reps = lex_min_representatives(a, degrees)
@@ -171,7 +171,7 @@ def packed_plain_verdict(a, name):
     sched = identities._plan_schedule(name)
     rows, denom = a.integer_rows
     return identities._basis_verdict(
-        a, sched, rows, a.integer_cell_norm, *identities._weighted(sched, denom))
+        a, sched, rows, a.support, a.integer_cell_norm, *identities._weighted(sched, denom))
 
 
 @pytest.fixture
@@ -389,7 +389,7 @@ def test_a_subset_of_the_group_visits_the_blocks_it_leaves(visited, label, name,
     rows, denom = a.integer_rows
     visited["slots"] = sum(degrees)
     verdict = identities._basis_verdict(
-        a, sched, rows, a.integer_cell_norm, *identities._weighted(sched, denom), group)
+        a, sched, rows, a.support, a.integer_cell_norm, *identities._weighted(sched, denom), group)
     assert_visited_representatives(visited["tuples"], a, degrees, verdict, group)
     assert repr(verdict) == repr(plain_verdict(a, name))
 
@@ -445,10 +445,11 @@ def test_tied_slots_after_a_closed_group_visit_the_lex_min_representatives(visit
     weighted = identities._weighted(sched, denom)
     visited["slots"] = sum(degrees)
     group = group_of(a)[1:] if listed == "group" else ()
-    other = identities._basis_verdict(
-        a, sched, rows, a.integer_cell_norm, *weighted, group_of(a)[1:] if not group else ())
+    other = identities._basis_verdict(a, sched, rows, a.support, a.integer_cell_norm, *weighted,
+                                      group_of(a)[1:] if not group else ())
     visited["tuples"].clear()
-    verdict = identities._basis_verdict(a, sched, rows, a.integer_cell_norm, *weighted, group)
+    verdict = identities._basis_verdict(a, sched, rows, a.support, a.integer_cell_norm, *weighted,
+                                        group)
     assert_visited_representatives(visited["tuples"], a, degrees, verdict, group)
     assert repr(verdict) == repr(other)
 
