@@ -46,7 +46,8 @@ class Mutant(NamedTuple):
 
 
 IDENTITIES = "src/nonassoc/identities.py"
-_SUMMARIES = "tests/test_null_indices.py::test_the_summaries_of_the_constants_read_every_nonempty_row"
+_SUMMARIES = ("tests/test_null_indices.py::"
+              "test_the_summaries_of_the_constants_read_every_nonempty_row")
 
 MUTANTS = (
     # The last slot's leaf as a phantom basis index, its cells filled as read.

@@ -7,9 +7,10 @@ bilinearly.  The constants are stored sparse, and only in that form:
 ascending.  The dense tensor ``sc`` is a view built on each access.
 ``support`` lists the indices that some nonzero constant names; every other
 index is null (e_i x = x e_i = 0, and no product has a coordinate there),
-and the summaries of the constants skip empty rows.  No axiom (associativity, commutativity, ...)
-is assumed at construction; ``is_associative``/``is_commutative`` verify
-the two axioms exactly, through the identity engine.
+and the summaries of the constants skip empty rows.  No axiom
+(associativity, commutativity, ...) is assumed at construction;
+``is_associative``/``is_commutative`` verify the two axioms exactly,
+through the identity engine.
 
 All types are immutable after construction and safe to share across
 workers.

@@ -62,8 +62,8 @@ its whole run, still exactly (``_basis_verdict``).  The group is searched
 for once per algebra, and used for a plan only when its tuple count
 prod C(n+d-1, d), n the size of the support (below), exceeds
 ``_TUPLES_PER_UNIT`` times (n + the number of nonzero constants), the
-measured point past which the search pays for itself.  Operator words keep the plain loop, since an automorphism need not
-commute with R.
+measured point past which the search pays for itself.  Operator words keep
+the plain loop, since an automorphism need not commute with R.
 
 Null indices are skipped.  ``Algebra.support`` lists the indices that some
 nonzero constant names; any other index i is null: row i and column i of the

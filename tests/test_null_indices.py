@@ -174,8 +174,8 @@ def test_the_summaries_of_the_constants_read_every_nonempty_row():
         assert scale == denom, label
         assert [[list(cell) for cell in row] for row in rows] == [
             [[(k, int(c * denom)) for k, c in cell] for cell in row] for row in cells], label
-        assert b.integer_cell_norm == max(
-            (sum(abs(c * denom) for _, c in cell) for row in cells for cell in row), default=0), label
+        norms = [sum(abs(c * denom) for _, c in cell) for row in cells for cell in row]
+        assert b.integer_cell_norm == max(norms, default=0), label
         first_null += 0 not in b.support
         fractional += denom > 1
     assert first_null and fractional
