@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 
 IDENTITIES = "src/nonassoc/identities.py"
+ALGEBRA = "src/nonassoc/algebra.py"
 _SUMMARIES = ("tests/test_null_indices.py::"
               "test_the_summaries_of_the_constants_read_every_nonempty_row")
 
@@ -100,8 +101,8 @@ MUTANTS = (
            ("tests/test_identities.py",),
            "a witness's sides keep the lcm scale of the int constants"),
     Mutant("cmax-without-R", IDENTITIES,
-           "cmax = max(a.integer_cell_norm, rnorm)",
-           "cmax = a.integer_cell_norm",
+           "cmax = max(norm, rnorm)",
+           "cmax = norm",
            ("tests/test_packed.py::test_field_width_bounds_every_coordinate",),
            "the field width ignores R's columns, so operator words can overflow a field"),
     Mutant("survivors-prune-equal-image", IDENTITIES,
@@ -116,8 +117,8 @@ MUTANTS = (
            "a run's first index is pruned when g maps it higher, not lower"),
     # Null indices: identity loops run over the support, operator loops over every index.
     Mutant("identity-loop-drops-an-index", IDENTITIES,
-           "rows, a.support, a.integer_cell_norm,",
-           "rows, a.support[1:], a.integer_cell_norm,",
+           "rows, a.support, cmax,",
+           "rows, a.support[1:], cmax,",
            ("tests/test_null_indices.py::test_check_identity_equals_every_index_active",),
            "the identity loop skips the support's first index, though tuples holding it can fail"),
     Mutant("operator-loop-over-support", IDENTITIES,
@@ -131,28 +132,24 @@ MUTANTS = (
            "        if False:\n            raise AssertionError(",
            ("tests/test_null_indices.py::test_an_identity_with_a_bare_leaf_is_refused",),
            "an identity word may be a bare leaf, which a null index of the support does not zero"),
-    Mutant("cell-norm-over-wrong-rows", "src/nonassoc/algebra.py",
-           "for row in self.integer_rows[0] if any(row)",
-           "for row in self.integer_rows[0] if row[0]",
+    # The one walk of the constants, and the summaries read off it.
+    Mutant("entries-over-wrong-rows", ALGEBRA,
+           "if any(row)",
+           "if row[0]",
            (_SUMMARIES,),
-           "the cell norm skips rows whose first cell is empty, so a packed field can overflow"),
-    Mutant("lcm-over-wrong-rows", "src/nonassoc/algebra.py",
-           "for row in rows if any(row) for e in row",
-           "for row in rows if row[0] for e in row",
+           "the constants skip rows whose first cell is empty, so every summary misreads them"),
+    Mutant("norm-per-constant", ALGEBRA,
+           "norms.get((i, j), 0) + abs(c.numerator)",
+           "abs(c.numerator)",
            (_SUMMARIES,),
-           "the lcm skips rows whose first cell is empty, so a scaled constant is truncated"),
-    Mutant("constants-over-wrong-rows", "src/nonassoc/algebra.py",
-           "for row in self.sparse_rows if any(row) for e in row",
-           "for row in self.sparse_rows if row[0] for e in row",
-           (_SUMMARIES,),
-           "the constant count skips rows whose first cell is empty, so the cost rule misreads"),
+           "a cell's norm is its last constant's, so a packed field can overflow"),
     # The random trials' generated product and their witnesses.
-    Mutant("generated-term-transposed", "src/nonassoc/algebra.py",
+    Mutant("generated-term-transposed", ALGEBRA,
            "l{x}*r{y}\"",
            "l{y}*r{x}\"",
            ("tests/test_identities.py::test_integer_random_path_matches_rational_oracle",),
            "each generated term reads l[y]*r[x], so the random trials multiply y x"),
-    Mutant("last-piece-dropped", "src/nonassoc/algebra.py",
+    Mutant("last-piece-dropped", ALGEBRA,
            "for f in parts]",
            "for f in parts[:-1]]",
            ("tests/test_identities.py::"
@@ -188,16 +185,31 @@ MUTANTS = (
            ("tests/test_constructions.py",),
            "an antisymmetric product copies x∘y into y∘x instead of negating it"),
     # The support, the automorphism search, the catalogs and the grid's checks.
-    Mutant("support-without-outputs", "src/nonassoc/algebra.py",
-           "for k, _ in e for x in (i, j, k)}",
-           "for k, _ in e for x in (i, j)}",
+    Mutant("support-without-outputs", ALGEBRA,
+           "for x in (i, j, k)}",
+           "for x in (i, j)}",
            ("tests/test_symmetry.py::test_every_found_permutation_is_an_automorphism",),
            "the support misses an index that is only a product's output, as e_1 in e_0 e_0 = e_1"),
+    Mutant("renumber-keeps-output", "src/nonassoc/symmetry.py",
+           "at[j], at[k], v)",
+           "at[j], k, v)",
+           ("tests/test_symmetry.py::test_every_found_permutation_is_an_automorphism",),
+           "the search reads each output by its index in the algebra, not in the support"),
     Mutant("refine-one-round", "src/nonassoc/symmetry.py",
            "        if len(rank) == cells:\n            return colour\n",
            "        return colour\n",
            ("tests/test_symmetry.py::test_refinement_stops_at_a_stable_colouring",),
            "colour refinement stops after one round, before the colouring is stable"),
+    Mutant("null-product-witness-last", "src/nonassoc/fixtures.py",
+           "a.entries[0]",
+           "a.entries[-1]",
+           ("tests/test_cli.py::test_verify_fixture_all_json_golden",),
+           "a failing null_product check reports the last nonzero product, not the first"),
+    Mutant("left-table-transposed", ALGEBRA,
+           "images[k][out]",
+           "images[out][k]",
+           ("tests/test_operators.py::test_left_mult_operator_matches_matrix_oracle",),
+           "the left table holds the coefficient of e_k in e_out b_j, not of e_out in e_k b_j"),
     Mutant("derivation-sign", "src/nonassoc/operators.py",
            "((1, (R(X), Y)), (1, (X, R(Y))))",
            "((1, (R(X), Y)), (-1, (X, R(Y))))",

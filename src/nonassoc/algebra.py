@@ -4,11 +4,14 @@ An algebra of dimension n is given by its structure constants c[i][j][k]
 with e_i * e_j = sum_k c[i][j][k] e_k; products of arbitrary elements extend
 bilinearly.  The constants are stored sparse, and only in that form:
 ``sparse_rows[i][j]`` holds the (k, c[i][j][k]) pairs with c nonzero, k
-ascending.  The dense tensor ``sc`` is a view built on each access.
-``support`` lists the indices that some nonzero constant names; every other
-index is null (e_i x = x e_i = 0, and no product has a coordinate there),
-and the summaries of the constants skip empty rows.  No axiom
-(associativity, commutativity, ...) is assumed at construction;
+ascending.  The product kernels, equality and the scaling in
+``integer_rows`` read it; every summary and every other reader reads one
+view, ``entries``: the nonzero constants as (i, j, k, c), read once off
+the rows that hold one.  The dense tensor ``sc`` is a view built on each
+access.  ``support`` lists the indices that some nonzero constant names;
+every other index is null (e_i x = x e_i = 0, and no product has a
+coordinate there).  No axiom (associativity, commutativity, ...) is
+assumed at construction;
 ``is_associative``/``is_commutative`` verify the two axioms exactly,
 through the identity engine.
 
@@ -203,49 +206,54 @@ class Algebra:
         )
 
     @cached_property
+    def entries(self) -> tuple:
+        """The nonzero constants as (i, j, k, c), in row-major order: the form
+        ``make_algebra`` takes and an algebra file holds.  Read once off the
+        rows that hold an entry; ``any(row)`` over every row is the one walk
+        of all d² cells."""
+        return tuple((i, j, k, c) for i, row in enumerate(self.sparse_rows) if any(row)
+                     for j, e in enumerate(row) for k, c in e)
+
+    @cached_property
     def support(self) -> tuple[int, ...]:
         """The indices that some nonzero constant names, ascending."""
-        return tuple(sorted({x for i, row in enumerate(self.sparse_rows) if any(row)
-                             for j, e in enumerate(row) for k, _ in e for x in (i, j, k)}))
+        return tuple(sorted({x for i, j, k, _ in self.entries for x in (i, j, k)}))
 
     @cached_property
     def automorphisms(self) -> Automorphisms:
         """The basis permutations that preserve the constants, searched for once."""
-        return Automorphisms(self.dim, self.sparse_rows, self.support, self.nonzero_constants)
+        return Automorphisms(self.dim, self.entries, self.support)
 
     @cached_property
-    def integer_rows(self) -> tuple[tuple, int]:
-        """``sparse_rows`` times the lcm ``D`` of their denominators, and ``D``."""
-        rows = self.sparse_rows
-        denom = lcm(*(v.denominator for row in rows if any(row) for e in row for _, v in e))
+    def integer_rows(self) -> tuple[tuple, int, int]:
+        """``sparse_rows`` times the lcm ``D`` of the denominators of ``entries``,
+        ``D``, and the largest l1 norm of a scaled cell: the shape of
+        ``LinearOperator.integer_columns``.  Only rows with an entry are scaled."""
+        denom = lcm(*(c.denominator for *_, c in self.entries))
+        norms: dict = {}
+        for i, j, _, c in self.entries:
+            norms[i, j] = norms.get((i, j), 0) + abs(c.numerator) * (denom // c.denominator)
+        cmax = max(norms.values(), default=0)
         if denom == 1:
-            return rows, 1
+            return self.sparse_rows, 1, cmax
+        full = {i for i, _ in norms}
         scaled = tuple(
-            tuple(tuple((k, v.numerator * (denom // v.denominator)) for k, v in e) for e in row)
-            if any(row) else row for row in rows
+            tuple(tuple((k, c.numerator * (denom // c.denominator)) for k, c in e) for e in row)
+            if i in full else row for i, row in enumerate(self.sparse_rows)
         )
-        return scaled, denom
+        return scaled, denom, cmax
 
     @cached_property
     def integer_product(self) -> Callable:
         """``prod(l, r)``: for int coordinate lists ``l``, ``r`` over ``support``,
         the list of those of l r on ``integer_rows`` (D times the product).
         Compiled once into straight-line code, see ``_compile_product``."""
-        rows, _ = self.integer_rows
+        denom = self.integer_rows[1]
         at = {t: p for p, t in enumerate(self.support)}
         terms: list[list] = [[] for _ in at]
-        for i, row in enumerate(rows):
-            if any(row):
-                for j, e in enumerate(row):
-                    for k, v in e:
-                        terms[at[k]].append((v, at[i], at[j]))
+        for i, j, k, c in self.entries:
+            terms[at[k]].append((c.numerator * (denom // c.denominator), at[i], at[j]))
         return _compile_product(terms)
-
-    @cached_property
-    def integer_cell_norm(self) -> int:
-        """The largest l1 norm of a cell ``integer_rows[0][i][j]``."""
-        return max((sum(abs(v) for _, v in e) for row in self.integer_rows[0] if any(row)
-                    for e in row), default=0)
 
     @cached_property
     def content_hash(self) -> str:
@@ -253,11 +261,6 @@ class Algebra:
         from .serial import algebra_content_hash  # serial imports this module
 
         return algebra_content_hash(self)
-
-    @cached_property
-    def nonzero_constants(self) -> int:
-        """The number of nonzero structure constants, counted once."""
-        return sum(len(e) for row in self.sparse_rows if any(row) for e in row)
 
     def basis_product(self, i: int, j: int) -> Element:
         coords = [0] * self.dim
@@ -362,20 +365,18 @@ class Embedding:
         of u_k left_table[j][k] over k is exactly T (u b_j): its rows past
         the rank vanish iff u b_j lies in the span, and then its pivot rows
         are the coordinates of u b_j.  Built once per embedding, with
-        e_k b_j summed from the sparse rows: sum of b_ji c[k][i] over i.
+        e_k b_j summed from the ambient's ``entries``: sum of b_ji c[k][i]
+        over i.
         """
-        rows, transform = self.ambient.sparse_rows, self._solver.transform
+        dim, transform = self.ambient.dim, self._solver.transform
         table = []
         for b in self.basis:
-            terms = [(i, bi) for i, bi in enumerate(b.coords) if bi]
-            entries = []
-            for row in rows:
-                p = [0] * self.ambient.dim
-                for i, bi in terms:
-                    for k, c in row[i]:
-                        p[k] += bi * c
-                entries.append(tuple((r, canonical(s)) for r, s in enumerate(transform(p)) if s))
-            table.append(tuple(entries))
+            images = [[0] * dim for _ in range(dim)]
+            for k, i, out, c in self.ambient.entries:
+                if b.coords[i]:
+                    images[k][out] += b.coords[i] * c
+            table.append(tuple(tuple((r, canonical(s)) for r, s in enumerate(transform(p)) if s)
+                               for p in images))
         return tuple(table)
 
     def left_image(self, u: Element, j: int) -> list:

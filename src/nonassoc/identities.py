@@ -760,13 +760,12 @@ def check_identity(a: Algebra, name: str) -> Verdict:
     """
     plan = polarized_plan(name)
     sched = _plan_schedule(name)
-    rows, denom = a.integer_rows
+    rows, denom, cmax = a.integer_rows
     n = len(a.support)
     tuples = prod(comb(n + d - 1, d) for d in plan.identity.multidegree)
-    size = n + a.nonzero_constants
+    size = n + len(a.entries)
     group = a.automorphisms.elements if tuples > _TUPLES_PER_UNIT * size else ()
-    return _basis_verdict(a, sched, rows, a.support, a.integer_cell_norm,
-                          *_weighted(sched, denom), group)
+    return _basis_verdict(a, sched, rows, a.support, cmax, *_weighted(sched, denom), group)
 
 
 def check_words(
@@ -779,10 +778,10 @@ def check_words(
     over every index: R need not vanish off the support, and a side may be a
     bare leaf.
     """
-    rows, denom = a.integer_rows
+    rows, denom, norm = a.integer_rows
     cols, rdenom, rnorm = integer_columns
     rows = tuple(row + (col,) for row, col in zip(rows, cols))
-    cmax = max(a.integer_cell_norm, rnorm)
+    cmax = max(norm, rnorm)
     return _basis_verdict(a, sched, rows, range(a.dim), cmax,
                           *_weighted(sched, denom, rdenom, params))
 

@@ -48,12 +48,7 @@ def _int_in(v) -> int:
 
 
 def algebra_to_dict(a: Algebra) -> dict:
-    sc = [
-        [i, j, k, format_scalar(v)]
-        for i, row in enumerate(a.sparse_rows)
-        for j, entries in enumerate(row)
-        for k, v in entries
-    ]
+    sc = [[i, j, k, format_scalar(v)] for i, j, k, v in a.entries]
     return {"dim": a.dim, "labels": list(a.basis_labels), "sc": sc}
 
 

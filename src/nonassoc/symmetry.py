@@ -89,9 +89,10 @@ def _leaves(colour: list, x: int, incident: list, shapes: list, budget: list):
         todo += [(colour, y, level + 1) for y in reversed(cell)]
 
 
-def find_generators(dim: int, rows) -> tuple[tuple, int]:
-    """Verified automorphisms of the constants ``rows`` that generate a group H,
-    and a lower bound on |H|.
+def find_generators(dim: int, entries) -> tuple[tuple, int]:
+    """Verified automorphisms of the nonzero constants ``entries``, (i, j, k, c)
+    over indices below ``dim``, that generate a group H, and a lower bound
+    on |H|.
 
     The first path individualizes the first index of the target cell at each
     level down to a leaf.  Then, deepest level first, each index w of that
@@ -102,7 +103,7 @@ def find_generators(dim: int, rows) -> tuple[tuple, int]:
     is at most |H|.  Past the first path the search makes at most dim²
     refinements.
     """
-    table = {(i, j, k): v for i, row in enumerate(rows) for j, e in enumerate(row) for k, v in e}
+    table = {(i, j, k): v for i, j, k, v in entries}
     incident = [[] for _ in range(dim)]
     for (i, j, k), v in table.items():
         for x in {i, j, k}:
@@ -156,24 +157,22 @@ def close(gens: list, dim: int, limit: int) -> tuple:
 class Automorphisms:
     """The verified basis-permutation automorphisms of one algebra's constants.
 
-    The generators are searched for once, on construction, over the indices
-    that some constant mentions, ``mentioned`` (ascending); they fix every
-    other index.  ``constants`` is the number of nonzero constants in ``rows``.
+    The generators are searched for once, on construction, from the nonzero
+    constants ``entries`` (i, j, k, c) renumbered over the indices they
+    mention, ``mentioned`` (ascending); they fix every other index.
     """
 
-    def __init__(self, dim: int, rows, mentioned: tuple, constants: int):
+    def __init__(self, dim: int, entries: tuple, mentioned: tuple):
         self.dim = dim
         at = {x: p for p, x in enumerate(mentioned)}
-        if len(mentioned) < dim:  # the constants, renumbered over the mentioned indices
-            rows = tuple(tuple(tuple((at[k], v) for k, v in rows[i][j]) for j in mentioned)
-                         for i in mentioned)
-        gens, self.order_bound = find_generators(len(mentioned), rows)
+        gens, self.order_bound = find_generators(
+            len(mentioned), [(at[i], at[j], at[k], v) for i, j, k, v in entries])
         self.generators = tuple(
             tuple(mentioned[g[at[x]]] if x in at else x for x in range(dim)) for g in gens
         )
         # m + c <= 4c: fewer than the _TUPLES_PER_UNIT * (n + c) tuples of any
         # plan that check_identity hands the list to
-        self.size = len(mentioned) + constants
+        self.size = len(mentioned) + len(entries)
 
     @cached_property
     def elements(self) -> tuple:

@@ -428,11 +428,26 @@ _SEARCH_F9 = (
     # random.Random(-3) would seed as 3 and report seed 3's trials as seed -3's
     ("check", "--algebra", str(DATA / "examples" / "null2.json"),
      "--identity", "jacobi", "--random", "trials=5,seed=-3"),
+    # a piece with no "=", and an unknown key
+    ("check", "--algebra", str(DATA / "examples" / "null2.json"),
+     "--identity", "jacobi", "--random", "5"),
+    ("check", "--algebra", str(DATA / "examples" / "null2.json"),
+     "--identity", "jacobi", "--random", "trials=5,bogus=1"),
+    # files that do not fit together: an induced operator of another dimension,
+    # an embedding into another ambient, and the grid strategy with no grid
+    ("props", "--algebra", str(DATA / "fixtures" / "F1b.algebra.json"),
+     "--from-u", str(DATA / "fixtures" / "F9.u.json"),
+     "--embedding", str(DATA / "fixtures" / "F9.embedding.json"),
+     "--property", "rota_baxter:lam=0"),
+    ("search-element", "--ambient", str(DATA / "fixtures" / "F9.ambient.json"),
+     "--embedding", str(DATA / "fixtures" / "F1.embedding.json"),
+     "--lin", "stabilize", "--quad", "idempotent"),
+    _SEARCH_F9 + ("--quad", "idempotent", "--strategy", "grid"),
 ])
 def test_bad_spec_value_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

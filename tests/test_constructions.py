@@ -138,7 +138,7 @@ def test_prelie_rb1_is_left_prelie_at_weight_minus_one():
         assert check_operator_property(a, r, OperatorProperty("rota_baxter", lam=lam)).passed
         assert not check_operator_property(a, r, OperatorProperty("rota_baxter", lam=-lam)).passed
         twisted = derive(a, r, construction("prelie_rb1"))
-        assert twisted.nonzero_constants
+        assert twisted.entries
         verdict = check_identity(twisted, "left_prelie")
         assert verdict.passed if lam == -1 else verdict.witness.indices == (0, 1, 0)
 

@@ -158,9 +158,9 @@ def test_check_identity_random_equals_every_index_active():
 
 
 def test_the_summaries_of_the_constants_read_every_nonempty_row():
-    """``nonzero_constants``, ``integer_rows`` and ``integer_cell_norm`` skip
-    empty rows only: each equals its definition over the dense view, on
-    algebras whose null indices fall anywhere, the first included."""
+    """``entries`` and the three parts of ``integer_rows`` skip empty rows
+    only: each equals its definition over the dense view, on algebras whose
+    null indices fall anywhere, the first included."""
     cases = [(label, with_null_block(a, k, seed)[0])
              for label, a in _algebra_cases() for k, seed in _NULL_BLOCKS[::2]]
     cases += [("null4", make_algebra(4, [])), ("square_to_null", make_algebra(2, [(0, 0, 1, 1)]))]
@@ -169,13 +169,15 @@ def test_the_summaries_of_the_constants_read_every_nonempty_row():
         cells = [[[(k, c) for k, c in enumerate(cell) if c] for cell in row] for row in b.sc]
         values = [c for row in cells for cell in row for _, c in cell]
         denom = math.lcm(*(Fraction(c).denominator for c in values))
-        rows, scale = b.integer_rows
-        assert b.nonzero_constants == len(values), label
+        assert list(b.entries) == [(i, j, k, c) for i, row in enumerate(cells)
+                                   for j, cell in enumerate(row) for k, c in cell], label
+        assert len(b.entries) == len(values), label
+        rows, scale, cmax = b.integer_rows
         assert scale == denom, label
         assert [[list(cell) for cell in row] for row in rows] == [
             [[(k, int(c * denom)) for k, c in cell] for cell in row] for row in cells], label
         norms = [sum(abs(c * denom) for _, c in cell) for row in cells for cell in row]
-        assert b.integer_cell_norm == max(norms, default=0), label
+        assert cmax == max(norms, default=0), label
         first_null += 0 not in b.support
         fractional += denom > 1
     assert first_null and fractional

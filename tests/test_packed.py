@@ -61,9 +61,9 @@ def mixed(seed, dim):
 def identity_signed(a, name):
     """The schedule, int rows, signed weighted roots and cell norm ``check_identity`` uses."""
     sched = identities._plan_schedule(name)
-    rows, denom = a.integer_rows
+    rows, denom, cmax = a.integer_rows
     lhs, rhs, _ = identities._weighted(sched, denom)
-    return sched, rows, lhs + tuple((-w, n) for w, n in rhs), a.integer_cell_norm
+    return sched, rows, lhs + tuple((-w, n) for w, n in rhs), cmax
 
 
 def operator_signed(a, r, prop):
@@ -72,10 +72,10 @@ def operator_signed(a, r, prop):
     sched = _SCHEDULES[prop.kind]
     params = {name: getattr(prop, name) for name in PROPERTY_KINDS[prop.kind].params}
     cols, rdenom, rnorm = r.integer_columns
-    rows, denom = a.integer_rows
+    rows, denom, norm = a.integer_rows
     rows = tuple(row + (col,) for row, col in zip(rows, cols))
     lhs, rhs, _ = identities._weighted(sched, denom, rdenom, params)
-    return sched, rows, lhs + tuple((-w, n) for w, n in rhs), max(a.integer_cell_norm, rnorm)
+    return sched, rows, lhs + tuple((-w, n) for w, n in rhs), max(norm, rnorm)
 
 
 def field_width(sched, rows, signed, cmax):
@@ -446,10 +446,10 @@ def test_the_phantom_leaf_of_single_blocks_equals_the_plain_products(always_use_
     rng, sched = random.Random(6), _ASSOCIATIVE_R
     for a in (m3, shuffled_matrix_algebra(4, 6)):
         r = large_operator(a, rng)
-        rows, denom = a.integer_rows
+        rows, denom, norm = a.integer_rows
         cols, rdenom, rnorm = r.integer_columns
         rows = tuple(row + (col,) for row, col in zip(rows, cols))
         assert identities._basis_verdict(
-            a, sched, rows, range(a.dim), max(a.integer_cell_norm, rnorm),
+            a, sched, rows, range(a.dim), max(norm, rnorm),
             *identities._weighted(sched, denom, rdenom), a.automorphisms.elements).passed
     assert pair_steps["R"], pair_steps

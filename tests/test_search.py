@@ -175,6 +175,32 @@ def test_find_special_univariate_detects_infinite_family(column_plane):
                      QuadraticConstraint("nilpotent2"), UnivariateStrategy.of({0: 0, 2: 0, 3: 0}))
 
 
+@pytest.mark.parametrize("pins, idempotent", [
+    ((1, 0, 0, 0), True), ((0, 1, 0, 1), True), ((1, 1, 1, 1), False)])
+def test_find_special_univariate_with_every_direction_pinned_checks_the_base_point(
+        column_plane, pins, idempotent):
+    """No direction is free: the pinned point is checked alone, as a grid of it is."""
+    ambient, _, emb = column_plane
+    lin = [LinearConstraint("stabilize", emb)]
+    quad = QuadraticConstraint("idempotent")
+    found = find_special(ambient, lin, quad, UnivariateStrategy.of(dict(enumerate(pins))))
+    grid = find_special(ambient, lin, quad, GridStrategy.of([pins]))
+    assert (found.elements, found.notes) == (grid.elements, grid.notes)
+    assert [tuple(e.coords) for e in found] == ([pins] if idempotent else [])
+
+
+def test_find_special_with_inconsistent_constraints_notes_it(row_span):
+    """x u = x and x u = 0 together have no solution: each strategy finds
+    nothing and says why."""
+    ambient, _, emb = row_span
+    lin = [LinearConstraint("right_identity", emb), LinearConstraint("right_annihilator", emb)]
+    quad = QuadraticConstraint("idempotent")
+    found = find_special(ambient, lin, quad, UnivariateStrategy.of({}))
+    grid = find_special(ambient, lin, quad, GridStrategy.of([(0,) * ambient.dim]))
+    assert (found.elements, found.notes) == (grid.elements, grid.notes)
+    assert found.notes == ("the linear constraints are inconsistent",) and not found
+
+
 def test_quadratic_constraint_validation():
     unit = matrix_identity_element(2)
     with pytest.raises(MalformedPropertyError):

@@ -59,7 +59,7 @@ def mentioned(a):
 
 def input_size(a):
     """The indices some constant mentions plus the nonzero constants."""
-    return len(mentioned(a)) + a.nonzero_constants
+    return len(mentioned(a)) + sum(len(e) for row in a.sparse_rows for e in row)
 
 
 def canonical_tuples(dim, degrees):
@@ -169,9 +169,9 @@ def plain_verdict(a, name):
 def packed_plain_verdict(a, name):
     """The packed loop of ``_basis_verdict`` with no automorphism listed."""
     sched = identities._plan_schedule(name)
-    rows, denom = a.integer_rows
+    rows, denom, cmax = a.integer_rows
     return identities._basis_verdict(
-        a, sched, rows, a.support, a.integer_cell_norm, *identities._weighted(sched, denom))
+        a, sched, rows, a.support, cmax, *identities._weighted(sched, denom))
 
 
 @pytest.fixture
@@ -386,10 +386,10 @@ def test_a_subset_of_the_group_visits_the_blocks_it_leaves(visited, label, name,
     assert (subset == "none") == (not group) and len(group) < len(group_of(a)) - 1
     degrees = identities.get_identity(name).multidegree
     sched = identities._plan_schedule(name)
-    rows, denom = a.integer_rows
+    rows, denom, cmax = a.integer_rows
     visited["slots"] = sum(degrees)
     verdict = identities._basis_verdict(
-        a, sched, rows, a.support, a.integer_cell_norm, *identities._weighted(sched, denom), group)
+        a, sched, rows, a.support, cmax, *identities._weighted(sched, denom), group)
     assert_visited_representatives(visited["tuples"], a, degrees, verdict, group)
     assert repr(verdict) == repr(plain_verdict(a, name))
 
@@ -441,15 +441,14 @@ def test_tied_slots_after_a_closed_group_visit_the_lex_min_representatives(visit
         identities._polarize_words(rhs, degrees, offsets),
         groups,
     )
-    rows, denom = a.integer_rows
+    rows, denom, cmax = a.integer_rows
     weighted = identities._weighted(sched, denom)
     visited["slots"] = sum(degrees)
     group = group_of(a)[1:] if listed == "group" else ()
-    other = identities._basis_verdict(a, sched, rows, a.support, a.integer_cell_norm, *weighted,
+    other = identities._basis_verdict(a, sched, rows, a.support, cmax, *weighted,
                                       group_of(a)[1:] if not group else ())
     visited["tuples"].clear()
-    verdict = identities._basis_verdict(a, sched, rows, a.support, a.integer_cell_norm, *weighted,
-                                        group)
+    verdict = identities._basis_verdict(a, sched, rows, a.support, cmax, *weighted, group)
     assert_visited_representatives(visited["tuples"], a, degrees, verdict, group)
     assert repr(verdict) == repr(other)
 
