@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 
 IDENTITIES = "src/nonassoc/identities.py"
 ALGEBRA = "src/nonassoc/algebra.py"
+SYMMETRY = "src/nonassoc/symmetry.py"
 _SUMMARIES = ("tests/test_null_indices.py::"
               "test_the_summaries_of_the_constants_read_every_nonempty_row")
 
@@ -115,6 +116,27 @@ MUTANTS = (
            "if g[a] > a:",
            ("tests/test_symmetry.py",),
            "a run's first index is pruned when g maps it higher, not lower"),
+    # The minimal-image tables of the automorphism list, read at the first slot.
+    Mutant("table-low-as-max", SYMMETRY,
+           "self.low = [min(c) for c in zip(*elements)]",
+           "self.low = [max(c) for c in zip(*elements)]",
+           ("tests/test_symmetry.py",),
+           "the least image of an index is taken as its greatest, so the first slot prunes too little"),
+    Mutant("preimages-keyed-by-image", SYMMETRY,
+           "out.setdefault(g.index(a), []).append(g)",
+           "out.setdefault(g[a], []).append(g)",
+           ("tests/test_symmetry.py",),
+           "the elements are grouped by the image of a, not by the index they send to a"),
+    Mutant("first-slot-keeps-movers", IDENTITIES,
+           "return hits[0].get(a, ()) if closed else alive",
+           "return alive",
+           ("tests/test_symmetry.py",),
+           "a closed first run keeps the elements that move its index, not only those fixing it"),
+    Mutant("first-slot-prunes-equal-low", IDENTITIES,
+           "if first.low[a] < a:",
+           "if first.low[a] <= a:",
+           ("tests/test_symmetry.py",),
+           "the first slot prunes an index that no element maps lower, losing representatives"),
     # Null indices: identity loops run over the support, operator loops over every index.
     Mutant("identity-loop-drops-an-index", IDENTITIES,
            "rows, a.support, cmax,",
@@ -190,12 +212,12 @@ MUTANTS = (
            "for x in (i, j)}",
            ("tests/test_symmetry.py::test_every_found_permutation_is_an_automorphism",),
            "the support misses an index that is only a product's output, as e_1 in e_0 e_0 = e_1"),
-    Mutant("renumber-keeps-output", "src/nonassoc/symmetry.py",
+    Mutant("renumber-keeps-output", SYMMETRY,
            "at[j], at[k], v)",
            "at[j], k, v)",
            ("tests/test_symmetry.py::test_every_found_permutation_is_an_automorphism",),
            "the search reads each output by its index in the algebra, not in the support"),
-    Mutant("refine-one-round", "src/nonassoc/symmetry.py",
+    Mutant("refine-one-round", SYMMETRY,
            "        if len(rank) == cells:\n            return colour\n",
            "        return colour\n",
            ("tests/test_symmetry.py::test_refinement_stops_at_a_stable_colouring",),

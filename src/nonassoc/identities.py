@@ -57,8 +57,11 @@ lexicographically first and witnesses are unchanged; the list
 ``Automorphisms.elements`` can therefore stop at the input's size.  Only a
 g that sends some index of a slot group's run to its first index can give
 an image that is not larger (Linton's minimal-image idea), so only those g
-sort an image.  Only prefixes are pruned: the packed innermost slot checks
-its whole run, still exactly (``_basis_verdict``).  The group is searched
+sort an image.  At the first slot every listed g is alive, so what the test
+reads there depends on the list alone and is built once per list
+(``symmetry.ImageTables``), not once per verdict.  Only prefixes are pruned:
+the packed innermost slot checks its whole run, still exactly
+(``_basis_verdict``).  The group is searched
 for once per algebra, and used for a plan only when its tuple count
 prod C(n+d-1, d), n the size of the support (below), exceeds
 ``_TUPLES_PER_UNIT`` times (n + the number of nonzero constants), the
@@ -125,6 +128,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from .algebra import Algebra, Element
 from .errors import GridError, NonassocError
 from .scalars import Scalar, as_scalar, format_scalar
+from .symmetry import ImageTables
 from .verdicts import Verdict, Witness
 
 # A word is a slot index (leaf), a pair (left, right), or ("R", word).
@@ -557,7 +561,7 @@ def _field_width(sched: _Schedule, signed, cmax: int) -> int:
 
 
 def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cmax: int,
-                   lhs, rhs, scale: int, group: Sequence[tuple] = ()) -> Verdict:
+                   lhs, rhs, scale: int, group: Sequence[tuple] | ImageTables = ()) -> Verdict:
     """Check the weighted roots on basis tuples over ``order``, stopping at
     the first failure.
 
@@ -570,16 +574,17 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cma
     ``check_words`` every index.
 
     ``group`` lists non-identity elements of the group G of basis
-    permutations that preserve the constants, any subset of G.  Orbit
-    argument: an automorphism g maps the words' value at t to their value at
-    g(t), and the polarized form is symmetric within each slot group, so t
-    passes iff sort(g(t)) does, sort ordering each slot group; a pass on the
-    lex-min tuple of each orbit of G x (slot symmetry), its representative,
+    permutations that preserve the constants, any subset of G, or is the
+    ``symmetry.ImageTables`` of such a list.  Orbit argument: an
+    automorphism g maps the words' value at t to their value at g(t), and
+    the polarized form is symmetric within each slot group, so t passes iff
+    sort(g(t)) does, sort ordering each slot group; a pass on the lex-min
+    tuple of each orbit of G x (slot symmetry), its representative,
     is a proof.  Only a listed g prunes, below a prefix it maps lower, so
     every representative is checked.  Witness argument: a failing tuple's
     representative fails and comes no later, so the first failing tuple
     checked is the first failing tuple, as without G.  Cost rule:
-    ``check_identity`` passes ``Automorphisms.elements`` only for a plan
+    ``check_identity`` passes ``Automorphisms.tables`` only for a plan
     with more than ``_TUPLES_PER_UNIT`` tuples per index of the support or
     nonzero constant; ``check_words`` never does, as an automorphism need not
     commute with R.
@@ -598,6 +603,13 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cma
     r closes.  Else ``hits[y]`` holds the g with g[y] = a and ``low[y]`` the
     least image of y.  At a later x, low[x] < a prunes; a g in no hits[y],
     y in r, maps r above a, so it neither prunes nor stays: only hits sort.
+    At the first slot every listed g is alive, so low, the prune at a and
+    hits depend on the list alone: they are read off its ``ImageTables``,
+    low[a] < a pruning and hits = preimages(a), whose group at a is the g
+    that fix a.  ``check_identity`` passes the tables that ``Automorphisms``
+    keeps for the algebra, and a plain list gets tables built for the call.
+    A later run starts under a prefix, with the alive g a subset, and scans
+    them: g[a] < a prunes, and hits and low are built for that prefix.
 
     Packing (module docstring): the last slot's whole run is one leaf
     {run[p]: 2^(width p)}, checked in one pass; the first failing p's tuple is
@@ -634,6 +646,8 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cma
     support to itself, so the lex-min tuple of an orbit of tuples over the
     support lies over it.
     """
+    first = group if isinstance(group, ImageTables) else ImageTables(tuple(group))
+    group = first.elements
     signed = lhs + tuple((-w, n) for w, n in rhs)
     dim, tied = a.dim, sched.tied
     at = order if len(order) == dim else {i: p for p, i in enumerate(order)}
@@ -683,6 +697,11 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cma
         """The elements alive below the prefix ``tup[:d + 1]``, or None to prune it."""
         s, closed = start[d], not tied[d + 1]
         a = tup[s]
+        if d == 0:  # every listed g is alive: read the list's tables
+            if first.low[a] < a:
+                return None
+            hits[0] = first.preimages(a)
+            return hits[0].get(a, ()) if closed else alive
         if s == d:  # a run's first index: compare g[a] with a, sort nothing
             kept, hits[d] = [], {}
             for g in alive:
@@ -708,7 +727,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cma
     def loop(d: int, alive) -> bool:
         """Run slot ``d`` and the slots after it; True at the first failure."""
         nonlocal pair
-        if alive and not tied[d] and d < last and tied[d + 1]:
+        if d and alive and not tied[d] and d < last and tied[d + 1]:
             low[d] = [min(c) for c in zip(*alive)]
         run = order[at[tup[d - 1]]:] if tied[d] else order
         if d == last or pair and d == last - 1:
@@ -727,7 +746,8 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cma
                 return block(d, run[1:])
         return False
 
-    failed = loop(0, tuple(group))
+    low[0] = first.low
+    failed = loop(0, group)
     del loop  # empties the closure cell through which loop calls itself: no cycle
     if not failed:
         return Verdict.ok()
@@ -740,9 +760,10 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cma
 
 # Tuples per basis index or nonzero constant above which a plan uses the
 # group.  On fresh M4, M5, commutator(M5) and M6 in shuffled matrix-unit bases
-# (2-core x86-64, Python 3.11; the search 17-34 us per index or constant, the
-# packed loop 0.4-2.4 us per tuple), the catalog suite took 0.056 s at 8 or
-# 16, 0.085 s at 32, 0.15 s at 64 and 0.87 s without the group.
+# (2-core x86-64, Python 3.11; the search and list 24-42 us per index or
+# constant), the catalog suite on the four took 0.038 s of CPU at 8 or 16,
+# 0.051 s at 32, 0.080 s at 64 and 0.25 s without the group (medians of 15
+# rounds); 8 and 16 read alike in scripts/ab.py.
 _TUPLES_PER_UNIT = 16
 
 
@@ -764,7 +785,7 @@ def check_identity(a: Algebra, name: str) -> Verdict:
     n = len(a.support)
     tuples = prod(comb(n + d - 1, d) for d in plan.identity.multidegree)
     size = n + len(a.entries)
-    group = a.automorphisms.elements if tuples > _TUPLES_PER_UNIT * size else ()
+    group = a.automorphisms.tables if tuples > _TUPLES_PER_UNIT * size else ()
     return _basis_verdict(a, sched, rows, a.support, cmax, *_weighted(sched, denom), group)
 
 

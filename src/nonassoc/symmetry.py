@@ -18,6 +18,13 @@ orbit-reduced loop of ``identities`` is exact for any set of automorphisms,
 so a list cut short prunes less but never wrongly, and memory stays
 proportional to the input even where G is huge (S_n on M_n, S_dim on a
 Hadamard algebra).
+
+What that loop reads at a verdict's first index depends on the list alone,
+so ``ImageTables`` holds it, once per list: the least image of each index,
+and per index a, built on first read, the elements grouped by the y they
+send to a.  Each index's groups hold every element once, and the loop reads
+indices of the support only, so the tables hold at most the list's size
+times the support references: no more than the list itself.
 """
 from __future__ import annotations
 
@@ -154,12 +161,39 @@ def close(gens: list, dim: int, limit: int) -> tuple:
     return tuple(queue[1:])
 
 
+class ImageTables:
+    """The minimal-image tables of a list of permutations, for the orbit test
+    at a verdict's first index (``identities._basis_verdict``).
+
+    ``low[x]`` is the least image of index x under the listed elements.
+    ``preimages(a)`` maps each y to the elements g with g[y] = a, in list
+    order, so its group at a holds the elements that fix a.  It is built on
+    first read and kept; the orbit test reads it only where low[a] = a.
+    """
+
+    def __init__(self, elements: tuple):
+        self.elements = elements
+        self.low = [min(c) for c in zip(*elements)]
+        self._preimages: dict = {}
+
+    def preimages(self, a: int) -> dict:
+        out = self._preimages.get(a)
+        if out is None:
+            out = self._preimages[a] = {}
+            for g in self.elements:
+                out.setdefault(g.index(a), []).append(g)
+        return out
+
+
 class Automorphisms:
     """The verified basis-permutation automorphisms of one algebra's constants.
 
     The generators are searched for once, on construction, from the nonzero
     constants ``entries`` (i, j, k, c) renumbered over the indices they
-    mention, ``mentioned`` (ascending); they fix every other index.
+    mention, ``mentioned`` (ascending); they fix every other index.  The
+    element list and its minimal-image ``tables`` are built on first use and
+    kept for every verdict on the algebra; the tables hold at most
+    len(elements) references per mentioned index, no more than the list.
     """
 
     def __init__(self, dim: int, entries: tuple, mentioned: tuple):
@@ -179,3 +213,9 @@ class Automorphisms:
         """Non-identity elements of the group, at most ``size`` of them: the
         mentioned indices plus the nonzero constants."""
         return close(self.generators, self.dim, self.size)
+
+    @cached_property
+    def tables(self) -> ImageTables:
+        """The minimal-image tables of ``elements``, shared by every verdict on
+        the algebra."""
+        return ImageTables(self.elements)

@@ -16,7 +16,7 @@ def test_each_mutants_old_text_occurs_once():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     names = [m.name for m in module.MUTANTS]
-    assert len(set(names)) == len(names) >= 37
+    assert len(set(names)) == len(names) >= 41
     for m in module.MUTANTS:
         assert m.path.startswith("src/") and m.old != m.new, m.name
         assert (ROOT / m.path).read_text(encoding="utf-8").count(m.old) == 1, m.name

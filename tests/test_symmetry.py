@@ -410,6 +410,52 @@ def test_a_truncated_element_list_visits_the_blocks_it_leaves(always_use_group, 
     assert repr(verdict) == repr(plain_verdict(a, name))
 
 
+_TABLE_ALGEBRAS = {
+    "M4": lambda: shuffled_matrix_algebra(4, 3),
+    "commutator(M3)": lambda: commutator(shuffled_matrix_algebra(3, 5)),
+    "hadamard23": lambda: hadamard_algebra(2, 3),
+}
+
+
+@pytest.mark.parametrize("label", _TABLE_ALGEBRAS)
+def test_the_image_tables_equal_brute_force_over_the_list(label):
+    """At every index of the support, pruned or not: the least image under
+    the listed elements, and the elements grouped by the index they send to
+    it, in list order, whose group at the index itself is the elements that
+    fix it.  The tables are kept beside the list, each group built once.
+    Hadamard(2, 3)'s list is cut short of its S_6."""
+    a = _TABLE_ALGEBRAS[label]()
+    elements, tables = a.automorphisms.elements, a.automorphisms.tables
+    assert tables.elements is elements and a.automorphisms.tables is tables
+    if label == "hadamard23":
+        assert len(elements) < math.factorial(a.dim) - 1
+    for x in a.support:
+        assert tables.low[x] == min(g[x] for g in elements)
+        groups = {y: [g for g in elements if g[y] == x] for y in range(a.dim)}
+        assert tables.preimages(x) == {y: gs for y, gs in groups.items() if gs}
+        assert tables.preimages(x).get(x, []) == [g for g in elements if g[x] == x]
+        assert tables.preimages(x) is tables.preimages(x)
+
+
+@pytest.mark.parametrize("name, label", _VISITED_CASES, ids=[f"{n}-{l}" for n, l in _VISITED_CASES])
+def test_a_plain_list_visits_what_the_cached_tables_visit(visited, label, name):
+    """A copy of the cached list gets tables built for the call: the loop
+    compares the same tuples as with the tables ``Automorphisms`` keeps, and
+    gives the same verdict."""
+    a = visited_algebra(label)
+    sched = identities._plan_schedule(name)
+    rows, denom, cmax = a.integer_rows
+    weighted = identities._weighted(sched, denom)
+    visited["slots"] = sum(identities.get_identity(name).multidegree)
+    cached = identities._basis_verdict(a, sched, rows, a.support, cmax, *weighted,
+                                       a.automorphisms.tables)
+    seen = list(visited["tuples"])
+    visited["tuples"].clear()
+    copied = identities._basis_verdict(a, sched, rows, a.support, cmax, *weighted,
+                                       list(a.automorphisms.elements))
+    assert visited["tuples"] == seen and repr(copied) == repr(cached)
+
+
 # Words whose repeated variable follows a single one, or a second repeated
 # one, so the loop prunes inside a slot group whose alive elements are a
 # proper stabilizer, and then a variable w of degree one, as every
