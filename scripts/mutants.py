@@ -128,15 +128,26 @@ MUTANTS = (
            ("tests/test_symmetry.py",),
            "the elements are grouped by the image of a, not by the index they send to a"),
     Mutant("first-slot-keeps-movers", IDENTITIES,
-           "return hits[0].get(a, ()) if closed else alive",
+           "return hits.get(a, ()) if closed else alive",
            "return alive",
            ("tests/test_symmetry.py",),
            "a closed first run keeps the elements that move its index, not only those fixing it"),
     Mutant("first-slot-prunes-equal-low", IDENTITIES,
-           "if first.low[a] < a:",
-           "if first.low[a] <= a:",
+           "if tables.low[a] < a:",
+           "if tables.low[a] <= a:",
            ("tests/test_symmetry.py",),
            "the first slot prunes an index that no element maps lower, losing representatives"),
+    # Only the first variable repeats, so every slot after the first run is untied.
+    Mutant("untied-keeps-movers", IDENTITIES,
+           "if g[a] == a:",
+           "if True:",
+           ("tests/test_symmetry.py::test_untied_slots_keep_the_elements_that_fix_them",),
+           "an untied slot keeps the elements that move its index, which then prune wrongly below"),
+    Mutant("later-group-accepted", IDENTITIES,
+           "    if any(g[0] for g in groups):\n        raise AssertionError(",
+           "    if False:\n        raise AssertionError(",
+           ("tests/test_symmetry.py::test_a_slot_group_after_slot_0_is_refused",),
+           "a slot group after slot 0 is scheduled, though the orbit test reads no table for it"),
     # Null indices: identity loops run over the support, operator loops over every index.
     Mutant("identity-loop-drops-an-index", IDENTITIES,
            "rows, a.support, cmax,",

@@ -54,19 +54,21 @@ it lower, so, given any subset of G, it checks a superset of the
 representatives, in lex order.  A failing tuple's representative fails,
 comes no later and is checked, so the first failing tuple checked is the
 lexicographically first and witnesses are unchanged; the list
-``Automorphisms.elements`` can therefore stop at the input's size.  Only a
-g that sends some index of a slot group's run to its first index can give
-an image that is not larger (Linton's minimal-image idea), so only those g
-sort an image.  At the first slot every listed g is alive, so what the test
-reads there depends on the list alone and is built once per list
-(``symmetry.ImageTables``), not once per verdict.  Only prefixes are pruned:
-the packed innermost slot checks its whole run, still exactly
-(``_basis_verdict``).  The group is searched
-for once per algebra, and used for a plan only when its tuple count
-prod C(n+d-1, d), n the size of the support (below), exceeds
-``_TUPLES_PER_UNIT`` times (n + the number of nonzero constants), the
-measured point past which the search pays for itself.  Operator words keep
-the plain loop, since an automorphism need not commute with R.
+``Automorphisms.elements`` can therefore stop at the input's size.  Only
+an identity's first variable may repeat (``_schedule`` refuses any other
+slot group), so the one run of tied slots starts at slot 0, where every
+listed g is alive.  Only a g that sends some index of that run to its first
+index can give an image that is not larger (Linton's minimal-image idea), so
+only those g sort an image, and what the test reads there depends on the
+list alone: it is built once per list (``symmetry.ImageTables``), not once
+per verdict.  Every later slot is a run of one index, closed at once, which
+keeps alive the g that fix it.  Only prefixes are pruned: the packed
+innermost slot checks its whole run, still exactly (``_basis_verdict``).
+The group is searched for once per algebra, and used for a plan only when
+its tuple count prod C(n+d-1, d), n the size of the support (below),
+exceeds ``_TUPLES_PER_UNIT`` times (n + the number of nonzero constants),
+the measured point past which the search pays for itself.  Operator words
+keep the plain loop, since an automorphism need not commute with R.
 
 Null indices are skipped.  ``Algebra.support`` lists the indices that some
 nonzero constant names; any other index i is null: row i and column i of the
@@ -276,9 +278,11 @@ class PolarizedPlan:
     """Multilinear reduction of an identity.
 
     ``slots`` is the expanded arity; ``groups`` lists the slot ranges that
-    came from one original variable (the polarized form is symmetric in
-    each group, so enumeration may be restricted to non-decreasing indices
-    within a group without losing witnesses).
+    came from one original variable of degree above one (the polarized form
+    is symmetric in each group, so enumeration may be restricted to
+    non-decreasing indices within a group without losing witnesses).  Only
+    the first variable may repeat, so there is at most one group, and it
+    starts at slot 0.
     """
 
     identity: Identity
@@ -345,7 +349,9 @@ class _Schedule(NamedTuple):
     nodes ``terms``, computed at the depth of its deepest term.  ``lhs``/
     ``rhs`` list each root as ``(coef, node, p, q)``: its coefficient (an
     int or a parameter name) and its numbers of products and of R nodes.
-    ``tied[d]``: slot ``d`` (never the last) follows slot ``d - 1`` in one group.
+    ``tied[d]``: slot ``d`` (never the last) follows slot ``d - 1`` in the one
+    group, which starts at slot 0: the tied slots are 1 to k - 1 for the
+    first variable's degree k.
     ``beside_last`` lists the nodes that the last slot's leaf multiplies at its
     depth: those on its left, then those on its right (R's phantom for an R
     step whose child it is).  The words are linear in that slot, so each is
@@ -431,6 +437,8 @@ def _schedule(slots: int, lhs_words, rhs_words, groups=()) -> _Schedule:
     tied = tuple(any(s in g[1:] for g in groups) for s in range(slots))
     if tied[-1]:
         raise AssertionError("the last slot must be a variable of degree one")
+    if any(g[0] for g in groups):
+        raise AssertionError("only the first variable may have degree above one")
     last = slots - 1
     beside = tuple(tuple(dict.fromkeys(s[3 - side] for s in steps[last] if s[side] == last))
                    for side in (2, 1))
@@ -561,7 +569,7 @@ def _field_width(sched: _Schedule, signed, cmax: int) -> int:
 
 
 def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cmax: int,
-                   lhs, rhs, scale: int, group: Sequence[tuple] | ImageTables = ()) -> Verdict:
+                   lhs, rhs, scale: int, tables: ImageTables | None = None) -> Verdict:
     """Check the weighted roots on basis tuples over ``order``, stopping at
     the first failure.
 
@@ -573,9 +581,9 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cma
     support, as a tuple holding a null index passes (module docstring), and
     ``check_words`` every index.
 
-    ``group`` lists non-identity elements of the group G of basis
-    permutations that preserve the constants, any subset of G, or is the
-    ``symmetry.ImageTables`` of such a list.  Orbit argument: an
+    ``tables`` is the ``symmetry.ImageTables`` of a list of non-identity
+    elements of the group G of basis permutations that preserve the
+    constants, any subset of G, or None.  Orbit argument: an
     automorphism g maps the words' value at t to their value at g(t), and
     the polarized form is symmetric within each slot group, so t passes iff
     sort(g(t)) does, sort ordering each slot group; a pass on the lex-min
@@ -593,23 +601,17 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cma
     groups, to a lex-smaller prefix: every tuple below it then has a smaller
     image.  Kept alive below a prefix are the g whose sorted image equals it
     on every completed slot group, since a larger image there stays larger
-    below.  Inside an unfinished slot group a larger sorted image can still
-    become smaller, so there no g is dropped.  At each prefix the alive g
-    are then exactly the listed ones that could map it lower.  With
-    ``group`` empty this is the plain loop.
+    below: the listed ones that could map it lower.  With ``tables`` None
+    this is the plain loop.
 
-    The alive g fix every completed slot group, so the current run r =
-    (a, ..., x) decides.  At a's slot g[a] < a prunes; g[a] = a keeps g if
-    r closes.  Else ``hits[y]`` holds the g with g[y] = a and ``low[y]`` the
-    least image of y.  At a later x, low[x] < a prunes; a g in no hits[y],
-    y in r, maps r above a, so it neither prunes nor stays: only hits sort.
-    At the first slot every listed g is alive, so low, the prune at a and
-    hits depend on the list alone: they are read off its ``ImageTables``,
-    low[a] < a pruning and hits = preimages(a), whose group at a is the g
-    that fix a.  ``check_identity`` passes the tables that ``Automorphisms``
-    keeps for the algebra, and a plain list gets tables built for the call.
-    A later run starts under a prefix, with the alive g a subset, and scans
-    them: g[a] < a prunes, and hits and low are built for that prefix.
+    Only the first variable may repeat (``_schedule``), so the one run of
+    tied slots, r = (a, ..., x), starts at slot 0, where every listed g is
+    alive: what it reads depends on the list alone and is read off
+    ``tables``.  At a, low[a] < a prunes, low[y] being the least image of y;
+    g[a] = a keeps g if r closes.  At a later x, low[x] < a prunes, and only
+    the g in hits[y], y in r, hits = preimages(a), sort an image: any other
+    maps r above a.  A later slot's run is its one index a: of the alive g,
+    which fix every earlier slot, g[a] < a prunes and g[a] = a keeps g.
 
     Packing (module docstring): the last slot's whole run is one leaf
     {run[p]: 2^(width p)}, checked in one pass; the first failing p's tuple is
@@ -619,7 +621,7 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cma
     block has a failing representative r <= t, which lies in no earlier block
     and so in this one at or after its first failing field: r = t, as without G.
 
-    Pairs: with ``group`` empty, once the loop's first block has passed,
+    Pairs: with no element listed, once the loop's first block has passed,
     slot last - 1's whole run is packed with the last slot's, one block per
     prefix of the slots before them.  Only the plan (no group) and that pass
     decide it: a verdict that fails in its first block pays for no square,
@@ -646,21 +648,17 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cma
     support to itself, so the lex-min tuple of an orbit of tuples over the
     support lies over it.
     """
-    first = group if isinstance(group, ImageTables) else ImageTables(tuple(group))
-    group = first.elements
+    group = tables.elements if tables else ()
     signed = lhs + tuple((-w, n) for w, n in rhs)
     dim, tied = a.dim, sched.tied
     at = order if len(order) == dim else {i: p for p, i in enumerate(order)}
     last = len(tied) - 1
     width = _field_width(sched, signed, cmax)
-    start = [0] * len(tied)  # first slot of each slot's group
-    for d in range(1, len(tied)):
-        start[d] = start[d - 1] if tied[d] else d
     vals: list = [None] * sched.size
     if sched.phantom is not None:
         vals[sched.phantom] = {dim: 1}
     tup = [0] * len(tied)
-    low, hits = [None] * len(tied), [None] * len(tied)  # kept at each run's first slot
+    hits: dict = {}  # the preimages of tup[0]
     n2 = len(order)
     pair = False  # set once a block has passed without G
     leaf = phantom = fill = None  # L, then its phantom leaf once a block repeats
@@ -695,28 +693,28 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cma
 
     def survivors(d: int, alive):
         """The elements alive below the prefix ``tup[:d + 1]``, or None to prune it."""
-        s, closed = start[d], not tied[d + 1]
-        a = tup[s]
+        nonlocal hits
+        closed = not tied[d + 1]
         if d == 0:  # every listed g is alive: read the list's tables
-            if first.low[a] < a:
+            a = tup[0]
+            if tables.low[a] < a:
                 return None
-            hits[0] = first.preimages(a)
-            return hits[0].get(a, ()) if closed else alive
-        if s == d:  # a run's first index: compare g[a] with a, sort nothing
-            kept, hits[d] = [], {}
+            hits = tables.preimages(a)
+            return hits.get(a, ()) if closed else alive
+        if not tied[d]:  # an untied slot's run, its one index a, closes at once
+            a, kept = tup[d], []
             for g in alive:
                 if g[a] < a:
                     return None
-                if not closed:
-                    hits[d].setdefault(g.index(a), []).append(g)
-                elif g[a] == a:
+                if g[a] == a:
                     kept.append(g)
-            return kept if closed else alive
-        if low[s][tup[d]] < a:
+            return kept
+        a = tup[0]
+        if tables.low[tup[d]] < a:
             return None
-        run, kept = tup[s:d + 1], []
+        run, kept = tup[:d + 1], []
         for y in dict.fromkeys(run):
-            for g in hits[s].get(y, ()):
+            for g in hits.get(y, ()):
                 image = sorted([g[x] for x in run])
                 if image < run:
                     return None
@@ -727,8 +725,6 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cma
     def loop(d: int, alive) -> bool:
         """Run slot ``d`` and the slots after it; True at the first failure."""
         nonlocal pair
-        if d and alive and not tied[d] and d < last and tied[d + 1]:
-            low[d] = [min(c) for c in zip(*alive)]
         run = order[at[tup[d - 1]]:] if tied[d] else order
         if d == last or pair and d == last - 1:
             return block(d, run)
@@ -746,7 +742,6 @@ def _basis_verdict(a: Algebra, sched: _Schedule, rows, order: Sequence[int], cma
                 return block(d, run[1:])
         return False
 
-    low[0] = first.low
     failed = loop(0, group)
     del loop  # empties the closure cell through which loop calls itself: no cycle
     if not failed:
@@ -785,8 +780,8 @@ def check_identity(a: Algebra, name: str) -> Verdict:
     n = len(a.support)
     tuples = prod(comb(n + d - 1, d) for d in plan.identity.multidegree)
     size = n + len(a.entries)
-    group = a.automorphisms.tables if tuples > _TUPLES_PER_UNIT * size else ()
-    return _basis_verdict(a, sched, rows, a.support, cmax, *_weighted(sched, denom), group)
+    tables = a.automorphisms.tables if tuples > _TUPLES_PER_UNIT * size else None
+    return _basis_verdict(a, sched, rows, a.support, cmax, *_weighted(sched, denom), tables)
 
 
 def check_words(

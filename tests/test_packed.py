@@ -174,11 +174,13 @@ def test_negative_coordinates_match_the_plain_loop(seed):
 
 @pytest.mark.parametrize("name", IDENTITY_NAMES)
 def test_every_identity_ends_in_an_untied_degree_one_slot(name):
-    """The last variable of every identity has degree one, so neither its
-    polarized plan nor its raw words give the loop a last slot tied to the
-    one before it, and no word is a bare leaf."""
+    """Only the first variable of an identity may have degree above one, and
+    the last has degree one, so neither its polarized plan nor its raw words
+    give the loop a slot group after slot 0 or a last slot tied to the one
+    before it, and no word is a bare leaf."""
     plan = identities.polarized_plan(name)
     assert plan.identity.multidegree[-1] == 1
+    assert all(d == 1 for d in plan.identity.multidegree[1:])
     for sched in (identities._plan_schedule(name), identities._raw_schedule(name)):
         assert not sched.tied[-1]
     words = plan.identity.lhs + plan.identity.rhs + plan.lhs + plan.rhs
@@ -451,5 +453,5 @@ def test_the_phantom_leaf_of_single_blocks_equals_the_plain_products(always_use_
         rows = tuple(row + (col,) for row, col in zip(rows, cols))
         assert identities._basis_verdict(
             a, sched, rows, range(a.dim), max(norm, rnorm),
-            *identities._weighted(sched, denom, rdenom), a.automorphisms.elements).passed
+            *identities._weighted(sched, denom, rdenom), a.automorphisms.tables).passed
     assert pair_steps["R"], pair_steps

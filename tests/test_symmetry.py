@@ -388,8 +388,9 @@ def test_a_subset_of_the_group_visits_the_blocks_it_leaves(visited, label, name,
     sched = identities._plan_schedule(name)
     rows, denom, cmax = a.integer_rows
     visited["slots"] = sum(degrees)
-    verdict = identities._basis_verdict(
-        a, sched, rows, a.support, cmax, *identities._weighted(sched, denom), group)
+    verdict = identities._basis_verdict(a, sched, rows, a.support, cmax,
+                                        *identities._weighted(sched, denom),
+                                        symmetry.ImageTables(tuple(group)) if group else None)
     assert_visited_representatives(visited["tuples"], a, degrees, verdict, group)
     assert repr(verdict) == repr(plain_verdict(a, name))
 
@@ -438,10 +439,10 @@ def test_the_image_tables_equal_brute_force_over_the_list(label):
 
 
 @pytest.mark.parametrize("name, label", _VISITED_CASES, ids=[f"{n}-{l}" for n, l in _VISITED_CASES])
-def test_a_plain_list_visits_what_the_cached_tables_visit(visited, label, name):
-    """A copy of the cached list gets tables built for the call: the loop
-    compares the same tuples as with the tables ``Automorphisms`` keeps, and
-    gives the same verdict."""
+def test_fresh_tables_visit_what_the_cached_tables_visit(visited, label, name):
+    """Tables built afresh over a copy of the cached list: the loop compares
+    the same tuples as with the tables ``Automorphisms`` keeps, and gives
+    the same verdict."""
     a = visited_algebra(label)
     sched = identities._plan_schedule(name)
     rows, denom, cmax = a.integer_rows
@@ -451,15 +452,13 @@ def test_a_plain_list_visits_what_the_cached_tables_visit(visited, label, name):
                                        a.automorphisms.tables)
     seen = list(visited["tuples"])
     visited["tuples"].clear()
-    copied = identities._basis_verdict(a, sched, rows, a.support, cmax, *weighted,
-                                       list(a.automorphisms.elements))
+    fresh = symmetry.ImageTables(tuple(list(a.automorphisms.elements)))
+    copied = identities._basis_verdict(a, sched, rows, a.support, cmax, *weighted, fresh)
     assert visited["tuples"] == seen and repr(copied) == repr(cached)
 
 
 # Words whose repeated variable follows a single one, or a second repeated
-# one, so the loop prunes inside a slot group whose alive elements are a
-# proper stabilizer, and then a variable w of degree one, as every
-# identity's last variable is: multidegree and (lhs, rhs) in x, y, w = 0, 1, 2.
+# one: multidegree and (lhs, rhs) in x, y, w = 0, 1, 2.
 _TIED_AFTER_CLOSED = {
     "xy.y.w=x.yy.w": ((1, 2, 1), ((1, (((0, 1), 1), 2)),), ((1, ((0, (1, 1)), 2)),)),
     "xy.xy.w=xx.yy.w": ((2, 2, 1), ((1, (((0, 1), (0, 1)), 2)),),
@@ -467,36 +466,51 @@ _TIED_AFTER_CLOSED = {
 }
 
 
-@pytest.mark.parametrize("listed", ["group", "none"])
 @pytest.mark.parametrize("words", _TIED_AFTER_CLOSED)
-@pytest.mark.parametrize("label", ["M2", "M3", "commutator(M3)"])
-def test_tied_slots_after_a_closed_group_visit_the_lex_min_representatives(visited, label, words,
-                                                                          listed):
-    """Given G, the loop prunes inside the tied group; given nothing, it packs
-    the last pair as a full square.  Both visit every representative of G
-    and give one verdict."""
-    a = shuffled_matrix_algebra(3 if label != "M2" else 2, 12)
-    if label == "commutator(M3)":
-        a = commutator(a)
+def test_a_slot_group_after_slot_0_is_refused(words):
+    """Only an identity's first variable may repeat: a schedule with a slot
+    group that starts after slot 0 is refused, and the same words with only
+    the group at slot 0, if any, are accepted."""
     degrees, lhs, rhs = _TIED_AFTER_CLOSED[words]
     offsets = [sum(degrees[:v]) for v in range(len(degrees))]
     groups = tuple(tuple(range(o, o + d)) for o, d in zip(offsets, degrees) if d > 1)
-    sched = identities._schedule(
-        sum(degrees),
-        identities._polarize_words(lhs, degrees, offsets),
-        identities._polarize_words(rhs, degrees, offsets),
-        groups,
-    )
+    lhs = identities._polarize_words(lhs, degrees, offsets)
+    rhs = identities._polarize_words(rhs, degrees, offsets)
+    identities._schedule(sum(degrees), lhs, rhs, tuple(g for g in groups if g[0] == 0))
+    with pytest.raises(AssertionError, match="first variable"):
+        identities._schedule(sum(degrees), lhs, rhs, groups)
+
+
+# Multilinear words in four variables, so slots 1 and 2 are untied slots
+# before the last: (lhs, rhs) in x, y, z, w = 0, 1, 2, 3.
+_FOUR_LINEAR = {
+    "xy.z.w=x.yz.w": (((1, (((0, 1), 2), 3)),), ((1, ((0, (1, 2)), 3)),)),
+    "xy.zw=x.y.zw": (((1, ((0, 1), (2, 3))),), ((1, (0, (1, (2, 3)))),)),
+}
+
+
+@pytest.mark.parametrize("words", _FOUR_LINEAR)
+@pytest.mark.parametrize("label", ["M2", "M3", "commutator(M3)"])
+def test_untied_slots_keep_the_elements_that_fix_them(visited, label, words):
+    """Under the whole group, each untied slot before the last keeps alive
+    only the elements that fix its index: the loop visits the blocks of the
+    surviving prefixes, which hold every representative of G, and gives the
+    plain loop's verdict."""
+    a = shuffled_matrix_algebra(3 if label != "M2" else 2, 12)
+    if label == "commutator(M3)":
+        a = commutator(a)
+    degrees = (1, 1, 1, 1)
+    sched = identities.compile_words(4, *_FOUR_LINEAR[words])
     rows, denom, cmax = a.integer_rows
     weighted = identities._weighted(sched, denom)
-    visited["slots"] = sum(degrees)
-    group = group_of(a)[1:] if listed == "group" else ()
-    other = identities._basis_verdict(a, sched, rows, a.support, cmax, *weighted,
-                                      group_of(a)[1:] if not group else ())
+    visited["slots"] = 4
+    plain = identities._basis_verdict(a, sched, rows, a.support, cmax, *weighted)
     visited["tuples"].clear()
-    verdict = identities._basis_verdict(a, sched, rows, a.support, cmax, *weighted, group)
-    assert_visited_representatives(visited["tuples"], a, degrees, verdict, group)
-    assert repr(verdict) == repr(other)
+    verdict = identities._basis_verdict(a, sched, rows, a.support, cmax, *weighted,
+                                        a.automorphisms.tables)
+    assert len(a.automorphisms.elements) == len(group_of(a)) - 1
+    assert_visited_representatives(visited["tuples"], a, degrees, verdict)
+    assert repr(verdict) == repr(plain)
 
 
 def _witness_algebras(all_materialized):
