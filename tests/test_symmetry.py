@@ -489,16 +489,25 @@ _FOUR_LINEAR = {
 }
 
 
+@pytest.mark.parametrize("given", ["group", "generators", "none"])
 @pytest.mark.parametrize("words", _FOUR_LINEAR)
 @pytest.mark.parametrize("label", ["M2", "M3", "commutator(M3)"])
-def test_untied_slots_keep_the_elements_that_fix_them(visited, label, words):
-    """Under the whole group, each untied slot before the last keeps alive
-    only the elements that fix its index: the loop visits the blocks of the
-    surviving prefixes, which hold every representative of G, and gives the
-    plain loop's verdict."""
+def test_untied_slots_keep_the_elements_that_fix_them(visited, label, words, given):
+    """Given the whole group or only its generators, each untied slot before
+    the last keeps alive only the given elements that fix its index; given
+    nothing, the loop packs the last pair as a full square.  Each visits the
+    blocks of the prefixes it leaves, which hold every representative of G,
+    and gives the plain loop's verdict."""
     a = shuffled_matrix_algebra(3 if label != "M2" else 2, 12)
     if label == "commutator(M3)":
         a = commutator(a)
+    assert len(a.automorphisms.elements) == len(group_of(a)) - 1
+    group, tables = {
+        "group": (None, a.automorphisms.tables),
+        "generators": (a.automorphisms.generators,
+                       symmetry.ImageTables(tuple(a.automorphisms.generators))),
+        "none": ((), None),
+    }[given]
     degrees = (1, 1, 1, 1)
     sched = identities.compile_words(4, *_FOUR_LINEAR[words])
     rows, denom, cmax = a.integer_rows
@@ -506,10 +515,8 @@ def test_untied_slots_keep_the_elements_that_fix_them(visited, label, words):
     visited["slots"] = 4
     plain = identities._basis_verdict(a, sched, rows, a.support, cmax, *weighted)
     visited["tuples"].clear()
-    verdict = identities._basis_verdict(a, sched, rows, a.support, cmax, *weighted,
-                                        a.automorphisms.tables)
-    assert len(a.automorphisms.elements) == len(group_of(a)) - 1
-    assert_visited_representatives(visited["tuples"], a, degrees, verdict)
+    verdict = identities._basis_verdict(a, sched, rows, a.support, cmax, *weighted, tables)
+    assert_visited_representatives(visited["tuples"], a, degrees, verdict, group)
     assert repr(verdict) == repr(plain)
 
 
